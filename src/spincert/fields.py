@@ -25,7 +25,12 @@ __all__ = [
 
 
 class FieldError(ValueError):
-    """Raised for invalid field parameters (composite or too-small primes)."""
+    """Raised for invalid field parameters (composite, too small or too large primes)."""
+
+
+# Elimination forms products of two residues in int64; below 2**31 they stay
+# under 2**62, so a difference of two of them cannot overflow.
+PRIME_LIMIT = 2**31
 
 
 def is_prime(n: int) -> bool:
@@ -44,7 +49,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The prime field F_p for an odd prime p >= 5.
+    """The prime field F_p for an odd prime 5 <= p < 2**31.
 
     Characteristic 2 is excluded throughout (halves and quarters appear in
     the bivector normalization), and 3 is excluded because octonion
@@ -54,6 +59,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p >= PRIME_LIMIT:
+            raise FieldError(f"prime must be < 2**31 for exact int64 elimination, got {self.p}")
         if not is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
         if self.p < 5:

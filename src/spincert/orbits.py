@@ -20,7 +20,7 @@ from .kernels import matmul_mod
 from .linalg import (
     Matrix,
     associative_closure,
-    commutant_dimension_with_size,
+    commutant_dimension,
     coordinates_in_span,
     random_vector,
 )
@@ -35,7 +35,6 @@ __all__ = [
     "BilinearInvariants",
     "action_matrix",
     "stabilizer",
-    "stabilizer_from_matrices",
     "kernel_action_matrices",
     "generic_stabilizer_dim",
     "generic_stabilizer_dim_checked",
@@ -110,15 +109,6 @@ def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
                 raise AssertionError("kernel vector does not annihilate the point")
     dim = len(kernel)
     return StabilizerReport(dim, rep.g, rep.g - dim, kernel)
-
-
-def stabilizer_from_matrices(mats: list[Matrix], v) -> StabilizerReport:
-    """Stabilizer kernel for a raw matrix list (no so(n) bookkeeping)."""
-    field = mats[0].field
-    cols = [m.apply(v) for m in mats]
-    mat = Matrix(field, np.stack(cols, axis=1))
-    kernel = mat.kernel_basis()
-    return StabilizerReport(len(kernel), len(mats), len(mats) - len(kernel), kernel)
 
 
 def kernel_action_matrices(kernel: list, rep: LieRepresentation) -> list[Matrix]:
@@ -422,8 +412,7 @@ def isotypic_fingerprint(mats: list[Matrix]) -> tuple[int, int]:
     """
     if not mats:
         raise ValueError("fingerprint of an empty matrix list")
-    d = mats[0].rows
-    return associative_closure(mats), commutant_dimension_with_size(mats, d)
+    return associative_closure(mats), commutant_dimension(mats)
 
 
 # -- degree-4 invariants (budgeted stretch operation) ---------------------------
@@ -487,10 +476,10 @@ def invariant_quartic_dim(
             acc: dict = {}
             for pos in range(4):
                 a = mono[pos]
-                col = M[:, a] if False else M[a, :]
+                row = M[a, :]
                 # derivation: x_a -> sum_b M[a, b] x_b in slot pos
                 for b in range(d):
-                    coeff = int(col[b])
+                    coeff = int(row[b])
                     if coeff == 0:
                         continue
                     new = list(mono)

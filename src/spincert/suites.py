@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import GF, QQ, RandomSource, is_prime
+from .fields import GF, QQ, PrimeField, RandomSource
 from .linalg import Matrix, random_vector
 from .clifford import QuadraticSpace
 from .octonion import (
@@ -89,8 +89,7 @@ class RunConfig:
 
     def validate(self):
         for p in (self.prime, self.confirm_prime):
-            if not is_prime(p) or p < 5:
-                raise ValueError(f"{p} is not an odd prime >= 5")
+            PrimeField(p)  # FieldError is a ValueError: not prime, < 5 or >= 2**31
         if self.prime == self.confirm_prime:
             raise ValueError("prime and confirm-prime must differ")
         if self.trials < 1:
@@ -390,6 +389,10 @@ def _suite_spin10(cfg: RunConfig, rec: _Recorder):
         struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
         return [rpt.dimension, struct.killing_rank, struct.killing_nullity]
 
+    def forms(f):
+        inv = invariant_bilinear_space(half_spin_reps(space, f)[0])
+        return [inv.symmetric_dim, inv.antisymmetric_dim]
+
     rec.both(
         cfg,
         "stabilizer-certificate",
@@ -413,10 +416,7 @@ def _suite_spin10(cfg: RunConfig, rec: _Recorder):
         "invariant-forms",
         "[symmetric dim, antisymmetric dim] of invariant bilinear forms",
         [0, 0],
-        lambda f: [
-            invariant_bilinear_space(half_spin_reps(space, f)[0]).symmetric_dim,
-            invariant_bilinear_space(half_spin_reps(space, f)[0]).antisymmetric_dim,
-        ],
+        forms,
         "derived",
         "no invariant quadratic exists; the open-orbit geometry is not a quadric",
     )

@@ -9,6 +9,10 @@ def test_prime_validation():
     for bad in (4, 9, 1, 0, -7, 1000001):  # 1000001 = 101 * 9901
         with pytest.raises(FieldError):
             PrimeField(bad)
+    # int64 elimination is exact only below 2**31
+    with pytest.raises(FieldError):
+        PrimeField(4294967311)
+    assert PrimeField(2147483647).p == 2**31 - 1
     for small in (2, 3):
         with pytest.raises(FieldError):
             PrimeField(small)

@@ -12,7 +12,6 @@ from spincert.linalg import (
     SpanBuilder,
     associative_closure,
     commutant_dimension,
-    commutant_dimension_with_size,
     coordinates_in_span,
     kernel_basis,
     random_matrix,
@@ -227,7 +226,6 @@ def test_associative_closure_monotone_and_bounded():
 
 
 def test_commutant_examples():
-    assert commutant_dimension_with_size([], 3) == 9
     units = [Matrix(F, m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]])]
     assert commutant_dimension(units) == 1
     # over Q as well
@@ -248,6 +246,86 @@ def test_commutant_against_definition():
             xm = Matrix(F, x)
             rows.append((xm @ g - g @ xm).flatten())
     assert dim == 9 - Matrix(F, np.stack(rows)).rank()
+
+
+def closure_by_words(gens):
+    """Span of the words in the generators, one word length at a time.
+
+    Level L+1 adds g @ w for every generator g and every basis matrix w of
+    level L.  The levels are stationary from the first one that adds nothing,
+    and at the latest from length d^2.
+    """
+    field, d = gens[0].field, gens[0].rows
+    sb = SpanBuilder(field, d * d)
+    sb.add(Matrix.identity(field, d).flatten())
+    for _ in range(d * d):
+        grew = False
+        for row in list(sb.rows):
+            w = Matrix(field, row.reshape(d, d))
+            for g in gens:
+                grew |= sb.add((g @ w).flatten())
+        if not grew:
+            break
+    return sb.dim
+
+
+def commutant_by_stacked_system(gens):
+    """d^2 minus the rank of X -> (Xg - gX for every g), one row per unit E_ab."""
+    field, d = gens[0].field, gens[0].rows
+    rows = []
+    for a in range(d):
+        for b in range(d):
+            e = Matrix.zeros(field, d, d).data.copy()
+            e[a, b] = field.one
+            x = Matrix(field, e)
+            rows.append(np.concatenate([(x @ g - g @ x).flatten() for g in gens]))
+    return d * d - Matrix(field, np.stack(rows)).rank()
+
+
+def _closure_cases(field, rng):
+    cases = []
+    for d in range(2, 6):
+        for k in range(1, 4):
+            cases.append([random_matrix(field, d, d, rng) for _ in range(k)])
+    # strictly upper triangular: a nilpotent algebra plus the identity
+    for d in (3, 4):
+        nil = []
+        for _ in range(2):
+            m = random_matrix(field, d, d, rng).data.copy()
+            m[np.tril_indices(d)] = field.zero
+            nil.append(Matrix(field, m))
+        cases.append(nil)
+    # diag(A, P A P^-1): a proper subalgebra whose commutant holds the 2x2 matrices
+    for d, k in ((2, 2), (3, 1), (3, 2)):
+        p = random_matrix(field, d, d, rng)
+        p_inv = p.inverse()
+        zero = Matrix.zeros(field, d, d)
+        block = []
+        for _ in range(k):
+            a = random_matrix(field, d, d, rng)
+            twin = p @ a @ p_inv
+            block.append(Matrix.vstack([Matrix.hstack([a, zero]), Matrix.hstack([zero, twin])]))
+        cases.append(block)
+    # an idempotent and a shift: after the first round the frontier has two rows
+    # whose products differ, so spinning on from only one of them stops short
+    idempotent = Matrix(field, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    shift = Matrix(field, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    cases.append([idempotent, shift])
+    return cases
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_closure_and_commutant_against_oracles(field):
+    seen = set()
+    for gens in _closure_cases(field, RandomSource(12)):
+        closure = associative_closure(gens)
+        commutant = commutant_dimension(gens)
+        assert closure == closure_by_words(gens)
+        assert commutant == commutant_by_stacked_system(gens)
+        seen.add((gens[0].rows, closure, commutant))
+    # full matrix algebra, one generator (commutative), nilpotent, conjugate blocks,
+    # idempotent and shift
+    assert {(5, 25, 1), (5, 5, 5), (3, 4, 2), (4, 4, 4), (6, 9, 4), (3, 5, 1)} <= seen
 
 
 def test_span_builder():

@@ -47,7 +47,10 @@ def test_config_validation():
         RunConfig(suites=["nope"]).validate()
     with pytest.raises(ValueError):
         RunConfig(trials=0).validate()
+    with pytest.raises(ValueError):
+        RunConfig(confirm_prime=4294967311).validate()  # beyond exact int64 elimination
     RunConfig().validate()
+    RunConfig(prime=2147483647).validate()
 
 
 def test_g2_suite_passes_and_is_deterministic():
