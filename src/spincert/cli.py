@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env("DUMP", None),
         help="write the representations used by the selected suites to this JSON file",
     )
-    run.add_argument("--jobs", type=int, default=_env("JOBS", 1))
 
     sub.add_parser("list-suites", help="list suite names with their certificate anchors")
     return parser
@@ -80,7 +79,6 @@ def _config_from_args(args) -> RunConfig:
         fmt=args.format,
         stretch=args.stretch,
         dump=args.dump,
-        jobs=args.jobs,
     )
 
 

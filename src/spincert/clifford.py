@@ -20,6 +20,7 @@ downstream structure constant is reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "QuadraticSpace",
@@ -287,16 +288,17 @@ def expand_in_bivectors(elem: CliffordElement) -> list:
     space, field = elem.space, elem.field
     if not elem.grades() <= {0, 2}:
         raise ValueError(f"not a bivector combination: grades {sorted(elem.grades())}")
-    coeffs = []
+    index = _bivector_index(space)
+    coeffs = [field.zero] * len(index)
     expected_scalar = field.zero
     quarter = field.inv(field.scalar(4))
     two = field.scalar(2)
-    for a, b in so_pairs(space):
-        mask = (1 << a) | (1 << b)
-        c = elem.coeffs.get(mask, field.zero)
+    for mask, c in elem.coeffs.items():
+        if not mask:
+            continue
+        k, tb = index[mask]
         x = field.mul(two, c)
-        coeffs.append(x)
-        tb = space.two_b_int(a, b)
+        coeffs[k] = x
         if tb:
             # m_ab = E_ab/2 - tb/4, so x*m_ab contributes -x*tb/4 in degree 0
             contrib = field.mul(x, field.mul(field.scalar(tb), quarter))
@@ -304,6 +306,12 @@ def expand_in_bivectors(elem: CliffordElement) -> list:
     if elem.scalar_part() != expected_scalar:
         raise ValueError("scalar part inconsistent with a bivector combination")
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def _bivector_index(space: QuadraticSpace) -> dict:
+    """Degree-2 blade mask -> (so_pairs index, 2 B(a, b)) for one space."""
+    return {(1 << a) | (1 << b): (k, space.two_b_int(a, b)) for k, (a, b) in enumerate(so_pairs(space))}
 
 
 class SoStructure:

@@ -5,9 +5,11 @@ a NumPy fallback (``_modp_fallback``).  The compiled one is picked at import
 when available; setting the environment variable ``NOETHER_NO_EXT`` forces
 the fallback.  ``benchmarks/bench_kernels.py`` compares the two.
 
-Matrix multiplication mod p is shared by both backends: for our primes the
-products fit a float64 mantissa exactly, so BLAS does the work and the
-result is still exact integer arithmetic.
+Matrix multiplication mod p is shared by both backends: for the default
+primes the products fit a float64 mantissa exactly, so BLAS does the work
+and the result is still exact integer arithmetic.  Larger primes fall back
+to int64 products, summed over chunks of the inner dimension short enough
+not to overflow.
 """
 
 import os
@@ -48,10 +50,9 @@ def matmul_mod(a, b, p):
     if inner == 0:
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
         return np.zeros(shape, dtype=np.int64)
-    bound = inner * (p - 1) * (p - 1)
-    if bound < _FLOAT_EXACT:
+    if inner * (p - 1) * (p - 1) < _FLOAT_EXACT:
         c = np.matmul(a.astype(np.float64), b.astype(np.float64))
         return np.mod(c, float(p)).astype(np.int64)
-    if bound < 2**63:
-        return np.matmul(a, b) % p
-    raise OverflowError(f"matmul_mod overflow guard: inner={inner}, p={p}")
+    # each chunk's int64 sum of products stays below 2**63; p < 2**31 keeps step >= 2
+    step = (2**63 - 1) // ((p - 1) * (p - 1))
+    return sum(np.matmul(a[..., s : s + step], b[..., s : s + step, :]) % p for s in range(0, inner, step)) % p

@@ -96,14 +96,15 @@ def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
     mat = action_matrix(rep, v)
     kernel = mat.kernel_basis()
     field = rep.field
-    for z in kernel:
-        # the defining property, checked again after extraction
-        if isinstance(field, PrimeField):
-            acting = np.tensordot(z, rep.tensor, axes=(0, 0)) % field.p
-            img = matmul_mod(acting, np.asarray(v).reshape(-1, 1), field.p)
-            if img.any():
-                raise AssertionError("kernel vector does not annihilate the point")
-        else:
+    # the defining property, checked again after extraction
+    if isinstance(field, PrimeField):
+        # sum_k z_k (rho(m_k) v) from the tensor, through matmul_mod: exact for every accepted prime
+        images = matmul_mod(rep.tensor.reshape(-1, rep.dim), np.asarray(v, dtype=np.int64).reshape(-1, 1), field.p)
+        z = np.asarray(kernel, dtype=np.int64).reshape(-1, rep.g)
+        if matmul_mod(z, images.reshape(rep.g, rep.dim), field.p).any():
+            raise AssertionError("kernel vector does not annihilate the point")
+    else:
+        for z in kernel:
             acting = sum(z[k] * rep.tensor[k] for k in range(rep.g))
             if any(x != 0 for x in np.dot(acting, v)):
                 raise AssertionError("kernel vector does not annihilate the point")
@@ -114,15 +115,11 @@ def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
 def kernel_action_matrices(kernel: list, rep: LieRepresentation) -> list[Matrix]:
     """Images of kernel vectors (so(n) coordinates) under the representation."""
     field = rep.field
-    out = []
-    for z in kernel:
-        if isinstance(field, PrimeField):
-            acting = np.tensordot(z, rep.tensor, axes=(0, 0)) % field.p
-            out.append(Matrix(field, None, _raw=np.ascontiguousarray(acting)))
-        else:
-            acting = sum(z[k] * rep.tensor[k] for k in range(rep.g))
-            out.append(Matrix(field, acting))
-    return out
+    if isinstance(field, PrimeField):
+        z = np.asarray(kernel, dtype=np.int64).reshape(-1, rep.g)
+        acting = matmul_mod(z, rep.tensor.reshape(rep.g, -1), field.p).reshape(-1, rep.dim, rep.dim)
+        return [Matrix(field, None, _raw=a) for a in acting]
+    return [Matrix(field, sum(z[k] * rep.tensor[k] for k in range(rep.g))) for z in kernel]
 
 
 def generic_stabilizer_dim(rep: LieRepresentation, trials: int, rng: RandomSource) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from threading import Lock
 
 import numpy as np
 
@@ -137,7 +136,6 @@ def _reduce_x4(field, x4: np.ndarray) -> np.ndarray:
 
 _INT_CACHE: dict = {}
 _REP_CACHE: dict = {}
-_CACHE_LOCK = Lock()
 
 
 def fock_generator_matrices(n: int) -> list[np.ndarray]:
@@ -147,8 +145,7 @@ def fock_generator_matrices(n: int) -> list[np.ndarray]:
     annihilates, u flips sign on odd-degree vectors.
     """
     key = ("fock_gens", n)
-    with _CACHE_LOCK:
-        hit = _INT_CACHE.get(key)
+    hit = _INT_CACHE.get(key)
     if hit is not None:
         return hit
     space = QuadraticSpace(n)
@@ -172,16 +169,14 @@ def fock_generator_matrices(n: int) -> list[np.ndarray]:
                     sign = -1 if (s & (bit - 1)).bit_count() % 2 else 1
                     mat[s ^ bit, s] = sign
         mats.append(mat)
-    with _CACHE_LOCK:
-        _INT_CACHE[key] = mats
+    _INT_CACHE[key] = mats
     return mats
 
 
 def _spin_x4(n: int) -> np.ndarray:
     """4 * m_ab on the Fock space: 2 e_a e_b - 2B(a,b), integer entries."""
     key = ("spin_x4", n)
-    with _CACHE_LOCK:
-        hit = _INT_CACHE.get(key)
+    hit = _INT_CACHE.get(key)
     if hit is not None:
         return hit
     space = QuadraticSpace(n)
@@ -193,16 +188,14 @@ def _spin_x4(n: int) -> np.ndarray:
     for k, (a, b) in enumerate(pairs):
         out[k] = 2 * (gens[a] @ gens[b]) - space.two_b_int(a, b) * eye
     out = _freeze(out)
-    with _CACHE_LOCK:
-        _INT_CACHE[key] = out
+    _INT_CACHE[key] = out
     return out
 
 
 def _vector_x4(n: int) -> np.ndarray:
     """4 * (v -> [m_ab, v]) on the generator basis: [m_ab, e_c] = B(b,c) e_a - B(a,c) e_b."""
     key = ("vector_x4", n)
-    with _CACHE_LOCK:
-        hit = _INT_CACHE.get(key)
+    hit = _INT_CACHE.get(key)
     if hit is not None:
         return hit
     space = QuadraticSpace(n)
@@ -217,8 +210,7 @@ def _vector_x4(n: int) -> np.ndarray:
             if tb_ac:
                 out[k, b, c] -= 2 * tb_ac
     out = _freeze(out)
-    with _CACHE_LOCK:
-        _INT_CACHE[key] = out
+    _INT_CACHE[key] = out
     return out
 
 
@@ -231,13 +223,11 @@ def parity_indices(n: int) -> tuple[list[int], list[int]]:
 
 
 def _cached_rep(key, build):
-    with _CACHE_LOCK:
-        hit = _REP_CACHE.get(key)
+    hit = _REP_CACHE.get(key)
     if hit is not None:
         return hit
     rep = build()
-    with _CACHE_LOCK:
-        _REP_CACHE[key] = rep
+    _REP_CACHE[key] = rep
     return rep
 
 
@@ -475,47 +465,98 @@ def compose_embeddings(outer: SubalgebraEmbedding, inner: SubalgebraEmbedding) -
     return SubalgebraEmbedding(n, inner.sub_n, tuple(tuple(v) for v in vectors), pair_map)
 
 
+# entries one join may produce before the right-hand generators are split into blocks
+_JOIN_CAP = 1 << 22
+
+
+def _expand_ranges(lo: np.ndarray, hi: np.ndarray):
+    """Concatenate the ranges [lo_t, hi_t): (range index t, position) per element."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    pos = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return owner, pos
+
+
+def _join(key: np.ndarray, order: np.ndarray, lines: np.ndarray, g: int, j0: int, j1: int):
+    """Entries on line ``lines[t]`` of a generator in [j0, j1), as (t, entry index).
+
+    ``key`` is the sorted line * g + generator of the entries, ``order``
+    maps its positions back to entry indices.
+    """
+    owner, pos = _expand_ranges(np.searchsorted(key, lines * g + j0), np.searchsorted(key, lines * g + j1))
+    return owner, order[pos]
+
+
 def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     """Check rho([m_i, m_j]) = [rho(m_i), rho(m_j)] on every basis pair.
 
     ``struct`` carries the bracket expansions computed inside the Clifford
     algebra, so this compares the representation against structure constants
-    it had no hand in producing.
+    it had no hand in producing.  Both sides are antisymmetric, so the pairs
+    i < j suffice.
+
+    The check works on the nonzero entries (k, r, c, v) of the tensor.  For
+    each left generator i, joining the column of each entry of T_i with the
+    row of the entries of every T_j (j > i) gives T_i T_j; joining on the row
+    of T_i and the column of T_j gives T_j T_i.  Those products, minus
+    sum coeff * T_k over ``struct.bracket_row(i, j)``, are keyed by
+    (j, row, col), sorted and summed per key; any nonzero sum is a failure.
+    Over F_p every product of two residues is below 2**62 for p < 2**31 and
+    is reduced mod p before summing, so int64 stays exact; over Q the same
+    code runs on Fraction objects.  The work follows the number of nonzeros,
+    and the right-hand generators are taken in blocks so one join stays
+    below ``_JOIN_CAP`` entries even for dense representations.
     """
     if len(rep.basis_labels) != struct.dim:
         raise ValueError("representation basis does not match the structure constants")
-    field = rep.field
+    p = rep.field.p if isinstance(rep.field, PrimeField) else None
+
+    def times(x, y):
+        return x * y % p if p else x * y
+
     T = rep.tensor
-    g = rep.g
-    if isinstance(field, PrimeField):
-        p = field.p
-        d = rep.dim
-        if 2 * d * (p - 1) * (p - 1) >= 2**53:
-            raise OverflowError("prime too large for the float64 commutator path")
-        # one float64 copy; products and their difference stay exact integers
-        Tf = T.astype(np.float64)
-        for i in range(g):
-            if i + 1 == g:
-                break
-            tail = Tf[i + 1 :]
-            comm = np.mod(np.matmul(Tf[i], tail) - np.matmul(tail, Tf[i]), float(p)).astype(np.int64)
-            for j in range(i + 1, g):
-                rhs = np.zeros_like(T[0])
-                for k, c in struct.bracket_row(i, j):
-                    rhs = (rhs + c * T[k]) % p
-                if not np.array_equal(comm[j - i - 1], rhs):
-                    return False
-        return True
-    for i in range(g):
-        for j in range(g):
-            if i == j:
+    g, d = rep.g, rep.dim
+    k, r, c = np.nonzero(T)  # C order: k ascending
+    v = T[k, r, c]
+    k_start = np.searchsorted(k, np.arange(g + 1))
+    by_row = np.lexsort((k, r))
+    row_key = (r * g + k)[by_row]
+    by_col = np.lexsort((k, c))
+    col_key = (c * g + k)[by_col]
+    # most entries on one row or one column of a single generator
+    line = max(np.bincount(k * d + r).max(initial=0), np.bincount(k * d + c).max(initial=0), 1)
+    for i in range(g - 1):
+        own = slice(k_start[i], k_start[i + 1])
+        ri, ci, vi = r[own], c[own], v[own]
+        step = max(1, _JOIN_CAP // max(1, len(vi) * line))
+        for j0 in range(i + 1, g, step):
+            j1 = min(g, j0 + step)
+            # T_i T_j: an entry (r, c) of T_i meets the entries in row c of T_j
+            owner, b = _join(row_key, by_row, ci, g, j0, j1)
+            keys = [(k[b] * d + ri[owner]) * d + c[b]]
+            vals = [times(vi[owner], v[b])]
+            # T_j T_i: an entry (r, c) of T_i meets the entries in column r of T_j
+            owner, b = _join(col_key, by_col, ri, g, j0, j1)
+            keys.append((k[b] * d + r[b]) * d + ci[owner])
+            vals.append(-times(v[b], vi[owner]))
+            # - sum coeff * T_k for [m_i, m_j]
+            terms = [(j, kk, coeff) for j in range(j0, j1) for kk, coeff in struct.bracket_row(i, j)]
+            if terms:
+                js, ks, coeffs = zip(*terms)
+                js, ks = np.array(js), np.array(ks)
+                owner, pos = _expand_ranges(k_start[ks], k_start[ks + 1])
+                keys.append((js[owner] * d + r[pos]) * d + c[pos])
+                vals.append(-times(np.array(coeffs, dtype=v.dtype)[owner], v[pos]))
+            keys = np.concatenate(keys)
+            if not len(keys):
                 continue
-            comm = np.dot(T[i], T[j]) - np.dot(T[j], T[i])
-            rhs = np.zeros_like(T[0])
-            rhs[:] = Fraction(0)
-            for k, c in struct.bracket_row(i, j):
-                rhs = rhs + c * T[k]
-            if any(x != y for x, y in zip(comm.reshape(-1), rhs.reshape(-1))):
+            order = np.argsort(keys)
+            keys = keys[order]
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            sums = np.add.reduceat(np.concatenate(vals)[order], starts)
+            if p:
+                sums %= p
+            if np.any(sums != 0):
                 return False
     return True
 

@@ -85,7 +85,6 @@ class RunConfig:
     fmt: str = "text"
     stretch: bool = False
     dump: str | None = None
-    jobs: int = 1
 
     def validate(self):
         for p in (self.prime, self.confirm_prime):
@@ -96,8 +95,6 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         for name in self.resolved_suites():
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}")
@@ -857,11 +854,4 @@ def run_suite(name: str, cfg: RunConfig) -> SuiteReport:
 
 
 def run_selected(cfg: RunConfig) -> list:
-    names = cfg.resolved_suites()
-    if cfg.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {name: pool.submit(run_suite, name, cfg) for name in names}
-        return [futures[name].result() for name in names]
-    return [run_suite(name, cfg) for name in names]
+    return [run_suite(name, cfg) for name in cfg.resolved_suites()]

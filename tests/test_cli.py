@@ -55,6 +55,19 @@ def test_run_json_document(capsys):
             }
 
 
+def test_largest_prime_matches_default_primes(capsys):
+    # every accepted prime must be exact, up to 2**31 - 1
+    docs = {}
+    for prime in ("2147483647", "1000003"):
+        code, out = run_cli(["run", "--suites", "spin7,g2_octonion", "--format", "json", "--prime", prime], capsys)
+        assert code == 0
+        docs[prime] = json.loads(out)
+    for big, default in zip(docs["2147483647"]["suites"], docs["1000003"]["suites"]):
+        assert big["primes"] == [2147483647, 999983]
+        assert "suite-error" not in {c["id"] for c in big["checks"]}
+        assert big["checks"] == default["checks"]
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--prime", "4"])

@@ -82,3 +82,19 @@ def test_matmul_mod_near_float_boundary():
     out = matmul_mod(a, a, p)
     expect = (d * (p - 1) * (p - 1)) % p
     assert (out == expect).all()
+
+
+@pytest.mark.parametrize("inner", [1, 2, 3, 8, 91])
+def test_matmul_mod_largest_prime(inner):
+    # (p-1)**2 is just under 2**62: the int64 path sums at most two products per chunk
+    p = 2_147_483_647
+    rng = np.random.default_rng(inner)
+    a = rng.integers(0, p, size=(2, 3, inner), dtype=np.int64)
+    a[0, 0] = p - 1
+    b = rng.integers(0, p, size=(inner, 4), dtype=np.int64)
+    b[:, 0] = p - 1
+    want = [
+        [[sum(int(a[t, i, k]) * int(b[k, j]) for k in range(inner)) % p for j in range(4)] for i in range(3)]
+        for t in range(2)
+    ]
+    assert matmul_mod(a, b, p).tolist() == want

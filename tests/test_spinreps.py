@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from spincert.clifford import CliffordElement, QuadraticSpace, so_structure_constants
-from spincert.fields import GF, QQ
-from spincert.linalg import Matrix
+from spincert import spinreps
+from spincert.clifford import CliffordElement, QuadraticSpace, SoStructure, so_structure_constants
+from spincert.fields import GF, QQ, PrimeField, RandomSource
+from spincert.linalg import Matrix, random_matrix
 from spincert.spinreps import (
+    LieRepresentation,
     center_acts_minus_one,
     compose_embeddings,
     direct_sum,
@@ -228,3 +232,173 @@ def test_rep_json_shape():
     doc_q = rep_q.to_json_dict()
     assert doc_q["field"] == {"kind": "Rationals"}
     assert isinstance(doc_q["matrices"][0][0][0], str)
+
+
+# -- the sparse Lie-homomorphism check against the definition ------------------
+
+
+def dense_homomorphism(rep, struct):
+    """[T_i, T_j] == sum c T_k for every i != j, by dense products.
+
+    Entries become Python ints (over Q after clearing denominators), so the
+    products are exact whatever their size.
+    """
+    p = rep.field.p if isinstance(rep.field, PrimeField) else None
+    if p:
+        scale = 1
+        T = rep.tensor.astype(object)
+    else:
+        scale = math.lcm(*(x.denominator for x in rep.tensor.reshape(-1)))
+        T = np.vectorize(lambda x: int(x * scale), otypes=[object])(rep.tensor)
+    prods = np.matmul(T[:, None], T[None, :])  # scale**2 * T_i T_j
+    for i in range(rep.g):
+        for j in range(rep.g):
+            if i == j:
+                continue
+            diff = prods[i, j] - prods[j, i]
+            for k, c in struct.bracket_row(i, j):
+                diff = diff - scale * c * T[k]
+            if any(x % p if p else x for x in diff.reshape(-1)):
+                return False
+    return True
+
+
+def conjugated(rep, seed=7):
+    """rep conjugated by a random invertible matrix: the same Lie map, dense."""
+    rng = RandomSource(seed)
+    while True:
+        P = random_matrix(rep.field, rep.dim, rep.dim, rng)
+        if P.rank() == rep.dim:
+            break
+    P_inv = P.inverse()
+    mats = [(P @ m @ P_inv).data for m in rep.matrices]
+    return LieRepresentation(rep.n, rep.field, f"conj({rep.name})", rep.basis_labels, np.stack(mats))
+
+
+def _standard(n, kind):
+    def build(field):
+        space = QuadraticSpace(n)
+        if kind == "vector":
+            rep = vector_rep(space, field)
+        elif kind == "spin":
+            rep = spin_rep(space, field)
+        else:
+            rep = half_spin_reps(space, field)[kind == "half_odd"]
+        return rep, so_structure_constants(space, field)
+
+    return build
+
+
+def _direct_sum(field):
+    space = QuadraticSpace(6)
+    rep = direct_sum([vector_rep(space, field), spin_rep(space, field)])
+    return rep, so_structure_constants(space, field)
+
+
+def _restricted(field):
+    space = QuadraticSpace(8)
+    rep = restrict(spin_rep(space, field), embed_subalgebra(space, 5))
+    return rep, so_structure_constants(QuadraticSpace(5), field)
+
+
+def _conjugated_spin7(field):
+    space = QuadraticSpace(7)
+    return conjugated(spin_rep(space, field)), so_structure_constants(space, field)
+
+
+HOMOMORPHISM_CASES = {
+    **{f"{kind}{n}": _standard(n, kind) for n in range(5, 9) for kind in ("vector", "spin")},
+    **{f"{kind}{n}": _standard(n, kind) for n in (6, 8) for kind in ("half_even", "half_odd")},
+    "direct_sum6": _direct_sum,
+    "restrict8to5": _restricted,
+    "conjugated_spin7": _conjugated_spin7,
+}
+FIELDS = {"GF": F, "QQ": QQ}
+
+
+@pytest.mark.parametrize("case", sorted(HOMOMORPHISM_CASES))
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_sparse_check_matches_definition(fname, case):
+    rep, struct = HOMOMORPHISM_CASES[case](FIELDS[fname])
+    assert dense_homomorphism(rep, struct)
+    assert verify_lie_homomorphism(rep, struct)
+
+
+def _set_entry(rep, struct, where, change):
+    """rep with the entry at ``where(T)`` replaced by ``change(old value)``."""
+    T = rep.tensor.copy()
+    idx = where(T)
+    T[idx] = change(T[idx])
+    if isinstance(rep.field, PrimeField):
+        T %= rep.field.p
+    return LieRepresentation(rep.n, rep.field, rep.name, rep.basis_labels, T), struct
+
+
+def _nonzero_of(k):
+    """First nonzero entry of generator k."""
+    return lambda T: (k % len(T), *np.argwhere(T[k] != 0)[0])
+
+
+def _perturb_structure(rep, struct, last=False):
+    """One coefficient of the first nonzero bracket, or of one with the last generator."""
+    table = dict(struct.table)
+    keys = [key for key, row in table.items() if row and (not last or key[1] == struct.dim - 1)]
+    key = keys[-1] if last else keys[0]
+    (k, c), *rest = table[key]
+    table[key] = ((k, struct.field.add(c, struct.field.one)), *rest)
+    return rep, SoStructure(struct.space, struct.field, struct.pairs, table)
+
+
+def _swap_basis(rep, struct):
+    T = rep.tensor.copy()
+    T[[0, 1]] = T[[1, 0]]
+    return LieRepresentation(rep.n, rep.field, rep.name, rep.basis_labels, T), struct
+
+
+MUTANTS = {
+    "perturbed_entry": lambda rep, struct: _set_entry(rep, struct, _nonzero_of(0), lambda x: x + 1),
+    # the last generator is never a left factor, only a right one
+    "perturbed_last_entry": lambda rep, struct: _set_entry(rep, struct, _nonzero_of(-1), lambda x: x + 1),
+    "dropped_entry": lambda rep, struct: _set_entry(rep, struct, _nonzero_of(0), lambda x: 0 * x),
+    "filled_entry": lambda rep, struct: _set_entry(rep, struct, lambda T: tuple(np.argwhere(T == 0)[0]), lambda x: x + 1),
+    "structure_coefficient": _perturb_structure,
+    "structure_coefficient_last": lambda rep, struct: _perturb_structure(rep, struct, last=True),
+    "swapped_basis": _swap_basis,
+}
+
+
+# the conjugated representation has no zero entry to fill
+MUTANT_CASES = [
+    (case, mutant)
+    for case in ("spin7", "conjugated_spin7")
+    for mutant in sorted(MUTANTS)
+    if (case, mutant) != ("conjugated_spin7", "filled_entry")
+]
+
+
+@pytest.mark.parametrize("case,mutant", MUTANT_CASES)
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_sparse_check_rejects_mutants(fname, case, mutant):
+    rep, struct = MUTANTS[mutant](*HOMOMORPHISM_CASES[case](FIELDS[fname]))
+    assert not dense_homomorphism(rep, struct)
+    assert not verify_lie_homomorphism(rep, struct)
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_sparse_check_in_blocks(fname, monkeypatch):
+    # a tiny join cap takes one right-hand generator per block
+    monkeypatch.setattr(spinreps, "_JOIN_CAP", 1)
+    rep, struct = _conjugated_spin7(FIELDS[fname])
+    assert verify_lie_homomorphism(rep, struct)
+    for name, mutant in MUTANTS.items():
+        if name != "filled_entry":
+            assert not verify_lie_homomorphism(*mutant(rep, struct))
+
+
+def test_sparse_check_at_largest_prime():
+    field = GF(2_147_483_647)
+    space = QuadraticSpace(7)
+    struct = so_structure_constants(space, field)
+    assert verify_lie_homomorphism(spin_rep(space, field), struct)
+    assert verify_lie_homomorphism(conjugated(spin_rep(space, field)), struct)
+    assert not verify_lie_homomorphism(*_perturb_structure(spin_rep(space, field), struct))

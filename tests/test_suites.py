@@ -5,7 +5,6 @@ import pytest
 from spincert.suites import (
     RunConfig,
     report_to_dict,
-    run_selected,
     run_suite,
     suite_names,
 )
@@ -176,11 +175,3 @@ def test_report_json_schema():
     for c in doc["checks"]:
         assert set(c) == {"id", "description", "expected", "observed", "provenance", "anchor", "pass"}
     json.dumps(doc)  # must be serializable as-is
-
-
-def test_run_selected_parallel_matches_serial():
-    cfg_serial = quick_cfg(suites=["g2_octonion", "spin7"], jobs=1)
-    cfg_par = quick_cfg(suites=["g2_octonion", "spin7"], jobs=2)
-    serial = [strip_elapsed(report_to_dict(r)) for r in run_selected(cfg_serial)]
-    par = [strip_elapsed(report_to_dict(r)) for r in run_selected(cfg_par)]
-    assert serial == par
