@@ -1,10 +1,16 @@
 """Verification suites: constructions bound to expected certificates.
 
-Each suite runs one closed circle of computations over both configured
-primes, records expected versus observed values per check, and never hides
-how an expectation was obtained: provenance is "literature" for values
-anchored in published stabilizer classifications, "derived" for values the
-package computes independently, and "plumbing" for pure bookkeeping.
+Every suite except ``sln_quotient`` is a per-field function, which computes
+the suite's values over one prime field keyed by check id, and a table of
+check specs (id, description, expected, provenance, anchor) in report order.
+One genericity protocol, ``_Recorder.two_prime``, runs the per-field function
+once for each configured prime and records, per spec, the agreed value, or
+"a / b (primes disagree)" as a failing check.  ``sln_quotient`` labels its
+checks per prime and includes Q, so it records them one at a time.
+
+Provenance is "literature" for values anchored in published stabilizer
+classifications, "derived" for values the package computes independently,
+and "plumbing" for pure bookkeeping.
 
 A suite failure never aborts a run; the CLI aggregates pass flags into its
 exit code.  Reports are deterministic for a fixed (seed, primes, trials):
@@ -19,7 +25,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import GF, QQ, PrimeField, RandomSource
-from .linalg import Matrix, random_vector
+from .kernels import matmul_mod
+from .linalg import Matrix
 from .clifford import QuadraticSpace
 from .octonion import (
     derivation_algebra,
@@ -32,6 +39,7 @@ from .orbits import (
     invariant_quartic_dim,
     isotypic_fingerprint,
     kernel_action_matrices,
+    min_trial_stabilizer,
     stabilizer,
     subalgebra_structure,
     subalgebra_structure_from_matrices,
@@ -164,19 +172,20 @@ class _Recorder:
             Check(id, description, expected, observed, provenance, anchor, expected == observed)
         )
 
-    def both(self, cfg, id, description, expected, fn, provenance, anchor):
-        """Evaluate fn over both primes; record the agreed value or the split."""
-        vals = [fn(GF(p)) for p in cfg.primes]
-        observed = vals[0] if vals[0] == vals[1] else f"{vals[0]} / {vals[1]} (primes disagree)"
-        self.add(id, description, expected, observed, provenance, anchor)
+    def two_prime(self, cfg, per_field, specs):
+        """Run per_field(cfg, field) once per prime; record each spec's agreed value or the split."""
+        a, b = (per_field(cfg, GF(p)) for p in cfg.primes)
+        for id, description, expected, provenance, anchor in specs:
+            observed = a[id] if a[id] == b[id] else f"{a[id]} / {b[id]} (primes disagree)"
+            self.add(id, description, expected, observed, provenance, anchor)
 
 
-def _timed(fn):
-    def wrapper(cfg: RunConfig) -> SuiteReport:
+def _timed(name, body):
+    def runner(cfg: RunConfig) -> SuiteReport:
         start = time.perf_counter()
         rec = _Recorder()
         try:
-            fn(cfg, rec)
+            body(cfg, rec)
         except Exception as exc:  # a suite failure must not abort the run
             rec.add(
                 "suite-error",
@@ -187,515 +196,451 @@ def _timed(fn):
                 "suite execution",
             )
         elapsed = int((time.perf_counter() - start) * 1000)
-        return SuiteReport(fn.__name__.removeprefix("_suite_"), rec.checks, cfg.seed, cfg.primes, elapsed)
+        return SuiteReport(name, rec.checks, cfg.seed, cfg.primes, elapsed)
 
-    return wrapper
+    return runner
 
 
-def _min_trial_stabilizer(rep, trials, seed):
-    """Stabilizer report and point of the best (minimum-dimension) trial."""
-    best = None
-    for t in range(trials):
-        v = random_vector(rep.field, rep.dim, RandomSource(seed).child(t))
-        r = stabilizer(rep, v)
-        if best is None or r.dimension < best[0].dimension:
-            best = (r, v)
-    return best
+def _two_prime(per_field, specs):
+    return lambda cfg, rec: rec.two_prime(cfg, per_field, specs)
 
 
 # -- suites ---------------------------------------------------------------
+#
+# Check tables hold data only: the per-field functions look library callables
+# up as module globals at call time, so rebinding such a name (a test's
+# monkeypatch, a tracer) reaches them.
 
 
-def _suite_g2_octonion(cfg: RunConfig, rec: _Recorder):
-    rec.both(
-        cfg,
+def _g2_octonion(cfg: RunConfig, f) -> dict:
+    derivations = derivation_algebra(f)
+    triple, vector, scaled = g2_stabilizer_checks(f, cfg.trials, cfg.seed)
+    # cross-module consistency against the spinor route
+    deriv = subalgebra_structure_from_matrices(derivations.matrices)
+    rpt, _ = min_trial_stabilizer(spin_rep(QuadraticSpace(7), f), cfg.trials, cfg.seed)
+    spinor = subalgebra_structure(rpt.kernel, vector_rep(QuadraticSpace(7), f))
+    return {
+        "derivation-dim": derivations.dimension,
+        "triple-closure": subalgebra_generated(*split_generating_triple(f)),
+        "kernel-triple": triple,
+        "kernel-vector": vector,
+        "kernel-scaled": scaled,
+        "cross-spinor": [[deriv.dimension, deriv.killing_rank], [rpt.dimension, spinor.killing_rank]],
+    }
+
+
+_G2_OCTONION_CHECKS = (
+    (
         "derivation-dim",
         "octonion derivation algebra dimension",
         14,
-        lambda f: derivation_algebra(f).dimension,
         "derived",
         "derivations of split octonions form the 14-dim exceptional algebra g2",
-    )
-    rec.both(
-        cfg,
+    ),
+    (
         "triple-closure",
         "split generating triple closes to the full algebra",
         8,
-        lambda f: subalgebra_generated(*split_generating_triple(f)),
         "derived",
         "an explicit trace-zero triple generates the octonions",
-    )
-    checks = g2_stabilizer_checks(cfg.primes, cfg.trials, cfg.seed)
-    rec.add(
+    ),
+    (
         "kernel-triple",
         "derivation kernel on three trace-zero copies",
         0,
-        checks.triple_kernel,
         "derived",
         "g2 acts generically freely on three octonion copies",
-    )
-    rec.add(
+    ),
+    (
         "kernel-vector",
         "derivation kernel at an anisotropic trace-zero octonion",
         8,
-        checks.vector_kernel,
         "literature",
         "stabilizer in general position has dimension 8, the sl3 fingerprint",
-    )
-    rec.add(
+    ),
+    (
         "kernel-scaled",
         "kernel with the scaling generator appended",
         8,
-        checks.scaled_kernel,
         "literature",
         "the scaled action has an open orbit, radial directions join the image",
-    )
-    # cross-module consistency against the spinor route
-    def spin7_side(f):
-        rep = spin_rep(QuadraticSpace(7), f)
-        rpt, _ = _min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-        struct = subalgebra_structure(rpt.kernel, vector_rep(QuadraticSpace(7), f))
-        return (rpt.dimension, struct.killing_rank)
-
-    def deriv_side(f):
-        struct = subalgebra_structure_from_matrices(derivation_algebra(f).matrices)
-        return (struct.dimension, struct.killing_rank)
-
-    rec.both(
-        cfg,
+    ),
+    (
         "cross-spinor",
         "derivation (dim, killing rank) equals spinor-stabilizer (dim, killing rank)",
         [[14, 14], [14, 14]],
-        lambda f: [list(deriv_side(f)), list(spin7_side(f))],
         "derived",
         "both roads must land on the same 14-dim simple algebra",
-    )
+    ),
+)
 
 
-def _suite_spin7(cfg: RunConfig, rec: _Recorder):
+def _spin7(cfg: RunConfig, f) -> dict:
     space = QuadraticSpace(7)
+    rep = spin_rep(space, f)
+    inv = invariant_bilinear_space(rep)
+    rpt, v = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
+    struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
+    fixed = Matrix.vstack(kernel_action_matrices(rpt.kernel, rep)).kernel_basis()
+    contains_point = len(fixed) == 1 and Matrix(f, np.stack([fixed[0], np.asarray(v)])).rank() == 1
+    scaled = (np.asarray(v) * 7) % f.p
+    return {
+        "invariant-forms": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
+        "stabilizer-dim": rpt.dimension,
+        "killing-rank": struct.killing_rank,
+        "fixed-subspace": len(fixed),
+        "fixed-contains-point": contains_point,
+        "orbit-dim": rpt.orbit_dimension,
+        "center-negates": center_acts_minus_one(space, rep),
+        "scale-invariance": stabilizer(rep, scaled).dimension == rpt.dimension,
+    }
 
-    def forms(f):
-        inv = invariant_bilinear_space(spin_rep(space, f))
-        return [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank]
 
-    rec.both(
-        cfg,
+_SPIN7_CHECKS = (
+    (
         "invariant-forms",
         "[symmetric dim, antisymmetric dim, sample rank] on the 8-dim spin module",
         [1, 0, 8],
-        forms,
         "literature",
         "an invariant quadratic form whose fibers are exactly the orbits",
-    )
-
-    def stab_pack(f):
-        rep = spin_rep(space, f)
-        rpt, v = _min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-        struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-        mats = kernel_action_matrices(rpt.kernel, rep)
-        fixed = Matrix.vstack(mats).kernel_basis()
-        fixed_dim = len(fixed)
-        contains_point = False
-        if len(fixed) == 1:
-            two = np.stack([fixed[0], np.asarray(v)])
-            contains_point = Matrix(f, two).rank() == 1
-        return {
-            "stab": rpt.dimension,
-            "orbit": rpt.orbit_dimension,
-            "killing": struct.killing_rank,
-            "fixed": fixed_dim,
-            "fixed_contains_point": contains_point,
-        }
-
-    packs = [stab_pack(GF(p)) for p in cfg.primes]
-    agreed = packs[0] if packs[0] == packs[1] else None
-    rec.add(
+    ),
+    (
         "stabilizer-dim",
         "generic spinor stabilizer dimension",
         14,
-        agreed["stab"] if agreed else f"{packs[0]['stab']} / {packs[1]['stab']}",
         "literature",
         "the stabilizer of an anisotropic spinor is of type G2",
-    )
-    rec.add(
+    ),
+    (
         "killing-rank",
         "Killing rank of the stabilizer subalgebra",
         14,
-        agreed["killing"] if agreed else f"{packs[0]['killing']} / {packs[1]['killing']}",
         "derived",
         "nondegenerate Killing form certifies a semisimple stabilizer",
-    )
-    rec.add(
+    ),
+    (
         "fixed-subspace",
         "fixed subspace of the studied point's stabilizer inside the spin module",
         1,
-        agreed["fixed"] if agreed else f"{packs[0]['fixed']} / {packs[1]['fixed']}",
         "literature",
         "the spin module splits as trivial line plus 7-dim over the stabilizer",
-    )
-    rec.add(
+    ),
+    (
         "fixed-contains-point",
         "the fixed line is spanned by the stabilized point",
         True,
-        agreed["fixed_contains_point"] if agreed else False,
         "derived",
         "the point itself is annihilated by its stabilizer",
-    )
-    rec.add(
+    ),
+    (
         "orbit-dim",
         "orbit dimension 21 - 14 equals the quadric fiber dimension",
         7,
-        agreed["orbit"] if agreed else f"{packs[0]['orbit']} / {packs[1]['orbit']}",
         "derived",
         "orbits fill the fibers of the invariant quadratic form",
-    )
-    rec.both(
-        cfg,
+    ),
+    (
         "center-negates",
         "the central Clifford scalar -1 acts as -Id on the spin module",
         True,
-        lambda f: center_acts_minus_one(space, spin_rep(space, f)),
         "literature",
         "the spin center acts by the parity character",
-    )
-    # kernel is scale invariant
-    def rescale_stable(f):
-        rep = spin_rep(space, f)
-        rpt, v = _min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-        scaled = (np.asarray(v) * 7) % f.p
-        return stabilizer(rep, scaled).dimension == rpt.dimension
-
-    rec.both(
-        cfg,
+    ),
+    (
         "scale-invariance",
         "rescaling the point leaves the stabilizer kernel unchanged",
         True,
-        rescale_stable,
         "plumbing",
         "kernels are invariant under nonzero scaling of the point",
-    )
+    ),
+)
 
 
-def _suite_spin10(cfg: RunConfig, rec: _Recorder):
+def _spin10(cfg: RunConfig, f) -> dict:
     space = QuadraticSpace(10)
-
-    def pack(f, parity):
-        rep = half_spin_reps(space, f)[parity]
-        rpt, _ = _min_trial_stabilizer(rep, cfg.trials, cfg.seed)
+    out = {}
+    for check_id, rep in zip(("stabilizer-certificate", "parity-twin"), half_spin_reps(space, f)):
+        rpt, _ = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
         struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-        return [rpt.dimension, struct.killing_rank, struct.killing_nullity]
+        out[check_id] = [rpt.dimension, struct.killing_rank, struct.killing_nullity]
+    inv = invariant_bilinear_space(half_spin_reps(space, f)[0])
+    out["invariant-forms"] = [inv.symmetric_dim, inv.antisymmetric_dim]
+    return out
 
-    def forms(f):
-        inv = invariant_bilinear_space(half_spin_reps(space, f)[0])
-        return [inv.symmetric_dim, inv.antisymmetric_dim]
 
-    rec.both(
-        cfg,
+_SPIN10_CHECKS = (
+    (
         "stabilizer-certificate",
         "[stabilizer dim, Killing rank, Killing nullity] on the 16-dim half-spin module",
         [29, 21, 8],
-        lambda f: pack(f, 0),
         "literature",
         "open-orbit stabilizer is an 8-dim vector group extended by the 21-dim spin(7)",
-    )
-    rec.both(
-        cfg,
+    ),
+    (
         "parity-twin",
         "the other half-spin module yields identical certificates",
         [29, 21, 8],
-        lambda f: pack(f, 1),
         "derived",
         "the two half-spin modules are parity twins",
-    )
-    rec.both(
-        cfg,
+    ),
+    (
         "invariant-forms",
         "[symmetric dim, antisymmetric dim] of invariant bilinear forms",
         [0, 0],
-        forms,
         "derived",
         "no invariant quadratic exists; the open-orbit geometry is not a quadric",
-    )
+    ),
+)
 
 
-def _suite_spin11(cfg: RunConfig, rec: _Recorder):
+def _spin11(cfg: RunConfig, f) -> dict:
     space = QuadraticSpace(11)
+    rep = spin_rep(space, f)
+    rpt, _ = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
+    struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
+    _, commutant = isotypic_fingerprint(kernel_action_matrices(rpt.kernel, vector_rep(space, f)))
+    out = {
+        "stabilizer-dim": rpt.dimension,
+        "killing-rank": struct.killing_rank,
+        "commutant-on-v11": commutant,
+        "orbit-dim": rpt.orbit_dimension,
+        "center-negates": center_acts_minus_one(space, rep),
+    }
+    if cfg.stretch:
+        out["quartic-invariants"] = invariant_quartic_dim(rep)
+    return out
 
-    def pack(f):
-        rep = spin_rep(space, f)
-        rpt, _ = _min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-        struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-        mats = kernel_action_matrices(rpt.kernel, vector_rep(space, f))
-        closure, commutant = isotypic_fingerprint(mats)
-        return {
-            "stab": rpt.dimension,
-            "orbit": rpt.orbit_dimension,
-            "killing": struct.killing_rank,
-            "commutant": commutant,
-        }
 
-    packs = [pack(GF(p)) for p in cfg.primes]
-    agreed = packs[0] if packs[0] == packs[1] else None
-
-    def val(key):
-        return agreed[key] if agreed else f"{packs[0][key]} / {packs[1][key]}"
-
-    rec.add(
+_SPIN11_CHECKS = (
+    (
         "stabilizer-dim",
         "generic stabilizer dimension on the 32-dim spin module",
         24,
-        val("stab"),
         "literature",
         "stabilizer SL_5: the generic spinor stabilizer is the 24-dim special linear algebra",
-    )
-    rec.add(
+    ),
+    (
         "killing-rank",
         "Killing rank of the stabilizer subalgebra",
         24,
-        val("killing"),
         "derived",
         "nondegenerate Killing form, the sl5 semisimplicity fingerprint",
-    )
-    rec.add(
+    ),
+    (
         "commutant-on-v11",
         "commutant dimension of the stabilizer acting on the natural 11-dim module",
         3,
-        val("commutant"),
         "derived",
         "sl5 in so10 in so11 splits the natural module as 5 + dual(5) + 1, three inequivalent simples: three scalars",
-    )
-    rec.add(
+    ),
+    (
         "orbit-dim",
         "orbit dimension 55 - 24 matches the invariant-quartic level hypersurfaces",
         31,
-        val("orbit"),
         "derived",
         "nonzero level sets of the degree-4 invariant are single orbits",
-    )
-    rec.both(
-        cfg,
+    ),
+    (
         "center-negates",
         "the central Clifford scalar -1 acts as -Id on the spin module",
         True,
-        lambda f: center_acts_minus_one(space, spin_rep(space, f)),
         "literature",
         "the spin center acts by the parity character",
-    )
-    if cfg.stretch:
-        rec.both(
-            cfg,
-            "quartic-invariants",
-            "dimension of degree-4 invariant polynomials on the spin module",
-            1,
-            lambda f: invariant_quartic_dim(spin_rep(space, f)),
-            "literature",
-            "a single degree-4 invariant cuts out the orbit stratification",
-        )
+    ),
+)
+
+_SPIN11_STRETCH_CHECKS = (
+    (
+        "quartic-invariants",
+        "dimension of degree-4 invariant polynomials on the spin module",
+        1,
+        "literature",
+        "a single degree-4 invariant cuts out the orbit stratification",
+    ),
+)
 
 
-def _suite_spin14(cfg: RunConfig, rec: _Recorder):
+def _suite_spin11(cfg: RunConfig, rec: _Recorder):
+    rec.two_prime(cfg, _spin11, _SPIN11_CHECKS + (_SPIN11_STRETCH_CHECKS if cfg.stretch else ()))
+
+
+def _spin14(cfg: RunConfig, f) -> dict:
     space = QuadraticSpace(14)
+    rep = half_spin_reps(space, f)[0]
+    rpt, v = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
+    struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
+    closure, commutant = isotypic_fingerprint(kernel_action_matrices(rpt.kernel, vector_rep(space, f)))
+    inv = invariant_bilinear_space(rep)
+    return {
+        "stabilizer-dim": rpt.dimension,
+        "killing-rank": struct.killing_rank,
+        "scaled-stabilizer": stabilizer(rep.with_scaling(), v).dimension,
+        "isotypic-fingerprint": [closure, commutant],
+        "invariant-forms": [inv.symmetric_dim, inv.antisymmetric_dim],
+    }
 
-    def pack(f):
-        rep = half_spin_reps(space, f)[0]
-        rpt, v = _min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-        struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-        scaled = stabilizer(rep.with_scaling(), v)
-        mats = kernel_action_matrices(rpt.kernel, vector_rep(space, f))
-        closure, commutant = isotypic_fingerprint(mats)
-        inv = invariant_bilinear_space(rep)
-        return {
-            "stab": rpt.dimension,
-            "killing": struct.killing_rank,
-            "scaled": scaled.dimension,
-            "fingerprint": [closure, commutant],
-            "forms": [inv.symmetric_dim, inv.antisymmetric_dim],
-        }
 
-    packs = [pack(GF(p)) for p in cfg.primes]
-    agreed = packs[0] if packs[0] == packs[1] else None
-
-    def val(key):
-        return agreed[key] if agreed else f"{packs[0][key]} / {packs[1][key]}"
-
-    rec.add(
+_SPIN14_CHECKS = (
+    (
         "stabilizer-dim",
         "generic stabilizer dimension on the 64-dim half-spin module",
         28,
-        val("stab"),
         "literature",
         "stabilizer pinched between g2 x g2 and its normalizer; dimension 91 + 1 - 64",
-    )
-    rec.add(
+    ),
+    (
         "killing-rank",
         "Killing rank of the stabilizer subalgebra",
         28,
-        val("killing"),
         "derived",
         "nondegenerate Killing form matches the g2 + g2 sum",
-    )
-    rec.add(
+    ),
+    (
         "scaled-stabilizer",
         "appending the scaling generator keeps the stabilizer dimension",
         28,
-        val("scaled"),
         "literature",
         "the projective orbit of the point is open, so the cone orbit is dense",
-    )
-    rec.add(
+    ),
+    (
         "isotypic-fingerprint",
         "[closure dim, commutant dim] of the stabilizer acting on the natural 14-dim module",
         [98, 2],
-        val("fingerprint"),
         "literature",
         "the natural module splits into two 7-dim octonion halves, one per g2 factor",
-    )
-    rec.add(
+    ),
+    (
         "invariant-forms",
         "[symmetric dim, antisymmetric dim] of invariant bilinear forms",
         [0, 0],
-        val("forms"),
         "derived",
         "half-spin self-pairings vanish here",
-    )
+    ),
+)
+
+# (check id, (n, natural copies, spinor summand, spinor copies), what); the
+# vector chains carry their expected dimension before what.
+_FREENESS = (
+    ("free-7", (7, 3, "spin", 1), "three natural copies plus the spin module"),
+    ("free-10", (10, 5, "half", 1), "five natural copies plus one half-spin module"),
+    ("free-11", (11, 4, "spin", 1), "four natural copies plus the spin module"),
+    ("free-14", (14, 3, "half", 1), "three natural copies plus one half-spin module"),
+)
+_CHAINS = (
+    ("chain-10", (10, 5, None, 0), 10, "five generic vectors leave the so(5) of the complement"),
+    ("chain-11", (11, 4, None, 0), 21, "four generic vectors leave so(7)"),
+    ("chain-14", (14, 3, None, 0), 55, "three generic vectors leave so(11)"),
+)
 
 
-def _suite_coregular_free(cfg: RunConfig, rec: _Recorder):
-    def sum_rep(f, n, copies_v, spin_kind, copies_w):
+def _coregular_free(cfg: RunConfig, f) -> dict:
+    out = {}
+    for check_id, (n, copies_v, spin_kind, copies_w), *_ in _FREENESS + _CHAINS:
         sp = QuadraticSpace(n)
         parts = [vector_rep(sp, f)] * copies_v
         if spin_kind == "spin":
             parts += [spin_rep(sp, f)] * copies_w
         elif spin_kind == "half":
             parts += [half_spin_reps(sp, f)[0]] * copies_w
-        return direct_sum(parts)
-
-    def gen_dim(f, *args):
-        rep = sum_rep(f, *args)
-        rpt, _ = _min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-        return rpt.dimension
-
-    freeness = [
-        ("free-7", (7, 3, "spin", 1), "three natural copies plus the spin module"),
-        ("free-10", (10, 5, "half", 1), "five natural copies plus one half-spin module"),
-        ("free-11", (11, 4, "spin", 1), "four natural copies plus the spin module"),
-        ("free-14", (14, 3, "half", 1), "three natural copies plus one half-spin module"),
-    ]
-    for check_id, args, what in freeness:
-        rec.both(
-            cfg,
-            check_id,
-            f"generic stabilizer of {what}",
-            0,
-            lambda f, a=args: gen_dim(f, *a),
-            "literature",
-            "the listed coregular representation is generically free",
-        )
-    chains = [
-        ("chain-10", (10, 5, None, 0), 10, "five generic vectors leave the so(5) of the complement"),
-        ("chain-11", (11, 4, None, 0), 21, "four generic vectors leave so(7)"),
-        ("chain-14", (14, 3, None, 0), 55, "three generic vectors leave so(11)"),
-    ]
-    for check_id, args, expected, what in chains:
-        rec.both(
-            cfg,
-            check_id,
-            what,
-            expected,
-            lambda f, a=args: gen_dim(f, *a),
-            "derived",
-            "each generic vector cuts the stabilizer down one orthogonal rank",
-        )
+        rpt, _ = min_trial_stabilizer(direct_sum(parts), cfg.trials, cfg.seed)
+        out[check_id] = rpt.dimension
+    return out
 
 
-def _suite_branching(cfg: RunConfig, rec: _Recorder):
-    def blocks(f):
-        space = QuadraticSpace(11)
-        emb = embed_subalgebra(space, 10)
-        res = restrict(spin_rep(space, f), emb)
-        even, odd = parity_indices(11)
-        for k in range(res.g):
-            if res.tensor[k][np.ix_(even, odd)].any() or res.tensor[k][np.ix_(odd, even)].any():
-                return [0, 0, False]
-        return [len(even), len(odd), True]
+_COREGULAR_FREE_CHECKS = tuple(
+    (
+        check_id,
+        f"generic stabilizer of {what}",
+        0,
+        "literature",
+        "the listed coregular representation is generically free",
+    )
+    for check_id, _, what in _FREENESS
+) + tuple(
+    (
+        check_id,
+        what,
+        expected,
+        "derived",
+        "each generic vector cuts the stabilizer down one orthogonal rank",
+    )
+    for check_id, _, expected, what in _CHAINS
+)
 
-    rec.both(
-        cfg,
+
+def _sp4_left_multiplication(cfg: RunConfig, f, omega: Matrix):
+    """Minimum stabilizer dimension of a random invertible 4x4 matrix under sp4 = sp(omega)."""
+    rows = []
+    for x in range(4):
+        for y in range(4):
+            row = np.zeros(16, dtype=np.int64)
+            for k in range(4):
+                row[k * 4 + x] = (row[k * 4 + x] + omega.data[k, y]) % f.p
+                row[k * 4 + y] = (row[k * 4 + y] + omega.data[x, k]) % f.p
+            rows.append(row)
+    sp4 = Matrix(f, np.stack(rows)).kernel_basis()
+    if len(sp4) != 10:
+        return f"sp4 dimension {len(sp4)}"
+    rng = RandomSource(cfg.seed)
+    best = None
+    for _ in range(cfg.trials):
+        x = np.array([[rng.randrange(f.p) for _ in range(4)] for _ in range(4)], dtype=np.int64)
+        if Matrix(f, x).rank() != 4:
+            continue
+        cols = [matmul_mod(z.reshape(4, 4), x, f.p).reshape(-1) for z in sp4]
+        dim = len(Matrix(f, np.stack(cols, axis=1)).kernel_basis())
+        best = dim if best is None else min(best, dim)
+    return best
+
+
+def _branching(cfg: RunConfig, f) -> dict:
+    space11 = QuadraticSpace(11)
+    res = restrict(spin_rep(space11, f), embed_subalgebra(space11, 10))
+    even, odd = parity_indices(11)
+    mixed = any(
+        res.tensor[k][np.ix_(even, odd)].any() or res.tensor[k][np.ix_(odd, even)].any() for k in range(res.g)
+    )
+    space10 = QuadraticSpace(10)
+    res10 = restrict(half_spin_reps(space10, f)[0], embed_subalgebra(space10, 5))
+    inv = invariant_bilinear_space(spin_rep(QuadraticSpace(5), f))
+    return {
+        "restriction-blocks": [0, 0, False] if mixed else [len(even), len(odd), True],
+        "half10-so5-fingerprint": list(isotypic_fingerprint(res10.matrices)),
+        "spin5-symplectic": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
+        "sp4-left-multiplication": _sp4_left_multiplication(cfg, f, inv.sample),
+    }
+
+
+_BRANCHING_CHECKS = (
+    (
         "restriction-blocks",
         "[even block, odd block, all 45 matrices block-diagonal] for spin(11) restricted to so(10)",
         [16, 16, True],
-        blocks,
         "literature",
         "a spin module restricts to the sum of the two half-spin modules",
-    )
-
-    def fingerprint(f):
-        space = QuadraticSpace(10)
-        emb = embed_subalgebra(space, 5)
-        res = restrict(half_spin_reps(space, f)[0], emb)
-        return list(isotypic_fingerprint(res.matrices))
-
-    rec.both(
-        cfg,
+    ),
+    (
         "half10-so5-fingerprint",
         "[closure dim, commutant dim] of half-spin(10) restricted to so(5)",
         [16, 16],
-        fingerprint,
         "literature",
         "the restriction is four copies of the 4-dim spin module of so(5)",
-    )
-
-    def sp4_forms(f):
-        inv = invariant_bilinear_space(spin_rep(QuadraticSpace(5), f))
-        return [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank]
-
-    rec.both(
-        cfg,
+    ),
+    (
         "spin5-symplectic",
         "[symmetric dim, antisymmetric dim, rank] of invariant forms on the 4-dim spin module",
         [0, 1, 4],
-        sp4_forms,
         "literature",
         "the accidental isomorphism with sp4 equips the spin module with a symplectic form",
-    )
-
-    def sp4_free(f):
-        inv = invariant_bilinear_space(spin_rep(QuadraticSpace(5), f))
-        omega = inv.sample
-        rows = []
-        for x in range(4):
-            for y in range(4):
-                row = np.zeros(16, dtype=np.int64)
-                for k in range(4):
-                    row[k * 4 + x] = (row[k * 4 + x] + omega.data[k, y]) % f.p
-                    row[k * 4 + y] = (row[k * 4 + y] + omega.data[x, k]) % f.p
-                rows.append(row)
-        sp4 = Matrix(f, np.stack(rows)).kernel_basis()
-        if len(sp4) != 10:
-            return f"sp4 dimension {len(sp4)}"
-        rng = RandomSource(cfg.seed)
-        from .kernels import matmul_mod
-
-        best = None
-        for _ in range(cfg.trials):
-            x = np.array([[rng.randrange(f.p) for _ in range(4)] for _ in range(4)], dtype=np.int64)
-            if Matrix(f, x).rank() != 4:
-                continue
-            cols = [matmul_mod(z.reshape(4, 4), x, f.p).reshape(-1) for z in sp4]
-            dim = len(Matrix(f, np.stack(cols, axis=1)).kernel_basis())
-            best = dim if best is None else min(best, dim)
-        return best
-
-    rec.both(
-        cfg,
+    ),
+    (
         "sp4-left-multiplication",
         "stabilizer of a generic invertible 4x4 matrix under sp4 left multiplication",
         0,
-        sp4_free,
         "derived",
         "left multiplication on full matrices is generically free",
-    )
+    ),
+)
 
 
 def _suite_sln_quotient(cfg: RunConfig, rec: _Recorder):
@@ -810,35 +755,35 @@ def _suite_sln_quotient(cfg: RunConfig, rec: _Recorder):
 
 SUITES = {
     "g2_octonion": (
-        _timed(_suite_g2_octonion),
+        _timed("g2_octonion", _two_prime(_g2_octonion, _G2_OCTONION_CHECKS)),
         "derivation algebra dim 14; generating triple; kernels (0, 8, 8); stabilizer SL_3 fingerprint",
     ),
     "spin7": (
-        _timed(_suite_spin7),
+        _timed("spin7", _two_prime(_spin7, _SPIN7_CHECKS)),
         "invariant quadratic; stabilizer G_2 (dim 14, Killing 14); fixed line; center -Id",
     ),
     "spin10": (
-        _timed(_suite_spin10),
+        _timed("spin10", _two_prime(_spin10, _SPIN10_CHECKS)),
         "half-spin stabilizer dim 29 = 8-dim vector group + spin(7); no invariant forms",
     ),
     "spin11": (
-        _timed(_suite_spin11),
+        _timed("spin11", _suite_spin11),
         "stabilizer SL_5 (dim 24, Killing 24); commutant on the natural module; center -Id",
     ),
     "spin14": (
-        _timed(_suite_spin14),
+        _timed("spin14", _two_prime(_spin14, _SPIN14_CHECKS)),
         "half-spin stabilizer dim 28 (g2 x g2); natural module splits 7 + 7; projective open orbit",
     ),
     "coregular_free": (
-        _timed(_suite_coregular_free),
+        _timed("coregular_free", _two_prime(_coregular_free, _COREGULAR_FREE_CHECKS)),
         "the four coregular sums are generically free; vector-chain stabilizers 10 / 21 / 55",
     ),
     "branching": (
-        _timed(_suite_branching),
+        _timed("branching", _two_prime(_branching, _BRANCHING_CHECKS)),
         "spin(11) to so(10) parity blocks; half-spin(10) to so(5) is four spin(5) copies; sp4 freeness",
     ),
     "sln_quotient": (
-        _timed(_suite_sln_quotient),
+        _timed("sln_quotient", _suite_sln_quotient),
         "pair action invariants; J normalization; fiber transporter; Jacobian surjectivity",
     ),
 }

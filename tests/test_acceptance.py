@@ -20,7 +20,7 @@ from spincert.clifford import QuadraticSpace, so_structure_constants
 from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import random_vector
 from spincert.orbits import (
-    generic_stabilizer_dim_checked,
+    generic_stabilizer_dim,
     invariant_bilinear_space,
     stabilizer,
 )
@@ -223,10 +223,8 @@ def test_criterion_10_determinism_and_field_independence():
         (lambda f: spin_rep(QuadraticSpace(7), f), 14),
         (lambda f: half_spin_reps(QuadraticSpace(10), f)[0], 29),
     ):
-        dims = [
-            generic_stabilizer_dim_checked(build, PRIMES, trials=3, seed=0),
-        ]
-        ok &= dims[0] == expected
+        dims = [generic_stabilizer_dim(build(GF(p)), 3, RandomSource(0)) for p in PRIMES]
+        ok &= dims == [expected, expected]
 
     # F_p versus Q replay on small instances
     inv_q = invariant_bilinear_space(spin_rep(QuadraticSpace(5), QQ))

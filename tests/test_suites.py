@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spincert.linalg import Matrix
 from spincert.suites import (
     RunConfig,
     report_to_dict,
@@ -14,6 +15,20 @@ def quick_cfg(**kw):
     defaults = dict(suites=["all"], trials=2)
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+G2_IDS = ["derivation-dim", "triple-closure", "kernel-triple", "kernel-vector", "kernel-scaled", "cross-spinor"]
+SPIN7_IDS = [
+    "invariant-forms",
+    "stabilizer-dim",
+    "killing-rank",
+    "fixed-subspace",
+    "fixed-contains-point",
+    "orbit-dim",
+    "center-negates",
+    "scale-invariance",
+]
+SPIN11_IDS = ["stabilizer-dim", "killing-rank", "commutant-on-v11", "orbit-dim", "center-negates"]
 
 
 def strip_elapsed(doc):
@@ -57,6 +72,7 @@ def test_g2_suite_passes_and_is_deterministic():
     rep1 = run_suite("g2_octonion", cfg)
     rep2 = run_suite("g2_octonion", cfg)
     assert rep1.passed
+    assert [c.id for c in rep1.checks] == G2_IDS
     assert strip_elapsed(report_to_dict(rep1)) == strip_elapsed(report_to_dict(rep2))
     by_id = {c.id: c for c in rep1.checks}
     assert by_id["derivation-dim"].observed == 14
@@ -74,6 +90,7 @@ def test_g2_suite_seed_change_same_certificates():
 def test_spin7_suite_certificate_vector():
     rep = run_suite("spin7", quick_cfg(suites=["spin7"]))
     assert rep.passed
+    assert [c.id for c in rep.checks] == SPIN7_IDS
     by_id = {c.id: c.observed for c in rep.checks}
     assert by_id["invariant-forms"] == [1, 0, 8]
     assert by_id["stabilizer-dim"] == 14
@@ -86,6 +103,7 @@ def test_spin7_suite_certificate_vector():
 def test_spin10_suite():
     rep = run_suite("spin10", quick_cfg(suites=["spin10"]))
     assert rep.passed
+    assert [c.id for c in rep.checks] == ["stabilizer-certificate", "parity-twin", "invariant-forms"]
     by_id = {c.id: c.observed for c in rep.checks}
     assert by_id["stabilizer-certificate"] == [29, 21, 8]
     assert by_id["parity-twin"] == [29, 21, 8]
@@ -97,6 +115,7 @@ def test_spin11_suite_flags_contract_discrepancy():
     # commutant is 3 and the whole suite passes
     rep = run_suite("spin11", quick_cfg(suites=["spin11"]))
     assert rep.passed
+    assert [c.id for c in rep.checks] == SPIN11_IDS
     commutant = next(c for c in rep.checks if c.id == "commutant-on-v11")
     assert commutant.expected == 3 and commutant.observed == 3
     assert commutant.provenance == "derived"
@@ -106,8 +125,8 @@ def test_spin11_suite_flags_contract_discrepancy():
 
 def test_spin11_stretch_quartic():
     rep = run_suite("spin11", quick_cfg(suites=["spin11"], stretch=True))
+    assert [c.id for c in rep.checks] == SPIN11_IDS + ["quartic-invariants"]
     by_id = {c.id: c for c in rep.checks}
-    assert "quartic-invariants" in by_id
     assert by_id["quartic-invariants"].observed == 1 and by_id["quartic-invariants"].passed
     # without the flag the check is absent
     rep2 = run_suite("spin11", quick_cfg(suites=["spin11"]))
@@ -117,6 +136,13 @@ def test_spin11_stretch_quartic():
 def test_spin14_suite():
     rep = run_suite("spin14", quick_cfg(suites=["spin14"]))
     assert rep.passed
+    assert [c.id for c in rep.checks] == [
+        "stabilizer-dim",
+        "killing-rank",
+        "scaled-stabilizer",
+        "isotypic-fingerprint",
+        "invariant-forms",
+    ]
     by_id = {c.id: c.observed for c in rep.checks}
     assert by_id["stabilizer-dim"] == 28
     assert by_id["killing-rank"] == 28
@@ -128,6 +154,15 @@ def test_spin14_suite():
 def test_coregular_suite():
     rep = run_suite("coregular_free", quick_cfg(suites=["coregular_free"]))
     assert rep.passed
+    assert [c.id for c in rep.checks] == [
+        "free-7",
+        "free-10",
+        "free-11",
+        "free-14",
+        "chain-10",
+        "chain-11",
+        "chain-14",
+    ]
     by_id = {c.id: c.observed for c in rep.checks}
     assert by_id["free-7"] == by_id["free-10"] == by_id["free-11"] == by_id["free-14"] == 0
     assert by_id["chain-10"] == 10
@@ -138,6 +173,12 @@ def test_coregular_suite():
 def test_branching_suite():
     rep = run_suite("branching", quick_cfg(suites=["branching"]))
     assert rep.passed
+    assert [c.id for c in rep.checks] == [
+        "restriction-blocks",
+        "half10-so5-fingerprint",
+        "spin5-symplectic",
+        "sp4-left-multiplication",
+    ]
     by_id = {c.id: c.observed for c in rep.checks}
     assert by_id["restriction-blocks"] == [16, 16, True]
     assert by_id["half10-so5-fingerprint"] == [16, 16]
@@ -148,6 +189,11 @@ def test_branching_suite():
 def test_sln_suite():
     rep = run_suite("sln_quotient", quick_cfg(suites=["sln_quotient"]))
     assert rep.passed
+    plans = [("QQ", range(2, 6)), ("F1000003", range(2, 9)), ("F999983", range(2, 9))]
+    kinds = ["pi-invariant", "tau-quotient", "normalize", "transporter", "stabilizer", "jacobian"]
+    assert [c.id for c in rep.checks] == [
+        f"{kind}-{label}-n{n}" for label, ns in plans for n in ns for kind in kinds
+    ] + ["hand-transporter"]
     by_id = {c.id: c for c in rep.checks}
     assert by_id["hand-transporter"].observed == "-2/3"
     assert by_id["jacobian-QQ-n5"].observed == 16
@@ -166,6 +212,53 @@ def test_unexpected_error_becomes_failed_check(monkeypatch):
     assert not rep.passed
     assert rep.checks[-1].id == "suite-error"
     assert "injected" in str(rep.checks[-1].observed)
+
+
+def test_prime_disagreement_is_reported_not_raised(monkeypatch):
+    # a per-field dependency that answers differently over the confirming
+    # prime: each split check fails with both values, and the rest is recorded
+    import spincert.suites as suites_mod
+
+    cfg = quick_cfg()
+    confirming = cfg.confirm_prime
+    real_g2 = suites_mod.g2_stabilizer_checks
+
+    def split_g2(f, trials, seed):
+        triple, vector, scaled = real_g2(f, trials, seed)
+        return triple, vector + (f.p == confirming), scaled
+
+    def split_center(space, rep):
+        return rep.field.p != confirming
+
+    real_action = suites_mod.kernel_action_matrices
+
+    def no_fixed_line(kernel, rep):
+        mats = real_action(kernel, rep)
+        if rep.field.p == confirming:
+            mats = [Matrix.identity(rep.field, rep.dim) for _ in mats]
+        return mats
+
+    monkeypatch.setattr(suites_mod, "g2_stabilizer_checks", split_g2)
+    monkeypatch.setattr(suites_mod, "center_acts_minus_one", split_center)
+    monkeypatch.setattr(suites_mod, "kernel_action_matrices", no_fixed_line)
+
+    split = {
+        "g2_octonion": {"kernel-vector": "8 / 9 (primes disagree)"},
+        "spin7": {
+            "fixed-subspace": "1 / 0 (primes disagree)",
+            "fixed-contains-point": "True / False (primes disagree)",
+            "center-negates": "True / False (primes disagree)",
+        },
+    }
+    for name, ids in (("g2_octonion", G2_IDS), ("spin7", SPIN7_IDS)):
+        rep = run_suite(name, cfg)
+        assert [c.id for c in rep.checks] == ids
+        assert not rep.passed
+        for c in rep.checks:
+            if c.id in split[name]:
+                assert c.observed == split[name][c.id] and not c.passed
+            else:
+                assert c.passed, c
 
 
 def test_report_json_schema():
