@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from spincert.orbits import (
     min_trial_stabilizer,
     stabilizer,
     subalgebra_structure,
+    subalgebra_structure_from_matrices,
 )
 from spincert.spinreps import (
     LieRepresentation,
@@ -78,6 +81,54 @@ def test_min_trial_stabilizer_keeps_first_minimum(monkeypatch):
     assert generic_stabilizer_dim(rep, 4, RandomSource(7)) == min_trial_stabilizer(rep, 4, 7)[0].dimension == 14
     with pytest.raises(ValueError):
         min_trial_stabilizer(rep, 0, 7)
+
+
+# module -> (stabilizer dim, fixed subspace of the stabilizer's action,
+# Killing [rank, nullity] and derived dim of the stabilizer, forms [sym, alt, sample_rank])
+SMALL_MODULES = {
+    "spin5": (lambda f: spin_rep(QuadraticSpace(5), f), 6, 1, (3, 3, 6), [0, 1, 4]),
+    "vector5": (lambda f: vector_rep(QuadraticSpace(5), f), 6, 1, (6, 0, 6), [1, 0, 5]),
+    "half_spin6": (lambda f: half_spin_reps(QuadraticSpace(6), f)[0], 11, 1, (8, 3, 11), [0, 0, 0]),
+    "vector5+spin5": (
+        lambda f: direct_sum([vector_rep(QuadraticSpace(5), f), spin_rep(QuadraticSpace(5), f)]),
+        2,
+        4,
+        (0, 2, 0),
+        [1, 1, 5],
+    ),
+    "spin7|so5": (
+        lambda f: restrict(spin_rep(QuadraticSpace(7), f), embed_subalgebra(QuadraticSpace(7), 5)),
+        3,
+        4,
+        (3, 0, 3),
+        [1, 3, 8],
+    ),
+}
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("name", list(SMALL_MODULES))
+def test_orbit_values_agree_over_q_and_fp(name, field, monkeypatch):
+    build, stab_dim, fixed_dim, structure, forms = SMALL_MODULES[name]
+    rep = build(field)
+    # one small-integer point, the same over both fields
+    rng = random.Random(11)
+    v = Matrix(field, [[rng.randint(-9, 9) for _ in range(rep.dim)]]).row(0)
+    r = stabilizer(rep, v)
+    assert (r.dimension, r.orbit_dimension) == (stab_dim, rep.g - stab_dim)
+    mats = kernel_action_matrices(r.kernel, rep)
+    assert len(mats) == stab_dim
+    assert all((m @ Matrix.column(field, v)).is_zero() for m in mats)
+    assert fixed_subspace(mats)[0] == fixed_dim
+    ss = subalgebra_structure_from_matrices(mats)
+    assert (ss.killing_rank, ss.killing_nullity, ss.derived_dimension) == structure
+    inv = invariant_bilinear_space(rep)
+    assert [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank] == forms
+    # the re-check rejects a kernel vector that does not annihilate the point
+    first_generator = Matrix.identity(field, rep.g).col(0)
+    monkeypatch.setattr(Matrix, "kernel_basis", lambda self: [first_generator])
+    with pytest.raises(AssertionError, match="does not annihilate"):
+        stabilizer(rep, v)
 
 
 def test_stabilizer_kernel_annihilates_exactly():
