@@ -1,10 +1,27 @@
-"""Exact scalar arithmetic over the rationals and over odd prime fields.
+"""Exact scalars over the rationals and over odd prime fields, and their arrays.
 
 Scalars are plain Python values: ``int`` residues in ``[0, p)`` for a prime
 field, ``fractions.Fraction`` for the rationals.  A field object bundles the
 coercions and the arithmetic that cannot be expressed as raw ``int``
-operations (inverses, division).  Everything is exact; there is no floating
-point anywhere in this package's arithmetic.
+operations (inverses, division).
+
+Arrays of field entries are NumPy arrays, and this module is the one place
+that knows their format: int64 residues in ``[0, p)`` over F_p, ``object``
+arrays holding ``Fraction`` entries over Q.  Both fields offer the same
+array methods, so every other module has one code path for both:
+
+- ``zeros(shape)``, ``eye(n)`` and ``array(data)`` build arrays (over Q every
+  entry is a ``Fraction``, never an ``int`` that could later divide to a
+  float);
+- ``reduce(arr)`` maps the result of ``+``, ``-`` or ``*`` by a scalar back
+  into the field (``% p`` over F_p, nothing over Q);
+- ``matmul(a, b)`` is the exact product, batched shapes included
+  (``kernels.matmul_mod`` over F_p, ``np.matmul`` over Q);
+- ``json_entries(arr)`` gives nested lists for a JSON dump: ints over F_p,
+  strings such as ``"1/4"`` over Q.
+
+Everything is exact; the only floating point is inside ``matmul_mod``,
+where the float64 products are provably exact.
 """
 
 from __future__ import annotations
@@ -12,6 +29,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+from .kernels import matmul_mod
 
 __all__ = [
     "FieldError",
@@ -95,7 +116,7 @@ class PrimeField:
         return (-a) % self.p
 
     def inv(self, a):
-        a %= self.p
+        a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, -1, self.p)
@@ -108,6 +129,26 @@ class PrimeField:
 
     def random_scalar(self, rng: "RandomSource"):
         return rng.randrange(self.p)
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.zeros(shape, dtype=np.int64)
+
+    def eye(self, n: int) -> np.ndarray:
+        return np.eye(n, dtype=np.int64)
+
+    def array(self, data) -> np.ndarray:
+        arr = np.asarray(data)
+        exact = np.frompyfunc(self.scalar, 1, 1)(arr) if arr.dtype == object else arr
+        return np.asarray(exact, dtype=np.int64) % self.p
+
+    def reduce(self, arr):
+        return arr % self.p
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return matmul_mod(a, b, self.p)
+
+    def json_entries(self, arr: np.ndarray) -> list:
+        return arr.tolist()
 
     def to_json(self):
         return {"kind": "PrimeField", "prime": self.p}
@@ -162,6 +203,26 @@ class RationalField:
         # Small integers keep rational arithmetic cheap and are generic with
         # high probability.
         return Fraction(rng.randint(-99, 99))
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.full(shape, Fraction(0), dtype=object)
+
+    def eye(self, n: int) -> np.ndarray:
+        return self.array(np.eye(n, dtype=np.int64))
+
+    def array(self, data) -> np.ndarray:
+        # object input keeps its Python ints, so no Fraction wraps an int64
+        return np.asarray(np.frompyfunc(Fraction, 1, 1)(np.asarray(data, dtype=object)), dtype=object)
+
+    def reduce(self, arr):
+        return arr
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # with an empty inner dimension np.matmul fills int 0, not Fraction(0)
+        return np.matmul(a, b) if a.shape[-1] else self.zeros(np.matmul(a, b).shape)
+
+    def json_entries(self, arr: np.ndarray) -> list:
+        return arr.astype(str).tolist()
 
     def to_json(self):
         return {"kind": "Rationals"}

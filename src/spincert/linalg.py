@@ -1,12 +1,13 @@
 """Dense exact linear algebra over Q and F_p.
 
 The ``Matrix`` class is the universal carrier for representation matrices,
-stacked action maps, Jacobians and kernels.  Entries are int64 residues for
-a prime field and ``Fraction`` objects for the rationals.  Elimination over
-F_p goes through the selected kernel backend; elimination over Q is
-fraction-free (Bareiss) on cleared-denominator integer rows, with a final
-exact normalization pass to reduced row echelon form.  Pivoting is always
-first-nonzero in column order, so every result is deterministic.
+stacked action maps, Jacobians and kernels.  Its entry arrays, and the
+arithmetic on them, come from the field (see ``fields``).  Elimination is the
+one step that differs by field: over F_p it goes through the selected kernel
+backend; over Q it is fraction-free (Bareiss) on cleared-denominator integer
+rows, with a final exact normalization pass to reduced row echelon form.
+Pivoting is always first-nonzero in column order, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd
 import numpy as np
 
 from .fields import PrimeField, RandomSource
-from .kernels import matmul_mod, rref_mod
+from .kernels import rref_mod
 
 __all__ = [
     "Matrix",
@@ -55,26 +56,6 @@ NO_SOLUTION = NoSolution()
 NON_UNIQUE = NonUnique()
 
 
-def _is_gf(field) -> bool:
-    return isinstance(field, PrimeField)
-
-
-def _coerce_array(field, data) -> np.ndarray:
-    """Build the canonical entry array for ``field`` from nested lists/arrays."""
-    if _is_gf(field):
-        arr = np.asarray(data)
-        if arr.dtype == object:
-            flat = [field.scalar(x) for x in arr.ravel()]
-            arr = np.array(flat, dtype=np.int64).reshape(arr.shape)
-        return np.array(arr, dtype=np.int64, order="C") % field.p
-    arr = np.empty(np.shape(data), dtype=object)
-    flat = arr.reshape(-1)
-    src = np.asarray(data, dtype=object).reshape(-1)
-    for i, x in enumerate(src):
-        flat[i] = Fraction(x)
-    return arr
-
-
 class Matrix:
     """Immutable dense matrix over one field.
 
@@ -86,10 +67,7 @@ class Matrix:
 
     def __init__(self, field, data, _raw: np.ndarray | None = None):
         self.field = field
-        if _raw is not None:
-            arr = _raw
-        else:
-            arr = _coerce_array(field, data)
+        arr = _raw if _raw is not None else field.array(data)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-d, got shape {arr.shape}")
         arr.flags.writeable = False
@@ -101,21 +79,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        if _is_gf(field):
-            return cls(field, None, _raw=np.zeros((rows, cols), dtype=np.int64))
-        arr = np.empty((rows, cols), dtype=object)
-        arr[:] = Fraction(0)
-        return cls(field, None, _raw=arr)
+        return cls(field, None, _raw=field.zeros((rows, cols)))
 
     @classmethod
     def identity(cls, field, n):
-        if _is_gf(field):
-            return cls(field, None, _raw=np.eye(n, dtype=np.int64))
-        arr = np.empty((n, n), dtype=object)
-        arr[:] = Fraction(0)
-        for i in range(n):
-            arr[i, i] = Fraction(1)
-        return cls(field, None, _raw=arr)
+        return cls(field, None, _raw=field.eye(n))
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -133,8 +101,7 @@ class Matrix:
 
     @classmethod
     def column(cls, field, vec):
-        arr = _coerce_vector(field, vec)
-        return cls(field, None, _raw=arr.reshape(-1, 1).copy())
+        return cls(field, None, _raw=field.array(vec).reshape(-1, 1))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -143,42 +110,28 @@ class Matrix:
 
     def __add__(self, other):
         self._check_compatible(other)
-        if _is_gf(self.field):
-            return self._wrap((self.data + other.data) % self.field.p)
-        return self._wrap(self.data + other.data)
+        return self._wrap(self.field.reduce(self.data + other.data))
 
     def __sub__(self, other):
         self._check_compatible(other)
-        if _is_gf(self.field):
-            return self._wrap((self.data - other.data) % self.field.p)
-        return self._wrap(self.data - other.data)
+        return self._wrap(self.field.reduce(self.data - other.data))
 
     def __neg__(self):
-        if _is_gf(self.field):
-            return self._wrap((-self.data) % self.field.p)
-        return self._wrap(-self.data)
+        return self._wrap(self.field.reduce(-self.data))
 
     def __matmul__(self, other):
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        if _is_gf(self.field):
-            return self._wrap(matmul_mod(self.data, other.data, self.field.p))
-        return self._wrap(np.dot(self.data, other.data))
+        return self._wrap(self.field.matmul(self.data, other.data))
 
     def scale(self, c):
-        c = self.field.scalar(c)
-        if _is_gf(self.field):
-            return self._wrap(self.data * c % self.field.p)
-        return self._wrap(self.data * c)
+        return self._wrap(self.field.reduce(self.data * self.field.scalar(c)))
 
     def apply(self, vec) -> np.ndarray:
         """Matrix-vector product, returning a 1-d entry array."""
-        v = _coerce_vector(self.field, vec)
-        if _is_gf(self.field):
-            return matmul_mod(self.data, v.reshape(-1, 1), self.field.p).reshape(-1)
-        return np.dot(self.data, v)
+        return self.field.matmul(self.data, self.field.array(vec).reshape(-1, 1)).reshape(-1)
 
     @property
     def T(self):
@@ -201,9 +154,7 @@ class Matrix:
         raise TypeError("Matrix is not hashable")
 
     def is_zero(self) -> bool:
-        if _is_gf(self.field):
-            return not self.data.any()
-        return all(x == 0 for x in self.data.reshape(-1))
+        return not np.count_nonzero(self.data)
 
     def entry(self, i, j):
         return self.data[i, j]
@@ -221,9 +172,7 @@ class Matrix:
         return self._wrap(np.ascontiguousarray(self.data[np.ix_(row_idx, col_idx)]))
 
     def to_lists(self):
-        if _is_gf(self.field):
-            return self.data.tolist()
-        return [list(r) for r in self.data]
+        return self.data.tolist()
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
@@ -237,7 +186,7 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form: (Matrix, pivot column tuple).  Cached."""
         if self._rref is None:
-            if _is_gf(self.field):
+            if isinstance(self.field, PrimeField):
                 arr, piv = rref_mod(self.data, self.field.p)
             else:
                 arr, piv = _rref_qq(self.data)
@@ -255,7 +204,7 @@ class Matrix:
         free = [c for c in range(self.cols) if c not in pivset]
         out = []
         for f in free:
-            v = _zero_vector(self.field, self.cols)
+            v = self.field.zeros(self.cols)
             v[f] = self.field.one
             for i, c in enumerate(pivots):
                 v[c] = self.field.neg(red.data[i, f])
@@ -269,16 +218,16 @@ class Matrix:
         The two failure modes are never collapsed: uniqueness is load-bearing
         for the fiber-transporter argument.
         """
-        bv = _coerce_vector(self.field, b)
-        if bv.shape[0] != self.rows:
+        rhs = Matrix.column(self.field, b)
+        if rhs.rows != self.rows:
             raise ValueError("dimension mismatch between matrix and rhs")
-        aug = Matrix.hstack([self, Matrix.column(self.field, bv)])
+        aug = Matrix.hstack([self, rhs])
         red, pivots = aug.rref()
         if self.cols in pivots:
             return NO_SOLUTION
         if len(pivots) < self.cols:
             return NON_UNIQUE
-        x = _zero_vector(self.field, self.cols)
+        x = self.field.zeros(self.cols)
         for i, c in enumerate(pivots):
             x[c] = red.data[i, self.cols]
         return x
@@ -287,7 +236,7 @@ class Matrix:
         """Determinant (square matrices), exact over either field."""
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
-        if _is_gf(self.field):
+        if isinstance(self.field, PrimeField):
             return _det_gf(self.data, self.field.p)
         return _det_qq(self.data)
 
@@ -304,33 +253,12 @@ class Matrix:
 # -- vectors ----------------------------------------------------------------
 
 
-def _coerce_vector(field, vec) -> np.ndarray:
-    if isinstance(vec, np.ndarray):
-        if _is_gf(field) and vec.dtype == np.int64:
-            return vec if (vec >= 0).all() and (vec < field.p).all() else vec % field.p
-        if not _is_gf(field) and vec.dtype == object:
-            return vec
-    if _is_gf(field):
-        return np.array([field.scalar(x) for x in vec], dtype=np.int64)
-    return np.array([Fraction(x) for x in vec], dtype=object)
-
-
-def _zero_vector(field, n) -> np.ndarray:
-    if _is_gf(field):
-        return np.zeros(n, dtype=np.int64)
-    v = np.empty(n, dtype=object)
-    v[:] = Fraction(0)
-    return v
-
-
 def vector_is_zero(field, vec) -> bool:
-    if _is_gf(field):
-        return not np.asarray(vec).any()
-    return all(x == 0 for x in vec)
+    return not np.count_nonzero(vec)
 
 
 def random_vector(field, n, rng: RandomSource) -> np.ndarray:
-    return _coerce_vector(field, rng.scalars(field, n))
+    return field.array(rng.scalars(field, n))
 
 
 def random_matrix(field, rows, cols, rng: RandomSource) -> Matrix:
@@ -493,17 +421,11 @@ class SpanBuilder:
         return len(self.rows)
 
     def reduce(self, vec) -> np.ndarray:
-        v = _coerce_vector(self.field, vec).copy()
-        gf = _is_gf(self.field)
-        p = self.field.p if gf else None
+        v = self.field.array(vec)
         for piv, row in zip(self.pivots, self.rows):
             c = v[piv]
-            if gf:
-                if c:
-                    v = (v - c * row) % p
-            else:
-                if c != 0:
-                    v = v - c * row
+            if c:
+                v = self.field.reduce(v - c * row)
         return v
 
     def contains(self, vec) -> bool:
@@ -512,26 +434,17 @@ class SpanBuilder:
     def add(self, vec) -> bool:
         """Add a vector; True if it enlarged the span."""
         v = self.reduce(vec)
-        gf = _is_gf(self.field)
-        nz = np.nonzero(v)[0] if gf else [i for i, x in enumerate(v) if x != 0]
+        nz = np.flatnonzero(v)
         if len(nz) == 0:
             return False
         j = int(nz[0])
         lead = v[j]
-        if gf:
-            if lead != 1:
-                v = v * pow(int(lead), -1, self.field.p) % self.field.p
-        else:
-            if lead != 1:
-                v = v / lead
-        for k, (piv, row) in enumerate(zip(self.pivots, self.rows)):
+        if lead != 1:
+            v = self.field.reduce(v * self.field.inv(lead))
+        for k, row in enumerate(self.rows):
             c = row[j]
-            if gf:
-                if c:
-                    self.rows[k] = (row - c * v) % self.field.p
-            else:
-                if c != 0:
-                    self.rows[k] = row - c * v
+            if c:
+                self.rows[k] = self.field.reduce(row - c * v)
         self.rows.append(v)
         self.pivots.append(j)
         return True
@@ -588,8 +501,7 @@ def associative_closure(gens: list[Matrix]) -> int:
     while len(frontier):
         # every g_i F_j as one batch of small products
         right = frontier.reshape(1, -1, d, d)
-        prod = matmul_mod(left, right, field.p) if _is_gf(field) else np.matmul(left, right)
-        prod = prod.reshape(-1, d * d)
+        prod = field.matmul(left, right).reshape(-1, d * d)
         red, new_pivots = Matrix(field, None, _raw=np.vstack([basis, prod])).rref()
         basis = red.data[: len(new_pivots)]
         frontier = basis[[i for i, c in enumerate(new_pivots) if c not in pivots]]
@@ -609,12 +521,10 @@ def commutant_dimension(gens: list[Matrix]) -> int:
     if not gens:
         raise ValueError("commutant of an empty set needs an ambient size; pass d via gens")
     field, d = _square_family(gens)
-    eye = Matrix.identity(field, d).data
+    eye = field.eye(d)
     K = Matrix.identity(field, d * d)
     for g in gens:
-        sylvester = np.kron(eye, np.ascontiguousarray(g.data.T)) - np.kron(g.data, eye)
-        if _is_gf(field):
-            sylvester %= field.p
+        sylvester = field.reduce(np.kron(eye, np.ascontiguousarray(g.data.T)) - np.kron(g.data, eye))
         # never empty: the identity commutes with everything
         null = (Matrix(field, None, _raw=sylvester) @ K).kernel_basis()
         K = K @ Matrix(field, None, _raw=np.stack(null, axis=1))

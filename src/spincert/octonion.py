@@ -160,13 +160,10 @@ def octonion_basis(field) -> list[Octonion]:
 def multiplication_tensor(field) -> np.ndarray:
     """T[i, j] = coords of basis_i * basis_j; shape (8, 8, 8)."""
     basis = octonion_basis(field)
-    if isinstance(field, PrimeField):
-        t = np.zeros((8, 8, 8), dtype=np.int64)
-    else:
-        t = np.empty((8, 8, 8), dtype=object)
+    t = field.zeros((8, 8, 8))
     for i in range(8):
         for j in range(8):
-            t[i, j] = np.array((basis[i] * basis[j]).coords(), dtype=t.dtype)
+            t[i, j] = (basis[i] * basis[j]).coords()
     return t
 
 
@@ -198,24 +195,19 @@ class DerivationAlgebra:
         return {
             "field": self.field.to_json(),
             "dimension": self.dimension,
-            "matrices": [m.to_lists() if isinstance(self.field, PrimeField) else [[str(x) for x in r] for r in m.to_lists()] for m in self.matrices],
+            "matrices": [self.field.json_entries(m.data) for m in self.matrices],
         }
 
 
 def derivation_algebra(field) -> DerivationAlgebra:
     """Solve D(x y) = D(x) y + x D(y) over all basis pairs; kernel dim 14."""
     tensor = multiplication_tensor(field)
-    gf = isinstance(field, PrimeField)
     rows = []
     # unknown D[r, c] at flat index r*8 + c
     for i in range(8):
         for j in range(8):
             for b in range(8):
-                if gf:
-                    row = np.zeros(64, dtype=np.int64)
-                else:
-                    row = np.zeros(64, dtype=object)
-                    row[:] = field.zero
+                row = field.zeros(64)
                 for l in range(8):
                     t = tensor[i, j, l]
                     if not field.is_zero(t):
@@ -240,14 +232,8 @@ def derivation_algebra(field) -> DerivationAlgebra:
     for m in mats:
         full = m @ embed
         # derivations preserve the trace-zero subspace: row a + row b must cancel
-        top = full.data[0]
-        bot = full.data[7]
-        if gf:
-            if ((top + bot) % field.p).any():
-                raise ConstructionFailure("derivation does not preserve trace zero")
-        else:
-            if any(x + y != 0 for x, y in zip(top, bot)):
-                raise ConstructionFailure("derivation does not preserve trace zero")
+        if np.count_nonzero(field.reduce(full.data[0] + full.data[7])):
+            raise ConstructionFailure("derivation does not preserve trace zero")
         restricted.append(project @ full)
     return DerivationAlgebra(field, mats, restricted)
 
@@ -262,7 +248,7 @@ def subalgebra_generated(x: Octonion, y: Octonion, z: Octonion) -> int:
     queue: deque = deque()
 
     def push(o: Octonion):
-        if sb.add(np.array(o.coords(), dtype=np.int64 if isinstance(field, PrimeField) else object)):
+        if sb.add(field.array(o.coords())):
             i = len(basis)
             basis.append(o)
             for j in range(len(basis)):

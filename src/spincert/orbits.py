@@ -11,12 +11,10 @@ record a split as a failing check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .fields import PrimeField, RandomSource
-from .kernels import matmul_mod
 from .linalg import (
     Matrix,
     associative_closure,
@@ -79,11 +77,8 @@ class StabilizerReport:
 def action_matrix(rep: LieRepresentation, v) -> Matrix:
     """d x g matrix whose k-th column is rho(m_k) v."""
     field = rep.field
-    if isinstance(field, PrimeField):
-        cols = matmul_mod(rep.tensor, np.asarray(v, dtype=np.int64).reshape(1, -1, 1), field.p)
-        return Matrix(field, None, _raw=np.ascontiguousarray(cols[:, :, 0].T))
-    cols = [np.dot(rep.tensor[k], v) for k in range(rep.g)]
-    return Matrix(field, np.stack(cols, axis=1))
+    cols = field.matmul(rep.tensor, field.array(v).reshape(1, -1, 1))
+    return Matrix(field, None, _raw=np.ascontiguousarray(cols[:, :, 0].T))
 
 
 def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
@@ -91,18 +86,11 @@ def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
     mat = action_matrix(rep, v)
     kernel = mat.kernel_basis()
     field = rep.field
-    # the defining property, checked again after extraction
-    if isinstance(field, PrimeField):
-        # sum_k z_k (rho(m_k) v) from the tensor, through matmul_mod: exact for every accepted prime
-        images = matmul_mod(rep.tensor.reshape(-1, rep.dim), np.asarray(v, dtype=np.int64).reshape(-1, 1), field.p)
-        z = np.asarray(kernel, dtype=np.int64).reshape(-1, rep.g)
-        if matmul_mod(z, images.reshape(rep.g, rep.dim), field.p).any():
-            raise AssertionError("kernel vector does not annihilate the point")
-    else:
-        for z in kernel:
-            acting = sum(z[k] * rep.tensor[k] for k in range(rep.g))
-            if any(x != 0 for x in np.dot(acting, v)):
-                raise AssertionError("kernel vector does not annihilate the point")
+    # the defining property, checked again after extraction: sum_k z_k (rho(m_k) v) from the tensor
+    images = field.matmul(rep.tensor.reshape(-1, rep.dim), field.array(v).reshape(-1, 1))
+    z = field.array(kernel).reshape(-1, rep.g)
+    if np.count_nonzero(field.matmul(z, images.reshape(rep.g, rep.dim))):
+        raise AssertionError("kernel vector does not annihilate the point")
     dim = len(kernel)
     return StabilizerReport(dim, rep.g, rep.g - dim, kernel)
 
@@ -110,11 +98,9 @@ def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
 def kernel_action_matrices(kernel: list, rep: LieRepresentation) -> list[Matrix]:
     """Images of kernel vectors (so(n) coordinates) under the representation."""
     field = rep.field
-    if isinstance(field, PrimeField):
-        z = np.asarray(kernel, dtype=np.int64).reshape(-1, rep.g)
-        acting = matmul_mod(z, rep.tensor.reshape(rep.g, -1), field.p).reshape(-1, rep.dim, rep.dim)
-        return [Matrix(field, None, _raw=a) for a in acting]
-    return [Matrix(field, sum(z[k] * rep.tensor[k] for k in range(rep.g))) for z in kernel]
+    z = field.array(kernel).reshape(-1, rep.g)
+    acting = field.matmul(z, rep.tensor.reshape(rep.g, -1)).reshape(-1, rep.dim, rep.dim)
+    return [Matrix(field, None, _raw=a) for a in acting]
 
 
 def min_trial_stabilizer(rep: LieRepresentation, trials: int, seed: int) -> tuple[StabilizerReport, np.ndarray]:
@@ -184,9 +170,9 @@ def subalgebra_structure_from_matrices(
 ) -> SubalgebraStructure:
     """Structure constants, Killing form and derived size of a matrix span."""
     k = len(mats)
-    field = mats[0].field
     if k == 0:
         raise ValueError("empty subalgebra")
+    field = mats[0].field
     flats = Matrix(field, np.stack([m.flatten() for m in mats], axis=1))
     if flats.rank() != k:
         raise ValueError("subalgebra basis matrices are dependent")
@@ -206,33 +192,17 @@ def subalgebra_structure_from_matrices(
     else:
         coords = Matrix.zeros(field, k, 0)
 
-    if isinstance(field, PrimeField):
-        c = np.zeros((k, k, k), dtype=np.int64)
-        for idx, (i, j) in enumerate(pairs):
-            c[i, j] = coords.data[:, idx]
-            c[j, i] = (-coords.data[:, idx]) % field.p
-    else:
-        c = np.empty((k, k, k), dtype=object)
-        c[:] = Fraction(0)
-        for idx, (i, j) in enumerate(pairs):
-            c[i, j] = coords.data[:, idx]
-            c[j, i] = -coords.data[:, idx]
+    c = field.zeros((k, k, k))
+    for idx, (i, j) in enumerate(pairs):
+        c[i, j] = coords.data[:, idx]
+        c[j, i] = field.reduce(-coords.data[:, idx])
 
     # ad_i maps e_j to c[i, j, :], so its matrix is c[i].T
     ads = [np.ascontiguousarray(c[i].T) for i in range(k)]
-    if isinstance(field, PrimeField):
-        killing = np.zeros((k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(i, k):
-                val = int(np.trace(matmul_mod(ads[i], ads[j], field.p)) % field.p)
-                killing[i, j] = killing[j, i] = val
-    else:
-        killing = np.empty((k, k), dtype=object)
-        killing[:] = Fraction(0)
-        for i in range(k):
-            for j in range(i, k):
-                val = np.trace(np.dot(ads[i], ads[j]))
-                killing[i, j] = killing[j, i] = val
+    killing = field.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            killing[i, j] = killing[j, i] = field.reduce(np.trace(field.matmul(ads[i], ads[j])))
     kmat = Matrix(field, killing)
     krank = kmat.rank()
 
@@ -263,16 +233,8 @@ class BilinearInvariants:
 
 
 def _diagonal_members(rep: LieRepresentation) -> list[int]:
-    out = []
-    for kk in range(rep.g):
-        m = rep.tensor[kk]
-        if isinstance(rep.field, PrimeField):
-            if not (m - np.diag(np.diagonal(m))).any():
-                out.append(kk)
-        else:
-            if all(m[i, j] == 0 for i in range(rep.dim) for j in range(rep.dim) if i != j):
-                out.append(kk)
-    return out
+    # diagonal exactly when every nonzero entry sits on the diagonal
+    return [kk for kk, m in enumerate(rep.tensor) if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))]
 
 
 def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
@@ -304,28 +266,17 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
         return BilinearInvariants(0, 0, None, 0, None)
 
     K = Matrix.identity(field, c)
-    gf = isinstance(field, PrimeField)
     for kk in range(rep.g):
         if K.cols == 0:
             break
         M = rep.tensor[kk]
-        if gf:
-            img = np.zeros((d * d, c), dtype=np.int64)
-            for j, (a, b) in enumerate(candidates):
-                rows1 = np.arange(d) * d + b
-                np.add.at(img[:, j], rows1, M[a, :])
-                rows2 = a * d + np.arange(d)
-                np.add.at(img[:, j], rows2, M[b, :])
-            img %= field.p
-        else:
-            img = np.empty((d * d, c), dtype=object)
-            img[:] = Fraction(0)
-            for j, (a, b) in enumerate(candidates):
-                for x in range(d):
-                    img[x * d + b, j] += M[a, x]
-                for y in range(d):
-                    img[a * d + y, j] += M[b, y]
-        constrained = Matrix(field, None, _raw=img) @ K if gf else Matrix(field, img) @ K
+        img = field.zeros((d * d, c))
+        for j, (a, b) in enumerate(candidates):
+            rows1 = np.arange(d) * d + b
+            np.add.at(img[:, j], rows1, M[a, :])
+            rows2 = a * d + np.arange(d)
+            np.add.at(img[:, j], rows2, M[b, :])
+        constrained = Matrix(field, None, _raw=field.reduce(img)) @ K
         null = constrained.kernel_basis()
         if not null:
             K = Matrix.zeros(field, c, 0)
@@ -336,19 +287,12 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
     if total == 0:
         return BilinearInvariants(0, 0, None, 0, None)
 
+    # the candidate units E_ab are distinct, so each form is a scatter of one column of K
+    rows, cols = zip(*candidates)
     forms = []
     for j in range(total):
-        if gf:
-            B = np.zeros((d, d), dtype=np.int64)
-        else:
-            B = np.empty((d, d), dtype=object)
-            B[:] = Fraction(0)
-        for idx, (a, b) in enumerate(candidates):
-            coeff = K.data[idx, j]
-            if gf:
-                B[a, b] = (B[a, b] + coeff) % field.p
-            else:
-                B[a, b] += coeff
+        B = field.zeros((d, d))
+        B[rows, cols] = K.data[:, j]
         forms.append(Matrix(field, B))
 
     sym_parts = [f + f.T for f in forms]

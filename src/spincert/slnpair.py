@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PrimeField, RandomSource
+from .fields import RandomSource
 from .linalg import NON_UNIQUE, NO_SOLUTION, Matrix, random_matrix
 
 __all__ = [
@@ -131,10 +131,7 @@ def normalize_to_j(pair: MatrixPair) -> tuple[Matrix, Matrix]:
     assert completed is not None
     d = completed.det()
     scaled = completed.data.copy()
-    if isinstance(field, PrimeField):
-        scaled[:, n - 1] = scaled[:, n - 1] * field.inv(d) % field.p
-    else:
-        scaled[:, n - 1] = scaled[:, n - 1] * field.inv(d)
+    scaled[:, n - 1] = field.reduce(scaled[:, n - 1] * field.inv(d))
     basis = Matrix(field, None, _raw=scaled)
     a = basis.inverse()
     j = canonical_j(field, n)
@@ -163,13 +160,7 @@ def fiber_transporter(pair_jy: MatrixPair, pair_jz: MatrixPair) -> Matrix:
         raise NotSameFiber("pairs have different products YX")
     if pi_y.rank() != n - 1:
         raise SingularFiber("YX is singular")
-    y_last = pair_jy.Y.col(n - 1)
-    z_last = pair_jz.Y.col(n - 1)
-    if isinstance(field, PrimeField):
-        b = (y_last - z_last) % field.p
-    else:
-        b = y_last - z_last
-    t = pi_y.solve(b)
+    t = pi_y.solve(field.reduce(pair_jy.Y.col(n - 1) - pair_jz.Y.col(n - 1)))
     if t is NO_SOLUTION or t is NON_UNIQUE:
         raise AssertionError("nonsingular system failed to solve uniquely")
     arr = Matrix.identity(field, n).data.copy()
@@ -185,31 +176,22 @@ def stabilizer_lie_dim(pair: MatrixPair) -> int:
     """dim {a in sl_n : a X = 0 and Y a = 0}; 0 whenever YX is nonsingular."""
     n = pair.n
     field = pair.field
-    gf = isinstance(field, PrimeField)
     rows = []
-
-    def new_row():
-        if gf:
-            return np.zeros(n * n, dtype=np.int64)
-        r = np.empty(n * n, dtype=object)
-        r[:] = field.zero
-        return r
-
     # (aX)[i, j] = sum_k a[i, k] X[k, j]
     for i in range(n):
         for jcol in range(n - 1):
-            row = new_row()
+            row = field.zeros(n * n)
             for k in range(n):
                 row[i * n + k] = pair.X.data[k, jcol]
             rows.append(row)
     # (Ya)[i, j] = sum_k Y[i, k] a[k, j]
     for i in range(n - 1):
         for jcol in range(n):
-            row = new_row()
+            row = field.zeros(n * n)
             for k in range(n):
                 row[k * n + jcol] = pair.Y.data[i, k]
             rows.append(row)
-    trace = new_row()
+    trace = field.zeros(n * n)
     for i in range(n):
         trace[i * n + i] = field.one
     rows.append(trace)
@@ -221,14 +203,7 @@ def jacobian_rank_pi(pair: MatrixPair) -> int:
     """Rank of (H, K) -> Y H + K X from dimension 2n(n-1) onto (n-1)^2."""
     n = pair.n
     field = pair.field
-    gf = isinstance(field, PrimeField)
-    out_dim = (n - 1) * (n - 1)
-    in_dim = 2 * n * (n - 1)
-    if gf:
-        mat = np.zeros((out_dim, in_dim), dtype=np.int64)
-    else:
-        mat = np.empty((out_dim, in_dim), dtype=object)
-        mat[:] = field.zero
+    mat = field.zeros(((n - 1) * (n - 1), 2 * n * (n - 1)))
     # H has shape n x (n-1): columns H[a, j] at index a*(n-1)+j
     # K has shape (n-1) x n: columns K[i, b] at offset n(n-1) + i*n + b
     off = n * (n - 1)
@@ -239,7 +214,7 @@ def jacobian_rank_pi(pair: MatrixPair) -> int:
                 mat[r, a * (n - 1) + j] = pair.Y.data[i, a]
             for b in range(n):
                 mat[r, off + i * n + b] = pair.X.data[b, j]
-    return Matrix(field, None, _raw=mat).rank() if gf else Matrix(field, mat).rank()
+    return Matrix(field, None, _raw=mat).rank()
 
 
 def random_sl(field, n: int, rng: RandomSource) -> Matrix:

@@ -26,7 +26,6 @@ from .clifford import (
     expand_in_bivectors,
     so_pairs,
 )
-from .fields import PrimeField
 from .linalg import Matrix
 
 __all__ = [
@@ -80,8 +79,7 @@ class LieRepresentation:
 
     def with_scaling(self) -> "LieRepresentation":
         """Append the identity as one extra generator (scalar action)."""
-        eye = _tensor_identity(self.field, self.dim)
-        tensor = np.concatenate([self.tensor, eye[None]], axis=0)
+        tensor = np.concatenate([self.tensor, self.field.eye(self.dim)[None]], axis=0)
         return LieRepresentation(
             self.n,
             self.field,
@@ -91,16 +89,12 @@ class LieRepresentation:
         )
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.field, PrimeField):
-            mats = [m.tolist() for m in self.tensor]
-        else:
-            mats = [[[str(x) for x in row] for row in m] for m in self.tensor]
         return {
             "n": self.n,
             "name": self.name,
             "basisLabels": [list(l) for l in self.basis_labels],
             "field": self.field.to_json(),
-            "matrices": mats,
+            "matrices": self.field.json_entries(self.tensor),
         }
 
 
@@ -109,27 +103,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _tensor_identity(field, d: int) -> np.ndarray:
-    if isinstance(field, PrimeField):
-        return np.eye(d, dtype=np.int64)
-    out = np.empty((d, d), dtype=object)
-    out[:] = Fraction(0)
-    for i in range(d):
-        out[i, i] = Fraction(1)
-    return out
-
-
 def _reduce_x4(field, x4: np.ndarray) -> np.ndarray:
     """Turn a 4x-scaled integer tensor into field entries."""
-    if isinstance(field, PrimeField):
-        inv4 = field.inv(4)
-        return _freeze(x4 % field.p * inv4 % field.p)
-    out = np.empty(x4.shape, dtype=object)
-    flat = out.reshape(-1)
-    q = Fraction(1, 4)
-    for i, v in enumerate(x4.reshape(-1)):
-        flat[i] = int(v) * q
-    return _freeze(out)
+    return _freeze(field.reduce(field.array(x4) * field.inv(4)))
 
 
 # -- integer construction, cached per n --------------------------------------
@@ -266,11 +242,7 @@ def half_spin_reps(space: QuadraticSpace, field):
         for k in range(full.g):
             off = full.tensor[k][np.ix_(even, odd)]
             off2 = full.tensor[k][np.ix_(odd, even)]
-            if isinstance(field, PrimeField):
-                bad = off.any() or off2.any()
-            else:
-                bad = any(x != 0 for x in off.reshape(-1)) or any(x != 0 for x in off2.reshape(-1))
-            if bad:
+            if np.count_nonzero(off) or np.count_nonzero(off2):
                 raise AssertionError("spin matrix not parity-block-diagonal")
         reps = []
         for label, idx in (("even", even), ("odd", odd)):
@@ -296,13 +268,8 @@ def direct_sum(reps: list[LieRepresentation], name: str | None = None) -> LieRep
         if r.n != first.n or r.field != first.field or r.basis_labels != first.basis_labels:
             raise ValueError("direct sum needs matching algebras and bases")
     g = first.g
-    dims = [r.dim for r in reps]
-    d = sum(dims)
-    if isinstance(first.field, PrimeField):
-        tensor = np.zeros((g, d, d), dtype=np.int64)
-    else:
-        tensor = np.empty((g, d, d), dtype=object)
-        tensor[:] = Fraction(0)
+    d = sum(r.dim for r in reps)
+    tensor = first.field.zeros((g, d, d))
     off = 0
     for r in reps:
         tensor[:, off : off + r.dim, off : off + r.dim] = r.tensor
@@ -319,29 +286,17 @@ def fock_element_action(space: QuadraticSpace, field, elem: CliffordElement) -> 
     """Matrix of an arbitrary Clifford element acting on the Fock space."""
     gens = fock_generator_matrices(space.n)
     d = gens[0].shape[0]
-    if isinstance(field, PrimeField):
-        p = field.p
-        acc = np.zeros((d, d), dtype=np.int64)
-        for mask, coeff in elem.coeffs.items():
-            part = np.eye(d, dtype=np.int64)
-            m = mask
-            while m:
-                low = m & -m
-                part = part @ gens[low.bit_length() - 1] % p
-                m ^= low
-            acc = (acc + coeff * part) % p
-        return Matrix(field, None, _raw=acc)
-    acc = np.zeros((d, d), dtype=object)
-    acc[:] = Fraction(0)
+    acc = field.zeros((d, d))
     for mask, coeff in elem.coeffs.items():
+        # a product of signed partial permutations: entries stay in {-1, 0, 1}
         part = np.eye(d, dtype=np.int64)
         m = mask
         while m:
             low = m & -m
             part = part @ gens[low.bit_length() - 1]
             m ^= low
-        acc = acc + coeff * part
-    return Matrix(field, acc)
+        acc = field.reduce(acc + coeff * part)
+    return Matrix(field, None, _raw=acc)
 
 
 def center_acts_minus_one(space: QuadraticSpace, rep: LieRepresentation) -> bool:
@@ -509,10 +464,10 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     """
     if len(rep.basis_labels) != struct.dim:
         raise ValueError("representation basis does not match the structure constants")
-    p = rep.field.p if isinstance(rep.field, PrimeField) else None
+    field = rep.field
 
     def times(x, y):
-        return x * y % p if p else x * y
+        return field.reduce(x * y)
 
     T = rep.tensor
     g, d = rep.g, rep.dim
@@ -553,10 +508,8 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
             order = np.argsort(keys)
             keys = keys[order]
             starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            sums = np.add.reduceat(np.concatenate(vals)[order], starts)
-            if p:
-                sums %= p
-            if np.any(sums != 0):
+            sums = field.reduce(np.add.reduceat(np.concatenate(vals)[order], starts))
+            if np.count_nonzero(sums):
                 return False
     return True
 
@@ -569,18 +522,10 @@ def restrict(rep: LieRepresentation, emb: SubalgebraEmbedding) -> LieRepresentat
         raise ValueError("cannot restrict a scaling-augmented representation")
     field = rep.field
     d = rep.dim
-    g_sub = len(emb.pair_map)
-    if isinstance(field, PrimeField):
-        tensor = np.zeros((g_sub, d, d), dtype=np.int64)
-        for k, row in enumerate(emb.pair_map):
-            for amb, c in row:
-                tensor[k] = (tensor[k] + c * rep.tensor[amb]) % field.p
-    else:
-        tensor = np.empty((g_sub, d, d), dtype=object)
-        tensor[:] = Fraction(0)
-        for k, row in enumerate(emb.pair_map):
-            for amb, c in row:
-                tensor[k] = tensor[k] + c * rep.tensor[amb]
+    tensor = field.zeros((len(emb.pair_map), d, d))
+    for k, row in enumerate(emb.pair_map):
+        for amb, c in row:
+            tensor[k] = field.reduce(tensor[k] + c * rep.tensor[amb])
     sub = QuadraticSpace(emb.sub_n)
     return LieRepresentation(
         emb.sub_n,

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spincert.fields import GF, QQ, FieldError, PrimeField, RandomSource, is_prime
@@ -71,3 +73,86 @@ def test_random_source_rational_range():
 def test_child_streams():
     base = RandomSource(5)
     assert base.child(3).scalars(QQ, 4) == RandomSource(8).scalars(QQ, 4)
+
+
+# -- array methods -------------------------------------------------------------
+
+ARRAY_FIELDS = [GF(1_000_003), GF(2_147_483_647), QQ]
+ARRAY_IDS = ["GF(1000003)", "GF(2147483647)", "QQ"]
+
+
+def assert_field_array(field, arr):
+    """Right dtype, and every entry is a residue in [0, p) or a Fraction."""
+    if field is QQ:
+        assert arr.dtype == object
+        assert all(type(x) is Fraction for x in arr.ravel())
+    else:
+        assert arr.dtype == np.int64
+        assert ((arr >= 0) & (arr < field.p)).all()
+
+
+def random_entries(field, shape, rng):
+    if field is QQ:
+        flat = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(int(np.prod(shape)))]
+    else:
+        # mostly near p - 1, where an inexact product would show first
+        flat = [field.p - 1 - rng.randrange(3) if rng.random() < 0.5 else rng.randrange(field.p) for _ in range(int(np.prod(shape)))]
+    return field.array(np.array(flat, dtype=object).reshape(shape))
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS, ids=ARRAY_IDS)
+def test_array_constructors(field):
+    zeros = field.zeros((2, 3))
+    eye = field.eye(3)
+    ints = field.array([[1, -2], [3, 4]])
+    from_int64 = field.array(np.arange(-3, 3, dtype=np.int64).reshape(2, 3))
+    mixed = field.array([Fraction(1, 2), 5])
+    for arr in (zeros, eye, ints, from_int64, mixed):
+        assert_field_array(field, arr)
+    assert zeros.shape == (2, 3) and zeros.tolist() == [[0] * 3] * 2
+    assert eye.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert ints.tolist() == [[field.scalar(1), field.scalar(-2)], [field.scalar(3), field.scalar(4)]]
+    assert from_int64.ravel().tolist() == [field.scalar(x) for x in range(-3, 3)]
+    assert mixed.tolist() == [field.scalar(Fraction(1, 2)), field.scalar(5)]
+    assert field.array([]).shape == (0,)
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS, ids=ARRAY_IDS)
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((3, 4), (4, 2)), ((2, 1, 3, 4), (5, 4, 2)), ((3, 0), (0, 2)), ((2, 3, 0), (0, 4))],
+    ids=["plain", "batched", "inner0", "batched-inner0"],
+)
+def test_matmul_against_python_oracle(field, a_shape, b_shape):
+    rng = random.Random(17)
+    a = random_entries(field, a_shape, rng)
+    b = random_entries(field, b_shape, rng)
+    got = field.matmul(a, b)
+    out_shape = np.broadcast_shapes(a_shape[:-2], b_shape[:-2]) + (a_shape[-2], b_shape[-1])
+    assert got.shape == out_shape
+    assert_field_array(field, got)
+    # Python ints or Fractions, summed without any modular shortcut
+    big_a = np.broadcast_to(a.astype(object), out_shape[:-2] + a_shape[-2:])
+    big_b = np.broadcast_to(b.astype(object), out_shape[:-2] + b_shape[-2:])
+    for idx in np.ndindex(out_shape):
+        *batch, i, j = idx
+        exact = sum((big_a[(*batch, i, k)] * big_b[(*batch, k, j)] for k in range(a_shape[-1])), 0)
+        assert got[idx] == field.scalar(exact)
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS, ids=ARRAY_IDS)
+def test_reduce_is_idempotent(field):
+    rng = random.Random(3)
+    x = random_entries(field, (4, 5), rng)
+    y = random_entries(field, (4, 5), rng)
+    c = field.scalar(rng.randrange(1, 10**6))
+    raw = x * c - y
+    once = field.reduce(raw)
+    assert_field_array(field, once)
+    assert np.array_equal(field.reduce(once), once)
+    assert once.ravel().tolist() == [field.sub(field.mul(u, c), v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
+
+
+def test_json_entries():
+    assert GF(7).json_entries(GF(7).array([[1, -1]])) == [[1, 6]]
+    assert QQ.json_entries(QQ.array([[Fraction(1, 4), -2]])) == [["1/4", "-2"]]
