@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PrimeField, RandomSource
+from .fields import RandomSource
 from .linalg import Matrix, SpanBuilder, random_vector
 
 __all__ = [
@@ -286,8 +286,11 @@ def _tz_norm(field, coords) -> object:
     return acc
 
 
-def g2_stabilizer_checks(field: PrimeField, trials: int, seed: int) -> tuple[int, int, int]:
+def g2_stabilizer_checks(derivations: DerivationAlgebra, trials: int, seed: int) -> tuple[int, int, int]:
     """Generic kernels of the derivation action on trace-zero octonions.
+
+    ``derivations`` is the algebra from :func:`derivation_algebra`; its field
+    is the field of the sample points.
 
     Returns the minimum over the trials of each kernel dimension: on three
     trace-zero copies (expect 0), on one copy (expect 8), and on one copy with
@@ -296,7 +299,8 @@ def g2_stabilizer_checks(field: PrimeField, trials: int, seed: int) -> tuple[int
     subset, but there is no reason to leave the draw to luck when the norm is
     one evaluation away).
     """
-    derivs = derivation_algebra(field).trace_zero_matrices
+    field = derivations.field
+    derivs = derivations.trace_zero_matrices
     dims = []
     for t in range(trials):
         rng = RandomSource(seed).child(t)

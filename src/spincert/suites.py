@@ -214,7 +214,7 @@ def _two_prime(per_field, specs):
 
 def _g2_octonion(cfg: RunConfig, f) -> dict:
     derivations = derivation_algebra(f)
-    triple, vector, scaled = g2_stabilizer_checks(f, cfg.trials, cfg.seed)
+    triple, vector, scaled = g2_stabilizer_checks(derivations, cfg.trials, cfg.seed)
     # cross-module consistency against the spinor route
     deriv = subalgebra_structure_from_matrices(derivations.matrices)
     rpt, _ = min_trial_stabilizer(spin_rep(QuadraticSpace(7), f), cfg.trials, cfg.seed)

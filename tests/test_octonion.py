@@ -145,8 +145,9 @@ def test_subalgebra_generated_monotone():
 def test_g2_checks_certificates():
     # each prime, and a seed change, leave the certificate values alone
     for p in PRIMES:
-        assert g2_stabilizer_checks(GF(p), 3, 0) == (0, 8, 8)
-        assert g2_stabilizer_checks(GF(p), 3, 777) == (0, 8, 8)
+        derivations = derivation_algebra(GF(p))
+        assert g2_stabilizer_checks(derivations, 3, 0) == (0, 8, 8)
+        assert g2_stabilizer_checks(derivations, 3, 777) == (0, 8, 8)
 
 
 def test_cross_module_g2_equals_spin7_stabilizer():

@@ -267,10 +267,10 @@ def test_scaling_extension_invariant():
     # appending the scaling generator: stabilizer stays 8 for the derivation
     # action on one octonion copy (radial line joins the orbit image); the
     # spin14 variant is exercised in the suites
-    from spincert.octonion import g2_stabilizer_checks
+    from spincert.octonion import derivation_algebra, g2_stabilizer_checks
 
     for p in PRIMES:
-        _, vector_kernel, scaled_kernel = g2_stabilizer_checks(GF(p), 3, 0)
+        _, vector_kernel, scaled_kernel = g2_stabilizer_checks(derivation_algebra(GF(p)), 3, 0)
         assert vector_kernel == scaled_kernel == 8
 
 

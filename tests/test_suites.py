@@ -223,9 +223,9 @@ def test_prime_disagreement_is_reported_not_raised(monkeypatch):
     confirming = cfg.confirm_prime
     real_g2 = suites_mod.g2_stabilizer_checks
 
-    def split_g2(f, trials, seed):
-        triple, vector, scaled = real_g2(f, trials, seed)
-        return triple, vector + (f.p == confirming), scaled
+    def split_g2(derivations, trials, seed):
+        triple, vector, scaled = real_g2(derivations, trials, seed)
+        return triple, vector + (derivations.field.p == confirming), scaled
 
     def split_center(space, rep):
         return rep.field.p != confirming
