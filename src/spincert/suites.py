@@ -25,7 +25,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import GF, QQ, PrimeField, RandomSource
-from .kernels import matmul_mod
 from .linalg import Matrix
 from .clifford import QuadraticSpace
 from .octonion import (
@@ -283,7 +282,7 @@ def _spin7(cfg: RunConfig, f) -> dict:
     struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
     fixed = Matrix.vstack(kernel_action_matrices(rpt.kernel, rep)).kernel_basis()
     contains_point = len(fixed) == 1 and Matrix(f, np.stack([fixed[0], np.asarray(v)])).rank() == 1
-    scaled = (np.asarray(v) * 7) % f.p
+    scaled = f.reduce(np.asarray(v) * 7)
     return {
         "invariant-forms": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
         "stabilizer-dim": rpt.dimension,
@@ -575,8 +574,8 @@ def _sp4_left_multiplication(cfg: RunConfig, f, omega: Matrix):
         for y in range(4):
             row = np.zeros(16, dtype=np.int64)
             for k in range(4):
-                row[k * 4 + x] = (row[k * 4 + x] + omega.data[k, y]) % f.p
-                row[k * 4 + y] = (row[k * 4 + y] + omega.data[x, k]) % f.p
+                row[k * 4 + x] = f.reduce(row[k * 4 + x] + omega.data[k, y])
+                row[k * 4 + y] = f.reduce(row[k * 4 + y] + omega.data[x, k])
             rows.append(row)
     sp4 = Matrix(f, np.stack(rows)).kernel_basis()
     if len(sp4) != 10:
@@ -587,7 +586,7 @@ def _sp4_left_multiplication(cfg: RunConfig, f, omega: Matrix):
         x = np.array([[rng.randrange(f.p) for _ in range(4)] for _ in range(4)], dtype=np.int64)
         if Matrix(f, x).rank() != 4:
             continue
-        cols = [matmul_mod(z.reshape(4, 4), x, f.p).reshape(-1) for z in sp4]
+        cols = [f.matmul(z.reshape(4, 4), x).reshape(-1) for z in sp4]
         dim = len(Matrix(f, np.stack(cols, axis=1)).kernel_basis())
         best = dim if best is None else min(best, dim)
     return best
