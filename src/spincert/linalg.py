@@ -253,10 +253,6 @@ class Matrix:
 # -- vectors ----------------------------------------------------------------
 
 
-def vector_is_zero(field, vec) -> bool:
-    return not np.count_nonzero(vec)
-
-
 def random_vector(field, n, rng: RandomSource) -> np.ndarray:
     return field.array(rng.scalars(field, n))
 
@@ -429,7 +425,7 @@ class SpanBuilder:
         return v
 
     def contains(self, vec) -> bool:
-        return vector_is_zero(self.field, self.reduce(vec))
+        return not np.count_nonzero(self.reduce(vec))
 
     def add(self, vec) -> bool:
         """Add a vector; True if it enlarged the span."""
