@@ -1,8 +1,11 @@
-"""Benchmark: compiled elimination kernel versus the NumPy fallback.
+"""Benchmark: the elimination leaves and ``kernels.rref_mod``.
 
 Times reduced-row-echelon elimination over F_p on a few shapes that mirror
 the package's real workloads (stacked action maps, Sylvester systems,
-bilinear-form constraints).  Run after `pip install -e . --no-build-isolation`:
+bilinear-form constraints, the spin(14) closure stacks) with the NumPy leaf,
+the compiled leaf when it is built, and ``kernels.rref_mod``, which runs the
+row-blocked driver on tall, large inputs.  Every result is checked against
+the NumPy leaf.  Run after `pip install -e . --no-build-isolation`:
 
     python benchmarks/bench_kernels.py
 """
@@ -12,7 +15,7 @@ import time
 
 import numpy as np
 
-from spincert import _modp_fallback
+from spincert import _modp_fallback, kernels
 
 try:
     from spincert import _modp_core
@@ -25,6 +28,8 @@ SHAPES = [
     ("stacked action map", 106, 91),
     ("square dense", 300, 300),
     ("sylvester stack", 2560, 256),
+    ("spin14 closure", 1624, 196),
+    ("spin14 closure", 813, 196),
     ("wide kernel", 200, 1200),
 ]
 
@@ -45,18 +50,21 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    print(f"{'shape':<22} {'rows x cols':<12} {'numpy':>10} {'cython':>10} {'speedup':>8}")
+    print(f"{'shape':<22} {'rows x cols':<12} {'numpy':>10} {'cython':>10} {'rref_mod':>10}")
     for name, rows, cols in SHAPES:
         a = rng.integers(0, P, size=(rows, cols), dtype=np.int64)
-        t_py = bench(_modp_fallback.rref, a, args.repeats)
-        if _modp_core is not None:
-            t_cy = bench(_modp_core.rref, a, args.repeats)
-            r_py = _modp_fallback.rref(a, P)
-            r_cy = _modp_core.rref(a, P)
-            assert r_py[1] == r_cy[1] and np.array_equal(r_py[0], r_cy[0]), "backends disagree"
-            print(f"{name:<22} {rows}x{cols:<8} {t_py*1e3:>8.1f}ms {t_cy*1e3:>8.1f}ms {t_py/t_cy:>7.1f}x")
-        else:
-            print(f"{name:<22} {rows}x{cols:<8} {t_py*1e3:>8.1f}ms {'absent':>10} {'-':>8}")
+        want = _modp_fallback.rref(a, P)
+        timings = [bench(_modp_fallback.rref, a, args.repeats)]
+        for fn in (_modp_core.rref if _modp_core else None, kernels.rref_mod):
+            if fn is None:
+                timings.append(None)
+                continue
+            got = fn(a, P)
+            same = got[1] == want[1] and np.array_equal(got[0], want[0])
+            assert same, f"{fn.__module__}.{fn.__name__} disagrees with the NumPy leaf"
+            timings.append(bench(fn, a, args.repeats))
+        cells = " ".join(f"{'absent':>10}" if t is None else f"{t*1e3:>8.1f}ms" for t in timings)
+        print(f"{name:<22} {f'{rows}x{cols}':<12} {cells}")
     if _modp_core is None:
         print("compiled kernel not built; install with `pip install -e . --no-build-isolation`")
 

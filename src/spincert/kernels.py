@@ -1,9 +1,22 @@
-"""Backend selection for the hot mod-p kernels.
+"""Backend selection and the exact mod-p kernels.
 
-The elimination kernel exists twice: a Cython extension (``_modp_core``) and
+The elimination leaf exists twice: a Cython extension (``_modp_core``) and
 a NumPy fallback (``_modp_fallback``).  The compiled one is picked at import
 when available; setting the environment variable ``NOETHER_NO_EXT`` forces
 the fallback.  ``benchmarks/bench_kernels.py`` compares the two.
+
+``rref_mod`` sends tall, large inputs (``rows >= 2*cols`` and
+``rows*cols >= 2**16``) through a row-blocked driver above the leaf, in the
+style of Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
+prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008.  A leaf
+pays rows x cols for every pivot although the rank is at most cols; the
+driver keeps a reduced basis of rank <= cols and meets each block of 64 rows
+with two ``matmul_mod`` products and one leaf call on the block alone.  RREF
+is unique, so the output is the leaf's, bit for bit.  The size floor is
+there because each block has a fixed cost (two products, one leaf call)
+that a low-rank input does not repay: the leaf is cheap when it finds few
+pivots, and small tall inputs of rank 0, such as 512x64 or 256x128, run
+3-4x slower through the driver.
 
 Matrix multiplication mod p is shared by both backends: for the default
 primes the products fit a float64 mantissa exactly, so BLAS does the work
@@ -36,9 +49,37 @@ def backend() -> str:
     return _BACKEND
 
 
+_BLOCK = 64
+
+
 def rref_mod(a, p):
-    """Reduced row echelon form over F_p; returns (int64 array, pivots)."""
-    return _impl.rref(a, p)
+    """Reduced row echelon form over F_p; returns (int64 array, pivots).
+
+    Tall, large inputs go through the row-blocked driver (module docstring).
+    """
+    rows, cols = np.shape(a)
+    if rows < 2 * cols or rows * cols < 2**16:
+        return _impl.rref(a, p)
+    m = np.asarray(a, dtype=np.int64) % p
+    basis = m[:0]  # reduced rows, one per pivot in increasing order
+    pivots = np.zeros(0, dtype=np.intp)
+    for start in range(0, rows, _BLOCK):
+        block = m[start : start + _BLOCK]
+        residual = (block - matmul_mod(block[:, pivots], basis, p)) % p
+        red, new = _impl.rref(residual, p)
+        if not new:
+            continue
+        new = np.array(new, dtype=np.intp)
+        fresh = red[: len(new)]
+        basis = (basis - matmul_mod(basis[:, new], fresh, p)) % p
+        pivots = np.concatenate([pivots, new])
+        order = np.argsort(pivots)
+        basis, pivots = np.vstack([basis, fresh])[order], pivots[order]
+        if len(pivots) == cols:
+            break
+    out = np.zeros((rows, cols), dtype=np.int64)
+    out[: len(pivots)] = basis
+    return out, tuple(int(c) for c in pivots)
 
 
 _FLOAT_EXACT = 2**53

@@ -508,20 +508,27 @@ def associative_closure(gens: list[Matrix]) -> int:
 def commutant_dimension(gens: list[Matrix]) -> int:
     """Dimension of {X : Xg = gX for all g}.
 
-    Kernels are intersected one generator at a time: starting from K = I of
-    size d^2, each generator replaces K by K times the kernel of its
-    Sylvester map X -> Xg - gX restricted to the span of K's columns.  The
-    systems shrink as K does, instead of one stacked (k d^2) x d^2
-    elimination.
+    Kernels are intersected one generator at a time: K starts as the kernel
+    of the first generator's Sylvester map X -> Xg - gX, and each further
+    generator replaces K by K times the kernel of its Sylvester map
+    restricted to the span of K's columns.  The systems shrink as K does,
+    instead of one stacked (k d^2) x d^2 elimination.
     """
     if not gens:
         raise ValueError("commutant of an empty set needs an ambient size; pass d via gens")
     field, d = _square_family(gens)
     eye = field.eye(d)
-    K = Matrix.identity(field, d * d)
-    for g in gens:
-        sylvester = field.reduce(np.kron(eye, np.ascontiguousarray(g.data.T)) - np.kron(g.data, eye))
+
+    def sylvester(g):
+        # the map X -> Xg - gX on row-major flattened X
+        system = np.kron(eye, np.ascontiguousarray(g.data.T)) - np.kron(g.data, eye)
+        return Matrix(field, None, _raw=field.reduce(system))
+
+    def kernel(m):
         # never empty: the identity commutes with everything
-        null = (Matrix(field, None, _raw=sylvester) @ K).kernel_basis()
-        K = K @ Matrix(field, None, _raw=np.stack(null, axis=1))
+        return Matrix(field, None, _raw=np.stack(m.kernel_basis(), axis=1))
+
+    K = kernel(sylvester(gens[0]))
+    for g in gens[1:]:
+        K = K @ kernel(sylvester(g) @ K)
     return K.cols

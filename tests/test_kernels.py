@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from spincert import _modp_fallback
+from spincert import _modp_fallback, kernels
 from spincert.kernels import backend, matmul_mod, rref_mod
 
 try:
@@ -98,3 +100,79 @@ def test_matmul_mod_largest_prime(inner):
         for t in range(2)
     ]
     assert matmul_mod(a, b, p).tolist() == want
+
+
+def _staircase(rng, rows, cols, step, p):
+    # block k of 64 rows has rank `step` and spans the last 2*step*(k+1)
+    # columns: each block brings new pivots, to the left of the earlier ones
+    a = np.zeros((rows, cols), dtype=np.int64)
+    for start in range(0, rows, 64):
+        lo = max(cols - 2 * step * (start // 64 + 1), 0)
+        n = min(64, rows - start)
+        left = rng.integers(0, p, size=(n, step), dtype=np.int64)
+        a[start : start + n, lo:] = matmul_mod(left, rng.integers(0, p, size=(step, cols - lo), dtype=np.int64), p)
+    return a
+
+
+def _driver_cases():
+    rng = np.random.default_rng(5)
+    q = 2_147_483_647
+
+    def rand(rows, cols, p=P):
+        return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+
+    def thin(rows, cols, k, p=P):
+        return rand(rows, k, p) @ rand(k, cols, p) % p
+
+    repeated = thin(512, 128, 20)
+    repeated[64:128] = repeated[:64]
+    repeated[128:192] = 0
+    repeated[:256, :40] = 0
+    saturated = np.full((700, 100), P - 1, dtype=np.int64)
+    saturated[::7] = rand(100, 100)
+    return [
+        pytest.param(rand(364, 182), P, id="rows-2cols"),
+        pytest.param(rand(363, 182), P, id="rows-2cols-minus-1"),
+        pytest.param(rand(512, 128), P, id="cells-2to16"),
+        pytest.param(rand(511, 128), P, id="cells-2to16-minus-row"),
+        pytest.param(rand(700, 100), P, id="ragged-last-block"),
+        pytest.param(_staircase(rng, 700, 100, 9, P), P, id="rank-over-blocks"),
+        pytest.param(thin(1000, 100, 5), P, id="low-rank"),
+        pytest.param(rand(2048, 32), P, id="early-stop"),
+        pytest.param(repeated, P, id="duplicate-and-zero-blocks"),
+        pytest.param(saturated, P, id="entries-p-minus-1"),
+        pytest.param(np.zeros((600, 120), dtype=np.int64), P, id="zero"),
+        pytest.param(_staircase(rng, 512, 128, 11, q), q, id="largest-prime"),
+        pytest.param(np.full((600, 110), q - 1, dtype=np.int64), q, id="largest-prime-entries-p-minus-1"),
+        pytest.param(np.vstack([rand(64, 128, q)] * 8), q, id="largest-prime-duplicate-blocks"),
+    ]
+
+
+@pytest.mark.parametrize("a, p", _driver_cases())
+def test_rref_mod_matches_leaf(a, p):
+    want, want_piv = _modp_fallback.rref(a, p)
+    got, got_piv = rref_mod(a, p)
+    assert got_piv == want_piv
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, blocked",
+    [(364, 182, True), (363, 182, False), (512, 128, True), (511, 128, False), (700, 100, True), (700, 400, False)],
+)
+def test_rref_mod_blocks_only_tall_large_inputs(monkeypatch, rows, cols, blocked):
+    # the blocked path hands the leaf reduced residuals of at most 64 rows
+    seen = []
+
+    def leaf(a, p):
+        seen.append(a.shape)
+        assert a.min() >= 0 and a.max() < p
+        return _modp_fallback.rref(a, p)
+
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(rref=leaf))
+    a = _staircase(np.random.default_rng(rows), rows, cols, 7, P)
+    assert rref_mod(a, P)[1] == _modp_fallback.rref(a, P)[1]
+    if blocked:
+        assert len(seen) == -(-rows // 64) and all(r <= 64 and c == cols for r, c in seen)
+    else:
+        assert seen == [(rows, cols)]
