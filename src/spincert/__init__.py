@@ -7,7 +7,7 @@ genericity statements use a fixed trials-and-two-primes protocol.  The CLI
 """
 
 from .fields import GF, QQ, PrimeField, RandomSource, RationalField
-from .linalg import Matrix, associative_closure, commutant_dimension, kernel_basis, rank, solve
+from .linalg import Matrix, associative_closure, commutant_dimension
 
 __version__ = "0.1.0"
 
@@ -18,9 +18,6 @@ __all__ = [
     "RationalField",
     "RandomSource",
     "Matrix",
-    "rank",
-    "kernel_basis",
-    "solve",
     "associative_closure",
     "commutant_dimension",
     "__version__",

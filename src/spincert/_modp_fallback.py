@@ -2,8 +2,7 @@
 
 Same contract as the compiled ``_modp_core`` extension: Gauss-Jordan
 reduction to reduced row echelon form over F_p with first-nonzero pivoting.
-Used automatically when the extension is not built (or when NOETHER_NO_EXT
-is set).
+Used automatically when the extension is not built.
 """
 
 import numpy as np

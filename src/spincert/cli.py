@@ -4,7 +4,9 @@
 table (or one JSON document); ``spincert list-suites`` names them.  Exit
 codes: 0 all selected suites passed, 1 at least one check failed, 2 usage
 error.  Every flag has an environment override with the NOETHER_ prefix;
-flags win over the environment.
+flags win over the environment.  An override is the flag's raw default
+string, so argparse converts it only when the flag is absent and reports a
+malformed one as a usage error.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ def _env(name: str, default):
         return default
     if isinstance(default, bool):
         return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int):
-        return int(raw)
     return raw
 
 
@@ -67,11 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    suites = args.suites
-    if isinstance(suites, str):
-        suites = [s.strip() for s in suites.split(",") if s.strip()] or ["all"]
     return RunConfig(
-        suites=suites,
+        suites=[s.strip() for s in args.suites.split(",") if s.strip()] or ["all"],
         prime=args.prime,
         confirm_prime=args.confirm_prime,
         seed=args.seed,

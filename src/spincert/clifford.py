@@ -25,7 +25,6 @@ from functools import lru_cache
 __all__ = [
     "QuadraticSpace",
     "CliffordElement",
-    "clifford_product",
     "bivector_basis",
     "so_pairs",
     "so_dim",
@@ -228,11 +227,6 @@ class CliffordElement:
     def grades(self) -> set[int]:
         return {m.bit_count() for m in self.coeffs}
 
-    def grade_part(self, k: int) -> "CliffordElement":
-        return CliffordElement(
-            self.space, self.field, {m: c for m, c in self.coeffs.items() if m.bit_count() == k}
-        )
-
     def scalar_part(self):
         return self.coeffs.get(0, self.field.zero)
 
@@ -251,11 +245,6 @@ class CliffordElement:
         for m in sorted(self.coeffs, key=self.space.blade_key):
             parts.append(f"{self.coeffs[m]}*{self.space.blade_label(m)}")
         return " + ".join(parts)
-
-
-def clifford_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Associative bilinear product realizing v w + w v = 2 B(v, w)."""
-    return a * b
 
 
 def so_pairs(space: QuadraticSpace):

@@ -3,7 +3,7 @@
 Scalars are plain Python values: ``int`` residues in ``[0, p)`` for a prime
 field, ``fractions.Fraction`` for the rationals.  A field object bundles the
 coercions and the arithmetic that cannot be expressed as raw ``int``
-operations (inverses, division).
+operations (inverses).
 
 Arrays of field entries are NumPy arrays, and this module is the one place
 that knows their format: int64 residues in ``[0, p)`` over F_p, ``object``
@@ -121,9 +121,6 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
     def is_zero(self, a):
         return a % self.p == 0
 
@@ -190,11 +187,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by 0 in Q")
-        return Fraction(a) / b
 
     def is_zero(self, a):
         return a == 0

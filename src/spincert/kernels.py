@@ -2,8 +2,7 @@
 
 The elimination leaf exists twice: a Cython extension (``_modp_core``) and
 a NumPy fallback (``_modp_fallback``).  The compiled one is picked at import
-when available; setting the environment variable ``NOETHER_NO_EXT`` forces
-the fallback.  ``benchmarks/bench_kernels.py`` compares the two.
+when it is built.  ``benchmarks/bench_kernels.py`` compares the two.
 
 ``rref_mod`` sends tall, large inputs (``rows >= 2*cols`` and
 ``rows*cols >= 2**16``) through a row-blocked driver above the leaf, in the
@@ -25,23 +24,16 @@ to int64 products, summed over chunks of the inner dimension short enough
 not to overflow.
 """
 
-import os
-
 import numpy as np
 
-if os.environ.get("NOETHER_NO_EXT"):
+try:
+    from . import _modp_core as _impl  # type: ignore[attr-defined]
+
+    _BACKEND = "cython"
+except ImportError:
     from . import _modp_fallback as _impl
 
     _BACKEND = "python"
-else:
-    try:
-        from . import _modp_core as _impl  # type: ignore[attr-defined]
-
-        _BACKEND = "cython"
-    except ImportError:
-        from . import _modp_fallback as _impl
-
-        _BACKEND = "python"
 
 
 def backend() -> str:

@@ -26,9 +26,6 @@ __all__ = [
     "NonUnique",
     "NO_SOLUTION",
     "NON_UNIQUE",
-    "rank",
-    "kernel_basis",
-    "solve",
     "associative_closure",
     "commutant_dimension",
     "SpanBuilder",
@@ -84,10 +81,6 @@ class Matrix:
     @classmethod
     def identity(cls, field, n):
         return cls(field, None, _raw=field.eye(n))
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        return cls(field, rows)
 
     @classmethod
     def vstack(cls, mats):
@@ -155,9 +148,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.data)
-
-    def entry(self, i, j):
-        return self.data[i, j]
 
     def row(self, i) -> np.ndarray:
         return self.data[i].copy()
@@ -381,22 +371,7 @@ def _det_gf(arr: np.ndarray, p: int) -> int:
     return det % p
 
 
-# -- module-level operations -------------------------------------------------
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank over the matrix's field."""
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> list[np.ndarray]:
-    """Basis of the right null space of ``m``."""
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, b):
-    """Solve ``m x = b``; vector, NO_SOLUTION, or NON_UNIQUE."""
-    return m.solve(b)
+# -- spans -------------------------------------------------------------------
 
 
 class SpanBuilder:

@@ -34,7 +34,6 @@ __all__ = [
     "stabilizer",
     "kernel_action_matrices",
     "min_trial_stabilizer",
-    "generic_stabilizer_dim",
     "subalgebra_structure",
     "subalgebra_structure_from_matrices",
     "invariant_bilinear_space",
@@ -60,18 +59,6 @@ class StabilizerReport:
     algebra_dimension: int
     orbit_dimension: int
     kernel: list
-    trials: int | None = None
-    primes: tuple | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "algebra_dimension": self.algebra_dimension,
-            "orbit_dimension": self.orbit_dimension,
-            "kernel": [[str(x) for x in v] for v in self.kernel],
-            "trials": self.trials,
-            "primes": list(self.primes) if self.primes else None,
-        }
 
 
 def action_matrix(rep: LieRepresentation, v) -> Matrix:
@@ -120,11 +107,6 @@ def min_trial_stabilizer(rep: LieRepresentation, trials: int, seed: int) -> tupl
     return best
 
 
-def generic_stabilizer_dim(rep: LieRepresentation, trials: int, rng: RandomSource) -> int:
-    """Minimum stabilizer dimension over random trial points (one field)."""
-    return min_trial_stabilizer(rep, trials, rng.seed)[0].dimension
-
-
 # -- subalgebra structure ------------------------------------------------------
 
 
@@ -144,14 +126,6 @@ class SubalgebraStructure:
     killing_rank: int
     killing_nullity: int
     derived_dimension: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "killing_rank": self.killing_rank,
-            "killing_nullity": self.killing_nullity,
-            "derived_dimension": self.derived_dimension,
-        }
 
 
 def subalgebra_structure(kernel_vectors: list, carrier_rep: LieRepresentation) -> SubalgebraStructure:
@@ -318,19 +292,9 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
     return BilinearInvariants(sym_dim, alt_dim, sample, sample.rank() if sample else 0, sample_sym)
 
 
-def fixed_subspace(mats: list[Matrix], field=None, dim: int | None = None):
-    """Common null space of the matrices; returns (dimension, basis vectors).
-
-    With an empty list the whole space is fixed, so the field and dimension
-    must be supplied explicitly.
-    """
-    if not mats:
-        if field is None or dim is None:
-            raise ValueError("empty matrix list needs an explicit field and dimension")
-        basis = [col for col in Matrix.identity(field, dim).data.T.copy()]
-        return dim, basis
-    stacked = Matrix.vstack(mats)
-    basis = stacked.kernel_basis()
+def fixed_subspace(mats: list[Matrix]):
+    """Common null space of a nonempty list of matrices; returns (dimension, basis vectors)."""
+    basis = Matrix.vstack(mats).kernel_basis()
     return len(basis), basis
 
 
@@ -346,12 +310,11 @@ def isotypic_fingerprint(mats: list[Matrix]) -> tuple[int, int]:
 
 # -- degree-4 invariants (budgeted stretch operation) ---------------------------
 
+_QUARTIC_MAX_CANDIDATES = 60_000
+_QUARTIC_MAX_ROWS = 2_000_000
 
-def invariant_quartic_dim(
-    rep: LieRepresentation,
-    max_candidates: int = 60_000,
-    max_rows: int = 2_000_000,
-) -> int:
+
+def invariant_quartic_dim(rep: LieRepresentation) -> int:
     """Dimension of degree-4 invariant polynomials of the representation.
 
     Monomials are pruned by the diagonal (weight) generators first, then the
@@ -385,8 +348,8 @@ def invariant_quartic_dim(
                 break
         if ok:
             candidates.append(mono)
-            if len(candidates) > max_candidates:
-                raise Aborted(f"quartic candidate budget exceeded ({max_candidates})")
+            if len(candidates) > _QUARTIC_MAX_CANDIDATES:
+                raise Aborted(f"quartic candidate budget exceeded ({_QUARTIC_MAX_CANDIDATES})")
     c = len(candidates)
     if c == 0:
         return 0
@@ -422,7 +385,7 @@ def invariant_quartic_dim(
                 r = rows_index.setdefault(key, len(rows_index))
                 entries.append((r, j, coeff))
         t = len(rows_index)
-        if t * K.cols > max_rows * 8:
+        if t * K.cols > _QUARTIC_MAX_ROWS * 8:
             raise Aborted("quartic row budget exceeded")
         img = np.zeros((t, c), dtype=np.int64)
         for r, j, coeff in entries:

@@ -74,9 +74,6 @@ class LieRepresentation:
     def matrices(self) -> list[Matrix]:
         return [Matrix(self.field, None, _raw=np.ascontiguousarray(self.tensor[k])) for k in range(self.g)]
 
-    def matrix(self, k: int) -> Matrix:
-        return self.matrices[k]
-
     def with_scaling(self) -> "LieRepresentation":
         """Append the identity as one extra generator (scalar action)."""
         tensor = np.concatenate([self.tensor, self.field.eye(self.dim)[None]], axis=0)
@@ -301,15 +298,22 @@ def fock_element_action(space: QuadraticSpace, field, elem: CliffordElement) -> 
 
 def center_acts_minus_one(space: QuadraticSpace, rep: LieRepresentation) -> bool:
     """True when the Clifford scalar -1 negates every basis Fock vector of
-    the module carrying ``rep`` (spin or half-spin only)."""
-    if not ("spin(" in rep.name or "half_spin" in rep.name):
-        raise ValueError("center check applies to spin or half-spin representations")
+    the module carrying ``rep``.
+
+    ``rep`` must be the object ``spin_rep(space, rep.field)`` or one of
+    ``half_spin_reps(space, rep.field)`` (even, odd) returned; it is found by
+    identity in their cache, so the check constructs nothing.  Anything else
+    is a ValueError.
+    """
     field = rep.field
+    halves = _REP_CACHE.get(("half_spin", space.n, field), ())
+    parity = next((k for k, half in enumerate(halves) if half is rep), None)
+    if parity is None and rep is not _REP_CACHE.get(("spin", space.n, field)):
+        raise ValueError(f"center check needs the spin or a half-spin module of {space}, got {rep.name}")
     minus_one = CliffordElement.scalar(space, field, field.neg(field.one))
     act = fock_element_action(space, field, minus_one)
-    if "half_spin" in rep.name:
-        even, odd = parity_indices(space.n)
-        idx = even if "even" in rep.name else odd
+    if parity is not None:
+        idx = parity_indices(space.n)[parity]
         act = act.submatrix(idx, idx)
     expected = Matrix.identity(field, rep.dim).scale(field.neg(field.one))
     return act == expected
@@ -331,10 +335,6 @@ class SubalgebraEmbedding:
     sub_n: int
     gen_vectors: tuple
     pair_map: tuple
-
-    @property
-    def sub_space(self) -> QuadraticSpace:
-        return QuadraticSpace(self.sub_n)
 
 
 def _pair_map_from_vectors(ambient: QuadraticSpace, vectors: list[list[int]]):

@@ -34,6 +34,7 @@ from .octonion import (
     subalgebra_generated,
 )
 from .orbits import (
+    fixed_subspace,
     invariant_bilinear_space,
     invariant_quartic_dim,
     isotypic_fingerprint,
@@ -107,7 +108,7 @@ class RunConfig:
                 raise ValueError(f"unknown suite {name!r}")
 
     def resolved_suites(self) -> list:
-        if self.suites == ["all"] or self.suites == "all":
+        if self.suites == ["all"]:
             return list(SUITES)
         return list(self.suites)
 
@@ -280,14 +281,14 @@ def _spin7(cfg: RunConfig, f) -> dict:
     inv = invariant_bilinear_space(rep)
     rpt, v = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
     struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-    fixed = Matrix.vstack(kernel_action_matrices(rpt.kernel, rep)).kernel_basis()
-    contains_point = len(fixed) == 1 and Matrix(f, np.stack([fixed[0], np.asarray(v)])).rank() == 1
+    fixed_dim, fixed = fixed_subspace(kernel_action_matrices(rpt.kernel, rep))
+    contains_point = fixed_dim == 1 and Matrix(f, np.stack([fixed[0], np.asarray(v)])).rank() == 1
     scaled = f.reduce(np.asarray(v) * 7)
     return {
         "invariant-forms": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
         "stabilizer-dim": rpt.dimension,
         "killing-rank": struct.killing_rank,
-        "fixed-subspace": len(fixed),
+        "fixed-subspace": fixed_dim,
         "fixed-contains-point": contains_point,
         "orbit-dim": rpt.orbit_dimension,
         "center-negates": center_acts_minus_one(space, rep),

@@ -20,8 +20,8 @@ from spincert.clifford import QuadraticSpace, so_structure_constants
 from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import random_vector
 from spincert.orbits import (
-    generic_stabilizer_dim,
     invariant_bilinear_space,
+    min_trial_stabilizer,
     stabilizer,
 )
 from spincert.spinreps import (
@@ -223,7 +223,7 @@ def test_criterion_10_determinism_and_field_independence():
         (lambda f: spin_rep(QuadraticSpace(7), f), 14),
         (lambda f: half_spin_reps(QuadraticSpace(10), f)[0], 29),
     ):
-        dims = [generic_stabilizer_dim(build(GF(p)), 3, RandomSource(0)) for p in PRIMES]
+        dims = [min_trial_stabilizer(build(GF(p)), 3, 0)[0].dimension for p in PRIMES]
         ok &= dims == [expected, expected]
 
     # F_p versus Q replay on small instances

@@ -1,9 +1,14 @@
+import importlib
 import json
+import os
+import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spincert
 from spincert.cli import main
 
 
@@ -106,6 +111,21 @@ def test_env_override_and_flag_priority(capsys, monkeypatch):
     assert [s["suite"] for s in json.loads(out)["suites"]] == ["spin7"]  # flag beat the environment
 
 
+def test_malformed_env_is_usage_error_unless_flag_wins(capsys, monkeypatch):
+    monkeypatch.setenv("NOETHER_PRIME", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suites", "spin7"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    # list-suites never reads the run defaults
+    code, out = run_cli(["list-suites"], capsys)
+    assert code == 0 and "spin7" in out
+    monkeypatch.delenv("NOETHER_PRIME")
+    monkeypatch.setenv("NOETHER_TRIALS", "1.5")
+    code, out = run_cli(["run", "--suites", "spin7", "--trials", "2", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["trials"] == 2
+
+
 def test_dump_representations(tmp_path, capsys):
     out_file = tmp_path / "reps.json"
     code, _ = run_cli(
@@ -134,3 +154,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "g2_octonion" in proc.stdout
+
+
+# -- the names perfbench/ reaches in the package ------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_trace_and_setup_still_resolve():
+    # the tracer raises LayerMissing when a wrapped function is gone;
+    # child.py imports the modules and names every workload uses
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    for argv in (
+        ["-c", "import layertrace; layertrace.Tracer().install()"],
+        [str(ROOT / "perfbench" / "child.py"), "--setup-only"],
+    ):
+        proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "LayerMissing" not in proc.stderr
+
+
+def test_every_exported_name_resolves():
+    modules = [spincert] + [
+        importlib.import_module(f"spincert.{info.name}")
+        for info in pkgutil.iter_modules(spincert.__path__)
+        if not info.name.startswith("_")
+    ]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert len(modules) > 1 and missing == []

@@ -10,7 +10,6 @@ from spincert.orbits import (
     Aborted,
     ClosureViolation,
     fixed_subspace,
-    generic_stabilizer_dim,
     invariant_bilinear_space,
     invariant_quartic_dim,
     isotypic_fingerprint,
@@ -42,7 +41,7 @@ def test_stabilizer_of_zero_is_everything():
 
 def generic_dims(build, trials=3, seed=0):
     """Generic stabilizer dimension over each of the two primes."""
-    return [generic_stabilizer_dim(build(GF(p)), trials, RandomSource(seed)) for p in PRIMES]
+    return [min_trial_stabilizer(build(GF(p)), trials, seed)[0].dimension for p in PRIMES]
 
 
 def test_spin7_generic_stabilizer():
@@ -55,8 +54,8 @@ def test_half14_generic_stabilizer():
 
 def test_generic_dim_stable_under_seed_change():
     rep = spin_rep(QuadraticSpace(7), F)
-    d0 = generic_stabilizer_dim(rep, 3, RandomSource(0))
-    d1 = generic_stabilizer_dim(rep, 3, RandomSource(12345))
+    d0 = min_trial_stabilizer(rep, 3, 0)[0].dimension
+    d1 = min_trial_stabilizer(rep, 3, 12345)[0].dimension
     assert d0 == d1 == 14
 
 
@@ -78,7 +77,7 @@ def test_min_trial_stabilizer_keeps_first_minimum(monkeypatch):
     assert rpt.dimension == 3
     assert np.array_equal(v, random_vector(F, 8, RandomSource(7).child(1)))
     monkeypatch.setattr(orbits_mod, "stabilizer", real)
-    assert generic_stabilizer_dim(rep, 4, RandomSource(7)) == min_trial_stabilizer(rep, 4, 7)[0].dimension == 14
+    assert min_trial_stabilizer(rep, 4, 7)[0].dimension == 14
     with pytest.raises(ValueError):
         min_trial_stabilizer(rep, 0, 7)
 
@@ -232,8 +231,6 @@ def test_fixed_subspace_examples():
     assert stacked.rank() == 1  # the fixed line is the point's line
     dim_full, _ = fixed_subspace(rep.matrices)
     assert dim_full == 0  # irreducibility control
-    dim_empty, basis_empty = fixed_subspace([], field=F, dim=5)
-    assert dim_empty == 5 and len(basis_empty) == 5
 
 
 def test_isotypic_fingerprint_restricted_so5():
@@ -283,28 +280,21 @@ def test_quartic_invariants_spin11():
     assert invariant_quartic_dim(spin_rep(QuadraticSpace(11), F)) == 1
 
 
-def test_quartic_budget_and_field_guards():
-    with pytest.raises(Aborted):
-        invariant_quartic_dim(spin_rep(QuadraticSpace(11), F), max_candidates=10)
+def test_quartic_budget_and_field_guards(monkeypatch):
+    import spincert.orbits as orbits_mod
+
+    with monkeypatch.context() as m:
+        m.setattr(orbits_mod, "_QUARTIC_MAX_CANDIDATES", 10)
+        with pytest.raises(Aborted, match="candidate budget"):
+            invariant_quartic_dim(spin_rep(QuadraticSpace(11), F))
+    with monkeypatch.context() as m:
+        m.setattr(orbits_mod, "_QUARTIC_MAX_ROWS", 1)
+        with pytest.raises(Aborted, match="row budget"):
+            invariant_quartic_dim(vector_rep(QuadraticSpace(7), F))
     with pytest.raises(ValueError):
         invariant_quartic_dim(spin_rep(QuadraticSpace(11), QQ))
     with pytest.raises(ValueError):
         invariant_quartic_dim(half_spin_reps(QuadraticSpace(14), F)[0])
-
-
-def test_reports_serialize_to_json():
-    import json
-
-    rep = spin_rep(QuadraticSpace(7), F)
-    v = random_vector(F, 8, RandomSource(0).child(0))
-    r = stabilizer(rep, v)
-    r.trials = 3
-    r.primes = PRIMES
-    doc = r.to_json_dict()
-    json.dumps(doc)
-    assert doc["dimension"] == 14 and doc["orbit_dimension"] == 7
-    ss = subalgebra_structure(r.kernel, vector_rep(QuadraticSpace(7), F))
-    json.dumps(ss.to_json_dict())
 
 
 def test_subalgebra_structure_rejects_dependent_basis():

@@ -202,6 +202,22 @@ def test_center_acts_minus_one_half_spin():
         center_acts_minus_one(space, vector_rep(space, F))
 
 
+def test_center_acts_minus_one_dispatches_by_module_identity():
+    # the module is recognized as the constructors' cached object, not by name:
+    # a sum of two spin modules is neither, even though -1 negates it
+    space7 = QuadraticSpace(7)
+    spin7 = spin_rep(space7, F)
+    with pytest.raises(ValueError):
+        center_acts_minus_one(space7, direct_sum([spin7, spin7]))
+    # a half-spin module of so(10) does not belong to the space of dimension 7
+    with pytest.raises(ValueError):
+        center_acts_minus_one(space7, half_spin_reps(QuadraticSpace(10), F)[0])
+    # a copy under the cached module's name is not that module
+    copy = LieRepresentation(7, F, spin7.name, spin7.basis_labels, spin7.tensor)
+    with pytest.raises(ValueError):
+        center_acts_minus_one(space7, copy)
+
+
 def test_minus_one_conjugation_fixes_vectors():
     # (-1) v (-1)^{-1} = v inside the Clifford algebra
     space = QuadraticSpace(10)
