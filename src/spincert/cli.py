@@ -6,7 +6,8 @@ codes: 0 all selected suites passed, 1 at least one check failed, 2 usage
 error.  Every flag has an environment override with the NOETHER_ prefix;
 flags win over the environment.  An override is the flag's raw default
 string, so argparse converts it only when the flag is absent and reports a
-malformed one as a usage error.
+malformed one as a usage error; ``NOETHER_STRETCH`` takes 1/true/yes/on or
+0/false/no/off in any case.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ from .kernels import backend
 from .suites import SUITES, RunConfig, report_to_dict, run_selected
 
 _ENV_PREFIX = "NOETHER_"
+_SWITCH_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 
 def _env(name: str, default):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    return raw
+    return os.environ.get(_ENV_PREFIX + name, default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,6 +135,10 @@ def main(argv=None) -> int:
             print(f"{name} - {anchor}")
         return 0
 
+    if isinstance(args.stretch, str):  # the raw NOETHER_STRETCH; --stretch stores True
+        if args.stretch.lower() not in _SWITCH_WORDS:
+            parser.error(f"invalid NOETHER_STRETCH value: {args.stretch!r} (use 1/true/yes/on or 0/false/no/off)")
+        args.stretch = _SWITCH_WORDS[args.stretch.lower()]
     cfg = _config_from_args(args)
     try:
         cfg.validate()

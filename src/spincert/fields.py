@@ -16,7 +16,9 @@ array methods, so every other module has one code path for both:
 - ``reduce(arr)`` maps the result of ``+``, ``-`` or ``*`` by a scalar back
   into the field (``% p`` over F_p, nothing over Q);
 - ``matmul(a, b)`` is the exact product, batched shapes included
-  (``kernels.matmul_mod`` over F_p, ``np.matmul`` over Q);
+  (``kernels.matmul_mod`` over F_p; over Q each operand is scaled by the lcm
+  of its denominators, the Python-int object arrays are multiplied with
+  ``np.matmul`` and every output entry is divided once into a ``Fraction``);
 - ``json_entries(arr)`` gives nested lists for a JSON dump: ints over F_p,
   strings such as ``"1/4"`` over Q.
 
@@ -26,6 +28,8 @@ where the float64 products are provably exact.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,14 +208,17 @@ class RationalField:
 
     def array(self, data) -> np.ndarray:
         # object input keeps its Python ints, so no Fraction wraps an int64
-        return np.asarray(np.frompyfunc(Fraction, 1, 1)(np.asarray(data, dtype=object)), dtype=object)
+        return np.asarray(_fraction(np.asarray(data, dtype=object)), dtype=object)
 
     def reduce(self, arr):
         return arr
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # with an empty inner dimension np.matmul fills int 0, not Fraction(0)
-        return np.matmul(a, b) if a.shape[-1] else self.zeros(np.matmul(a, b).shape)
+        (ints_a, den_a), (ints_b, den_b) = _cleared(a), _cleared(b)
+        den = den_a * den_b
+        # an empty inner dimension gives int 0 entries, which become Fraction(0) here too
+        divide = _fraction if den == 1 else np.frompyfunc(lambda x: Fraction(x, den), 1, 1)
+        return divide(np.matmul(ints_a, ints_b))
 
     def json_entries(self, arr: np.ndarray) -> list:
         return arr.astype(str).tolist()
@@ -224,6 +231,18 @@ class RationalField:
 
 
 QQ = RationalField()
+
+_fraction = np.frompyfunc(Fraction, 1, 1)
+_numerator = np.frompyfunc(operator.attrgetter("numerator"), 1, 1)
+_denominator = np.frompyfunc(operator.attrgetter("denominator"), 1, 1)
+
+
+def _cleared(arr: np.ndarray):
+    """(Python-int object array, d) with arr = ints / d, d the lcm of the denominators."""
+    den = math.lcm(*_denominator(arr).ravel().tolist())
+    if den == 1:
+        return _numerator(arr), 1
+    return np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(arr), den
 
 _GF_CACHE: dict[int, PrimeField] = {}
 

@@ -10,12 +10,12 @@ style of Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
 prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008.  A leaf
 pays rows x cols for every pivot although the rank is at most cols; the
 driver keeps a reduced basis of rank <= cols and meets each block of 64 rows
-with two ``matmul_mod`` products and one leaf call on the block alone.  RREF
-is unique, so the output is the leaf's, bit for bit.  The size floor is
-there because each block has a fixed cost (two products, one leaf call)
-that a low-rank input does not repay: the leaf is cheap when it finds few
-pivots, and small tall inputs of rank 0, such as 512x64 or 256x128, run
-3-4x slower through the driver.
+with two ``matmul_mod`` products and one leaf call on the block alone.  The
+basis is the identity on its pivot columns, so each block residual is formed
+and eliminated on the free columns only, and an all-zero residual skips the
+leaf.  RREF is unique, so the output is the leaf's, bit for bit.  The size
+floor is there because each block has a fixed cost that a low-rank input
+does not repay: the leaf is cheap when it finds few pivots.
 
 Matrix multiplication mod p is shared by both backends: for the default
 primes the products fit a float64 mantissa exactly, so BLAS does the work
@@ -57,12 +57,15 @@ def rref_mod(a, p):
     pivots = np.zeros(0, dtype=np.intp)
     for start in range(0, rows, _BLOCK):
         block = m[start : start + _BLOCK]
-        residual = (block - matmul_mod(block[:, pivots], basis, p)) % p
-        red, new = _impl.rref(residual, p)
-        if not new:
+        # the basis is the identity on its pivot columns, so the residual is zero there
+        free = np.delete(np.arange(cols), pivots)
+        residual = (block[:, free] - matmul_mod(block[:, pivots], basis[:, free], p)) % p
+        if not residual.any():
             continue
-        new = np.array(new, dtype=np.intp)
-        fresh = red[: len(new)]
+        red, new = _impl.rref(residual, p)
+        new = free[list(new)]
+        fresh = np.zeros((len(new), cols), dtype=np.int64)
+        fresh[:, free] = red[: len(new)]
         basis = (basis - matmul_mod(basis[:, new], fresh, p)) % p
         pivots = np.concatenate([pivots, new])
         order = np.argsort(pivots)

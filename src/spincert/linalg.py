@@ -4,20 +4,19 @@ The ``Matrix`` class is the universal carrier for representation matrices,
 stacked action maps, Jacobians and kernels.  Its entry arrays, and the
 arithmetic on them, come from the field (see ``fields``).  Elimination is the
 one step that differs by field: over F_p it goes through the selected kernel
-backend; over Q it is fraction-free (Bareiss) on cleared-denominator integer
-rows, with a final exact normalization pass to reduced row echelon form.
-Pivoting is always first-nonzero in column order, so every result is
-deterministic.
+backend; over Q it is fraction-free Gauss-Jordan on cleared-denominator
+integer rows, which forms one ``Fraction`` per output entry at the end
+(``_rref_qq``).  Pivoting is always first-nonzero in column order, so every
+result is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .fields import PrimeField, RandomSource
+from .fields import PrimeField, RandomSource, _cleared
 from .kernels import rref_mod
 
 __all__ = [
@@ -190,16 +189,11 @@ class Matrix:
     def kernel_basis(self) -> list[np.ndarray]:
         """Basis of the right null space; each v satisfies self @ v == 0."""
         red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        out = []
-        for f in free:
-            v = self.field.zeros(self.cols)
-            v[f] = self.field.one
-            for i, c in enumerate(pivots):
-                v[c] = self.field.neg(red.data[i, f])
-            out.append(v)
-        return out
+        free = np.delete(np.arange(self.cols), pivots)
+        basis = self.field.zeros((len(free), self.cols))
+        basis[:, free] = self.field.eye(len(free))
+        basis[:, list(pivots)] = self.field.reduce(-red.data[: len(pivots), free].T)
+        return list(basis)
 
     def solve(self, b):
         """Solve ``self @ x = b`` for a vector b.
@@ -227,8 +221,9 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
         if isinstance(self.field, PrimeField):
-            return _det_gf(self.data, self.field.p)
-        return _det_qq(self.data)
+            return _det_int(self.data.tolist()) % self.field.p
+        ints, den = _cleared(self.data)
+        return Fraction(_det_int(ints.tolist()), den**self.rows)
 
     def inverse(self):
         if self.rows != self.cols:
@@ -256,119 +251,58 @@ def random_matrix(field, rows, cols, rng: RandomSource) -> Matrix:
 
 
 def _rref_qq(arr: np.ndarray):
-    """RREF over Q: Bareiss forward pass on integers, exact normalization.
+    """RREF over Q by fraction-free Gauss-Jordan on integer rows.
 
-    Rows are first scaled by their denominator lcm (which changes neither
-    rank nor kernel nor solution sets of augmented systems), then reduced
-    fraction-free so intermediate entries stay integral minors.
+    The matrix is first scaled by the lcm of its denominators, which changes
+    neither the row space nor the pivots.  Each pivot step then replaces
+    every other row by (piv * row - f * pivot row) / prev, prev the previous
+    pivot; the division is exact, because every entry stays an integer minor
+    (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and Williams, ACM SIGSAM
+    Bull. 31(3), 1997).  At the end each pivot row is d times its reduced
+    row, d the last pivot, so each output entry is one ``Fraction(x, d)``.
     """
     rows, cols = arr.shape
-    work: list[list[int]] = []
-    for i in range(rows):
-        dens = [Fraction(x).denominator for x in arr[i]]
-        l = 1
-        for d in dens:
-            l = l * d // gcd(l, d)
-        work.append([int(Fraction(x) * l) for x in arr[i]])
-
+    m, _ = _cleared(arr)
     pivots: list[int] = []
-    r = 0
     prev = 1
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        sel = -1
-        for i in range(r, rows):
-            if work[i][c] != 0:
-                sel = i
-                break
-        if sel < 0:
+        nz = np.flatnonzero(m[r:, c] != 0)
+        if not nz.size:
             continue
-        if sel != r:
-            work[r], work[sel] = work[sel], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, rows):
-            wi = work[i]
-            f = wi[c]
-            wr = work[r]
-            for j in range(c, cols):
-                wi[j] = (piv * wi[j] - f * wr[j]) // prev
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        piv = m[r, c]
+        others = np.arange(rows) != r
+        m[others] = (piv * m[others] - np.outer(m[others, c], m[r])) // prev
         prev = piv
         pivots.append(c)
-        r += 1
-
-    # Back-substitute to reduced form with exact Fractions.
-    frac = [[Fraction(x) for x in row] for row in work[: len(pivots)]]
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        piv = frac[i][c]
-        if piv != 1:
-            frac[i] = [x / piv for x in frac[i]]
-        for k in range(i):
-            f = frac[k][c]
-            if f != 0:
-                frac[k] = [a - f * b for a, b in zip(frac[k], frac[i])]
-    out = np.empty((rows, cols), dtype=object)
-    out[:] = Fraction(0)
-    for i, row in enumerate(frac):
-        for j, x in enumerate(row):
-            out[i, j] = x
+    out = np.full((rows, cols), Fraction(0), dtype=object)
+    out[: len(pivots)] = np.frompyfunc(lambda x: Fraction(x, prev), 1, 1)(m[: len(pivots)])
     return out, tuple(pivots)
 
 
-def _det_qq(arr: np.ndarray) -> Fraction:
-    n = arr.shape[0]
-    dens = Fraction(1)
-    work: list[list[int]] = []
-    for i in range(n):
-        row = [Fraction(x) for x in arr[i]]
-        l = 1
-        for x in row:
-            l = l * x.denominator // gcd(l, x.denominator)
-        dens *= l
-        work.append([int(x * l) for x in row])
+def _det_int(work: list[list[int]]) -> int:
+    """Determinant of an integer matrix (rows as lists, consumed) by Bareiss elimination."""
+    n = len(work)
     sign = 1
     prev = 1
     for c in range(n):
-        sel = -1
-        for i in range(c, n):
-            if work[i][c] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(c, n) if work[i][c]), -1)
         if sel < 0:
-            return Fraction(0)
+            return 0
         if sel != c:
             work[c], work[sel] = work[sel], work[c]
             sign = -sign
         piv = work[c][c]
         for i in range(c + 1, n):
             f = work[i][c]
-            for j in range(c, n):
-                work[i][j] = (piv * work[i][j] - f * work[c][j]) // prev
+            work[i] = [(piv * x - f * y) // prev for x, y in zip(work[i], work[c])]
         prev = piv
-    return Fraction(sign * work[n - 1][n - 1]) / dens
-
-
-def _det_gf(arr: np.ndarray, p: int) -> int:
-    m = arr.copy()
-    n = m.shape[0]
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            m[[c, i]] = m[[i, c]]
-            det = -det
-        piv = int(m[c, c])
-        det = det * piv % p
-        inv = pow(piv, -1, p)
-        below = np.nonzero(m[c + 1 :, c])[0] + c + 1
-        if below.size:
-            factors = m[below, c] * inv % p
-            m[below] = (m[below] - np.outer(factors, m[c])) % p
-    return det % p
+    return sign * prev
 
 
 # -- spans -------------------------------------------------------------------

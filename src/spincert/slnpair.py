@@ -7,6 +7,15 @@ turn the nonsingular-pi fiber geometry into executable exact checks:
 normalization of X to the J block, the unipotent transporter inside one
 fiber, triviality of the tangent stabilizer, and surjectivity of the
 differential of pi.
+
+Group elements always come with their inverse, so acting needs no
+elimination: ``random_sl`` and ``random_samples`` draw A = LU from two
+unitriangular factors and form A^{-1} = U^{-1} L^{-1} by forward substitution,
+normalization inverts the completed basis of X, and a transporter I + t e_n^T
+has inverse I - t e_n^T.  ``act`` checks the given inverse with one product
+and refuses a determinant other than one.  It takes field arrays, one pair
+or a stack, so ``random_samples`` and ``act`` run many samples in a few
+batched products, with the same code over either field.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ __all__ = [
     "jacobian_rank_pi",
     "random_sl",
     "random_pair",
+    "random_samples",
     "random_fiber_partner",
 ]
 
@@ -89,14 +99,22 @@ def canonical_j(field, n: int) -> Matrix:
     return Matrix(field, arr)
 
 
-def act(a: Matrix, pair: MatrixPair) -> MatrixPair:
-    """(X, Y) -> (AX, Y A^{-1}), defined only for det(A) = 1."""
-    n = pair.n
-    if a.rows != n or a.cols != n:
+def act(field, a, a_inv, x, y):
+    """(X, Y) -> (AX, Y A^{-1}) for A in SL_n, with A^{-1} given by the caller.
+
+    Field arrays: ``a`` and ``a_inv`` of shape (..., n, n), ``x`` of shape
+    (..., n, n-1) and ``y`` of shape (..., n-1, n), one pair or a stack.
+    Raises ValueError unless A A^{-1} = I, and NotInSLn for any A whose
+    determinant is not one.
+    """
+    n = x.shape[-2]
+    if a.shape[-2:] != (n, n) or a_inv.shape != a.shape:
         raise ValueError("acting matrix has the wrong size")
-    if a.det() != pair.field.one:
+    if not np.array_equal(field.matmul(a, a_inv), np.broadcast_to(field.eye(n), a.shape)):
+        raise ValueError("a_inv is not the inverse of a")
+    if any(Matrix(field, None, _raw=m).det() != field.one for m in a.reshape(-1, n, n)):
         raise NotInSLn("acting matrix must have determinant 1")
-    return MatrixPair(a @ pair.X, pair.Y @ a.inverse())
+    return field.matmul(a, x), field.matmul(y, a_inv)
 
 
 def tau(pair: MatrixPair) -> MatrixPair:
@@ -110,34 +128,31 @@ def pi(pair: MatrixPair) -> Matrix:
 
 
 def normalize_to_j(pair: MatrixPair) -> tuple[Matrix, Matrix]:
-    """Find A in SL_n with A X = J; returns (A, Y A^{-1}).
+    """Find A in SL_n with A X = J; returns (A, A^{-1}).
 
     The columns of X are completed to a basis by the first standard basis
-    vector outside their span, and that appended column is scaled by the
-    inverse determinant to land in SL_n.  Deterministic by construction.
+    vector e_i outside their span, and that appended column is scaled by the
+    inverse determinant to land in SL_n; A^{-1} is that basis.  One
+    reduction of [X | I] finds everything: X has rank n-1 iff its columns
+    are pivots, the next pivot is the column of e_i, and the right block E
+    of the reduced form is [X | e_i]^{-1}.  So the scale is det E, and A is
+    E with its last row divided by det E.  Deterministic by construction.
     """
     n = pair.n
     field = pair.field
-    if pair.X.rank() != n - 1:
+    red, pivots = Matrix.hstack([pair.X, Matrix.identity(field, n)]).rref()
+    if pivots[: n - 1] != tuple(range(n - 1)):
         raise DegeneratePair("X has rank below n-1")
-    completed = None
-    for i in range(n):
-        e = Matrix.zeros(field, n, 1).data.copy()
-        e[i, 0] = field.one
-        cand = Matrix.hstack([pair.X, Matrix(field, e)])
-        if cand.rank() == n:
-            completed = cand
-            break
-    assert completed is not None
-    d = completed.det()
-    scaled = completed.data.copy()
-    scaled[:, n - 1] = field.reduce(scaled[:, n - 1] * field.inv(d))
-    basis = Matrix(field, None, _raw=scaled)
-    a = basis.inverse()
-    j = canonical_j(field, n)
-    if not (a @ pair.X) == j:
+    e = red.data[:, n - 1 :]
+    scale = Matrix(field, None, _raw=e).det()
+    basis = np.hstack([pair.X.data, field.zeros((n, 1))])
+    basis[pivots[n - 1] - (n - 1), n - 1] = scale
+    a = e.copy()
+    a[n - 1] = field.reduce(a[n - 1] * field.inv(scale))
+    a = Matrix(field, None, _raw=a)
+    if not (a @ pair.X) == canonical_j(field, n):
         raise AssertionError("normalization replay failed")
-    return a, pair.Y @ basis
+    return a, Matrix(field, None, _raw=basis)
 
 
 def fiber_transporter(pair_jy: MatrixPair, pair_jz: MatrixPair) -> Matrix:
@@ -145,9 +160,9 @@ def fiber_transporter(pair_jy: MatrixPair, pair_jz: MatrixPair) -> Matrix:
 
     AJ = J forces A to be the identity plus a free last column t; Z A = Y
     then is a linear system whose coefficient matrix is exactly YJ, so
-    nonsingularity gives exactly one solution.  Y = Z returns the identity,
-    which is the scheme-theoretic triviality of the stabilizer seen at the
-    level of points.
+    nonsingularity gives exactly one solution, and a singular YX gives none
+    or many.  Y = Z returns the identity, which is the scheme-theoretic
+    triviality of the stabilizer seen at the level of points.
     """
     n = pair_jy.n
     field = pair_jy.field
@@ -155,81 +170,97 @@ def fiber_transporter(pair_jy: MatrixPair, pair_jz: MatrixPair) -> Matrix:
     if not (pair_jy.X == j and pair_jz.X == j):
         raise ValueError("fiber transporter expects pairs normalized to J")
     pi_y = pi(pair_jy)
-    pi_z = pi(pair_jz)
-    if not pi_y == pi_z:
+    if not pi_y == pi(pair_jz):
         raise NotSameFiber("pairs have different products YX")
-    if pi_y.rank() != n - 1:
-        raise SingularFiber("YX is singular")
     t = pi_y.solve(field.reduce(pair_jy.Y.col(n - 1) - pair_jz.Y.col(n - 1)))
     if t is NO_SOLUTION or t is NON_UNIQUE:
-        raise AssertionError("nonsingular system failed to solve uniquely")
-    arr = Matrix.identity(field, n).data.copy()
-    arr[: n - 1, n - 1] = t
-    a = Matrix(field, None, _raw=arr)
-    moved = act(a, pair_jy)
-    if not (moved.X == pair_jz.X and moved.Y == pair_jz.Y):
+        raise SingularFiber("YX is singular")
+    a, a_inv = field.eye(n), field.eye(n)
+    a[: n - 1, n - 1] = t
+    a_inv[: n - 1, n - 1] = field.reduce(-t)
+    x, y = act(field, a, a_inv, pair_jy.X.data, pair_jy.Y.data)
+    if not (np.array_equal(x, pair_jz.X.data) and np.array_equal(y, pair_jz.Y.data)):
         raise AssertionError("transporter replay failed")
-    return a
+    return Matrix(field, None, _raw=a)
 
 
 def stabilizer_lie_dim(pair: MatrixPair) -> int:
     """dim {a in sl_n : a X = 0 and Y a = 0}; 0 whenever YX is nonsingular."""
     n = pair.n
     field = pair.field
-    rows = []
-    # (aX)[i, j] = sum_k a[i, k] X[k, j]
-    for i in range(n):
-        for jcol in range(n - 1):
-            row = field.zeros(n * n)
-            for k in range(n):
-                row[i * n + k] = pair.X.data[k, jcol]
-            rows.append(row)
-    # (Ya)[i, j] = sum_k Y[i, k] a[k, j]
-    for i in range(n - 1):
-        for jcol in range(n):
-            row = field.zeros(n * n)
-            for k in range(n):
-                row[k * n + jcol] = pair.Y.data[i, k]
-            rows.append(row)
-    trace = field.zeros(n * n)
-    for i in range(n):
-        trace[i * n + i] = field.one
-    rows.append(trace)
-    system = Matrix(field, np.stack(rows))
-    return len(system.kernel_basis())
+    idx = np.arange(n)
+    # a flattened row-major: (aX)[i, j] = sum_k X[k, j] a[i, k], (Ya)[i, j] = sum_k Y[i, k] a[k, j]
+    ax = field.zeros((n, n - 1, n, n))
+    ax[idx, :, idx, :] = pair.X.data.T
+    ya = field.zeros((n - 1, n, n, n))
+    ya[:, idx, :, idx] = pair.Y.data
+    trace = field.zeros((1, n, n))
+    trace[0, idx, idx] = field.one
+    system = np.vstack([m.reshape(-1, n * n) for m in (ax, ya, trace)])
+    return len(Matrix(field, None, _raw=system).kernel_basis())
 
 
 def jacobian_rank_pi(pair: MatrixPair) -> int:
     """Rank of (H, K) -> Y H + K X from dimension 2n(n-1) onto (n-1)^2."""
     n = pair.n
     field = pair.field
-    mat = field.zeros(((n - 1) * (n - 1), 2 * n * (n - 1)))
-    # H has shape n x (n-1): columns H[a, j] at index a*(n-1)+j
-    # K has shape (n-1) x n: columns K[i, b] at offset n(n-1) + i*n + b
-    off = n * (n - 1)
-    for i in range(n - 1):
-        for j in range(n - 1):
-            r = i * (n - 1) + j
-            for a in range(n):
-                mat[r, a * (n - 1) + j] = pair.Y.data[i, a]
-            for b in range(n):
-                mat[r, off + i * n + b] = pair.X.data[b, j]
+    idx = np.arange(n - 1)
+    # row (i, j); H[a, j] is column a*(n-1)+j, K[i, b] is column n(n-1) + i*n + b
+    yh = field.zeros((n - 1, n - 1, n, n - 1))
+    yh[:, idx, :, idx] = pair.Y.data
+    kx = field.zeros((n - 1, n - 1, n - 1, n))
+    kx[idx, :, idx, :] = pair.X.data.T
+    mat = np.hstack([m.reshape((n - 1) ** 2, -1) for m in (yh, kx)])
     return Matrix(field, None, _raw=mat).rank()
 
 
-def random_sl(field, n: int, rng: RandomSource) -> Matrix:
-    """A random determinant-one matrix: product of two random unitriangulars."""
-    lo = Matrix.identity(field, n).data.copy()
-    up = Matrix.identity(field, n).data.copy()
-    for i in range(n):
-        for j in range(i):
-            lo[i, j] = rng.scalar(field)
-            up[j, i] = rng.scalar(field)
-    return Matrix(field, None, _raw=lo) @ Matrix(field, None, _raw=up)
+def _lower_unitriangular_inverse(field, t):
+    """Inverses of a stack of lower unitriangular matrices T, by forward
+    substitution: row i of T^{-1} is e_i - T[i, :i] T^{-1}[:i]."""
+    n = t.shape[-1]
+    inv = np.broadcast_to(field.eye(n), t.shape).copy()
+    for i in range(1, n):
+        inv[..., i, :i] = field.reduce(-field.matmul(t[..., i, None, :i], inv[..., :i, :i])[..., 0, :])
+    return inv
+
+
+def _sl_with_inverse(field, n, scalars):
+    """(A, A^{-1}) with A = LU, from scalars in the order ``random_sl`` draws them.
+
+    ``scalars`` has shape (..., n(n-1)): for each i and each j < i the entry
+    L[i, j], then U[j, i].  A^{-1} = U^{-1} L^{-1}, and U^{-1} is the
+    transpose of the inverse of U^T.
+    """
+    rows, cols = np.tril_indices(n, -1)
+    lo = np.broadcast_to(field.eye(n), scalars.shape[:-1] + (n, n)).copy()
+    up_t = lo.copy()
+    lo[..., rows, cols] = scalars[..., 0::2]
+    up_t[..., rows, cols] = scalars[..., 1::2]
+    a = field.matmul(lo, np.swapaxes(up_t, -1, -2))
+    up_inv = np.swapaxes(_lower_unitriangular_inverse(field, up_t), -1, -2)
+    return a, field.matmul(up_inv, _lower_unitriangular_inverse(field, lo))
+
+
+def random_sl(field, n: int, rng: RandomSource) -> tuple[Matrix, Matrix]:
+    """A random determinant-one matrix and its inverse: A = LU for two random unitriangulars."""
+    a, a_inv = _sl_with_inverse(field, n, field.array(rng.scalars(field, n * (n - 1))))
+    return Matrix(field, None, _raw=a), Matrix(field, None, _raw=a_inv)
 
 
 def random_pair(field, n: int, rng: RandomSource) -> MatrixPair:
     return MatrixPair(random_matrix(field, n, n - 1, rng), random_matrix(field, n - 1, n, rng))
+
+
+def random_samples(field, n: int, rng: RandomSource, count: int):
+    """``count`` draws of (random_pair, random_sl), stacked: (X, Y, A, A^{-1}).
+
+    The scalars, and their order in the stream, are those of ``count``
+    alternating calls to ``random_pair`` and ``random_sl``.
+    """
+    k = n * (n - 1)
+    s = field.array(rng.scalars(field, count * 3 * k)).reshape(count, 3 * k)
+    a, a_inv = _sl_with_inverse(field, n, s[:, 2 * k :])
+    return s[:, :k].reshape(count, n, n - 1), s[:, k : 2 * k].reshape(count, n - 1, n), a, a_inv
 
 
 def random_fiber_partner(pair_jy: MatrixPair, rng: RandomSource) -> MatrixPair:

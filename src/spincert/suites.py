@@ -1,12 +1,13 @@
 """Verification suites: constructions bound to expected certificates.
 
-Every suite except ``sln_quotient`` is a per-field function, which computes
-the suite's values over one prime field keyed by check id, and a table of
-check specs (id, description, expected, provenance, anchor) in report order.
-One genericity protocol, ``_Recorder.two_prime``, runs the per-field function
-once for each configured prime and records, per spec, the agreed value, or
-"a / b (primes disagree)" as a failing check.  ``sln_quotient`` labels its
-checks per prime and includes Q, so it records them one at a time.
+Every suite is a per-field function, which computes the suite's values over
+one field keyed by check id, and a table of check specs (id, description,
+expected, provenance, anchor) in report order.  One genericity protocol,
+``_Recorder.two_prime``, runs the per-field function once for each
+configured prime and records, per spec, the agreed value, or "a / b (primes
+disagree)" as a failing check.  ``sln_quotient`` instead records every field
+on its own, Q for n = 2..5 and each prime for n = 2..8, with the field's
+label and n in the check ids.
 
 Provenance is "literature" for values anchored in published stabilizer
 classifications, "derived" for values the package computes independently,
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .orbits import (
     subalgebra_structure_from_matrices,
 )
 from .slnpair import (
+    DegeneratePair,
     MatrixPair,
     act,
     canonical_j,
@@ -54,7 +57,7 @@ from .slnpair import (
     pi,
     random_fiber_partner,
     random_pair,
-    random_sl,
+    random_samples,
     stabilizer_lie_dim,
     tau,
 )
@@ -643,106 +646,110 @@ _BRANCHING_CHECKS = (
 )
 
 
-def _suite_sln_quotient(cfg: RunConfig, rec: _Recorder):
-    plans = [("QQ", QQ, range(2, 6))]
-    for p in cfg.primes:
-        plans.append((f"F{p}", GF(p), range(2, 9)))
+def _sln_quotient(cfg: RunConfig, f, n: int) -> dict:
+    rng = RandomSource(cfg.seed)
+    x, y, a, a_inv = random_samples(f, n, rng, 50)
+    ax, ya = act(f, a, a_inv, x, y)
+    invariant = np.array_equal(f.matmul(ya, ax), f.matmul(y, x))
 
+    tau_ok = norm_ok = True
+    for _ in range(5):
+        pr = random_pair(f, n, rng)
+        tau_ok &= pi(tau(pr)) == pi(pr).T
+        try:
+            g, g_inv = normalize_to_j(pr)
+        except DegeneratePair:
+            continue
+        moved, _ = act(f, g.data, g_inv.data, pr.X.data, pr.Y.data)
+        norm_ok &= np.array_equal(moved, canonical_j(f, n).data)
+
+    found = attempts = 0
+    while found < 10 and attempts < 40:
+        attempts += 1
+        pr = random_pair(f, n, rng)
+        if pi(pr).rank() != n - 1:
+            continue
+        _, basis = normalize_to_j(pr)
+        jy = MatrixPair(canonical_j(f, n), pr.Y @ basis)
+        fiber_transporter(jy, random_fiber_partner(jy, rng))  # replays the move and checks det 1
+        found += 1
+
+    return {
+        "pi-invariant": invariant,
+        "tau-quotient": tau_ok,
+        "normalize": norm_ok,
+        "transporter": found,
+        "stabilizer": min(stabilizer_lie_dim(random_pair(f, n, rng)) for _ in range(cfg.trials)),
+        "jacobian": max(jacobian_rank_pi(random_pair(f, n, rng)) for _ in range(cfg.trials)),
+    }
+
+
+# (kind, description, expected, provenance, anchor); the id is "{kind}-{label}-n{n}"
+# and a callable expected value is applied to n
+_SLN_QUOTIENT_CHECKS = (
+    (
+        "pi-invariant",
+        "pi(A.(X,Y)) = pi(X,Y) over 50 samples, n={n}, {label}",
+        True,
+        "derived",
+        "the product YX is constant on orbits",
+    ),
+    (
+        "tau-quotient",
+        "pi(tau(p)) = pi(p)^T over samples, n={n}, {label}",
+        True,
+        "derived",
+        "the involution descends to transposition on the quotient",
+    ),
+    (
+        "normalize",
+        "normalization to the J block replays exactly, n={n}, {label}",
+        True,
+        "derived",
+        "the group moves any full-rank X to the canonical block",
+    ),
+    (
+        "transporter",
+        "unique fiber transporter found and replayed on 10 sampled fibers, n={n}, {label}",
+        10,
+        "derived",
+        "the fiber through a nonsingular-product pair is one orbit with trivial stabilizer",
+    ),
+    (
+        "stabilizer",
+        "tangent stabilizer dimension at a generic pair, n={n}, {label}",
+        0,
+        "derived",
+        "the tangent-level stabilizer vanishes where YX is nonsingular",
+    ),
+    (
+        "jacobian",
+        "rank of the differential of pi at a generic pair, n={n}, {label}",
+        lambda n: (n - 1) ** 2,
+        "derived",
+        "the differential is onto, so the quotient map is generically smooth",
+    ),
+)
+
+
+def _suite_sln_quotient(cfg: RunConfig, rec: _Recorder):
+    plans = [("QQ", QQ, range(2, 6))] + [(f"F{p}", GF(p), range(2, 9)) for p in cfg.primes]
     for label, f, ns in plans:
         for n in ns:
-            rng = RandomSource(cfg.seed)
-            inv_ok = True
-            for _ in range(50):
-                pr = random_pair(f, n, rng)
-                a = random_sl(f, n, rng)
-                if not pi(act(a, pr)) == pi(pr):
-                    inv_ok = False
-            rec.add(
-                f"pi-invariant-{label}-n{n}",
-                f"pi(A.(X,Y)) = pi(X,Y) over 50 samples, n={n}, {label}",
-                True,
-                inv_ok,
-                "derived",
-                "the product YX is constant on orbits",
-            )
-
-            tau_ok = True
-            norm_ok = True
-            for _ in range(5):
-                pr = random_pair(f, n, rng)
-                if not pi(tau(pr)) == pi(pr).T:
-                    tau_ok = False
-                if pr.X.rank() == n - 1:
-                    a, y2 = normalize_to_j(pr)
-                    moved = act(a, pr)
-                    if not (moved.X == canonical_j(f, n) and moved.Y == y2):
-                        norm_ok = False
-            rec.add(
-                f"tau-quotient-{label}-n{n}",
-                f"pi(tau(p)) = pi(p)^T over samples, n={n}, {label}",
-                True,
-                tau_ok,
-                "derived",
-                "the involution descends to transposition on the quotient",
-            )
-            rec.add(
-                f"normalize-{label}-n{n}",
-                f"normalization to the J block replays exactly, n={n}, {label}",
-                True,
-                norm_ok,
-                "derived",
-                "the group moves any full-rank X to the canonical block",
-            )
-
-            trans_ok = 0
-            attempts = 0
-            while trans_ok < 10 and attempts < 40:
-                attempts += 1
-                pr = random_pair(f, n, rng)
-                if pi(pr).rank() != n - 1:
-                    continue
-                aj, y2 = normalize_to_j(pr)
-                jy = MatrixPair(canonical_j(f, n), y2)
-                jz = random_fiber_partner(jy, rng)
-                a = fiber_transporter(jy, jz)
-                if a.det() == f.one:
-                    trans_ok += 1
-            rec.add(
-                f"transporter-{label}-n{n}",
-                f"unique fiber transporter found and replayed on 10 sampled fibers, n={n}, {label}",
-                10,
-                trans_ok,
-                "derived",
-                "the fiber through a nonsingular-product pair is one orbit with trivial stabilizer",
-            )
-
-            stab = min(stabilizer_lie_dim(random_pair(f, n, rng)) for _ in range(cfg.trials))
-            rec.add(
-                f"stabilizer-{label}-n{n}",
-                f"tangent stabilizer dimension at a generic pair, n={n}, {label}",
-                0,
-                stab,
-                "derived",
-                "the tangent-level stabilizer vanishes where YX is nonsingular",
-            )
-
-            jac = max(jacobian_rank_pi(random_pair(f, n, rng)) for _ in range(cfg.trials))
-            rec.add(
-                f"jacobian-{label}-n{n}",
-                f"rank of the differential of pi at a generic pair, n={n}, {label}",
-                (n - 1) ** 2,
-                jac,
-                "derived",
-                "the differential is onto, so the quotient map is generically smooth",
-            )
+            values = _sln_quotient(cfg, f, n)
+            for kind, description, expected, provenance, anchor in _SLN_QUOTIENT_CHECKS:
+                rec.add(
+                    f"{kind}-{label}-n{n}",
+                    description.format(n=n, label=label),
+                    expected(n) if callable(expected) else expected,
+                    values[kind],
+                    provenance,
+                    anchor,
+                )
 
     # the worked 2x2 case
     x = Matrix(QQ, [[1], [0]])
-    jy = MatrixPair(x, Matrix(QQ, [[3, 5]]))
-    jz = MatrixPair(x, Matrix(QQ, [[3, 7]]))
-    a = fiber_transporter(jy, jz)
-    from fractions import Fraction
-
+    a = fiber_transporter(MatrixPair(x, Matrix(QQ, [[3, 5]])), MatrixPair(x, Matrix(QQ, [[3, 7]])))
     rec.add(
         "hand-transporter",
         "the 2x2 worked example solves to t1 = -2/3",

@@ -126,6 +126,34 @@ def test_malformed_env_is_usage_error_unless_flag_wins(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["trials"] == 2
 
 
+def test_stretch_env_words(capsys, monkeypatch):
+    import spincert.cli as cli_mod
+
+    seen = []
+    monkeypatch.setattr(cli_mod, "run_selected", lambda cfg: seen.append(cfg.stretch) or [])
+    for word, stretch in (("Yes", True), ("ON", True), ("1", True), ("false", False), ("Off", False), ("0", False)):
+        monkeypatch.setenv("NOETHER_STRETCH", word)
+        assert main(["run", "--suites", "spin11"]) == 0
+        assert seen.pop() is stretch
+    capsys.readouterr()
+
+
+def test_malformed_stretch_env_is_usage_error(capsys, monkeypatch):
+    import spincert.cli as cli_mod
+
+    monkeypatch.setenv("NOETHER_STRETCH", "maybe")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suites", "spin11"])
+    assert exc.value.code == 2
+    assert "invalid NOETHER_STRETCH value: 'maybe'" in capsys.readouterr().err
+    # the flag wins over the malformed value, and list-suites never reads it
+    seen = []
+    monkeypatch.setattr(cli_mod, "run_selected", lambda cfg: seen.append(cfg.stretch) or [])
+    assert main(["run", "--suites", "spin11", "--stretch"]) == 0 and seen == [True]
+    code, out = run_cli(["list-suites"], capsys)
+    assert code == 0 and "spin11" in out
+
+
 def test_dump_representations(tmp_path, capsys):
     out_file = tmp_path / "reps.json"
     code, _ = run_cli(

@@ -120,8 +120,8 @@ def test_array_constructors(field):
 @pytest.mark.parametrize("field", ARRAY_FIELDS, ids=ARRAY_IDS)
 @pytest.mark.parametrize(
     "a_shape, b_shape",
-    [((3, 4), (4, 2)), ((2, 1, 3, 4), (5, 4, 2)), ((3, 0), (0, 2)), ((2, 3, 0), (0, 4))],
-    ids=["plain", "batched", "inner0", "batched-inner0"],
+    [((3, 4), (4, 2)), ((2, 1, 3, 4), (5, 4, 2)), ((3, 0), (0, 2)), ((2, 3, 0), (0, 4)), ((50, 5, 5), (50, 5, 4))],
+    ids=["plain", "batched", "inner0", "batched-inner0", "sln-stack"],
 )
 def test_matmul_against_python_oracle(field, a_shape, b_shape):
     rng = random.Random(17)
@@ -138,6 +138,16 @@ def test_matmul_against_python_oracle(field, a_shape, b_shape):
         *batch, i, j = idx
         exact = sum((big_a[(*batch, i, k)] * big_b[(*batch, k, j)] for k in range(a_shape[-1])), 0)
         assert got[idx] == field.scalar(exact)
+
+
+def test_qq_matmul_integral_and_fractional_operands():
+    # the integer kernel clears each operand's denominators on its own
+    ints = QQ.array(np.arange(-6, 6).reshape(2, 2, 3))
+    fracs = QQ.array([[Fraction(1, 3)], [Fraction(-2, 7)], [5]])
+    for b in (fracs, QQ.array(np.ones((3, 1), dtype=np.int64))):
+        got = QQ.matmul(ints, b)
+        assert_field_array(QQ, got)
+        assert got.tolist() == [[[sum(ints[t, i, k] * b[k, 0] for k in range(3))] for i in range(2)] for t in range(2)]
 
 
 @pytest.mark.parametrize("field", ARRAY_FIELDS, ids=ARRAY_IDS)

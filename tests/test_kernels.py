@@ -142,6 +142,8 @@ def _driver_cases():
         pytest.param(repeated, P, id="duplicate-and-zero-blocks"),
         pytest.param(saturated, P, id="entries-p-minus-1"),
         pytest.param(np.zeros((600, 120), dtype=np.int64), P, id="zero"),
+        pytest.param(np.zeros((1024, 64), dtype=np.int64), P, id="zero-1024x64"),
+        pytest.param(thin(1024, 64, 4), P, id="rank-4-1024x64"),
         pytest.param(_staircase(rng, 512, 128, 11, q), q, id="largest-prime"),
         pytest.param(np.full((600, 110), q - 1, dtype=np.int64), q, id="largest-prime-entries-p-minus-1"),
         pytest.param(np.vstack([rand(64, 128, q)] * 8), q, id="largest-prime-duplicate-blocks"),
@@ -161,7 +163,8 @@ def test_rref_mod_matches_leaf(a, p):
     [(364, 182, True), (363, 182, False), (512, 128, True), (511, 128, False), (700, 100, True), (700, 400, False)],
 )
 def test_rref_mod_blocks_only_tall_large_inputs(monkeypatch, rows, cols, blocked):
-    # the blocked path hands the leaf reduced residuals of at most 64 rows
+    # the blocked path hands the leaf reduced residuals of at most 64 rows,
+    # restricted to the columns that are not pivots yet (7 new ones per block)
     seen = []
 
     def leaf(a, p):
@@ -173,6 +176,26 @@ def test_rref_mod_blocks_only_tall_large_inputs(monkeypatch, rows, cols, blocked
     a = _staircase(np.random.default_rng(rows), rows, cols, 7, P)
     assert rref_mod(a, P)[1] == _modp_fallback.rref(a, P)[1]
     if blocked:
-        assert len(seen) == -(-rows // 64) and all(r <= 64 and c == cols for r, c in seen)
+        assert len(seen) == -(-rows // 64) and all(r <= 64 for r, _ in seen)
+        assert [c for _, c in seen] == [cols - 7 * k for k in range(len(seen))]
     else:
         assert seen == [(rows, cols)]
+
+
+def test_rref_mod_skips_zero_residuals(monkeypatch):
+    # a block inside the span found so far leaves an all-zero residual and no leaf call
+    seen = []
+
+    def leaf(a, p):
+        seen.append(a.shape)
+        return _modp_fallback.rref(a, p)
+
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(rref=leaf))
+    zero = np.zeros((1024, 64), dtype=np.int64)
+    assert rref_mod(zero, P)[1] == () and seen == []
+    rng = np.random.default_rng(8)
+    first = rng.integers(0, P, size=(64, 4), dtype=np.int64)
+    repeated = np.vstack([matmul_mod(first, rng.integers(0, P, size=(4, 64), dtype=np.int64), P)] * 16)
+    got, piv = rref_mod(repeated, P)
+    assert seen == [(64, 64)] and len(piv) == 4
+    assert np.array_equal(got, _modp_fallback.rref(repeated, P)[0])

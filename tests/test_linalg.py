@@ -166,21 +166,42 @@ def test_det_against_permutation_oracle():
             assert m.det() == det_by_permutations(m)
 
 
-def test_qq_rref_matches_fraction_oracle():
+def _qq_rref_cases():
+    """About 200 seeded inputs: random, rank-deficient, with zero rows and
+    columns, with denominators, and empty shapes."""
     rng = RandomSource(6)
-    for rows, cols in [(3, 5), (5, 3), (4, 4), (6, 4)]:
-        m = random_matrix(QQ, rows, cols, rng)
+    cases = [np.zeros((0, 4), dtype=object), np.zeros((3, 0), dtype=object), np.zeros((0, 0), dtype=object)]
+    cases.append(np.array([[Fraction(1, 2), Fraction(2, 3)], [Fraction(1, 5), 7]], dtype=object))
+    for k in range(196):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        den = 1 if k % 2 else rng.randint(2, 30)
+        if k % 7 == 0:  # dense, usually of full rank
+            entries = [[Fraction(rng.randint(-99, 99), rng.randint(1, den)) for _ in range(cols)] for _ in range(rows)]
+        else:  # a product of rows x rank and rank x cols factors
+            rank = rng.randint(0, min(rows, cols))
+            left = [[Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(rank)] for _ in range(rows)]
+            right = [[Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(cols)] for _ in range(rank)]
+            entries = [[sum((left[i][t] * right[t][j] for t in range(rank)), Fraction(0)) for j in range(cols)] for i in range(rows)]
+        m = np.array(entries, dtype=object).reshape(rows, cols)
+        if k % 3 == 0:
+            m[rng.randint(0, rows - 1)] = Fraction(0)
+        if k % 5 == 0:
+            m[:, rng.randint(0, cols - 1)] = Fraction(0)
+        cases.append(m)
+    return cases
+
+
+def test_qq_rref_matches_fraction_oracle():
+    ranks = set()
+    for arr in _qq_rref_cases():
+        m = Matrix(QQ, arr)
         got, piv = m.rref()
         want, piv2 = rref_by_fractions(m)
         assert piv == piv2
-        assert all(got.data[i, j] == want[i][j] for i in range(rows) for j in range(cols))
-    # non-integer entries exercise denominator clearing
-    m = Matrix(QQ, [[Fraction(1, 2), Fraction(2, 3)], [Fraction(1, 5), 7]])
-    got, piv = m.rref()
-    want, piv2 = rref_by_fractions(m)
-    assert piv == piv2 and all(
-        got.data[i, j] == want[i][j] for i in range(2) for j in range(2)
-    )
+        assert got.shape == m.shape and all(type(x) is Fraction for x in got.data.ravel())
+        assert all(got.data[i, j] == want[i][j] for i in range(m.rows) for j in range(m.cols))
+        ranks.add((len(piv), min(m.shape)))
+    assert any(r < k for r, k in ranks) and any(r == k > 0 for r, k in ranks)
 
 
 def test_field_agreement_qq_vs_two_primes():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spincert.fields import GF, QQ, RandomSource
@@ -18,12 +19,19 @@ from spincert.slnpair import (
     pi,
     random_fiber_partner,
     random_pair,
+    random_samples,
     random_sl,
     stabilizer_lie_dim,
     tau,
 )
 
 F = GF(1_000_003)
+
+
+def act_on(a, a_inv, p):
+    """act on one MatrixPair, with Matrix arguments."""
+    x, y = act(p.field, a.data, a_inv.data, p.X.data, p.Y.data)
+    return MatrixPair(Matrix(p.field, None, _raw=x), Matrix(p.field, None, _raw=y))
 
 
 def test_pair_shape_validation():
@@ -35,10 +43,10 @@ def test_pair_shape_validation():
 
 def test_act_identity_and_hand_case():
     p = MatrixPair(Matrix(QQ, [[1], [0]]), Matrix(QQ, [[3, 5]]))
-    moved = act(Matrix.identity(QQ, 2), p)
+    moved = act_on(Matrix.identity(QQ, 2), Matrix.identity(QQ, 2), p)
     assert moved == p
     a = Matrix(QQ, [[1, 1], [0, 1]])
-    moved = act(a, p)
+    moved = act_on(a, Matrix(QQ, [[1, -1], [0, 1]]), p)
     assert moved.X.to_lists() == [[Fraction(1)], [Fraction(0)]]
     assert moved.Y.to_lists() == [[Fraction(3), Fraction(2)]]
 
@@ -46,7 +54,26 @@ def test_act_identity_and_hand_case():
 def test_act_rejects_non_sl():
     p = MatrixPair(Matrix(QQ, [[1], [0]]), Matrix(QQ, [[3, 5]]))
     with pytest.raises(NotInSLn):
-        act(Matrix(QQ, [[2, 0], [0, 1]]), p)
+        act_on(Matrix(QQ, [[2, 0], [0, 1]]), Matrix(QQ, [[Fraction(1, 2), 0], [0, 1]]), p)
+
+
+@pytest.mark.parametrize("field", [F, QQ])
+def test_act_refuses_a_bad_stack(field):
+    x, y, a, a_inv = random_samples(field, 3, RandomSource(9), 4)
+    ax, ya = act(field, a, a_inv, x, y)
+    assert ax.shape == (4, 3, 2) and ya.shape == (4, 2, 3)
+    # one element of determinant 2, given with its true inverse
+    bad, bad_inv = a.copy(), a_inv.copy()
+    bad[2] = field.array([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    bad_inv[2] = field.array([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(NotInSLn):
+        act(field, bad, bad_inv, x, y)
+    # a determinant-one stack with one wrong inverse is refused, but not as NotInSLn
+    wrong = a_inv.copy()
+    wrong[1] = a_inv[0]
+    with pytest.raises(ValueError, match="inverse") as exc:
+        act(field, a, wrong, x, y)
+    assert not isinstance(exc.value, NotInSLn)
 
 
 def test_pi_invariance_50_random():
@@ -54,8 +81,8 @@ def test_pi_invariance_50_random():
     for n in (2, 3, 4):
         for _ in range(50):
             p = random_pair(F, n, rng)
-            a = random_sl(F, n, rng)
-            assert pi(act(a, p)) == pi(p)
+            a, a_inv = random_sl(F, n, rng)
+            assert pi(act_on(a, a_inv, p)) == pi(p)
 
 
 def test_pi_examples():
@@ -77,30 +104,36 @@ def test_tau_involution_and_identities():
         p = random_pair(F, n, rng)
         assert tau(tau(p)) == p
         assert pi(tau(p)) == pi(p).T
-        a = random_sl(F, n, rng)
-        assert tau(act(a, p)) == act(a.inverse().T, tau(p))
+        a, a_inv = random_sl(F, n, rng)
+        assert a_inv == a.inverse()
+        assert tau(act_on(a, a_inv, p)) == act_on(a_inv.T, a.T, tau(p))
 
 
 def test_normalize_examples():
     j = canonical_j(QQ, 3)
     p = MatrixPair(j, Matrix(QQ, [[1, 2, 3], [4, 5, 6]]))
-    a, y2 = normalize_to_j(p)
-    assert a == Matrix.identity(QQ, 3)
-    assert y2 == p.Y
+    a, a_inv = normalize_to_j(p)
+    assert a == Matrix.identity(QQ, 3) == a_inv
 
     p2 = MatrixPair(Matrix(QQ, [[2], [0]]), Matrix(QQ, [[3, 5]]))
-    a2, _ = normalize_to_j(p2)
+    a2, a2_inv = normalize_to_j(p2)
     assert a2.to_lists() == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2)]]
+    assert a2_inv.to_lists() == [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
+    # e_0 lies in the span of X, so the completion is e_1
+    p3 = MatrixPair(Matrix(QQ, [[1, 0], [0, 0], [0, 1]]), Matrix(QQ, [[1, 2, 3], [4, 5, 6]]))
+    a3, a3_inv = normalize_to_j(p3)
+    assert a3_inv.to_lists() == [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
+    assert act_on(a3, a3_inv, p3).X == canonical_j(QQ, 3)
 
     rng = RandomSource(3)
     for n in (2, 3, 4, 5):
         pr = random_pair(F, n, rng)
         if pr.X.rank() < n - 1:
             continue
-        a3, y3 = normalize_to_j(pr)
-        assert a3.det() == F.one
-        moved = act(a3, pr)
-        assert moved.X == canonical_j(F, n) and moved.Y == y3
+        a3, a3_inv = normalize_to_j(pr)
+        assert a3.det() == F.one and a3_inv == a3.inverse()
+        moved = act_on(a3, a3_inv, pr)
+        assert moved.X == canonical_j(F, n) and moved.Y == pr.Y @ a3_inv
 
 
 def test_normalize_rejects_degenerate():
@@ -147,12 +180,13 @@ def test_fiber_sampling_same_orbit_decision():
         pr = random_pair(F, n, rng)
         if pi(pr).rank() != n - 1:
             continue
-        a, y2 = normalize_to_j(pr)
-        jy = MatrixPair(canonical_j(F, n), y2)
+        _, basis = normalize_to_j(pr)
+        jy = MatrixPair(canonical_j(F, n), pr.Y @ basis)
         jz = random_fiber_partner(jy, rng)
         assert pi(jz) == pi(jy)
         t = fiber_transporter(jy, jz)
-        assert act(t, jy) == jz
+        eye = Matrix.identity(F, n)
+        assert act_on(t, eye - (t - eye), jy) == jz
 
 
 def test_stabilizer_lie_dims():
@@ -181,5 +215,24 @@ def test_jacobian_ranks():
 def test_random_sl_has_det_one():
     rng = RandomSource(7)
     for n in (2, 5, 8):
-        assert random_sl(F, n, rng).det() == F.one
-        assert random_sl(QQ, n, rng).det() == Fraction(1)
+        for field in (F, QQ):
+            a, a_inv = random_sl(field, n, rng)
+            assert a.det() == field.one
+            assert a @ a_inv == Matrix.identity(field, n) == a_inv @ a
+
+
+@pytest.mark.parametrize("field", [F, QQ])
+def test_random_samples_match_sequential_draws(field):
+    for n in (2, 3, 5, 8):
+        batched, sequential = RandomSource(11), RandomSource(11)
+        x, y, a, a_inv = random_samples(field, n, batched, 6)
+        assert x.shape == (6, n, n - 1) and y.shape == (6, n - 1, n) and a.shape == a_inv.shape == (6, n, n)
+        for k in range(6):
+            pr = random_pair(field, n, sequential)
+            g, g_inv = random_sl(field, n, sequential)
+            for got, want in ((x[k], pr.X), (y[k], pr.Y), (a[k], g), (a_inv[k], g_inv)):
+                assert np.array_equal(got, want.data)
+        # the stream is left at the same position
+        assert batched.scalars(field, 3) == sequential.scalars(field, 3)
+    if field is QQ:
+        assert all(type(v) is Fraction for arr in (x, y, a, a_inv) for v in arr.ravel())
