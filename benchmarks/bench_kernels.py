@@ -9,6 +9,10 @@ the NumPy leaf.  Then it times the two Q kernels at the shapes of the
 ``sln_quotient`` suite, the integer product ``QQ.matmul`` and the
 fraction-free elimination ``linalg._rref_qq``, against elementwise
 ``Fraction`` arithmetic, and checks each result against that reference.
+Last it times three batched layers against the per-pair loops they
+replace, and checks each result against its loop: ``spinreps._spin_x4(14)``,
+``orbits.subalgebra_structure_from_matrices`` on a spin(14) stabilizer
+(k = 28, d = 14) and ``orbits.invariant_quartic_dim`` on spin(11).
 Run after `pip install -e . --no-build-isolation`:
 
     python benchmarks/bench_kernels.py
@@ -20,9 +24,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from spincert import _modp_fallback, kernels
-from spincert.fields import QQ
-from spincert.linalg import _rref_qq
+from spincert import _modp_fallback, kernels, spinreps
+from spincert.clifford import QuadraticSpace, so_pairs
+from spincert.fields import GF, QQ, RandomSource
+from spincert.linalg import Matrix, _rref_qq, coordinates_in_span, random_vector
+from spincert.orbits import (
+    _diagonal_members,
+    invariant_quartic_dim,
+    kernel_action_matrices,
+    stabilizer,
+    subalgebra_structure_from_matrices,
+)
 
 try:
     from spincert import _modp_core
@@ -93,6 +105,96 @@ def bench_qq(rng, repeats):
         print(f"{'linalg._rref_qq':<22} {f'{rows}x{cols}':<18} {ref*1e3:>8.2f}ms {fast*1e3:>8.2f}ms")
 
 
+def spin_x4_by_pairs(n):
+    """One dense product per so(n) pair: the reference for ``_spin_x4``."""
+    space = QuadraticSpace(n)
+    gens = spinreps.fock_generator_matrices(n)
+    eye = np.eye(gens[0].shape[0], dtype=np.int64)
+    return np.stack([2 * (gens[a] @ gens[b]) - space.two_b_int(a, b) * eye for a, b in so_pairs(space)])
+
+
+def structure_by_pairs(mats):
+    """Brackets and Killing entries pair by pair: (structure constants, Killing matrix)."""
+    k, field = len(mats), mats[0].field
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    flats = Matrix(field, np.stack([m.flatten() for m in mats], axis=1))
+    targets = Matrix(field, np.stack([(mats[i] @ mats[j] - mats[j] @ mats[i]).flatten() for i, j in pairs], axis=1))
+    coords = coordinates_in_span(flats, targets).data
+    c = field.zeros((k, k, k))
+    for idx, (i, j) in enumerate(pairs):
+        c[i, j], c[j, i] = coords[:, idx], field.reduce(-coords[:, idx])
+    killing = field.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            killing[i, j] = killing[j, i] = field.reduce(np.trace(field.matmul(c[i].T, c[j].T)))
+    return c, killing
+
+
+def quartic_by_dicts(rep):
+    """Derivation images in dicts, one candidate monomial at a time: the reference
+    for ``invariant_quartic_dim`` (default budgets)."""
+    field, d, p = rep.field, rep.dim, rep.field.p
+    diags = _diagonal_members(rep)
+    weights = [np.diagonal(rep.tensor[kk]) for kk in diags]
+    candidates = [
+        (i, j, k, l)
+        for i in range(d)
+        for j in range(i, d)
+        for k in range(j, d)
+        for l in range(k, d)
+        if not any((int(w[i]) + int(w[j]) + int(w[k]) + int(w[l])) % p for w in weights)
+    ]
+    K = Matrix.identity(field, len(candidates))
+    for kk in (kk for kk in range(rep.g) if kk not in diags):
+        M = rep.tensor[kk]
+        rows_index, entries = {}, []
+        for j, mono in enumerate(candidates):
+            acc = {}
+            for pos in range(4):
+                for b in np.flatnonzero(M[mono[pos]]):
+                    key = tuple(sorted(mono[:pos] + (int(b),) + mono[pos + 1 :]))
+                    acc[key] = (acc.get(key, 0) + int(M[mono[pos], b])) % p
+            entries += [(rows_index.setdefault(key, len(rows_index)), j, v) for key, v in acc.items() if v]
+        img = np.zeros((len(rows_index), len(candidates)), dtype=np.int64)
+        for r, j, v in entries:
+            img[r, j] = v
+        null = (Matrix(field, None, _raw=img) @ K).kernel_basis()
+        if not null:
+            return 0
+        K = K @ Matrix(field, np.stack(null, axis=1))
+    return K.cols
+
+
+def bench_batched(repeats):
+    field = GF(P)
+    print(f"{'batched layer':<42} {'loop':>10} {'batched':>10}")
+
+    def spin_x4(n):
+        spinreps._INT_CACHE.pop(("spin_x4", n), None)  # time the construction, not the cache
+        return spinreps._spin_x4(n)
+
+    assert np.array_equal(spin_x4(14), spin_x4_by_pairs(14)), "_spin_x4 disagrees with the dense products"
+    ref, fast = bench(spin_x4_by_pairs, 14, repeats), bench(spin_x4, 14, repeats)
+    print(f"{'spinreps._spin_x4(14)':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
+
+    space = QuadraticSpace(14)
+    half = spinreps.half_spin_reps(space, field)[0]
+    kernel = stabilizer(half, random_vector(field, half.dim, RandomSource(0).child(0))).kernel
+    mats = kernel_action_matrices(kernel, spinreps.vector_rep(space, field))
+    c, killing = structure_by_pairs(mats)
+    got = subalgebra_structure_from_matrices(mats)
+    same = np.array_equal(got.structure_constants, c) and np.array_equal(got.killing.data, killing)
+    assert same, "subalgebra_structure_from_matrices disagrees with the pairwise loop"
+    ref, fast = bench(structure_by_pairs, mats, repeats), bench(subalgebra_structure_from_matrices, mats, repeats)
+    print(f"{f'subalgebra structure, spin14 k={len(mats)} d=14':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
+
+    spin11 = spinreps.spin_rep(QuadraticSpace(11), field)
+    same = invariant_quartic_dim(spin11) == quartic_by_dicts(spin11)
+    assert same, "invariant_quartic_dim disagrees with the dict loop"
+    ref, fast = bench(quartic_by_dicts, spin11, repeats), bench(invariant_quartic_dim, spin11, repeats)
+    print(f"{'invariant_quartic_dim, spin(11)':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3)
@@ -118,6 +220,7 @@ def main():
     if _modp_core is None:
         print("compiled kernel not built; install with `pip install -e . --no-build-isolation`")
     bench_qq(rng, args.repeats)
+    bench_batched(args.repeats)
 
 
 if __name__ == "__main__":

@@ -28,12 +28,13 @@ def rref(a, p):
         if i != r:
             m[[r, i]] = m[[i, r]]
         piv = int(m[r, c])
+        # the pivot row is zero left of c, so only columns c onward change
         if piv != 1:
-            m[r] = m[r] * pow(piv, -1, p) % p
+            m[r, c:] = m[r, c:] * pow(piv, -1, p) % p
         others = np.nonzero(m[:, c])[0]
         others = others[others != r]
         if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+            m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, tuple(pivots)

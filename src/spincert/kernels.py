@@ -12,10 +12,11 @@ pays rows x cols for every pivot although the rank is at most cols; the
 driver keeps a reduced basis of rank <= cols and meets each block of 64 rows
 with two ``matmul_mod`` products and one leaf call on the block alone.  The
 basis is the identity on its pivot columns, so each block residual is formed
-and eliminated on the free columns only, and an all-zero residual skips the
-leaf.  RREF is unique, so the output is the leaf's, bit for bit.  The size
-floor is there because each block has a fixed cost that a low-rank input
-does not repay: the leaf is cheap when it finds few pivots.
+and eliminated on the free columns only; an all-zero block skips both
+products and the leaf, and an all-zero residual skips the leaf.  RREF is
+unique, so the output is the leaf's, bit for bit.  The size floor is there
+because each block has a fixed cost that a low-rank input does not repay:
+the leaf is cheap when it finds few pivots.
 
 Matrix multiplication mod p is shared by both backends: for the default
 primes the products fit a float64 mantissa exactly, so BLAS does the work
@@ -57,6 +58,8 @@ def rref_mod(a, p):
     pivots = np.zeros(0, dtype=np.intp)
     for start in range(0, rows, _BLOCK):
         block = m[start : start + _BLOCK]
+        if not block.any():
+            continue
         # the basis is the identity on its pivot columns, so the residual is zero there
         free = np.delete(np.arange(cols), pivots)
         residual = (block[:, free] - matmul_mod(block[:, pivots], basis[:, free], p)) % p

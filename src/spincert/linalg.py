@@ -225,15 +225,6 @@ class Matrix:
         ints, den = _cleared(self.data)
         return Fraction(_det_int(ints.tolist()), den**self.rows)
 
-    def inverse(self):
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        aug = Matrix.hstack([self, Matrix.identity(self.field, self.rows)])
-        red, pivots = aug.rref()
-        if len(pivots) != self.rows or any(p >= self.rows for p in pivots):
-            raise ZeroDivisionError("matrix is singular")
-        return self._wrap(np.ascontiguousarray(red.data[:, self.rows :]))
-
 
 # -- vectors ----------------------------------------------------------------
 

@@ -11,6 +11,7 @@ record a split as a failing check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .linalg import (
     coordinates_in_span,
     random_vector,
 )
-from .spinreps import LieRepresentation
+from .spinreps import LieRepresentation, _expand_ranges
 
 __all__ = [
     "ClosureViolation",
@@ -142,46 +143,39 @@ def subalgebra_structure(kernel_vectors: list, carrier_rep: LieRepresentation) -
 def subalgebra_structure_from_matrices(
     mats: list[Matrix], basis_vectors: list | None = None
 ) -> SubalgebraStructure:
-    """Structure constants, Killing form and derived size of a matrix span."""
+    """Structure constants, Killing form and derived size of a matrix span.
+
+    The brackets [x_i, x_j] of the pairs i < j, in ``np.triu_indices`` order,
+    come from one batched product over the (k, d, d) stack and are solved in
+    the span of the basis by one elimination.  ad_i maps e_j to c[i, j, :],
+    so its matrix is c[i].T and trace(ad_i ad_j) = sum_{a,b} c[i,b,a] c[j,a,b]:
+    the whole Killing form is one (k, k^2) @ (k^2, k) product.
+    """
     k = len(mats)
     if k == 0:
         raise ValueError("empty subalgebra")
     field = mats[0].field
-    flats = Matrix(field, np.stack([m.flatten() for m in mats], axis=1))
+    stack = np.stack([m.data for m in mats])
+    flats = Matrix(field, None, _raw=np.ascontiguousarray(stack.reshape(k, -1).T))
     if flats.rank() != k:
         raise ValueError("subalgebra basis matrices are dependent")
-    brackets = []
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            brackets.append(comm.flatten())
-            pairs.append((i, j))
-    if brackets:
-        targets = Matrix(field, np.stack(brackets, axis=1))
+    i, j = np.triu_indices(k, 1)
+    c = field.zeros((k, k, k))
+    if len(i):
+        # x_i x_j and x_j x_i for every pair, as one batch
+        prods = field.matmul(stack[np.concatenate([i, j])], stack[np.concatenate([j, i])])
+        brackets = field.reduce(prods[: len(i)] - prods[len(i) :]).reshape(len(i), -1)
         try:
-            coords = coordinates_in_span(flats, targets)
+            coords = coordinates_in_span(flats, Matrix(field, None, _raw=np.ascontiguousarray(brackets.T)))
         except ValueError as exc:
             raise ClosureViolation(str(exc)) from exc
-    else:
-        coords = Matrix.zeros(field, k, 0)
+        c[i, j] = coords.data.T
+        c[j, i] = field.reduce(-coords.data.T)
 
-    c = field.zeros((k, k, k))
-    for idx, (i, j) in enumerate(pairs):
-        c[i, j] = coords.data[:, idx]
-        c[j, i] = field.reduce(-coords.data[:, idx])
-
-    # ad_i maps e_j to c[i, j, :], so its matrix is c[i].T
-    ads = [np.ascontiguousarray(c[i].T) for i in range(k)]
-    killing = field.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            killing[i, j] = killing[j, i] = field.reduce(np.trace(field.matmul(ads[i], ads[j])))
-    kmat = Matrix(field, killing)
+    killing = field.matmul(c.reshape(k, k * k), np.ascontiguousarray(c.transpose(0, 2, 1).reshape(k, k * k).T))
+    kmat = Matrix(field, None, _raw=killing)
     krank = kmat.rank()
-
-    derived = Matrix(field, np.stack([c[i, j] for (i, j) in pairs], axis=0)) if pairs else None
-    derived_dim = derived.rank() if derived is not None else 0
+    derived_dim = Matrix(field, None, _raw=c[i, j]).rank() if len(i) else 0
 
     return SubalgebraStructure(
         dimension=k,
@@ -317,9 +311,15 @@ _QUARTIC_MAX_ROWS = 2_000_000
 def invariant_quartic_dim(rep: LieRepresentation) -> int:
     """Dimension of degree-4 invariant polynomials of the representation.
 
-    Monomials are pruned by the diagonal (weight) generators first, then the
-    surviving space is cut exactly by the derivation action of every
-    generator.  Prime fields only; budget overruns raise Aborted.
+    Monomials x_i x_j x_k x_l (i <= j <= k <= l, lexicographic) are pruned by
+    the diagonal (weight) generators first, then the surviving space is cut
+    exactly by the derivation action of every other generator.  A
+    generator's image is built from its nonzeros M[a, b]: each candidate
+    slot holding a meets the entries of row a, the slot is replaced by b,
+    the sorted result is keyed in base d, and the coefficients are summed
+    per (key, candidate) mod p.  Image rows are numbered by the first
+    appearance of their key in candidate, slot, column order.  Prime fields
+    only; budget overruns raise Aborted.
     """
     field = rep.field
     if not isinstance(field, PrimeField):
@@ -330,30 +330,18 @@ def invariant_quartic_dim(rep: LieRepresentation) -> int:
     p = field.p
 
     diags = _diagonal_members(rep)
-    weights = [np.diagonal(rep.tensor[kk]).copy() for kk in diags]
-
-    def monomials():
-        for i in range(d):
-            for j in range(i, d):
-                for k in range(j, d):
-                    for l in range(k, d):
-                        yield (i, j, k, l)
-
-    candidates = []
-    for mono in monomials():
-        ok = True
-        for w in weights:
-            if (int(w[mono[0]]) + int(w[mono[1]]) + int(w[mono[2]]) + int(w[mono[3]])) % p:
-                ok = False
-                break
-        if ok:
-            candidates.append(mono)
-            if len(candidates) > _QUARTIC_MAX_CANDIDATES:
-                raise Aborted(f"quartic candidate budget exceeded ({_QUARTIC_MAX_CANDIDATES})")
+    # one column per monomial; int8 straight from the iterator keeps up to 52,360 of them small
+    monos = np.fromiter(chain.from_iterable(combinations_with_replacement(range(d), 4)), np.int8).reshape(-1, 4).T
+    weightless = np.ones(monos.shape[1], dtype=bool)
+    for kk in diags:
+        w = np.diagonal(rep.tensor[kk])
+        weightless &= (w[monos[0]] + w[monos[1]] + w[monos[2]] + w[monos[3]]) % p == 0
+    candidates = monos.T[weightless].astype(np.int64)
     c = len(candidates)
+    if c > _QUARTIC_MAX_CANDIDATES:
+        raise Aborted(f"quartic candidate budget exceeded ({_QUARTIC_MAX_CANDIDATES})")
     if c == 0:
         return 0
-    cand_index = {m: i for i, m in enumerate(candidates)}
 
     K = Matrix.identity(field, c)
     for kk in range(rep.g):
@@ -362,34 +350,30 @@ def invariant_quartic_dim(rep: LieRepresentation) -> int:
         if kk in diags:
             continue  # already exact on the candidate set by construction
         M = rep.tensor[kk]
-        rows_index: dict = {}
-        entries: list[tuple[int, int, int]] = []
-        for j, mono in enumerate(candidates):
-            acc: dict = {}
-            for pos in range(4):
-                a = mono[pos]
-                row = M[a, :]
-                # derivation: x_a -> sum_b M[a, b] x_b in slot pos
-                for b in range(d):
-                    coeff = int(row[b])
-                    if coeff == 0:
-                        continue
-                    new = list(mono)
-                    new[pos] = b
-                    new.sort()
-                    key = tuple(new)
-                    acc[key] = (acc.get(key, 0) + coeff) % p
-            for key, coeff in acc.items():
-                if coeff == 0:
-                    continue
-                r = rows_index.setdefault(key, len(rows_index))
-                entries.append((r, j, coeff))
-        t = len(rows_index)
+        ra, rb = np.nonzero(M)  # row-major, so columns ascend within a row
+        starts = np.searchsorted(ra, np.arange(d + 1))
+        slots = candidates.reshape(-1)
+        # derivation: x_a -> sum_b M[a, b] x_b in each slot holding a
+        owner, entry = _expand_ranges(starts[slots], starts[slots + 1])
+        j = owner // 4
+        new = candidates[j]
+        new[np.arange(len(owner)), owner % 4] = rb[entry]
+        new.sort(axis=1)
+        key = ((new[:, 0] * d + new[:, 1]) * d + new[:, 2]) * d + new[:, 3]
+        # one code per (candidate, image monomial), with the position of its first entry
+        pair, first, inv = np.unique(j * d**4 + key, return_index=True, return_inverse=True)
+        coeff = np.zeros(len(pair), dtype=np.int64)
+        np.add.at(coeff, inv, M[ra, rb][entry])
+        coeff %= p
+        kept = np.flatnonzero(coeff)
+        keys, row = np.unique(pair[kept] % d**4, return_inverse=True)
+        t = len(keys)
         if t * K.cols > _QUARTIC_MAX_ROWS * 8:
             raise Aborted("quartic row budget exceeded")
+        appear = np.full(t, len(owner))
+        np.minimum.at(appear, row, first[kept])
         img = np.zeros((t, c), dtype=np.int64)
-        for r, j, coeff in entries:
-            img[r, j] = coeff
+        img[np.argsort(np.argsort(appear))[row], pair[kept] // d**4] = coeff[kept]
         constrained = Matrix(field, None, _raw=img) @ K
         null = constrained.kernel_basis()
         if not null:

@@ -147,19 +147,30 @@ def fock_generator_matrices(n: int) -> list[np.ndarray]:
 
 
 def _spin_x4(n: int) -> np.ndarray:
-    """4 * m_ab on the Fock space: 2 e_a e_b - 2B(a,b), integer entries."""
+    """4 * m_ab on the Fock space: 2 e_a e_b - 2B(a,b), integer entries.
+
+    Every generator is a signed partial permutation with at most one nonzero
+    per column, say sign_b[s] in row row_b[s] of column s, so column s of
+    e_a e_b is column row_b[s] of e_a times sign_b[s]: a signed column
+    gather instead of a dense product.  Each left generator gathers for all
+    its pairs at once, into a zeroed array, so no temporary is larger than
+    one generator's share of the output.
+    """
     key = ("spin_x4", n)
     hit = _INT_CACHE.get(key)
     if hit is not None:
         return hit
     space = QuadraticSpace(n)
-    gens = fock_generator_matrices(n)
-    d = gens[0].shape[0]
-    pairs = so_pairs(space)
-    out = np.zeros((len(pairs), d, d), dtype=np.int64)
-    eye = np.eye(d, dtype=np.int64)
-    for k, (a, b) in enumerate(pairs):
-        out[k] = 2 * (gens[a] @ gens[b]) - space.two_b_int(a, b) * eye
+    gens = np.stack(fock_generator_matrices(n))
+    d = gens.shape[1]
+    a, b = np.array(so_pairs(space)).T
+    rows = np.abs(gens).argmax(axis=1)  # a zero column points at row 0 and gets sign 0
+    signs = np.take_along_axis(gens, rows[:, None, :], axis=1)[:, 0]
+    out = np.zeros((len(a), d, d), dtype=np.int64)
+    for x in range(n):
+        k = np.flatnonzero(a == x)
+        out[k] = gens[x][:, rows[b[k]]].transpose(1, 0, 2) * (2 * signs[b[k]])[:, None, :]
+    out[:, np.arange(d), np.arange(d)] -= np.array([space.two_b_int(x, y) for x, y in zip(a, b)])[:, None]
     out = _freeze(out)
     _INT_CACHE[key] = out
     return out

@@ -199,3 +199,23 @@ def test_rref_mod_skips_zero_residuals(monkeypatch):
     got, piv = rref_mod(repeated, P)
     assert seen == [(64, 64)] and len(piv) == 4
     assert np.array_equal(got, _modp_fallback.rref(repeated, P)[0])
+
+
+def test_rref_mod_skips_zero_blocks_before_any_product(monkeypatch):
+    # an all-zero block costs neither a block product nor a leaf call
+    calls = []
+
+    def spy(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(kernels, "matmul_mod", spy("matmul_mod", kernels.matmul_mod))
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(rref=spy("leaf", _modp_fallback.rref)))
+    got, piv = rref_mod(np.zeros((1024, 64), dtype=np.int64), P)
+    assert calls == [] and piv == () and not got.any()
+    # the 14 zero blocks between the first and the last block (rank 32 each) are skipped
+    a = np.zeros((1024, 64), dtype=np.int64)
+    a[:32] = np.random.default_rng(9).integers(0, P, size=(32, 64), dtype=np.int64)
+    a[-64:-32] = np.random.default_rng(10).integers(0, P, size=(32, 64), dtype=np.int64)
+    got, piv = rref_mod(a, P)
+    assert calls == ["matmul_mod", "leaf", "matmul_mod", "matmul_mod", "leaf", "matmul_mod"]
+    assert piv == _modp_fallback.rref(a, P)[1] and np.array_equal(got, _modp_fallback.rref(a, P)[0])

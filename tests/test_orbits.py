@@ -5,7 +5,8 @@ import pytest
 
 from spincert.clifford import QuadraticSpace
 from spincert.fields import GF, QQ, RandomSource
-from spincert.linalg import Matrix, random_vector
+from spincert.linalg import Matrix, coordinates_in_span, random_vector
+from spincert.octonion import derivation_algebra
 from spincert.orbits import (
     Aborted,
     ClosureViolation,
@@ -158,6 +159,69 @@ def test_subalgebra_structure_spin10_radical():
     assert ss.killing_rank == 21 and ss.killing_nullity == 8
 
 
+def _structure_by_pairs(mats):
+    """The pairwise loop the batched subalgebra_structure_from_matrices replaces:
+    (structure constants, Killing matrix, derived dimension)."""
+    k = len(mats)
+    field = mats[0].field
+    flats = Matrix(field, np.stack([m.flatten() for m in mats], axis=1))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    c = field.zeros((k, k, k))
+    if pairs:
+        targets = Matrix(field, np.stack([(mats[i] @ mats[j] - mats[j] @ mats[i]).flatten() for i, j in pairs], axis=1))
+        coords = coordinates_in_span(flats, targets)
+        for idx, (i, j) in enumerate(pairs):
+            c[i, j] = coords.data[:, idx]
+            c[j, i] = field.reduce(-coords.data[:, idx])
+    ads = [np.ascontiguousarray(c[i].T) for i in range(k)]
+    killing = field.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            killing[i, j] = killing[j, i] = field.reduce(np.trace(field.matmul(ads[i], ads[j])))
+    derived = Matrix(field, np.stack([c[i, j] for i, j in pairs])).rank() if pairs else 0
+    return c, Matrix(field, killing), derived
+
+
+def _stabilizer_mats(rep, v):
+    space = QuadraticSpace(rep.n)
+    return kernel_action_matrices(stabilizer(rep, v).kernel, vector_rep(space, rep.field))
+
+
+def _spin7_stabilizer(field):
+    return _stabilizer_mats(spin_rep(QuadraticSpace(7), field), random_vector(field, 8, RandomSource(0).child(0)))
+
+
+def _spin10_stabilizer(field):
+    # 1 + f2 f3 f4 f5 is not a pure spinor, so its stabilizer is the generic
+    # one (dimension 29); its kernel has small entries, which keeps Q cheap
+    v = np.zeros(16, dtype=np.int64)
+    v[[0, 15]] = 1
+    mats = _stabilizer_mats(half_spin_reps(QuadraticSpace(10), field)[0], v)
+    assert len(mats) == 29
+    return mats
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda f: derivation_algebra(f).matrices, id="g2-derivations"),
+        pytest.param(_spin7_stabilizer, id="spin7-stabilizer"),
+        pytest.param(_spin10_stabilizer, id="spin10-stabilizer"),
+        pytest.param(lambda f: [Matrix(f, [[0, 1], [-1, 0]])], id="one-matrix"),
+    ],
+)
+def test_subalgebra_structure_matches_pairwise_loop(build, field):
+    mats = build(field)
+    c, killing, derived = _structure_by_pairs(mats)
+    ss = subalgebra_structure_from_matrices(mats)
+    assert ss.dimension == len(mats)
+    assert np.array_equal(ss.structure_constants, c)
+    assert ss.killing == killing
+    assert ss.killing_rank == killing.rank() and ss.killing_nullity == len(mats) - killing.rank()
+    assert ss.derived_dimension == derived
+
+
 def test_closure_violation_on_non_closed_span():
     # opposite root vectors: their bracket is a Cartan combination, which
     # leaves the two-dimensional span
@@ -278,6 +342,91 @@ def test_quartic_invariants_vector7():
 
 def test_quartic_invariants_spin11():
     assert invariant_quartic_dim(spin_rep(QuadraticSpace(11), F)) == 1
+
+
+def _quartic_by_dicts(rep):
+    """The dict loop the batched invariant_quartic_dim replaces, for the
+    default budgets."""
+    field, d, p = rep.field, rep.dim, rep.field.p
+    diags = [kk for kk, m in enumerate(rep.tensor) if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))]
+    weights = [np.diagonal(rep.tensor[kk]) for kk in diags]
+    candidates = [
+        (i, j, k, l)
+        for i in range(d)
+        for j in range(i, d)
+        for k in range(j, d)
+        for l in range(k, d)
+        if not any((int(w[i]) + int(w[j]) + int(w[k]) + int(w[l])) % p for w in weights)
+    ]
+    if not candidates:
+        return 0
+    K = Matrix.identity(field, len(candidates))
+    for kk in range(rep.g):
+        if K.cols == 0:
+            break
+        if kk in diags:
+            continue
+        M = rep.tensor[kk]
+        rows_index, entries = {}, []
+        for j, mono in enumerate(candidates):
+            acc = {}
+            for pos in range(4):
+                for b in range(d):
+                    coeff = int(M[mono[pos], b])
+                    if coeff:
+                        new = list(mono)
+                        new[pos] = b
+                        key = tuple(sorted(new))
+                        acc[key] = (acc.get(key, 0) + coeff) % p
+            for key, coeff in acc.items():
+                if coeff:
+                    entries.append((rows_index.setdefault(key, len(rows_index)), j, coeff))
+        img = np.zeros((len(rows_index), len(candidates)), dtype=np.int64)
+        for r, j, coeff in entries:
+            img[r, j] = coeff
+        null = (Matrix(field, None, _raw=img) @ K).kernel_basis()
+        if not null:
+            return 0
+        K = K @ Matrix(field, np.stack(null, axis=1))
+    return K.cols
+
+
+def _sheared_vector5(field):
+    # vector(5) conjugated by I + E_01: a Cartan generator gains an off-diagonal
+    # entry, so weight-zero monomials meet diagonal coefficient sums such as
+    # 1 + (p - 1), which vanish only mod p
+    rep = vector_rep(QuadraticSpace(5), field)
+    shear, unshear = np.eye(5, dtype=np.int64), np.eye(5, dtype=np.int64)
+    shear[0, 1], unshear[0, 1] = 1, -1
+    tensor = field.matmul(field.matmul(field.array(shear), rep.tensor), field.array(unshear))
+    return LieRepresentation(5, field, "sheared vector(5)", rep.basis_labels, tensor)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda f: vector_rep(QuadraticSpace(5), f), id="vector5"),
+        pytest.param(lambda f: vector_rep(QuadraticSpace(7), f), id="vector7"),
+        pytest.param(lambda f: spin_rep(QuadraticSpace(7), f), id="spin7"),
+        pytest.param(lambda f: half_spin_reps(QuadraticSpace(8), f)[0], id="half-spin8"),
+        pytest.param(lambda f: spin_rep(QuadraticSpace(11), f), id="spin11"),
+        pytest.param(_sheared_vector5, id="sheared-vector5"),
+    ],
+)
+def test_quartic_matches_dict_loop(build, p, monkeypatch):
+    rep = build(GF(p))
+    # the left operands of every product: each image before it meets K, then K
+    seen = []
+    product = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: seen.append(a.data.copy()) or product(a, b))
+    want = _quartic_by_dicts(rep)
+    want_operands = seen[:]
+    seen.clear()
+    assert invariant_quartic_dim(rep) == want
+    # the images are the dict loop's, entries and row order included
+    assert len(seen) == len(want_operands)
+    assert all(np.array_equal(x, y) for x, y in zip(seen, want_operands))
 
 
 def test_quartic_budget_and_field_guards(monkeypatch):

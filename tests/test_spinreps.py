@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spincert import spinreps
-from spincert.clifford import CliffordElement, QuadraticSpace, SoStructure, so_structure_constants
+from spincert.clifford import CliffordElement, QuadraticSpace, SoStructure, so_pairs, so_structure_constants
 from spincert.fields import GF, QQ, PrimeField, RandomSource
 from spincert.linalg import Matrix, random_matrix
 from spincert.spinreps import (
@@ -24,6 +24,12 @@ from spincert.spinreps import (
 )
 
 F = GF(1_000_003)
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Reference inverse of a regular matrix, read off the rref of [A | I]."""
+    red, _ = Matrix.hstack([m, Matrix.identity(m.field, m.rows)]).rref()
+    return red.submatrix(range(m.rows), range(m.rows, 2 * m.rows))
 
 
 def gram_matrix(space, field):
@@ -83,6 +89,17 @@ def test_fock_creation_annihilation_relations():
         for j in range(7):
             got = gens[i] @ gens[j] + gens[j] @ gens[i]
             assert np.array_equal(got, space.two_b_int(i, j) * np.eye(d, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_spin_x4_matches_dense_products(n):
+    # the signed column gather against one dense product per pair
+    space = QuadraticSpace(n)
+    gens = fock_generator_matrices(n)
+    eye = np.eye(gens[0].shape[0], dtype=np.int64)
+    want = [2 * (gens[a] @ gens[b]) - space.two_b_int(a, b) * eye for a, b in so_pairs(space)]
+    got = spinreps._spin_x4(n)
+    assert got.dtype == np.int64 and np.array_equal(got, np.stack(want))
 
 
 def test_spin_rep_lie_homomorphism_small():
@@ -286,7 +303,7 @@ def conjugated(rep, seed=7):
         P = random_matrix(rep.field, rep.dim, rep.dim, rng)
         if P.rank() == rep.dim:
             break
-    P_inv = P.inverse()
+    P_inv = inverse(P)
     mats = [(P @ m @ P_inv).data for m in rep.matrices]
     return LieRepresentation(rep.n, rep.field, f"conj({rep.name})", rep.basis_labels, np.stack(mats))
 
