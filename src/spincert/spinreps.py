@@ -14,18 +14,13 @@ whatever field a caller asks for.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .clifford import (
-    CliffordElement,
-    QuadraticSpace,
-    expand_in_bivectors,
-    so_pairs,
-)
+from .clifford import QuadraticSpace, so_pairs
 from .linalg import Matrix
 
 __all__ = [
@@ -38,7 +33,6 @@ __all__ = [
     "embed_subalgebra",
     "compose_embeddings",
     "restrict",
-    "fock_element_action",
     "center_acts_minus_one",
     "fock_generator_matrices",
     "parity_indices",
@@ -287,47 +281,25 @@ def direct_sum(reps: list[LieRepresentation], name: str | None = None) -> LieRep
     return LieRepresentation(first.n, first.field, name, first.basis_labels, _freeze(tensor))
 
 
-# -- fock module action -------------------------------------------------------
-
-
-def fock_element_action(space: QuadraticSpace, field, elem: CliffordElement) -> Matrix:
-    """Matrix of an arbitrary Clifford element acting on the Fock space."""
-    gens = fock_generator_matrices(space.n)
-    d = gens[0].shape[0]
-    acc = field.zeros((d, d))
-    for mask, coeff in elem.coeffs.items():
-        # a product of signed partial permutations: entries stay in {-1, 0, 1}
-        part = np.eye(d, dtype=np.int64)
-        m = mask
-        while m:
-            low = m & -m
-            part = part @ gens[low.bit_length() - 1]
-            m ^= low
-        acc = field.reduce(acc + coeff * part)
-    return Matrix(field, None, _raw=acc)
+# -- the center of Spin_n --------------------------------------------------------
 
 
 def center_acts_minus_one(space: QuadraticSpace, rep: LieRepresentation) -> bool:
-    """True when the Clifford scalar -1 negates every basis Fock vector of
-    the module carrying ``rep``.
+    """True when the central -1 of Spin_n acts as -Id on the module of ``rep``.
 
-    ``rep`` must be the object ``spin_rep(space, rep.field)`` or one of
-    ``half_spin_reps(space, rep.field)`` (even, odd) returned; it is found by
-    identity in their cache, so the check constructs nothing.  Anything else
-    is a ValueError.
+    h_1 = 2 m_{p_1 q_1} (basis index 0) acts on the vector module as
+    diag(1, -1, 0, ...), so exp(2 pi i h_1) lies in the kernel of
+    Spin_n -> SO_n.  When h_1 acts on the module diagonally with every entry
+    +-1/2, exp(2 pi i h_1) acts as exp(+-pi i) = -1 on every basis vector, so
+    it is the nontrivial element of that kernel and negates the module.  The
+    check reads the module's first matrix and nothing else.
     """
+    if rep.n != space.n:
+        raise ValueError(f"center check needs a module of so({space.n}), got {rep.name}")
     field = rep.field
-    halves = _REP_CACHE.get(("half_spin", space.n, field), ())
-    parity = next((k for k, half in enumerate(halves) if half is rep), None)
-    if parity is None and rep is not _REP_CACHE.get(("spin", space.n, field)):
-        raise ValueError(f"center check needs the spin or a half-spin module of {space}, got {rep.name}")
-    minus_one = CliffordElement.scalar(space, field, field.neg(field.one))
-    act = fock_element_action(space, field, minus_one)
-    if parity is not None:
-        idx = parity_indices(space.n)[parity]
-        act = act.submatrix(idx, idx)
-    expected = Matrix.identity(field, rep.dim).scale(field.neg(field.one))
-    return act == expected
+    h1 = field.reduce(2 * rep.tensor[0])
+    halves = (field.inv(2), field.neg(field.inv(2)))
+    return bool(np.count_nonzero(h1) == rep.dim and all(x in halves for x in np.diagonal(h1)))
 
 
 # -- subalgebra embeddings -----------------------------------------------------
@@ -349,43 +321,24 @@ class SubalgebraEmbedding:
 
 
 def _pair_map_from_vectors(ambient: QuadraticSpace, vectors: list[list[int]]):
-    """Expand every sub bivector (v_a v_b - v_b v_a)/4 in the ambient basis."""
-    from .fields import QQ
+    """Expand every sub bivector (v_a v_b - v_b v_a)/4 in the ambient basis.
 
-    sub_n = len(vectors)
-    sub = QuadraticSpace(sub_n)
+    With m_ij = (e_i e_j - e_j e_i)/4 for all i, j, the sub bivector is
+    sum_{i<j} (v_ai v_bj - v_aj v_bi) m_ij: integer coefficients, no
+    Clifford product.
+    """
+    sub = QuadraticSpace(len(vectors))
+    support = [[(i, c) for i, c in enumerate(v) if c] for v in vectors]
     # B-compatibility: the chosen vectors must reproduce the split sub form.
-    amb_gram = ambient.gram()
-    for a in range(sub_n):
-        for b in range(sub_n):
-            val = Fraction(0)
-            for i, ci in enumerate(vectors[a]):
-                if ci:
-                    for j, cj in enumerate(vectors[b]):
-                        if cj:
-                            val += Fraction(ci * cj) * amb_gram[i][j]
-            if val != sub.gram()[a][b]:
-                raise ValueError("embedding vectors do not restrict to the split sub form")
-
-    elems = []
-    for a in range(sub_n):
-        e = CliffordElement.zero(ambient, QQ)
-        for i, ci in enumerate(vectors[a]):
-            if ci:
-                e = e + CliffordElement.generator(ambient, QQ, i).scale(ci)
-        elems.append(e)
-    quarter = Fraction(1, 4)
+    for a, b in itertools.product(range(sub.n), repeat=2):
+        tb = sum(ci * cj * ambient.two_b_int(i, j) for i, ci in support[a] for j, cj in support[b])
+        if tb != sub.two_b_int(a, b):
+            raise ValueError("embedding vectors do not restrict to the split sub form")
     out = []
     for a, b in so_pairs(sub):
-        comm = (elems[a] * elems[b] - elems[b] * elems[a]).scale(quarter)
-        coeffs = expand_in_bivectors(comm)
-        row = []
-        for k, c in enumerate(coeffs):
-            if c != 0:
-                if c.denominator != 1:
-                    raise AssertionError("non-integer embedding coefficient")
-                row.append((k, int(c)))
-        out.append(tuple(row))
+        va, vb = vectors[a], vectors[b]
+        coeffs = (va[i] * vb[j] - va[j] * vb[i] for i, j in so_pairs(ambient))
+        out.append(tuple((k, c) for k, c in enumerate(coeffs) if c))
     return tuple(out)
 
 
@@ -456,10 +409,11 @@ def _join(key: np.ndarray, order: np.ndarray, lines: np.ndarray, g: int, j0: int
 def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     """Check rho([m_i, m_j]) = [rho(m_i), rho(m_j)] on every basis pair.
 
-    ``struct`` carries the bracket expansions computed inside the Clifford
-    algebra, so this compares the representation against structure constants
-    it had no hand in producing.  Both sides are antisymmetric, so the pairs
-    i < j suffice.
+    ``struct`` carries the bracket expansions derived from the 2B table of
+    the quadratic form alone (``clifford.so_structure_constants``), so this
+    compares the representation against structure constants the Fock
+    matrices had no hand in producing.  Both sides are antisymmetric, so the
+    pairs i < j suffice.
 
     The check works on the nonzero entries (k, r, c, v) of the tensor.  For
     each left generator i, joining the column of each entry of T_i with the

@@ -344,10 +344,10 @@ _SPIN7_CHECKS = (
     ),
     (
         "center-negates",
-        "the central Clifford scalar -1 acts as -Id on the spin module",
+        "h1 = 2 m_{p1 q1} acts on the spin module diagonally with every entry +-1/2",
         True,
         "literature",
-        "the spin center acts by the parity character",
+        "so exp(2 pi i h1), the kernel of Spin_n -> SO_n, acts as -Id",
     ),
     (
         "scale-invariance",
@@ -445,10 +445,10 @@ _SPIN11_CHECKS = (
     ),
     (
         "center-negates",
-        "the central Clifford scalar -1 acts as -Id on the spin module",
+        "h1 = 2 m_{p1 q1} acts on the spin module diagonally with every entry +-1/2",
         True,
         "literature",
-        "the spin center acts by the parity character",
+        "so exp(2 pi i h1), the kernel of Spin_n -> SO_n, acts as -Id",
     ),
 )
 

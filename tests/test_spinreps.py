@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_clifford import CliffordElement, bivector_basis, commutator
 
 from spincert import spinreps
-from spincert.clifford import CliffordElement, QuadraticSpace, SoStructure, so_pairs, so_structure_constants
+from spincert.clifford import QuadraticSpace, SoStructure, so_pairs, so_structure_constants
 from spincert.fields import GF, QQ, PrimeField, RandomSource
 from spincert.linalg import Matrix, random_matrix
 from spincert.spinreps import (
@@ -13,7 +15,6 @@ from spincert.spinreps import (
     compose_embeddings,
     direct_sum,
     embed_subalgebra,
-    fock_element_action,
     fock_generator_matrices,
     half_spin_reps,
     parity_indices,
@@ -33,7 +34,9 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def gram_matrix(space, field):
-    return Matrix(field, space.gram())
+    """The polarization B, read off the integer 2B table."""
+    n = space.n
+    return Matrix(field, [[Fraction(space.two_b_int(i, j), 2) for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 10])
@@ -58,16 +61,13 @@ def test_vector_rep_cartan_is_diagonal_with_opposite_signs():
 
 
 def test_vector_rep_matches_clifford_commutator():
-    # columns of the built matrices equal [m_ab, e_c] computed inside Cl(n)
-    from spincert.clifford import bivector_basis
-
+    # columns of the built matrices equal [m_ab, e_c] computed inside the oracle Cl(n)
     space = QuadraticSpace(5)
     rep = vector_rep(space, QQ)
     bivs = bivector_basis(space, QQ)
     for k in range(rep.g):
         for c in range(space.n):
-            e_c = CliffordElement.generator(space, QQ, c)
-            comm = bivs[k] * e_c - e_c * bivs[k]
+            comm = commutator(bivs[k], CliffordElement.generator(space, QQ, c))
             assert comm.grades() <= {1}
             assert list(rep.tensor[k][:, c]) == comm.vector_coords()
 
@@ -115,6 +115,15 @@ def test_lie_homomorphism_over_qq():
     struct = so_structure_constants(space, QQ)
     assert verify_lie_homomorphism(spin_rep(space, QQ), struct)
     assert verify_lie_homomorphism(vector_rep(space, QQ), struct)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_every_standard_module_is_a_lie_homomorphism(n):
+    space = QuadraticSpace(n)
+    struct = so_structure_constants(space, F)
+    halves = half_spin_reps(space, F) if n % 2 == 0 else ()
+    for rep in (vector_rep(space, F), spin_rep(space, F), *halves):
+        assert verify_lie_homomorphism(rep, struct), rep.name
 
 
 def test_half_spin_blocks():
@@ -204,10 +213,12 @@ def test_restrict_vector11_to_so10_fixes_u():
     assert v[10] != 0 and not v[:10].any()
 
 
-@pytest.mark.parametrize("n", [7, 11])
+@pytest.mark.parametrize("n", range(3, 15))
 def test_center_acts_minus_one_spin(n):
     space = QuadraticSpace(n)
-    assert center_acts_minus_one(space, spin_rep(space, F)) is True
+    halves = half_spin_reps(space, F) if n % 2 == 0 else ()
+    assert all(center_acts_minus_one(space, rep) is True for rep in (spin_rep(space, F), *halves))
+    assert center_acts_minus_one(space, vector_rep(space, F)) is False
 
 
 def test_center_acts_minus_one_half_spin():
@@ -215,28 +226,30 @@ def test_center_acts_minus_one_half_spin():
     even, odd = half_spin_reps(space, F)
     assert center_acts_minus_one(space, even) is True
     assert center_acts_minus_one(space, odd) is True
-    with pytest.raises(ValueError):
-        center_acts_minus_one(space, vector_rep(space, F))
+    # h1 = diag(1, -1, 0, ...) on vectors: the kernel of Spin_n -> SO_n acts trivially
+    assert center_acts_minus_one(space, vector_rep(space, F)) is False
 
 
-def test_center_acts_minus_one_dispatches_by_module_identity():
-    # the module is recognized as the constructors' cached object, not by name:
-    # a sum of two spin modules is neither, even though -1 negates it
+def test_center_acts_minus_one_reads_the_module():
+    # the check reads h1 on whatever module it is given, cached or not
     space7 = QuadraticSpace(7)
     spin7 = spin_rep(space7, F)
-    with pytest.raises(ValueError):
-        center_acts_minus_one(space7, direct_sum([spin7, spin7]))
-    # a half-spin module of so(10) does not belong to the space of dimension 7
+    assert center_acts_minus_one(space7, direct_sum([spin7, spin7])) is True
+    copy = LieRepresentation(7, F, spin7.name, spin7.basis_labels, spin7.tensor)
+    assert center_acts_minus_one(space7, copy) is True
+    # h1 with entries +-1 makes exp(2 pi i h1) the identity
+    doubled = spin7.tensor.copy()
+    doubled[0] = F.reduce(2 * doubled[0])
+    assert center_acts_minus_one(space7, LieRepresentation(7, F, "doubled", spin7.basis_labels, doubled)) is False
+    # a module of so(10) does not belong to the space of dimension 7
     with pytest.raises(ValueError):
         center_acts_minus_one(space7, half_spin_reps(QuadraticSpace(10), F)[0])
-    # a copy under the cached module's name is not that module
-    copy = LieRepresentation(7, F, spin7.name, spin7.basis_labels, spin7.tensor)
     with pytest.raises(ValueError):
-        center_acts_minus_one(space7, copy)
+        center_acts_minus_one(QuadraticSpace(8), spin7)
 
 
 def test_minus_one_conjugation_fixes_vectors():
-    # (-1) v (-1)^{-1} = v inside the Clifford algebra
+    # (-1) v (-1)^{-1} = v inside the oracle Clifford algebra
     space = QuadraticSpace(10)
     minus = CliffordElement.scalar(space, QQ, -1)
     for g in range(space.n):
@@ -244,13 +257,28 @@ def test_minus_one_conjugation_fixes_vectors():
         assert minus * v * minus == v
 
 
+def fock_action(elem):
+    """Matrix of an oracle Clifford element on the Fock space, blade by blade."""
+    gens = fock_generator_matrices(elem.space.n)
+    d = gens[0].shape[0]
+    acc = np.zeros((d, d), dtype=object)
+    for mask, coeff in elem.coeffs.items():
+        part = np.eye(d, dtype=np.int64)
+        for g in range(elem.space.n):
+            if mask >> g & 1:
+                part = part @ gens[g]
+        acc = acc + coeff * part
+    return elem.field.array(acc)
+
+
 def test_fock_element_action_respects_products():
+    # the Fock generators make the Fock space a Cl(n)-module: products act as products
     space = QuadraticSpace(7)
     a = CliffordElement.generator(space, F, 0) * CliffordElement.generator(space, F, 3)
-    b = CliffordElement.generator(space, F, 1)
-    left = fock_element_action(space, F, a * b)
-    right = fock_element_action(space, F, a) @ fock_element_action(space, F, b)
-    assert left == right
+    b = CliffordElement.generator(space, F, 1) + CliffordElement.generator(space, F, 6).scale(5)
+    assert np.array_equal(fock_action(a * b), F.matmul(fock_action(a), fock_action(b)))
+    for x, y in ((a, b), (b, a), (bivector_basis(space, F)[4], b)):
+        assert np.array_equal(fock_action(x * y), F.matmul(fock_action(x), fock_action(y)))
 
 
 def test_rep_json_shape():
