@@ -100,8 +100,7 @@ class SoStructure:
             return ()
         if i < j:
             return self.table[(i, j)]
-        f = self.field
-        return tuple((k, f.neg(c)) for k, c in self.table[(j, i)])
+        return tuple((k, self.field.reduce(-c)) for k, c in self.table[(j, i)])
 
 
 def so_structure_constants(space: QuadraticSpace, field) -> SoStructure:
@@ -114,7 +113,7 @@ def so_structure_constants(space: QuadraticSpace, field) -> SoStructure:
     pairs = so_pairs(space)
     index = {p: k for k, p in enumerate(pairs)}
     half = field.inv(field.scalar(2))
-    coeff = {v: field.mul(field.scalar(v), half) for v in (-2, -1, 1, 2)}
+    coeff = {v: field.reduce(field.scalar(v) * half) for v in (-2, -1, 1, 2)}
 
     def term(sign, x, y, z, w):
         # sign * B(x, y) m_zw as (index of the sorted pair, coefficient)

@@ -1,9 +1,11 @@
 """Exact scalars over the rationals and over odd prime fields, and their arrays.
 
 Scalars are plain Python values: ``int`` residues in ``[0, p)`` for a prime
-field, ``fractions.Fraction`` for the rationals.  A field object bundles the
-coercions and the arithmetic that cannot be expressed as raw ``int``
-operations (inverses).
+field, ``fractions.Fraction`` for the rationals.  A field object holds what
+raw ``int`` and ``Fraction`` operations cannot express: coercion
+(``scalar``), inverses (``inv``), random draws (``random_scalar``) and the
+array methods below.  Scalar sums and products are written with ``+`` and
+``*`` and mapped back with ``reduce``; zero tests are ``x == 0``.
 
 Arrays of field entries are NumPy arrays, and this module is the one place
 that knows their format: int64 residues in ``[0, p)`` over F_p, ``object``
@@ -91,42 +93,17 @@ class PrimeField:
         if self.p < 5:
             raise FieldError(f"prime must be >= 5, got {self.p}")
 
-    kind = "PrimeField"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     def scalar(self, x):
         """Coerce an int or Fraction to a residue in [0, p)."""
         if isinstance(x, Fraction):
             return x.numerator % self.p * self.inv(x.denominator % self.p) % self.p
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def random_scalar(self, rng: "RandomSource"):
         return rng.randrange(self.p)
@@ -162,38 +139,13 @@ class PrimeField:
 class RationalField:
     """The field of rational numbers, with exact Fraction arithmetic."""
 
-    kind = "Rationals"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
     def scalar(self, x):
         return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / Fraction(a)
-
-    def is_zero(self, a):
-        return a == 0
 
     def random_scalar(self, rng: "RandomSource"):
         # Small integers keep rational arithmetic cheap and are generic with
@@ -277,9 +229,6 @@ class RandomSource:
 
     def randint(self, a: int, b: int) -> int:
         return self._rng.randint(a, b)
-
-    def scalar(self, field):
-        return field.random_scalar(self)
 
     def scalars(self, field, count: int) -> list:
         return [field.random_scalar(self) for _ in range(count)]

@@ -108,22 +108,12 @@ class Matrix:
         self._check_compatible(other)
         return self._wrap(self.field.reduce(self.data - other.data))
 
-    def __neg__(self):
-        return self._wrap(self.field.reduce(-self.data))
-
     def __matmul__(self, other):
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         return self._wrap(self.field.matmul(self.data, other.data))
-
-    def scale(self, c):
-        return self._wrap(self.field.reduce(self.data * self.field.scalar(c)))
-
-    def apply(self, vec) -> np.ndarray:
-        """Matrix-vector product, returning a 1-d entry array."""
-        return self.field.matmul(self.data, self.field.array(vec).reshape(-1, 1)).reshape(-1)
 
     @property
     def T(self):
@@ -148,20 +138,11 @@ class Matrix:
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.data)
 
-    def row(self, i) -> np.ndarray:
-        return self.data[i].copy()
-
     def col(self, j) -> np.ndarray:
         return self.data[:, j].copy()
 
     def flatten(self) -> np.ndarray:
         return self.data.reshape(-1).copy()
-
-    def submatrix(self, row_idx, col_idx):
-        return self._wrap(np.ascontiguousarray(self.data[np.ix_(row_idx, col_idx)]))
-
-    def to_lists(self):
-        return self.data.tolist()
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"

@@ -222,7 +222,7 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
         for a in range(d):
             key = tuple(rep.tensor[kk][a, a] for kk in diags)
             buckets.setdefault(key, []).append(a)
-            neg_key[a] = tuple(field.neg(x) for x in key)
+            neg_key[a] = tuple(field.reduce(-x) for x in key)
         candidates = []
         for a in range(d):
             for b in buckets.get(neg_key[a], ()):

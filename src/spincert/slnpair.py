@@ -112,7 +112,7 @@ def act(field, a, a_inv, x, y):
         raise ValueError("acting matrix has the wrong size")
     if not np.array_equal(field.matmul(a, a_inv), np.broadcast_to(field.eye(n), a.shape)):
         raise ValueError("a_inv is not the inverse of a")
-    if any(Matrix(field, None, _raw=m).det() != field.one for m in a.reshape(-1, n, n)):
+    if any(Matrix(field, None, _raw=m).det() != 1 for m in a.reshape(-1, n, n)):
         raise NotInSLn("acting matrix must have determinant 1")
     return field.matmul(a, x), field.matmul(y, a_inv)
 
@@ -195,7 +195,7 @@ def stabilizer_lie_dim(pair: MatrixPair) -> int:
     ya = field.zeros((n - 1, n, n, n))
     ya[:, idx, :, idx] = pair.Y.data
     trace = field.zeros((1, n, n))
-    trace[0, idx, idx] = field.one
+    trace[0, idx, idx] = field.scalar(1)
     system = np.vstack([m.reshape(-1, n * n) for m in (ax, ya, trace)])
     return len(Matrix(field, None, _raw=system).kernel_basis())
 
@@ -269,6 +269,5 @@ def random_fiber_partner(pair_jy: MatrixPair, rng: RandomSource) -> MatrixPair:
     n = pair_jy.n
     field = pair_jy.field
     z = pair_jy.Y.data.copy()
-    for i in range(n - 1):
-        z[i, n - 1] = rng.scalar(field)
+    z[: n - 1, n - 1] = rng.scalars(field, n - 1)
     return MatrixPair(pair_jy.X, Matrix(field, None, _raw=z))

@@ -298,7 +298,7 @@ def center_acts_minus_one(space: QuadraticSpace, rep: LieRepresentation) -> bool
         raise ValueError(f"center check needs a module of so({space.n}), got {rep.name}")
     field = rep.field
     h1 = field.reduce(2 * rep.tensor[0])
-    halves = (field.inv(2), field.neg(field.inv(2)))
+    halves = (field.inv(2), field.reduce(-field.inv(2)))
     return bool(np.count_nonzero(h1) == rep.dim and all(x in halves for x in np.diagonal(h1)))
 
 

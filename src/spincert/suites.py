@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import GF, QQ, PrimeField, RandomSource
-from .linalg import Matrix
+from .linalg import Matrix, random_matrix
 from .clifford import QuadraticSpace
 from .octonion import (
     derivation_algebra,
@@ -224,7 +224,7 @@ def _g2_octonion(cfg: RunConfig, f) -> dict:
     spinor = subalgebra_structure(rpt.kernel, vector_rep(QuadraticSpace(7), f))
     return {
         "derivation-dim": derivations.dimension,
-        "triple-closure": subalgebra_generated(*split_generating_triple(f)),
+        "triple-closure": subalgebra_generated(f, split_generating_triple(f)),
         "kernel-triple": triple,
         "kernel-vector": vector,
         "kernel-scaled": scaled,
@@ -573,25 +573,20 @@ _COREGULAR_FREE_CHECKS = tuple(
 
 def _sp4_left_multiplication(cfg: RunConfig, f, omega: Matrix):
     """Minimum stabilizer dimension of a random invertible 4x4 matrix under sp4 = sp(omega)."""
-    rows = []
-    for x in range(4):
-        for y in range(4):
-            row = np.zeros(16, dtype=np.int64)
-            for k in range(4):
-                row[k * 4 + x] = f.reduce(row[k * 4 + x] + omega.data[k, y])
-                row[k * 4 + y] = f.reduce(row[k * 4 + y] + omega.data[x, k])
-            rows.append(row)
-    sp4 = Matrix(f, np.stack(rows)).kernel_basis()
+    # row 4x + y is entry (x, y) of z^T omega + omega z; unknown z[k, c] at column 4k + c
+    eye, w = f.eye(4), omega.data
+    system = np.einsum("cx,ky->xykc", eye, w) + np.einsum("cy,xk->xykc", eye, w)
+    sp4 = Matrix(f, None, _raw=f.reduce(system.reshape(16, 16))).kernel_basis()
     if len(sp4) != 10:
         return f"sp4 dimension {len(sp4)}"
     rng = RandomSource(cfg.seed)
     best = None
     for _ in range(cfg.trials):
-        x = np.array([[rng.randrange(f.p) for _ in range(4)] for _ in range(4)], dtype=np.int64)
-        if Matrix(f, x).rank() != 4:
+        x = random_matrix(f, 4, 4, rng)
+        if x.rank() != 4:
             continue
-        cols = [f.matmul(z.reshape(4, 4), x).reshape(-1) for z in sp4]
-        dim = len(Matrix(f, np.stack(cols, axis=1)).kernel_basis())
+        cols = f.matmul(np.stack(sp4).reshape(-1, 4, 4), x.data).reshape(len(sp4), 16).T
+        dim = len(Matrix(f, None, _raw=np.ascontiguousarray(cols)).kernel_basis())
         best = dim if best is None else min(best, dim)
     return best
 

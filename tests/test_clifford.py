@@ -75,7 +75,7 @@ class CliffordElement:
 
     def __init__(self, space, field, coeffs: dict):
         self.space, self.field = space, field
-        self.coeffs = {m: c for m, c in coeffs.items() if not field.is_zero(c)}
+        self.coeffs = {m: c for m, c in coeffs.items() if c != 0}
 
     @classmethod
     def scalar(cls, space, field, value):
@@ -83,7 +83,7 @@ class CliffordElement:
 
     @classmethod
     def generator(cls, space, field, g: int):
-        return cls(space, field, {1 << g: field.one})
+        return cls(space, field, {1 << g: field.scalar(1)})
 
     @classmethod
     def vector(cls, space, field, coords):
@@ -98,7 +98,7 @@ class CliffordElement:
         f = self.field
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = f.add(out.get(m, f.zero), f.mul(f.scalar(sign), c))
+            out[m] = f.reduce(out.get(m, 0) + sign * c)
         return CliffordElement(self.space, f, out)
 
     def __add__(self, other):
@@ -109,7 +109,7 @@ class CliffordElement:
 
     def scale(self, c):
         f = self.field
-        return CliffordElement(self.space, f, {m: f.mul(v, f.scalar(c)) for m, v in self.coeffs.items()})
+        return CliffordElement(self.space, f, {m: f.reduce(v * f.scalar(c)) for m, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, CliffordElement):
@@ -119,7 +119,7 @@ class CliffordElement:
         for ma, ca in self.coeffs.items():
             for mb, cb in other.coeffs.items():
                 for m, ic in blade_mul(self.space, ma, mb):
-                    out[m] = f.add(out.get(m, f.zero), f.mul(f.mul(ca, cb), f.scalar(ic)))
+                    out[m] = f.reduce(out.get(m, 0) + ca * cb * ic)
         return CliffordElement(self.space, f, out)
 
     def __eq__(self, other):
@@ -133,7 +133,7 @@ class CliffordElement:
 
     def vector_coords(self):
         """Coordinates of the degree-1 part in the generator basis."""
-        return [self.coeffs.get(1 << g, self.field.zero) for g in range(self.space.n)]
+        return [self.coeffs.get(1 << g, self.field.scalar(0)) for g in range(self.space.n)]
 
     def __repr__(self):
         terms = (f"{self.coeffs[m]}*{blade_label(self.space, m)}" for m in sorted(self.coeffs, key=blade_key))
@@ -166,14 +166,14 @@ def expand_in_bivectors(elem):
     f, index = elem.field, _bivector_index(elem.space)
     if not elem.grades() <= {0, 2}:
         raise ValueError(f"not a bivector combination: grades {sorted(elem.grades())}")
-    coeffs = [f.zero] * len(index)
-    scalar = f.zero
+    coeffs = [f.scalar(0)] * len(index)
+    scalar = f.scalar(0)
     for mask, c in elem.coeffs.items():
         if mask:
             k, tb = index[mask]
-            coeffs[k] = f.mul(f.scalar(2), c)
-            scalar = f.sub(scalar, f.mul(c, f.scalar(Fraction(tb, 2))))
-    if elem.coeffs.get(0, f.zero) != scalar:
+            coeffs[k] = f.reduce(2 * c)
+            scalar = f.reduce(scalar - c * f.scalar(Fraction(tb, 2)))
+    if elem.coeffs.get(0, 0) != scalar:
         raise ValueError("scalar part inconsistent with a bivector combination")
     return coeffs
 
@@ -187,7 +187,7 @@ def oracle_table(n, field):
     for i in range(len(bivs)):
         for j in range(i + 1, len(bivs)):
             coeffs = expand_in_bivectors(commutator(bivs[i], bivs[j]))
-            table[(i, j)] = tuple((k, c) for k, c in enumerate(coeffs) if not field.is_zero(c))
+            table[(i, j)] = tuple((k, c) for k, c in enumerate(coeffs) if c != 0)
     return table
 
 

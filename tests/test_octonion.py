@@ -4,12 +4,9 @@ import pytest
 from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import Matrix
 from spincert.octonion import (
-    Octonion,
     derivation_algebra,
     g2_stabilizer_checks,
     multiplication_tensor,
-    oct_multiply,
-    octonion_basis,
     split_generating_triple,
     subalgebra_generated,
 )
@@ -17,61 +14,118 @@ from spincert.orbits import subalgebra_structure_from_matrices
 
 F = GF(1_000_003)
 PRIMES = (1_000_003, 999_983)
+LARGEST = GF(2_147_483_647)
+UNIT = [1, 0, 0, 0, 0, 0, 0, 1]
 
 
-def rand_oct(field, rng):
-    return Octonion.from_coords(field, rng.scalars(field, 8))
+# -- independent oracles -------------------------------------------------------
+
+
+def zorn_oracle(field, x, y):
+    """[[a, v], [w, b]] [[c, s], [t, d]] one scalar at a time, on coordinate lists."""
+    a, v, w, b = x[0], x[1:4], x[4:7], x[7]
+    c, s, t, d = y[0], y[1:4], y[4:7], y[7]
+
+    def dot(p, q):
+        return sum(pi * qi for pi, qi in zip(p, q))
+
+    def cross(p, q):
+        return [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
+
+    out = [a * c + dot(v, t)]
+    out += [a * si + d * vi - ci for si, vi, ci in zip(s, v, cross(w, t))]
+    out += [c * wi + b * ti + ci for wi, ti, ci in zip(w, t, cross(v, s))]
+    out += [b * d + dot(w, s)]
+    return [field.scalar(z) for z in out]
+
+
+def norm(field, x):
+    """N = ab - v.w of one coordinate row."""
+    a, v, w, b = x[0], x[1:4], x[4:7], x[7]
+    return field.reduce(a * b - sum(vi * wi for vi, wi in zip(v, w)))
+
+
+def leibniz_by_loops(field):
+    """The Leibniz system built entry by entry, unknown D[r, c] at column 8r + c."""
+    tensor = multiplication_tensor(field)
+    rows = []
+    for i in range(8):
+        for j in range(8):
+            for b in range(8):
+                row = field.zeros(64)
+                for l in range(8):
+                    row[b * 8 + l] = field.reduce(row[b * 8 + l] + tensor[i, j, l])
+                for r in range(8):
+                    row[r * 8 + i] = field.reduce(row[r * 8 + i] - tensor[r, j, b])
+                    row[r * 8 + j] = field.reduce(row[r * 8 + j] - tensor[i, r, b])
+                rows.append(row)
+    return Matrix(field, np.stack(rows))
+
+
+# -- helpers -------------------------------------------------------------------
+
+
+def tensor_mul(field, xs, ys):
+    """Row-wise products xs[k] * ys[k] through the multiplication tensor."""
+    left = field.matmul(xs, multiplication_tensor(field).reshape(8, 64)).reshape(-1, 8, 8)
+    return field.matmul(ys[:, None, :], left)[:, 0]
+
+
+def rand_rows(field, rng, count):
+    return field.array(rng.scalars(field, 8 * count)).reshape(count, 8)
+
+
+def rand_trace_zero(field, rng):
+    d, a, b, c, e, g, h = rng.scalars(field, 7)
+    return field.array([d, a, b, c, e, g, h, field.reduce(-d)])
+
+
+# -- tests ---------------------------------------------------------------------
 
 
 def test_unit_and_idempotents():
-    one = Octonion.one(F)
-    rng = RandomSource(0)
-    x = rand_oct(F, rng)
-    assert (one * x).coords() == x.coords()
-    assert (x * one).coords() == x.coords()
-    e1 = Octonion.from_coords(F, [1, 0, 0, 0, 0, 0, 0, 0])
-    assert (e1 * e1).coords() == e1.coords()
+    one = F.array([UNIT])
+    x = rand_rows(F, RandomSource(0), 1)
+    assert np.array_equal(tensor_mul(F, one, x), x)
+    assert np.array_equal(tensor_mul(F, x, one), x)
+    e1 = F.array([[1, 0, 0, 0, 0, 0, 0, 0]])
+    assert np.array_equal(tensor_mul(F, e1, e1), e1)
 
 
 @pytest.mark.parametrize("field", [F, QQ])
 def test_norm_multiplicative_100_pairs(field):
     rng = RandomSource(1)
-    for _ in range(100):
-        x, y = rand_oct(field, rng), rand_oct(field, rng)
-        assert (x * y).norm() == field.mul(x.norm(), y.norm())
+    xs, ys = rand_rows(field, rng, 100), rand_rows(field, rng, 100)
+    for x, y, xy in zip(xs, ys, tensor_mul(field, xs, ys)):
+        assert norm(field, xy) == field.reduce(norm(field, x) * norm(field, y))
 
 
 def test_alternative_laws():
     rng = RandomSource(2)
     for field in (F, QQ):
-        for _ in range(50):
-            x, y = rand_oct(field, rng), rand_oct(field, rng)
-            assert (x * (x * y)).coords() == ((x * x) * y).coords()
-            assert ((y * x) * x).coords() == (y * (x * x)).coords()
+        xs, ys = rand_rows(field, rng, 50), rand_rows(field, rng, 50)
+        xx = tensor_mul(field, xs, xs)
+        assert np.array_equal(tensor_mul(field, xs, tensor_mul(field, xs, ys)), tensor_mul(field, xx, ys))
+        assert np.array_equal(tensor_mul(field, tensor_mul(field, ys, xs), xs), tensor_mul(field, ys, xx))
 
 
 def test_not_associative():
-    basis = octonion_basis(QQ)
+    basis = QQ.eye(8)
     found = False
     for i in (2, 3, 4):
-        a, b, c = basis[1], basis[i], basis[5]
-        if ((a * b) * c).coords() != (a * (b * c)).coords():
+        a, b, c = basis[[1]], basis[[i]], basis[[5]]
+        if not np.array_equal(tensor_mul(QQ, tensor_mul(QQ, a, b), c), tensor_mul(QQ, a, tensor_mul(QQ, b, c))):
             found = True
     assert found
 
 
 def test_trace_form_nondegenerate_and_derivations_skew():
-    # tr(xy) as an 8x8 matrix in the coordinate basis
-    basis = octonion_basis(F)
-    t = Matrix(F, [[(basis[i] * basis[j]).trace() for j in range(8)] for i in range(8)])
+    # tr(xy) = a + b of the product, as an 8x8 matrix in the coordinate basis
+    t = multiplication_tensor(F)
+    t = Matrix(F, t[:, :, 0] + t[:, :, 7])
     assert t.rank() == 8
     for m in derivation_algebra(F).matrices:
         assert (m.T @ t + t @ m).is_zero()
-
-
-def test_field_mismatch():
-    with pytest.raises(ValueError):
-        oct_multiply(Octonion.one(F), Octonion.one(QQ))
 
 
 def test_derivation_dimension_both_primes():
@@ -83,21 +137,25 @@ def test_derivation_dimension_over_qq():
     assert derivation_algebra(QQ).dimension == 14
 
 
+def test_derivations_match_loop_built_leibniz_system():
+    for field in (*map(GF, PRIMES), QQ):
+        expected = [z.reshape(8, 8).tolist() for z in leibniz_by_loops(field).kernel_basis()]
+        assert [m.data.tolist() for m in derivation_algebra(field).matrices] == expected
+
+
 def test_derivations_kill_unit_and_leibniz():
     da = derivation_algebra(F)
-    one = np.array(Octonion.one(F).coords(), dtype=np.int64)
-    basis = octonion_basis(F)
+    basis = F.eye(8)
+    # row 8i + j: e_i and e_j
+    left, right = np.repeat(basis, 8, axis=0), np.tile(basis, (8, 1))
+    products = tensor_mul(F, left, right)
     for m in da.matrices:
-        assert not m.apply(one).any()
-        # Leibniz on all 64 basis pairs, exact
-        for i in range(8):
-            for j in range(8):
-                xi, xj = basis[i], basis[j]
-                dxi = Octonion.from_coords(F, list(m.apply(np.eye(8, dtype=np.int64)[i])))
-                dxj = Octonion.from_coords(F, list(m.apply(np.eye(8, dtype=np.int64)[j])))
-                lhs = m.apply(np.array((xi * xj).coords(), dtype=np.int64))
-                rhs = (dxi * xj + xi * dxj).coords()
-                assert list(lhs) == rhs
+        assert not np.count_nonzero(F.matmul(m.data, F.array(UNIT)[:, None]))
+        # Leibniz on all 64 basis pairs, exact: D(e_i e_j) = D(e_i) e_j + e_i D(e_j)
+        d = m.data.T  # row i is D(e_i)
+        lhs = F.matmul(products, d)
+        rhs = F.reduce(tensor_mul(F, np.repeat(d, 8, axis=0), right) + tensor_mul(F, left, np.tile(d, (8, 1))))
+        assert np.array_equal(lhs, rhs)
 
 
 def test_derivations_closed_under_commutator():
@@ -115,30 +173,27 @@ def test_derivations_preserve_trace_zero():
 
 def test_subalgebra_generated_examples():
     rng = RandomSource(3)
-    zero = Octonion.zero(F)
-    x = rand_oct(F, rng)
-    assert subalgebra_generated(x, zero, zero) <= 2
-    trace_zero = [
-        Octonion.from_coords(F, [d, a, b, c, e, g, h, F.neg(d)])
-        for d, a, b, c, e, g, h in [tuple(rng.scalars(F, 7)) for _ in range(3)]
-    ]
-    assert subalgebra_generated(*trace_zero) == 8
-    assert subalgebra_generated(*split_generating_triple(F)) == 8
-    assert subalgebra_generated(*split_generating_triple(QQ)) == 8
+    zero = F.zeros(8)
+    x = rand_rows(F, rng, 1)[0]
+    assert subalgebra_generated(F, [x, zero, zero]) <= 2
+    trace_zero = [rand_trace_zero(F, rng) for _ in range(3)]
+    assert subalgebra_generated(F, trace_zero) == 8
+    assert subalgebra_generated(F, split_generating_triple(F)) == 8
+    assert subalgebra_generated(QQ, split_generating_triple(QQ)) == 8
 
 
 def test_split_triple_is_trace_zero():
-    for o in split_generating_triple(F):
-        assert F.is_zero(o.trace())
+    rows = split_generating_triple(F)
+    assert not np.count_nonzero(F.reduce(rows[:, 0] + rows[:, 7]))
 
 
 def test_subalgebra_generated_monotone():
     rng = RandomSource(5)
-    zero = Octonion.zero(F)
-    x, y, z = (rand_oct(F, rng) for _ in range(3))
-    d1 = subalgebra_generated(x, zero, zero)
-    d2 = subalgebra_generated(x, y, zero)
-    d3 = subalgebra_generated(x, y, z)
+    zero = F.zeros(8)
+    x, y, z = rand_rows(F, rng, 3)
+    d1 = subalgebra_generated(F, [x, zero, zero])
+    d2 = subalgebra_generated(F, [x, y, zero])
+    d3 = subalgebra_generated(F, [x, y, z])
     assert d1 <= d2 <= d3 <= 8
 
 
@@ -148,6 +203,14 @@ def test_g2_checks_certificates():
         derivations = derivation_algebra(GF(p))
         assert g2_stabilizer_checks(derivations, 3, 0) == (0, 8, 8)
         assert g2_stabilizer_checks(derivations, 3, 777) == (0, 8, 8)
+
+
+def test_octonion_checks_at_largest_prime():
+    # residue products there leave int64 unless every sum goes through field.matmul
+    assert g2_stabilizer_checks(derivation_algebra(LARGEST), 3, 0) == (0, 8, 8)
+    assert subalgebra_generated(LARGEST, split_generating_triple(LARGEST)) == 8
+    rng = RandomSource(6)
+    assert subalgebra_generated(LARGEST, [rand_trace_zero(LARGEST, rng) for _ in range(3)]) == 8
 
 
 def test_cross_module_g2_equals_spin7_stabilizer():
@@ -167,11 +230,14 @@ def test_cross_module_g2_equals_spin7_stabilizer():
 
 
 def test_multiplication_tensor_consistent():
-    t = multiplication_tensor(F)
-    basis = octonion_basis(F)
+    # the tensor against the scalar oracle on all 64 basis pairs
+    for field in (*map(GF, PRIMES), QQ):
+        t = multiplication_tensor(field)
+        basis = np.eye(8, dtype=np.int64).tolist()
+        for i in range(8):
+            for j in range(8):
+                assert t[i, j].tolist() == zorn_oracle(field, basis[i], basis[j])
+    # and on a random pair, through both contractions
     rng = RandomSource(4)
-    x, y = rand_oct(F, rng), rand_oct(F, rng)
-    xv = np.array(x.coords(), dtype=np.int64)
-    yv = np.array(y.coords(), dtype=np.int64)
-    via_tensor = np.einsum("i,j,ijk->k", xv, yv, t) % F.p
-    assert list(via_tensor) == (x * y).coords()
+    x, y = rand_rows(F, rng, 2)
+    assert tensor_mul(F, x[None], y[None])[0].tolist() == zorn_oracle(F, x.tolist(), y.tolist())

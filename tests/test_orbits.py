@@ -113,7 +113,7 @@ def test_orbit_values_agree_over_q_and_fp(name, field, monkeypatch):
     rep = build(field)
     # one small-integer point, the same over both fields
     rng = random.Random(11)
-    v = Matrix(field, [[rng.randint(-9, 9) for _ in range(rep.dim)]]).row(0)
+    v = field.array([rng.randint(-9, 9) for _ in range(rep.dim)])
     r = stabilizer(rep, v)
     assert (r.dimension, r.orbit_dimension) == (stab_dim, rep.g - stab_dim)
     mats = kernel_action_matrices(r.kernel, rep)

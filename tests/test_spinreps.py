@@ -30,7 +30,7 @@ F = GF(1_000_003)
 def inverse(m: Matrix) -> Matrix:
     """Reference inverse of a regular matrix, read off the rref of [A | I]."""
     red, _ = Matrix.hstack([m, Matrix.identity(m.field, m.rows)]).rref()
-    return red.submatrix(range(m.rows), range(m.rows, 2 * m.rows))
+    return Matrix(m.field, red.data[:, m.rows :])
 
 
 def gram_matrix(space, field):
@@ -406,7 +406,7 @@ def _perturb_structure(rep, struct, last=False):
     keys = [key for key, row in table.items() if row and (not last or key[1] == struct.dim - 1)]
     key = keys[-1] if last else keys[0]
     (k, c), *rest = table[key]
-    table[key] = ((k, struct.field.add(c, struct.field.one)), *rest)
+    table[key] = ((k, struct.field.reduce(c + 1)), *rest)
     return rep, SoStructure(struct.space, struct.field, struct.pairs, table)
 
 
