@@ -5,7 +5,11 @@ the package's real workloads (stacked action maps, Sylvester systems,
 bilinear-form constraints, the spin(14) closure stacks) with the NumPy leaf,
 the compiled leaf when it is built, and ``kernels.rref_mod``, which runs the
 row-blocked driver on tall, large inputs.  Every result is checked against
-the NumPy leaf.  Then it times the two Q kernels at the shapes of the
+the NumPy leaf.  Then it times the NumPy kernel on the stacks of two trial
+protocols, once per matrix and once as one stack, and checks the two agree:
+the action matrices of the free-14 module (three natural copies plus a
+half-spin module of so(14)) at 8 trial points, and the 8 tangent-stabilizer
+systems of ``sln_quotient`` at n = 8.  Then it times the two Q kernels at the shapes of the
 ``sln_quotient`` suite, the integer product ``QQ.matmul`` and the
 fraction-free elimination ``linalg._rref_qq``, against elementwise
 ``Fraction`` arithmetic, and checks each result against that reference.
@@ -30,11 +34,13 @@ from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import Matrix, _rref_qq, coordinates_in_span, random_vector
 from spincert.orbits import (
     _diagonal_members,
+    action_matrix,
     invariant_quartic_dim,
     kernel_action_matrices,
     stabilizer,
     subalgebra_structure_from_matrices,
 )
+from spincert.slnpair import _stabilizer_systems, random_pairs
 
 try:
     from spincert import _modp_core
@@ -103,6 +109,30 @@ def bench_qq(rng, repeats):
         assert got[1] == want[1] and np.array_equal(got[0], want[0]), "_rref_qq disagrees with Fraction arithmetic"
         ref, fast = bench(fraction_rref, m, repeats), bench(_rref_qq, m, repeats)
         print(f"{'linalg._rref_qq':<22} {f'{rows}x{cols}':<18} {ref*1e3:>8.2f}ms {fast*1e3:>8.2f}ms")
+
+
+def trial_stacks():
+    """(name, stack) for the two trial protocols, 8 trials each, over GF(P)."""
+    field = GF(P)
+    space = QuadraticSpace(14)
+    rep = spinreps.direct_sum([spinreps.vector_rep(space, field)] * 3 + [spinreps.half_spin_reps(space, field)[0]])
+    points = [random_vector(field, rep.dim, RandomSource(0).child(t)) for t in range(8)]
+    free14 = np.stack([action_matrix(rep, v).data for v in points])
+    sln8 = _stabilizer_systems(field, *random_pairs(field, 8, RandomSource(0), 8))
+    return [("free-14 action stack", free14), ("sln n=8 stabilizer", sln8)]
+
+
+def bench_stacks(repeats):
+    print(f"{'stack':<22} {'k x rows x cols':<16} {'per matrix':>10} {'stacked':>10}")
+    for name, stack in trial_stacks():
+        red, pivots = _modp_fallback.rref_stack(stack, P)
+        for i, a in enumerate(stack):
+            want, want_piv = _modp_fallback.rref(a, P)
+            assert pivots[i] == want_piv and np.array_equal(red[i], want), f"{name}: stack and matrix {i} disagree"
+        loop = bench(lambda s: [_modp_fallback.rref(a, P) for a in s], stack, repeats)
+        fast = bench(_modp_fallback.rref_stack, stack, repeats, P)
+        k, rows, cols = stack.shape
+        print(f"{name:<22} {f'{k} x {rows}x{cols}':<16} {loop*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
 
 
 def spin_x4_by_pairs(n):
@@ -219,6 +249,7 @@ def main():
         print(f"{name:<22} {f'{rows}x{cols}':<12} {cells}")
     if _modp_core is None:
         print("compiled kernel not built; install with `pip install -e . --no-build-isolation`")
+    bench_stacks(args.repeats)
     bench_qq(rng, args.repeats)
     bench_batched(args.repeats)
 

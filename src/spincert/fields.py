@@ -3,7 +3,7 @@
 Scalars are plain Python values: ``int`` residues in ``[0, p)`` for a prime
 field, ``fractions.Fraction`` for the rationals.  A field object holds what
 raw ``int`` and ``Fraction`` operations cannot express: coercion
-(``scalar``), inverses (``inv``), random draws (``random_scalar``) and the
+(``scalar``), inverses (``inv``), random draws (``random_scalars``) and the
 array methods below.  Scalar sums and products are written with ``+`` and
 ``*`` and mapped back with ``reduce``; zero tests are ``x == 0``.
 
@@ -105,8 +105,8 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, -1, self.p)
 
-    def random_scalar(self, rng: "RandomSource"):
-        return rng.randrange(self.p)
+    def random_scalars(self, rng: "RandomSource", count: int) -> list:
+        return rng.below(self.p, count)
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
@@ -147,10 +147,10 @@ class RationalField:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / Fraction(a)
 
-    def random_scalar(self, rng: "RandomSource"):
-        # Small integers keep rational arithmetic cheap and are generic with
-        # high probability.
-        return Fraction(rng.randint(-99, 99))
+    def random_scalars(self, rng: "RandomSource", count: int) -> list:
+        # Small integers in [-99, 99] keep rational arithmetic cheap and are
+        # generic with high probability; randint(-99, 99) is -99 + randrange(199).
+        return [Fraction(x - 99) for x in rng.below(199, count)]
 
     def zeros(self, shape) -> np.ndarray:
         return np.full(shape, Fraction(0), dtype=object)
@@ -230,5 +230,26 @@ class RandomSource:
     def randint(self, a: int, b: int) -> int:
         return self._rng.randint(a, b)
 
+    def below(self, n: int, count: int) -> list:
+        """``count`` values of ``randrange(n)``, drawn in bulk from the same stream.
+
+        For n < 2**32, ``randrange(n)`` keeps the top n.bit_length() bits of
+        one 32-bit output and draws again while the value is at least n.
+        ``getrandbits(32 * need)`` holds the next ``need`` outputs as
+        little-endian words, so shifting the words and keeping those below n
+        gives the same values, and asking only for as many words as values
+        are still missing never draws ahead of the stream.
+        """
+        if not 0 < n < 2**32:
+            raise ValueError(f"bulk draws need 0 < n < 2**32, got {n}")
+        shift = 32 - n.bit_length()
+        out: list = []
+        while len(out) < count:
+            need = count - len(out)
+            words = np.frombuffer(self._rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4")
+            words = words >> shift
+            out += words[words < n].tolist()
+        return out
+
     def scalars(self, field, count: int) -> list:
-        return [field.random_scalar(self) for _ in range(count)]
+        return field.random_scalars(self, count)

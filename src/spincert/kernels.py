@@ -1,8 +1,37 @@
 """Backend selection and the exact mod-p kernels.
 
 The elimination leaf exists twice: a Cython extension (``_modp_core``) and
-a NumPy fallback (``_modp_fallback``).  The compiled one is picked at import
+a NumPy kernel (``_modp_fallback``).  The compiled one is picked at import
 when it is built.  ``benchmarks/bench_kernels.py`` compares the two.
+
+The NumPy kernel eliminates a whole ``(k, rows, cols)`` stack in one call
+and takes a single matrix as a stack of one.  ``rref_stack`` is its entry
+point, where the genericity protocols eliminate all their trials, whatever
+the backend; their stacks are far below the row-blocked driver's size
+floor.  ``rref_mod`` stays 2-D.  Each matrix of a stack gets exactly the
+RREF (int64 residues) and pivots that ``rref_mod`` gives it alone.
+
+All matrices advance one column per step, each pivoting on its first
+nonzero row at or below its pivot count.  While every matrix pivots at the
+same row, the pivot rows are one strided slice of the stack, so a step
+costs as many NumPy calls for k matrices as for one (the batched-BLAS idea:
+Dongarra et al., "The design and performance of batched BLAS on modern
+high-performance computing systems", Procedia Computer Science 108, 2017).
+The rank-1 update touches only the rows that are nonzero in the pivot
+column of some matrix, through a slice when they fill at least half of
+their span, and broadcasts each matrix's pivot row over its own rows.  A
+column that is zero in every input stays zero under row operations and is
+skipped.
+
+The reduction mod p is lazy, as in FFLAS-FFPACK (reference below).  A step
+reduces only the pivot column and the pivot rows.  An update subtracts a
+product of two residues, at most (p-1)^2, so an entry reduced into [0, p)
+stays above -2^63 for floor((2^63-1)/(p-1)^2) - 1 updates, and the
+trailing block is reduced at that cadence: every 9,223,334 updates at
+p = 1000003 (so never), every 8 at p = 10^9 + 7, and at every update near
+p = 2^31, where the reduction is folded into the update of the rows it
+touches.  Columns left of the current one receive no further updates, and
+one final reduction makes the output exact.
 
 ``rref_mod`` sends tall, large inputs (``rows >= 2*cols`` and
 ``rows*cols >= 2**16``) through a row-blocked driver above the leaf, in the
@@ -26,6 +55,8 @@ not to overflow.
 """
 
 import numpy as np
+
+from ._modp_fallback import rref_stack
 
 try:
     from . import _modp_core as _impl  # type: ignore[attr-defined]

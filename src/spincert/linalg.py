@@ -6,8 +6,10 @@ arithmetic on them, come from the field (see ``fields``).  Elimination is the
 one step that differs by field: over F_p it goes through the selected kernel
 backend; over Q it is fraction-free Gauss-Jordan on cleared-denominator
 integer rows, which forms one ``Fraction`` per output entry at the end
-(``_rref_qq``).  Pivoting is always first-nonzero in column order, so every
-result is deterministic.
+(``_rref_qq``).  ``Matrix.stacked`` eliminates a stack of matrices of one
+shape together, one kernel call over F_p, which is how the genericity
+protocols eliminate all their trials.  Pivoting is always first-nonzero in
+column order, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import PrimeField, RandomSource, _cleared
-from .kernels import rref_mod
+from .kernels import rref_mod, rref_stack
 
 __all__ = [
     "Matrix",
@@ -153,16 +155,24 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
+    @classmethod
+    def stacked(cls, field, arr) -> list["Matrix"]:
+        """One matrix per leading index of a (k, rows, cols) field array, with
+        the RREFs of all of them computed together (``_eliminate``) and cached."""
+        mats = [cls(field, None, _raw=x) for x in arr]
+        for m, found in zip(mats, _eliminate(field, arr)):
+            m._keep_rref(*found)
+        return mats
+
     def rref(self):
         """Reduced row echelon form: (Matrix, pivot column tuple).  Cached."""
         if self._rref is None:
-            if isinstance(self.field, PrimeField):
-                arr, piv = rref_mod(self.data, self.field.p)
-            else:
-                arr, piv = _rref_qq(self.data)
-            arr.flags.writeable = False
-            self._rref = (self._wrap(arr), piv)
+            self._keep_rref(*_eliminate(self.field, self.data[None])[0])
         return self._rref
+
+    def _keep_rref(self, red, pivots):
+        red.flags.writeable = False
+        self._rref = (self._wrap(red), pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -219,7 +229,22 @@ def random_matrix(field, rows, cols, rng: RandomSource) -> Matrix:
     return Matrix(field, data)
 
 
-# -- rational elimination ----------------------------------------------------
+# -- elimination ---------------------------------------------------------------
+
+
+def _eliminate(field, arr):
+    """RREF of every matrix of a (k, rows, cols) field array: [(array, pivots)].
+
+    Over F_p a stack of more than one matrix is one ``kernels.rref_stack``
+    call and a single matrix goes through ``rref_mod``; over Q each matrix
+    goes through ``_rref_qq``.
+    """
+    if not isinstance(field, PrimeField):
+        return [_rref_qq(x) for x in arr]
+    if len(arr) == 1:
+        return [rref_mod(arr[0], field.p)]
+    red, pivots = rref_stack(arr, field.p)
+    return list(zip(red, pivots))
 
 
 def _rref_qq(arr: np.ndarray):
@@ -283,8 +308,8 @@ def _det_int(work: list[list[int]]) -> int:
 class SpanBuilder:
     """Incremental row-space in reduced echelon form.
 
-    Supports exact membership tests and dimension tracking for
-    vector-at-a-time span closures such as octonion subalgebras.
+    Tracks the dimension of vector-at-a-time span closures such as octonion
+    subalgebras.
     """
 
     def __init__(self, field, ambient_dim: int):
@@ -304,9 +329,6 @@ class SpanBuilder:
             if c:
                 v = self.field.reduce(v - c * row)
         return v
-
-    def contains(self, vec) -> bool:
-        return not np.count_nonzero(self.reduce(vec))
 
     def add(self, vec) -> bool:
         """Add a vector; True if it enlarged the span."""

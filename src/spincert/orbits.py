@@ -71,16 +71,25 @@ def action_matrix(rep: LieRepresentation, v) -> Matrix:
 
 def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
     """Stabilizer subalgebra of the point v: exact kernel, re-verified."""
-    mat = action_matrix(rep, v)
-    kernel = mat.kernel_basis()
+    return _stabilizers(rep, [v])[0]
+
+
+def _stabilizers(rep: LieRepresentation, points: list) -> list[StabilizerReport]:
+    """Stabilizer reports of several points, their action matrices eliminated as one stack."""
     field = rep.field
-    # the defining property, checked again after extraction: sum_k z_k (rho(m_k) v) from the tensor
-    images = field.matmul(rep.tensor.reshape(-1, rep.dim), field.array(v).reshape(-1, 1))
-    z = field.array(kernel).reshape(-1, rep.g)
-    if np.count_nonzero(field.matmul(z, images.reshape(rep.g, rep.dim))):
-        raise AssertionError("kernel vector does not annihilate the point")
-    dim = len(kernel)
-    return StabilizerReport(dim, rep.g, rep.g - dim, kernel)
+    # one product per point: a single (g*d, d) @ (d, t) product would run in threaded BLAS
+    mats = Matrix.stacked(field, np.stack([action_matrix(rep, v).data for v in points]))
+    reports = []
+    for v, mat in zip(points, mats):
+        kernel = mat.kernel_basis()
+        # the defining property, checked again after extraction: sum_k z_k (rho(m_k) v) from the tensor
+        images = field.matmul(rep.tensor.reshape(-1, rep.dim), field.array(v).reshape(-1, 1))
+        z = field.array(kernel).reshape(-1, rep.g)
+        if np.count_nonzero(field.matmul(z, images.reshape(rep.g, rep.dim))):
+            raise AssertionError("kernel vector does not annihilate the point")
+        dim = len(kernel)
+        reports.append(StabilizerReport(dim, rep.g, rep.g - dim, kernel))
+    return reports
 
 
 def kernel_action_matrices(kernel: list, rep: LieRepresentation) -> list[Matrix]:
@@ -96,16 +105,14 @@ def min_trial_stabilizer(rep: LieRepresentation, trials: int, seed: int) -> tupl
 
     Trial t samples its point from ``RandomSource(seed).child(t)``; a later
     trial replaces the best one only if its dimension is strictly smaller.
+    The action matrices of all trials are eliminated as one stack.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    best = None
-    for t in range(trials):
-        v = random_vector(rep.field, rep.dim, RandomSource(seed).child(t))
-        r = stabilizer(rep, v)
-        if best is None or r.dimension < best[0].dimension:
-            best = (r, v)
-    return best
+    points = [random_vector(rep.field, rep.dim, RandomSource(seed).child(t)) for t in range(trials)]
+    reports = _stabilizers(rep, points)
+    best = min(range(trials), key=lambda t: reports[t].dimension)  # min keeps the first
+    return reports[best], points[best]
 
 
 # -- subalgebra structure ------------------------------------------------------

@@ -15,7 +15,10 @@ normalization inverts the completed basis of X, and a transporter I + t e_n^T
 has inverse I - t e_n^T.  ``act`` checks the given inverse with one product
 and refuses a determinant other than one.  It takes field arrays, one pair
 or a stack, so ``random_samples`` and ``act`` run many samples in a few
-batched products, with the same code over either field.
+batched products, with the same code over either field.  The sampled checks
+take stacks too: ``normalizations_to_j``, ``stabilizer_lie_dims`` and
+``jacobian_ranks_pi`` eliminate the systems of all their pairs as one stack
+(``Matrix.stacked``), and the single-pair functions are stacks of one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import RandomSource
-from .linalg import NON_UNIQUE, NO_SOLUTION, Matrix, random_matrix
+from .linalg import NON_UNIQUE, NO_SOLUTION, Matrix
 
 __all__ = [
     "NotInSLn",
@@ -38,11 +41,15 @@ __all__ = [
     "tau",
     "pi",
     "normalize_to_j",
+    "normalizations_to_j",
     "fiber_transporter",
     "stabilizer_lie_dim",
+    "stabilizer_lie_dims",
     "jacobian_rank_pi",
+    "jacobian_ranks_pi",
     "random_sl",
     "random_pair",
+    "random_pairs",
     "random_samples",
     "random_fiber_partner",
 ]
@@ -138,21 +145,37 @@ def normalize_to_j(pair: MatrixPair) -> tuple[Matrix, Matrix]:
     of the reduced form is [X | e_i]^{-1}.  So the scale is det E, and A is
     E with its last row divided by det E.  Deterministic by construction.
     """
-    n = pair.n
-    field = pair.field
-    red, pivots = Matrix.hstack([pair.X, Matrix.identity(field, n)]).rref()
-    if pivots[: n - 1] != tuple(range(n - 1)):
+    (found,) = normalizations_to_j(pair.field, pair.X.data[None])
+    if found is None:
         raise DegeneratePair("X has rank below n-1")
-    e = red.data[:, n - 1 :]
-    scale = Matrix(field, None, _raw=e).det()
-    basis = np.hstack([pair.X.data, field.zeros((n, 1))])
-    basis[pivots[n - 1] - (n - 1), n - 1] = scale
-    a = e.copy()
-    a[n - 1] = field.reduce(a[n - 1] * field.inv(scale))
-    a = Matrix(field, None, _raw=a)
-    if not (a @ pair.X) == canonical_j(field, n):
-        raise AssertionError("normalization replay failed")
-    return a, Matrix(field, None, _raw=basis)
+    return tuple(Matrix(pair.field, None, _raw=m) for m in found)
+
+
+def normalizations_to_j(field, x) -> list:
+    """``normalize_to_j`` for a stack of X blocks of shape (k, n, n-1).
+
+    One (A, A^{-1}) pair of field arrays per block, or None where X has
+    rank below n-1; the k reductions of [X | I] run as one stack.
+    """
+    k, n, _ = x.shape
+    j = canonical_j(field, n).data
+    aug = np.concatenate([x, np.broadcast_to(field.eye(n), (k, n, n))], axis=2)
+    out = []
+    for xk, m in zip(x, Matrix.stacked(field, aug)):
+        red, pivots = m.rref()
+        if pivots[: n - 1] != tuple(range(n - 1)):
+            out.append(None)
+            continue
+        e = red.data[:, n - 1 :]
+        scale = Matrix(field, None, _raw=e).det()
+        basis = np.hstack([xk, field.zeros((n, 1))])
+        basis[pivots[n - 1] - (n - 1), n - 1] = scale
+        a = e.copy()
+        a[n - 1] = field.reduce(a[n - 1] * field.inv(scale))
+        if not np.array_equal(field.matmul(a, xk), j):
+            raise AssertionError("normalization replay failed")
+        out.append((a, basis))
+    return out
 
 
 def fiber_transporter(pair_jy: MatrixPair, pair_jz: MatrixPair) -> Matrix:
@@ -186,32 +209,46 @@ def fiber_transporter(pair_jy: MatrixPair, pair_jz: MatrixPair) -> Matrix:
 
 def stabilizer_lie_dim(pair: MatrixPair) -> int:
     """dim {a in sl_n : a X = 0 and Y a = 0}; 0 whenever YX is nonsingular."""
-    n = pair.n
-    field = pair.field
+    return stabilizer_lie_dims(pair.field, pair.X.data[None], pair.Y.data[None])[0]
+
+
+def stabilizer_lie_dims(field, x, y) -> list[int]:
+    """``stabilizer_lie_dim`` of each pair of a stack, X of shape (k, n, n-1)
+    and Y of shape (k, n-1, n); the k systems are eliminated as one stack."""
+    return [len(m.kernel_basis()) for m in Matrix.stacked(field, _stabilizer_systems(field, x, y))]
+
+
+def _stabilizer_systems(field, x, y):
+    """The (k, 2n(n-1) + 1, n^2) systems a X = 0, Y a = 0, trace a = 0."""
+    k, n, _ = x.shape
     idx = np.arange(n)
     # a flattened row-major: (aX)[i, j] = sum_k X[k, j] a[i, k], (Ya)[i, j] = sum_k Y[i, k] a[k, j]
-    ax = field.zeros((n, n - 1, n, n))
-    ax[idx, :, idx, :] = pair.X.data.T
-    ya = field.zeros((n - 1, n, n, n))
-    ya[:, idx, :, idx] = pair.Y.data
-    trace = field.zeros((1, n, n))
-    trace[0, idx, idx] = field.scalar(1)
-    system = np.vstack([m.reshape(-1, n * n) for m in (ax, ya, trace)])
-    return len(Matrix(field, None, _raw=system).kernel_basis())
+    ax = field.zeros((k, n, n - 1, n, n))
+    ax[:, idx, :, idx, :] = np.swapaxes(x, 1, 2)
+    ya = field.zeros((k, n - 1, n, n, n))
+    ya[:, :, idx, :, idx] = y
+    trace = field.zeros((k, 1, n, n))
+    trace[:, 0, idx, idx] = field.scalar(1)
+    return np.concatenate([m.reshape(k, -1, n * n) for m in (ax, ya, trace)], axis=1)
 
 
 def jacobian_rank_pi(pair: MatrixPair) -> int:
     """Rank of (H, K) -> Y H + K X from dimension 2n(n-1) onto (n-1)^2."""
-    n = pair.n
-    field = pair.field
+    return jacobian_ranks_pi(pair.field, pair.X.data[None], pair.Y.data[None])[0]
+
+
+def jacobian_ranks_pi(field, x, y) -> list[int]:
+    """``jacobian_rank_pi`` of each pair of a stack, X of shape (k, n, n-1)
+    and Y of shape (k, n-1, n); the k Jacobians are eliminated as one stack."""
+    k, n, _ = x.shape
     idx = np.arange(n - 1)
     # row (i, j); H[a, j] is column a*(n-1)+j, K[i, b] is column n(n-1) + i*n + b
-    yh = field.zeros((n - 1, n - 1, n, n - 1))
-    yh[:, idx, :, idx] = pair.Y.data
-    kx = field.zeros((n - 1, n - 1, n - 1, n))
-    kx[idx, :, idx, :] = pair.X.data.T
-    mat = np.hstack([m.reshape((n - 1) ** 2, -1) for m in (yh, kx)])
-    return Matrix(field, None, _raw=mat).rank()
+    yh = field.zeros((k, n - 1, n - 1, n, n - 1))
+    yh[:, :, idx, :, idx] = y
+    kx = field.zeros((k, n - 1, n - 1, n - 1, n))
+    kx[:, idx, :, idx, :] = np.swapaxes(x, 1, 2)
+    mat = np.concatenate([m.reshape(k, (n - 1) ** 2, -1) for m in (yh, kx)], axis=2)
+    return [m.rank() for m in Matrix.stacked(field, mat)]
 
 
 def _lower_unitriangular_inverse(field, t):
@@ -248,7 +285,16 @@ def random_sl(field, n: int, rng: RandomSource) -> tuple[Matrix, Matrix]:
 
 
 def random_pair(field, n: int, rng: RandomSource) -> MatrixPair:
-    return MatrixPair(random_matrix(field, n, n - 1, rng), random_matrix(field, n - 1, n, rng))
+    (x,), (y,) = random_pairs(field, n, rng, 1)
+    return MatrixPair(Matrix(field, None, _raw=x), Matrix(field, None, _raw=y))
+
+
+def random_pairs(field, n: int, rng: RandomSource, count: int):
+    """``count`` draws of ``random_pair``, stacked: X of shape (count, n, n-1)
+    and Y of shape (count, n-1, n), from the same scalars in the same order."""
+    k = n * (n - 1)
+    s = field.array(rng.scalars(field, count * 2 * k)).reshape(count, 2 * k)
+    return s[:, :k].reshape(count, n, n - 1), s[:, k:].reshape(count, n - 1, n)
 
 
 def random_samples(field, n: int, rng: RandomSource, count: int):

@@ -47,18 +47,19 @@ from .orbits import (
     subalgebra_structure_from_matrices,
 )
 from .slnpair import (
-    DegeneratePair,
     MatrixPair,
     act,
     canonical_j,
     fiber_transporter,
-    jacobian_rank_pi,
+    jacobian_ranks_pi,
+    normalizations_to_j,
     normalize_to_j,
     pi,
     random_fiber_partner,
     random_pair,
+    random_pairs,
     random_samples,
-    stabilizer_lie_dim,
+    stabilizer_lie_dims,
     tau,
 )
 from .spinreps import (
@@ -648,14 +649,13 @@ def _sln_quotient(cfg: RunConfig, f, n: int) -> dict:
     invariant = np.array_equal(f.matmul(ya, ax), f.matmul(y, x))
 
     tau_ok = norm_ok = True
-    for _ in range(5):
-        pr = random_pair(f, n, rng)
+    xs, ys = random_pairs(f, n, rng, 5)
+    for x_k, y_k, g in zip(xs, ys, normalizations_to_j(f, xs)):
+        pr = MatrixPair(Matrix(f, None, _raw=x_k), Matrix(f, None, _raw=y_k))
         tau_ok &= pi(tau(pr)) == pi(pr).T
-        try:
-            g, g_inv = normalize_to_j(pr)
-        except DegeneratePair:
+        if g is None:  # X of rank below n-1
             continue
-        moved, _ = act(f, g.data, g_inv.data, pr.X.data, pr.Y.data)
+        moved, _ = act(f, *g, x_k, y_k)
         norm_ok &= np.array_equal(moved, canonical_j(f, n).data)
 
     found = attempts = 0
@@ -669,13 +669,15 @@ def _sln_quotient(cfg: RunConfig, f, n: int) -> dict:
         fiber_transporter(jy, random_fiber_partner(jy, rng))  # replays the move and checks det 1
         found += 1
 
+    stabilizer = min(stabilizer_lie_dims(f, *random_pairs(f, n, rng, cfg.trials)))
+    jacobian = max(jacobian_ranks_pi(f, *random_pairs(f, n, rng, cfg.trials)))
     return {
         "pi-invariant": invariant,
         "tau-quotient": tau_ok,
         "normalize": norm_ok,
         "transporter": found,
-        "stabilizer": min(stabilizer_lie_dim(random_pair(f, n, rng)) for _ in range(cfg.trials)),
-        "jacobian": max(jacobian_rank_pi(random_pair(f, n, rng)) for _ in range(cfg.trials)),
+        "stabilizer": stabilizer,
+        "jacobian": jacobian,
     }
 
 

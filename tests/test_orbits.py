@@ -65,22 +65,48 @@ def test_min_trial_stabilizer_keeps_first_minimum(monkeypatch):
 
     rep = spin_rep(QuadraticSpace(7), F)
     dims = iter([5, 3, 3, 4])
-    real = orbits_mod.stabilizer
+    real = orbits_mod._stabilizers
 
-    def scripted(rep, v):
-        r = real(rep, v)
-        r.dimension = next(dims)
-        return r
+    def scripted(rep, points):
+        reports = real(rep, points)
+        for r in reports:
+            r.dimension = next(dims)
+        return reports
 
-    monkeypatch.setattr(orbits_mod, "stabilizer", scripted)
+    # the trials are one stack, so the script replaces the stacked stabilizer
+    monkeypatch.setattr(orbits_mod, "_stabilizers", scripted)
     rpt, v = min_trial_stabilizer(rep, 4, 7)
     # trial 1 reached the minimum first; trial 2 ties and must not replace it
     assert rpt.dimension == 3
     assert np.array_equal(v, random_vector(F, 8, RandomSource(7).child(1)))
-    monkeypatch.setattr(orbits_mod, "stabilizer", real)
+    monkeypatch.setattr(orbits_mod, "_stabilizers", real)
     assert min_trial_stabilizer(rep, 4, 7)[0].dimension == 14
     with pytest.raises(ValueError):
         min_trial_stabilizer(rep, 0, 7)
+
+
+# over Q one 106 x 91 elimination of free-14 takes seconds, so free-14 runs over F_p only
+@pytest.mark.parametrize(
+    "name, field, trials",
+    [("free-14", F, 3), ("chain-11", F, 3), ("chain-11", QQ, 3)],
+    ids=["free-14-GF", "chain-11-GF", "chain-11-QQ"],
+)
+def test_min_trial_stabilizer_equals_per_trial_loop(name, field, trials):
+    # the coregular_free reps: three natural copies plus a half-spin module, four natural copies
+    n, copies, half = {"free-14": (14, 3, True), "chain-11": (11, 4, False)}[name]
+    space = QuadraticSpace(n)
+    rep = direct_sum([vector_rep(space, field)] * copies + ([half_spin_reps(space, field)[0]] if half else []))
+    rpt, v = min_trial_stabilizer(rep, trials, 5)
+    best = None
+    for t in range(trials):
+        w = random_vector(field, rep.dim, RandomSource(5).child(t))
+        r = stabilizer(rep, w)
+        if best is None or r.dimension < best[0].dimension:
+            best = (r, w)
+    assert (rpt.dimension, rpt.orbit_dimension) == (best[0].dimension, best[0].orbit_dimension)
+    assert len(rpt.kernel) == len(best[0].kernel)
+    assert all(np.array_equal(a, b) for a, b in zip(rpt.kernel, best[0].kernel))
+    assert np.array_equal(v, best[1])
 
 
 # module -> (stabilizer dim, fixed subspace of the stabilizer's action,

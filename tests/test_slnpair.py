@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spincert.fields import GF, QQ, RandomSource
-from spincert.linalg import Matrix
+from spincert.linalg import Matrix, random_matrix
 from spincert.slnpair import (
     DegeneratePair,
     MatrixPair,
@@ -15,13 +15,17 @@ from spincert.slnpair import (
     canonical_j,
     fiber_transporter,
     jacobian_rank_pi,
+    jacobian_ranks_pi,
+    normalizations_to_j,
     normalize_to_j,
     pi,
     random_fiber_partner,
     random_pair,
+    random_pairs,
     random_samples,
     random_sl,
     stabilizer_lie_dim,
+    stabilizer_lie_dims,
     tau,
 )
 
@@ -242,3 +246,36 @@ def test_random_samples_match_sequential_draws(field):
         assert batched.scalars(field, 3) == sequential.scalars(field, 3)
     if field is QQ:
         assert all(type(v) is Fraction for arr in (x, y, a, a_inv) for v in arr.ravel())
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_random_pairs_match_sequential_draws(field):
+    batched, sequential = RandomSource(3), RandomSource(3)
+    x, y = random_pairs(field, 4, batched, 5)
+    assert x.shape == (5, 4, 3) and y.shape == (5, 3, 4)
+    for k in range(5):
+        assert np.array_equal(x[k], random_matrix(field, 4, 3, sequential).data)
+        assert np.array_equal(y[k], random_matrix(field, 3, 4, sequential).data)
+    assert batched.scalars(field, 3) == sequential.scalars(field, 3)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_stacked_trials_match_pair_by_pair(field):
+    for n in (2, 3, 5):
+        x, y = random_pairs(field, n, RandomSource(n), 5)
+        # degenerate members make the stack uneven: a zero pair, a J block with zero Y, a rank-deficient X
+        x[1], y[1] = field.zeros((n, n - 1)), field.zeros((n - 1, n))
+        x[2], y[2] = canonical_j(field, n).data, field.zeros((n - 1, n))
+        x[3, :, 0] = field.zeros(n)
+        pairs = [MatrixPair(Matrix(field, x[k]), Matrix(field, y[k])) for k in range(5)]
+        assert stabilizer_lie_dims(field, x, y) == [stabilizer_lie_dim(pr) for pr in pairs]
+        assert jacobian_ranks_pi(field, x, y) == [jacobian_rank_pi(pr) for pr in pairs]
+        found = normalizations_to_j(field, x)
+        assert found[1] is None and found[3] is None and found[2] is not None
+        for got, pr in zip(found, pairs):
+            if got is None:
+                with pytest.raises(DegeneratePair):
+                    normalize_to_j(pr)
+                continue
+            a, a_inv = normalize_to_j(pr)
+            assert np.array_equal(got[0], a.data) and np.array_equal(got[1], a_inv.data)
