@@ -149,7 +149,8 @@ class RationalField:
 
     def random_scalars(self, rng: "RandomSource", count: int) -> list:
         # Small integers in [-99, 99] keep rational arithmetic cheap and are
-        # generic with high probability; randint(-99, 99) is -99 + randrange(199).
+        # generic with high probability; random.Random's randint(-99, 99) is
+        # -99 + randrange(199).
         return [Fraction(x - 99) for x in rng.below(199, count)]
 
     def zeros(self, shape) -> np.ndarray:
@@ -224,14 +225,9 @@ class RandomSource:
         """Stream for trial ``index``, derived as seed + index."""
         return RandomSource(self.seed + index)
 
-    def randrange(self, n: int) -> int:
-        return self._rng.randrange(n)
-
-    def randint(self, a: int, b: int) -> int:
-        return self._rng.randint(a, b)
-
     def below(self, n: int, count: int) -> list:
-        """``count`` values of ``randrange(n)``, drawn in bulk from the same stream.
+        """``count`` values of ``random.Random.randrange(n)``, drawn in bulk from
+        the same stream.
 
         For n < 2**32, ``randrange(n)`` keeps the top n.bit_length() bits of
         one 32-bit output and draws again while the value is at least n.

@@ -140,9 +140,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.data)
 
-    def col(self, j) -> np.ndarray:
-        return self.data[:, j].copy()
-
     def flatten(self) -> np.ndarray:
         return self.data.reshape(-1).copy()
 

@@ -80,12 +80,11 @@ def _stabilizers(rep: LieRepresentation, points: list) -> list[StabilizerReport]
     # one product per point: a single (g*d, d) @ (d, t) product would run in threaded BLAS
     mats = Matrix.stacked(field, np.stack([action_matrix(rep, v).data for v in points]))
     reports = []
-    for v, mat in zip(points, mats):
+    for mat in mats:
         kernel = mat.kernel_basis()
-        # the defining property, checked again after extraction: sum_k z_k (rho(m_k) v) from the tensor
-        images = field.matmul(rep.tensor.reshape(-1, rep.dim), field.array(v).reshape(-1, 1))
+        # the defining property, checked again after extraction: A z = sum_k z_k rho(m_k) v = 0
         z = field.array(kernel).reshape(-1, rep.g)
-        if np.count_nonzero(field.matmul(z, images.reshape(rep.g, rep.dim))):
+        if np.count_nonzero(field.matmul(mat.data, z.T)):
             raise AssertionError("kernel vector does not annihilate the point")
         dim = len(kernel)
         reports.append(StabilizerReport(dim, rep.g, rep.g - dim, kernel))

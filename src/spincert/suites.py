@@ -47,16 +47,13 @@ from .orbits import (
     subalgebra_structure_from_matrices,
 )
 from .slnpair import (
-    MatrixPair,
     act,
     canonical_j,
     fiber_transporter,
     jacobian_ranks_pi,
     normalizations_to_j,
-    normalize_to_j,
     pi,
     random_fiber_partner,
-    random_pair,
     random_pairs,
     random_samples,
     stabilizer_lie_dims,
@@ -648,25 +645,25 @@ def _sln_quotient(cfg: RunConfig, f, n: int) -> dict:
     ax, ya = act(f, a, a_inv, x, y)
     invariant = np.array_equal(f.matmul(ya, ax), f.matmul(y, x))
 
-    tau_ok = norm_ok = True
     xs, ys = random_pairs(f, n, rng, 5)
+    tau_ok = np.array_equal(pi(f, *tau(xs, ys)), np.swapaxes(pi(f, xs, ys), 1, 2))
+    norm_ok = True
     for x_k, y_k, g in zip(xs, ys, normalizations_to_j(f, xs)):
-        pr = MatrixPair(Matrix(f, None, _raw=x_k), Matrix(f, None, _raw=y_k))
-        tau_ok &= pi(tau(pr)) == pi(pr).T
         if g is None:  # X of rank below n-1
             continue
         moved, _ = act(f, *g, x_k, y_k)
-        norm_ok &= np.array_equal(moved, canonical_j(f, n).data)
+        norm_ok &= np.array_equal(moved, canonical_j(f, n))
 
+    # one pair per attempt: its draws and eliminations interleave
     found = attempts = 0
     while found < 10 and attempts < 40:
         attempts += 1
-        pr = random_pair(f, n, rng)
-        if pi(pr).rank() != n - 1:
+        (x,), (y,) = random_pairs(f, n, rng, 1)
+        if Matrix(f, None, _raw=pi(f, x, y)).rank() != n - 1:
             continue
-        _, basis = normalize_to_j(pr)
-        jy = MatrixPair(canonical_j(f, n), pr.Y @ basis)
-        fiber_transporter(jy, random_fiber_partner(jy, rng))  # replays the move and checks det 1
+        ((_, basis),) = normalizations_to_j(f, x[None])
+        jy = f.matmul(y, basis)
+        fiber_transporter(f, jy, random_fiber_partner(f, jy, rng))  # replays the move and checks det 1
         found += 1
 
     stabilizer = min(stabilizer_lie_dims(f, *random_pairs(f, n, rng, cfg.trials)))
@@ -745,13 +742,12 @@ def _suite_sln_quotient(cfg: RunConfig, rec: _Recorder):
                 )
 
     # the worked 2x2 case
-    x = Matrix(QQ, [[1], [0]])
-    a = fiber_transporter(MatrixPair(x, Matrix(QQ, [[3, 5]])), MatrixPair(x, Matrix(QQ, [[3, 7]])))
+    a = fiber_transporter(QQ, QQ.array([[3, 5]]), QQ.array([[3, 7]]))
     rec.add(
         "hand-transporter",
         "the 2x2 worked example solves to t1 = -2/3",
         str(Fraction(-2, 3)),
-        str(a.data[0, 1]),
+        str(a[0, 1]),
         "derived",
         "one-equation fiber system",
     )

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -175,7 +176,7 @@ def test_det_against_permutation_oracle():
 def _qq_rref_cases():
     """About 200 seeded inputs: random, rank-deficient, with zero rows and
     columns, with denominators, and empty shapes."""
-    rng = RandomSource(6)
+    rng = random.Random(6)
     cases = [np.zeros((0, 4), dtype=object), np.zeros((3, 0), dtype=object), np.zeros((0, 0), dtype=object)]
     cases.append(np.array([[Fraction(1, 2), Fraction(2, 3)], [Fraction(1, 5), 7]], dtype=object))
     for k in range(196):
@@ -212,7 +213,7 @@ def test_qq_rref_matches_fraction_oracle():
 
 def test_field_agreement_qq_vs_two_primes():
     # integer matrices: rank over Q equals rank over both large primes
-    rng = RandomSource(7)
+    rng = random.Random(7)
     for _ in range(5):
         rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
         r_qq = Matrix(QQ, rows).rank()

@@ -151,7 +151,7 @@ def test_orbit_values_agree_over_q_and_fp(name, field, monkeypatch):
     inv = invariant_bilinear_space(rep)
     assert [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank] == forms
     # the re-check rejects a kernel vector that does not annihilate the point
-    first_generator = Matrix.identity(field, rep.g).col(0)
+    first_generator = field.eye(rep.g)[0]
     monkeypatch.setattr(Matrix, "kernel_basis", lambda self: [first_generator])
     with pytest.raises(AssertionError, match="does not annihilate"):
         stabilizer(rep, v)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import Matrix
 from spincert.suites import (
     RunConfig,
@@ -199,6 +200,48 @@ def test_sln_suite():
     assert by_id["jacobian-QQ-n5"].observed == 16
     assert by_id["jacobian-F1000003-n8"].observed == 49
     assert by_id["transporter-F999983-n8"].observed == 10
+
+
+# sizes of the RandomSource.scalars draws of one _sln_quotient call at seed 0,
+# recorded before the pair API moved to arrays: 50 invariance samples, 5
+# tau/normalization pairs, then per transporter attempt a pair and, once its
+# product is nonsingular, a fiber partner column, then the stabilizer and
+# Jacobian trials.  Over GF(7) some attempts fail the rank test and draw no partner.
+SLN_DRAWS = {
+    ("F1000003", 2): [300, 20, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 12, 12],
+    ("F1000003", 3): [900, 60, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 36, 36],
+    ("F1000003", 4): [1800, 120, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 72, 72],
+    ("F1000003", 5): [3000, 200, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 120, 120],
+    ("F1000003", 6): [4500, 300, 60, 5, 60, 5, 60, 5, 60, 5, 60, 5, 60, 5, 60, 5, 60, 5, 60, 5, 60, 5, 180, 180],
+    ("F1000003", 7): [6300, 420, 84, 6, 84, 6, 84, 6, 84, 6, 84, 6, 84, 6, 84, 6, 84, 6, 84, 6, 84, 6, 252, 252],
+    ("F1000003", 8): [8400, 560, 112, 7, 112, 7, 112, 7, 112, 7, 112, 7, 112, 7, 112, 7, 112, 7, 112, 7, 112, 7, 336, 336],
+    ("QQ", 2): [300, 20, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 12, 12],
+    ("QQ", 3): [900, 60, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 36, 36],
+    ("QQ", 4): [1800, 120, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 72, 72],
+    ("QQ", 5): [3000, 200, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 40, 4, 120, 120],
+    ("F7", 2): [300, 20, 4, 4, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 4, 1, 4, 1, 4, 1, 4, 1, 12, 12],
+    ("F7", 3): [900, 60, 12, 2, 12, 2, 12, 2, 12, 12, 2, 12, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 12, 2, 36, 36],
+    ("F7", 4): [1800, 120, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 3, 24, 24, 3, 24, 3, 24, 3, 72, 72],
+}
+
+
+def test_sln_quotient_draw_sequence(monkeypatch):
+    # certificate values cannot tell a reordered draw apart; the sizes can
+    import spincert.suites as suites_mod
+
+    drawn = {}
+
+    class Recording(RandomSource):
+        def scalars(self, field, count):
+            drawn.setdefault(case, []).append(count)
+            return super().scalars(field, count)
+
+    monkeypatch.setattr(suites_mod, "RandomSource", Recording)
+    fields = {"F1000003": GF(1_000_003), "QQ": QQ, "F7": GF(7)}
+    for case in SLN_DRAWS:
+        label, n = case
+        suites_mod._sln_quotient(RunConfig(seed=0), fields[label], n)
+    assert drawn == SLN_DRAWS
 
 
 def test_unexpected_error_becomes_failed_check(monkeypatch):
