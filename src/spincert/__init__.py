@@ -7,7 +7,7 @@ genericity statements use a fixed trials-and-two-primes protocol.  The CLI
 """
 
 from .fields import GF, QQ, PrimeField, RandomSource, RationalField
-from .linalg import Matrix, associative_closure, commutant_dimension
+from .linalg import associative_closure, commutant_dimension
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,6 @@ __all__ = [
     "PrimeField",
     "RationalField",
     "RandomSource",
-    "Matrix",
     "associative_closure",
     "commutant_dimension",
     "__version__",

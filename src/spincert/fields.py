@@ -105,8 +105,8 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, -1, self.p)
 
-    def random_scalars(self, rng: "RandomSource", count: int) -> list:
-        return rng.below(self.p, count)
+    def random_scalars(self, rng: "RandomSource", count: int) -> np.ndarray:
+        return self.array(rng.below(self.p, count))
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
@@ -147,11 +147,11 @@ class RationalField:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / Fraction(a)
 
-    def random_scalars(self, rng: "RandomSource", count: int) -> list:
+    def random_scalars(self, rng: "RandomSource", count: int) -> np.ndarray:
         # Small integers in [-99, 99] keep rational arithmetic cheap and are
         # generic with high probability; random.Random's randint(-99, 99) is
         # -99 + randrange(199).
-        return [Fraction(x - 99) for x in rng.below(199, count)]
+        return self.array([x - 99 for x in rng.below(199, count)])
 
     def zeros(self, shape) -> np.ndarray:
         return np.full(shape, Fraction(0), dtype=object)
@@ -247,5 +247,6 @@ class RandomSource:
             out += words[words < n].tolist()
         return out
 
-    def scalars(self, field, count: int) -> list:
+    def scalars(self, field, count: int) -> np.ndarray:
+        """``count`` random field entries, as a field array."""
         return field.random_scalars(self, count)

@@ -5,10 +5,11 @@ a NumPy kernel (``_modp_fallback``).  The compiled one is picked at import
 when it is built.  ``benchmarks/bench_kernels.py`` compares the two.
 
 The NumPy kernel eliminates a whole ``(k, rows, cols)`` stack in one call
-and takes a single matrix as a stack of one.  ``rref_stack`` is its entry
-point, where the genericity protocols eliminate all their trials, whatever
-the backend; their stacks are far below the row-blocked driver's size
-floor.  ``rref_mod`` stays 2-D.  Each matrix of a stack gets exactly the
+and takes a single matrix as a stack of one.  ``linalg.rref`` sends a stack
+of more than one matrix to ``rref_stack``, whatever the backend: that is
+where the genericity protocols eliminate all their trials, and their stacks
+are far below the row-blocked driver's size floor.  A stack of one goes to
+``rref_mod``, which stays 2-D.  Each matrix of a stack gets exactly the
 RREF (int64 residues) and pivots that ``rref_mod`` gives it alone.
 
 All matrices advance one column per step, each pivoting on its first

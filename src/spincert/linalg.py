@@ -1,15 +1,15 @@
-"""Dense exact linear algebra over Q and F_p.
+"""Dense exact linear algebra over Q and F_p, as functions over field arrays.
 
-The ``Matrix`` class is the universal carrier for representation matrices,
-stacked action maps, Jacobians and kernels.  Its entry arrays, and the
-arithmetic on them, come from the field (see ``fields``).  Elimination is the
-one step that differs by field: over F_p it goes through the selected kernel
-backend; over Q it is fraction-free Gauss-Jordan on cleared-denominator
-integer rows, which forms one ``Fraction`` per output entry at the end
-(``_rref_qq``).  ``Matrix.stacked`` eliminates a stack of matrices of one
-shape together, one kernel call over F_p, which is how the genericity
-protocols eliminate all their trials.  Pivoting is always first-nonzero in
-column order, so every result is deterministic.
+A matrix is a field array (see ``fields``), and a single matrix is a stack
+of one: ``rref``, ``rank``, ``kernel``, ``solve`` and ``det`` take a
+``(k, rows, cols)`` stack and return one result per matrix.  Elimination is
+the one step that differs by field (``_eliminate``): over F_p a stack of
+more than one matrix is one ``kernels.rref_stack`` call, which is how the
+genericity protocols eliminate all their trials, and a single matrix goes
+through ``kernels.rref_mod``; over Q each matrix goes through fraction-free
+Gauss-Jordan on cleared-denominator integer rows, which forms one
+``Fraction`` per output entry at the end (``_rref_qq``).  Pivoting is always
+first-nonzero in column order, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -18,21 +18,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import PrimeField, RandomSource, _cleared
+from .fields import PrimeField, _cleared
 from .kernels import rref_mod, rref_stack
 
 __all__ = [
-    "Matrix",
     "NoSolution",
     "NonUnique",
     "NO_SOLUTION",
     "NON_UNIQUE",
+    "rref",
+    "rank",
+    "kernel",
+    "solve",
+    "det",
     "associative_closure",
     "commutant_dimension",
     "SpanBuilder",
     "coordinates_in_span",
-    "random_matrix",
-    "random_vector",
 ]
 
 
@@ -54,179 +56,69 @@ NO_SOLUTION = NoSolution()
 NON_UNIQUE = NonUnique()
 
 
-class Matrix:
-    """Immutable dense matrix over one field.
-
-    All entries share the field; arithmetic is exact.  Instances cache their
-    reduced row echelon form, so rank/kernel/solve reuse one elimination.
-    """
-
-    __slots__ = ("field", "rows", "cols", "data", "_rref")
-
-    def __init__(self, field, data, _raw: np.ndarray | None = None):
-        self.field = field
-        arr = _raw if _raw is not None else field.array(data)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix data must be 2-d, got shape {arr.shape}")
-        arr.flags.writeable = False
-        self.data = arr
-        self.rows, self.cols = arr.shape
-        self._rref = None
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls(field, None, _raw=field.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, None, _raw=field.eye(n))
-
-    @classmethod
-    def vstack(cls, mats):
-        field = mats[0].field
-        return cls(field, None, _raw=np.vstack([m.data for m in mats]))
-
-    @classmethod
-    def hstack(cls, mats):
-        field = mats[0].field
-        return cls(field, None, _raw=np.hstack([m.data for m in mats]))
-
-    @classmethod
-    def column(cls, field, vec):
-        return cls(field, None, _raw=field.array(vec).reshape(-1, 1))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _wrap(self, arr):
-        return Matrix(self.field, None, _raw=arr)
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return self._wrap(self.field.reduce(self.data + other.data))
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return self._wrap(self.field.reduce(self.data - other.data))
-
-    def __matmul__(self, other):
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return self._wrap(self.field.matmul(self.data, other.data))
-
-    @property
-    def T(self):
-        return self._wrap(np.ascontiguousarray(self.data.T))
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.shape == other.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-    def __hash__(self):
-        raise TypeError("Matrix is not hashable")
-
-    def is_zero(self) -> bool:
-        return not np.count_nonzero(self.data)
-
-    def flatten(self) -> np.ndarray:
-        return self.data.reshape(-1).copy()
-
-    def __repr__(self):
-        return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
-
-    def _check_compatible(self, other):
-        if self.field != other.field or self.shape != other.shape:
-            raise ValueError("incompatible matrices")
-
-    # -- elimination -------------------------------------------------------
-
-    @classmethod
-    def stacked(cls, field, arr) -> list["Matrix"]:
-        """One matrix per leading index of a (k, rows, cols) field array, with
-        the RREFs of all of them computed together (``_eliminate``) and cached."""
-        mats = [cls(field, None, _raw=x) for x in arr]
-        for m, found in zip(mats, _eliminate(field, arr)):
-            m._keep_rref(*found)
-        return mats
-
-    def rref(self):
-        """Reduced row echelon form: (Matrix, pivot column tuple).  Cached."""
-        if self._rref is None:
-            self._keep_rref(*_eliminate(self.field, self.data[None])[0])
-        return self._rref
-
-    def _keep_rref(self, red, pivots):
-        red.flags.writeable = False
-        self._rref = (self._wrap(red), pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel_basis(self) -> list[np.ndarray]:
-        """Basis of the right null space; each v satisfies self @ v == 0."""
-        red, pivots = self.rref()
-        free = np.delete(np.arange(self.cols), pivots)
-        basis = self.field.zeros((len(free), self.cols))
-        basis[:, free] = self.field.eye(len(free))
-        basis[:, list(pivots)] = self.field.reduce(-red.data[: len(pivots), free].T)
-        return list(basis)
-
-    def solve(self, b):
-        """Solve ``self @ x = b`` for a vector b.
-
-        Returns the unique solution vector, or NO_SOLUTION / NON_UNIQUE.
-        The two failure modes are never collapsed: uniqueness is load-bearing
-        for the fiber-transporter argument.
-        """
-        rhs = Matrix.column(self.field, b)
-        if rhs.rows != self.rows:
-            raise ValueError("dimension mismatch between matrix and rhs")
-        aug = Matrix.hstack([self, rhs])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return NO_SOLUTION
-        if len(pivots) < self.cols:
-            return NON_UNIQUE
-        x = self.field.zeros(self.cols)
-        for i, c in enumerate(pivots):
-            x[c] = red.data[i, self.cols]
-        return x
-
-    def det(self):
-        """Determinant (square matrices), exact over either field."""
-        if self.rows != self.cols:
-            raise ValueError("det of non-square matrix")
-        if isinstance(self.field, PrimeField):
-            return _det_int(self.data.tolist()) % self.field.p
-        ints, den = _cleared(self.data)
-        return Fraction(_det_int(ints.tolist()), den**self.rows)
-
-
-# -- vectors ----------------------------------------------------------------
-
-
-def random_vector(field, n, rng: RandomSource) -> np.ndarray:
-    return field.array(rng.scalars(field, n))
-
-
-def random_matrix(field, rows, cols, rng: RandomSource) -> Matrix:
-    data = [rng.scalars(field, cols) for _ in range(rows)]
-    return Matrix(field, data)
-
-
 # -- elimination ---------------------------------------------------------------
+
+
+def rref(field, stack) -> list[tuple[np.ndarray, tuple]]:
+    """Reduced row echelon form of every matrix of a (k, rows, cols) field
+    array: one (array, pivot column tuple) per matrix."""
+    if np.ndim(stack) != 3:
+        raise ValueError(f"elimination needs a (k, rows, cols) stack, got shape {np.shape(stack)}")
+    return _eliminate(field, stack)
+
+
+def rank(field, stack) -> list[int]:
+    return [len(pivots) for _, pivots in rref(field, stack)]
+
+
+def kernel(field, stack) -> list[np.ndarray]:
+    """Basis of the right null space of every matrix of a stack, as the rows
+    of a (nullity, cols) array; each row v satisfies m @ v == 0."""
+    cols = np.shape(stack)[-1]
+    out = []
+    for red, pivots in rref(field, stack):
+        free = np.delete(np.arange(cols), pivots)
+        basis = field.zeros((len(free), cols))
+        basis[:, free] = field.eye(len(free))
+        basis[:, list(pivots)] = field.reduce(-red[: len(pivots), free].T)
+        out.append(basis)
+    return out
+
+
+def solve(field, a, b) -> list:
+    """Solve ``a[i] @ x = b[i]`` for a (k, rows, cols) stack and (k, rows) right-hand sides.
+
+    Each result is the unique solution vector, or NO_SOLUTION / NON_UNIQUE.
+    The two failure modes are never collapsed: uniqueness is load-bearing
+    for the fiber-transporter argument.
+    """
+    k, rows, cols = np.shape(a)
+    if np.shape(b) != (k, rows):
+        raise ValueError("dimension mismatch between matrix and rhs")
+    out = []
+    for red, pivots in rref(field, np.concatenate([a, b[:, :, None]], axis=2)):
+        if cols in pivots:
+            out.append(NO_SOLUTION)
+        elif len(pivots) < cols:
+            out.append(NON_UNIQUE)
+        else:
+            out.append(red[:cols, cols].copy())
+    return out
+
+
+def det(field, stack) -> list:
+    """Determinant of every matrix of a (k, n, n) stack, exact over either
+    field: Bareiss elimination on integer rows."""
+    _, rows, cols = np.shape(stack)
+    if rows != cols:
+        raise ValueError("det of non-square matrix")
+    if isinstance(field, PrimeField):
+        return [_det_int(m.tolist()) % field.p for m in stack]
+    out = []
+    for m in stack:
+        ints, den = _cleared(m)
+        out.append(Fraction(_det_int(ints.tolist()), den**rows))
+    return out
 
 
 def _eliminate(field, arr):
@@ -346,35 +238,24 @@ class SpanBuilder:
         return True
 
 
-def coordinates_in_span(basis_cols: Matrix, targets: Matrix) -> Matrix:
+def coordinates_in_span(field, basis_cols, targets) -> np.ndarray:
     """Coordinates of each target column in the span of the basis columns.
 
     ``basis_cols`` must have full column rank.  Raises ValueError naming the
     first target column that falls outside the span.
     """
-    k = basis_cols.cols
-    aug = Matrix.hstack([basis_cols, targets])
-    red, pivots = aug.rref()
+    k = basis_cols.shape[1]
+    ((red, pivots),) = rref(field, np.hstack([basis_cols, targets])[None])
     if len([p for p in pivots if p < k]) != k:
         raise ValueError("basis columns are not linearly independent")
     for p in pivots:
         if p >= k:
             raise ValueError(f"target column {p - k} is outside the span")
-    return Matrix(basis_cols.field, None, _raw=np.ascontiguousarray(red.data[:k, k:]))
+    return np.ascontiguousarray(red[:k, k:])
 
 
-def _square_family(gens: list[Matrix]):
-    """(field, d) shared by a nonempty list of d x d matrices over one field."""
-    field = gens[0].field
-    d = gens[0].rows
-    for g in gens:
-        if g.rows != d or g.cols != d or g.field != field:
-            raise ValueError("generators must be square, equal size, one field")
-    return field, d
-
-
-def associative_closure(gens: list[Matrix]) -> int:
-    """Dimension of the unital associative algebra generated by ``gens``.
+def associative_closure(field, gens) -> int:
+    """Dimension of the unital associative algebra generated by a (k, d, d) stack.
 
     Level-batched spinning (Holt, Eick and O'Brien, *Handbook of
     Computational Group Theory*, 2005, section 7): the algebra is the span of
@@ -387,26 +268,26 @@ def associative_closure(gens: list[Matrix]) -> int:
     become the next frontier.  The rank stops growing at the closure, which
     is bounded by d^2.
     """
-    if not gens:
+    k, d, _ = gens.shape
+    if not k:
         return 1
-    field, d = _square_family(gens)
-    left = np.stack([g.data for g in gens])[:, None]
-    basis = Matrix.identity(field, d).data.reshape(1, d * d)
+    left = gens[:, None]
+    basis = field.eye(d).reshape(1, d * d)
     frontier = basis
     pivots = {0}
     while len(frontier):
         # every g_i F_j as one batch of small products
         right = frontier.reshape(1, -1, d, d)
         prod = field.matmul(left, right).reshape(-1, d * d)
-        red, new_pivots = Matrix(field, None, _raw=np.vstack([basis, prod])).rref()
-        basis = red.data[: len(new_pivots)]
+        ((red, new_pivots),) = rref(field, np.vstack([basis, prod])[None])
+        basis = red[: len(new_pivots)]
         frontier = basis[[i for i, c in enumerate(new_pivots) if c not in pivots]]
         pivots = set(new_pivots)
     return len(basis)
 
 
-def commutant_dimension(gens: list[Matrix]) -> int:
-    """Dimension of {X : Xg = gX for all g}.
+def commutant_dimension(field, gens) -> int:
+    """Dimension of {X : Xg = gX for every g of a (k, d, d) stack}.
 
     Kernels are intersected one generator at a time: K starts as the kernel
     of the first generator's Sylvester map X -> Xg - gX, and each further
@@ -414,21 +295,22 @@ def commutant_dimension(gens: list[Matrix]) -> int:
     restricted to the span of K's columns.  The systems shrink as K does,
     instead of one stacked (k d^2) x d^2 elimination.
     """
-    if not gens:
-        raise ValueError("commutant of an empty set needs an ambient size; pass d via gens")
-    field, d = _square_family(gens)
+    k, d, _ = gens.shape
+    if not k:
+        return d * d
     eye = field.eye(d)
 
     def sylvester(g):
         # the map X -> Xg - gX on row-major flattened X
-        system = np.kron(eye, np.ascontiguousarray(g.data.T)) - np.kron(g.data, eye)
-        return Matrix(field, None, _raw=field.reduce(system))
+        return field.reduce(np.kron(eye, np.ascontiguousarray(g.T)) - np.kron(g, eye))
 
-    def kernel(m):
-        # never empty: the identity commutes with everything
-        return Matrix(field, None, _raw=np.stack(m.kernel_basis(), axis=1))
+    def null_columns(m):
+        # never empty: the identity commutes with everything.  C order: a
+        # transposed operand makes OpenBLAS's spare thread spin through the
+        # elimination that follows (twice the CPU time on spin14, measured)
+        return np.ascontiguousarray(kernel(field, m[None])[0].T)
 
-    K = kernel(sylvester(gens[0]))
+    K = null_columns(sylvester(gens[0]))
     for g in gens[1:]:
-        K = K @ kernel(sylvester(g) @ K)
-    return K.cols
+        K = field.matmul(K, null_columns(field.matmul(sylvester(g), K)))
+    return K.shape[1]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import RandomSource
-from .linalg import Matrix, SpanBuilder
+from .linalg import SpanBuilder, kernel, rank
 
 __all__ = [
     "multiplication_tensor",
@@ -82,11 +82,11 @@ def _products(field, xs, ys) -> np.ndarray:
 
 @dataclass
 class DerivationAlgebra:
-    """Basis of the 14-dimensional derivation algebra, as 8x8 matrices."""
+    """Basis of the 14-dimensional derivation algebra, as stacks of matrices."""
 
     field: object
-    matrices: list[Matrix]  # on the full 8-dim algebra
-    trace_zero_matrices: list[Matrix]  # restricted to the 7-dim trace-zero space
+    matrices: np.ndarray  # (14, 8, 8), on the full 8-dim algebra
+    trace_zero_matrices: np.ndarray  # (14, 7, 7), restricted to the 7-dim trace-zero space
 
     @property
     def dimension(self) -> int:
@@ -96,26 +96,22 @@ class DerivationAlgebra:
         return {
             "field": self.field.to_json(),
             "dimension": self.dimension,
-            "matrices": [self.field.json_entries(m.data) for m in self.matrices],
+            "matrices": self.field.json_entries(self.matrices),
         }
 
 
 def derivation_algebra(field) -> DerivationAlgebra:
     """Solve D(x y) = D(x) y + x D(y) over all basis pairs; kernel dim 14."""
-    kernel = Matrix(field, _LEIBNIZ).kernel_basis()
-    if len(kernel) != 14:
-        raise ConstructionFailure(f"derivation algebra dimension {len(kernel)}, expected 14")
-    mats = np.stack(kernel).reshape(14, 8, 8)
+    (null,) = kernel(field, field.array(_LEIBNIZ)[None])
+    if len(null) != 14:
+        raise ConstructionFailure(f"derivation algebra dimension {len(null)}, expected 14")
+    mats = null.reshape(14, 8, 8)
     # trace-zero basis: h = E1 - E2, then the v and w coordinate lines
     full = np.concatenate([field.reduce(mats[:, :, :1] - mats[:, :, 7:]), mats[:, :, 1:7]], axis=2)
     # derivations preserve the trace-zero subspace: row a + row b must cancel
     if np.count_nonzero(field.reduce(full[:, 0] + full[:, 7])):
         raise ConstructionFailure("derivation does not preserve trace zero")
-    return DerivationAlgebra(
-        field,
-        [Matrix(field, None, _raw=m) for m in mats],
-        [Matrix(field, None, _raw=np.ascontiguousarray(m[:7])) for m in full],
-    )
+    return DerivationAlgebra(field, mats, np.ascontiguousarray(full[:, :7]))
 
 
 def subalgebra_generated(field, rows) -> int:
@@ -155,22 +151,22 @@ def g2_stabilizer_checks(derivations: DerivationAlgebra, trials: int, seed: int)
     one evaluation away).
     """
     field = derivations.field
-    derivs = np.stack([m.data for m in derivations.trace_zero_matrices])
+    derivs = derivations.trace_zero_matrices
 
     def nullity(system):
-        return system.shape[1] - Matrix(field, None, _raw=np.ascontiguousarray(system)).rank()
+        return system.shape[1] - rank(field, system[None])[0]
 
     dims = []
     for t in range(trials):
         rng = RandomSource(seed).child(t)
-        triple = field.array(rng.scalars(field, 21)).reshape(3, 7)
+        triple = rng.scalars(field, 21).reshape(3, 7)
         # column m holds D_m v for v in the triple, stacked: row 7c + r
         k1 = nullity(field.matmul(derivs, triple.T).transpose(2, 1, 0).reshape(21, -1))
 
         # on trace-zero coordinates (d, v, w): N = -(d^2 + v.w)
-        v = field.array(rng.scalars(field, 7))
+        v = rng.scalars(field, 7)
         while not np.count_nonzero(field.matmul(v[None, :4], v[[0, 4, 5, 6], None])):
-            v = field.array(rng.scalars(field, 7))
+            v = rng.scalars(field, 7)
         cols = field.matmul(derivs, v[:, None])[:, :, 0].T
         k2 = nullity(cols)
         k3 = nullity(np.column_stack([cols, v]))

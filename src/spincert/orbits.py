@@ -16,13 +16,7 @@ from itertools import chain, combinations_with_replacement
 import numpy as np
 
 from .fields import PrimeField, RandomSource
-from .linalg import (
-    Matrix,
-    associative_closure,
-    commutant_dimension,
-    coordinates_in_span,
-    random_vector,
-)
+from .linalg import associative_closure, commutant_dimension, coordinates_in_span, kernel, rank
 from .spinreps import LieRepresentation, _expand_ranges
 
 __all__ = [
@@ -59,14 +53,15 @@ class StabilizerReport:
     dimension: int
     algebra_dimension: int
     orbit_dimension: int
-    kernel: list
+    kernel: np.ndarray  # (dimension, g): one so(n) coordinate row per basis vector
 
 
-def action_matrix(rep: LieRepresentation, v) -> Matrix:
-    """d x g matrix whose k-th column is rho(m_k) v."""
+def action_matrix(rep: LieRepresentation, points) -> np.ndarray:
+    """(k, d, g) stack for k points of shape (k, d): column j of matrix t is rho(m_j) v_t."""
     field = rep.field
-    cols = field.matmul(rep.tensor, field.array(v).reshape(1, -1, 1))
-    return Matrix(field, None, _raw=np.ascontiguousarray(cols[:, :, 0].T))
+    # one small product per (point, generator), never one threaded BLAS call
+    cols = field.matmul(rep.tensor, field.array(points)[:, None, :, None])
+    return np.ascontiguousarray(cols[..., 0].transpose(0, 2, 1))
 
 
 def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
@@ -77,26 +72,22 @@ def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
 def _stabilizers(rep: LieRepresentation, points: list) -> list[StabilizerReport]:
     """Stabilizer reports of several points, their action matrices eliminated as one stack."""
     field = rep.field
-    # one product per point: a single (g*d, d) @ (d, t) product would run in threaded BLAS
-    mats = Matrix.stacked(field, np.stack([action_matrix(rep, v).data for v in points]))
+    mats = action_matrix(rep, np.stack(points))
     reports = []
-    for mat in mats:
-        kernel = mat.kernel_basis()
+    for mat, z in zip(mats, kernel(field, mats)):
         # the defining property, checked again after extraction: A z = sum_k z_k rho(m_k) v = 0
-        z = field.array(kernel).reshape(-1, rep.g)
-        if np.count_nonzero(field.matmul(mat.data, z.T)):
+        if np.count_nonzero(field.matmul(mat, z.T)):
             raise AssertionError("kernel vector does not annihilate the point")
-        dim = len(kernel)
-        reports.append(StabilizerReport(dim, rep.g, rep.g - dim, kernel))
+        dim = len(z)
+        reports.append(StabilizerReport(dim, rep.g, rep.g - dim, z))
     return reports
 
 
-def kernel_action_matrices(kernel: list, rep: LieRepresentation) -> list[Matrix]:
-    """Images of kernel vectors (so(n) coordinates) under the representation."""
+def kernel_action_matrices(kernel, rep: LieRepresentation) -> np.ndarray:
+    """(k, d, d) images of k kernel vectors (so(n) coordinates) under the representation."""
     field = rep.field
     z = field.array(kernel).reshape(-1, rep.g)
-    acting = field.matmul(z, rep.tensor.reshape(rep.g, -1)).reshape(-1, rep.dim, rep.dim)
-    return [Matrix(field, None, _raw=a) for a in acting]
+    return field.matmul(z, rep.tensor.reshape(rep.g, -1)).reshape(-1, rep.dim, rep.dim)
 
 
 def min_trial_stabilizer(rep: LieRepresentation, trials: int, seed: int) -> tuple[StabilizerReport, np.ndarray]:
@@ -108,7 +99,7 @@ def min_trial_stabilizer(rep: LieRepresentation, trials: int, seed: int) -> tupl
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    points = [random_vector(rep.field, rep.dim, RandomSource(seed).child(t)) for t in range(trials)]
+    points = [RandomSource(seed).child(t).scalars(rep.field, rep.dim) for t in range(trials)]
     reports = _stabilizers(rep, points)
     best = min(range(trials), key=lambda t: reports[t].dimension)  # min keeps the first
     return reports[best], points[best]
@@ -127,15 +118,15 @@ class SubalgebraStructure:
     """
 
     dimension: int
-    basis: list
+    basis: np.ndarray  # (k, .): one row per basis element
     structure_constants: np.ndarray  # (k, k, k), c[i, j, :] = [x_i, x_j]
-    killing: Matrix
+    killing: np.ndarray
     killing_rank: int
     killing_nullity: int
     derived_dimension: int
 
 
-def subalgebra_structure(kernel_vectors: list, carrier_rep: LieRepresentation) -> SubalgebraStructure:
+def subalgebra_structure(kernel_vectors, carrier_rep: LieRepresentation) -> SubalgebraStructure:
     """Structure of the span of kernel vectors, through a faithful carrier.
 
     The kernel vectors live in so(n) coordinates; their images under any
@@ -143,13 +134,11 @@ def subalgebra_structure(kernel_vectors: list, carrier_rep: LieRepresentation) -
     same brackets, so closure and structure constants are computed there.
     """
     mats = kernel_action_matrices(kernel_vectors, carrier_rep)
-    return subalgebra_structure_from_matrices(mats, basis_vectors=list(kernel_vectors))
+    return subalgebra_structure_from_matrices(carrier_rep.field, mats, basis_vectors=kernel_vectors)
 
 
-def subalgebra_structure_from_matrices(
-    mats: list[Matrix], basis_vectors: list | None = None
-) -> SubalgebraStructure:
-    """Structure constants, Killing form and derived size of a matrix span.
+def subalgebra_structure_from_matrices(field, stack, basis_vectors=None) -> SubalgebraStructure:
+    """Structure constants, Killing form and derived size of the span of a (k, d, d) stack.
 
     The brackets [x_i, x_j] of the pairs i < j, in ``np.triu_indices`` order,
     come from one batched product over the (k, d, d) stack and are solved in
@@ -157,13 +146,11 @@ def subalgebra_structure_from_matrices(
     so its matrix is c[i].T and trace(ad_i ad_j) = sum_{a,b} c[i,b,a] c[j,a,b]:
     the whole Killing form is one (k, k^2) @ (k^2, k) product.
     """
-    k = len(mats)
+    k = len(stack)
     if k == 0:
         raise ValueError("empty subalgebra")
-    field = mats[0].field
-    stack = np.stack([m.data for m in mats])
-    flats = Matrix(field, None, _raw=np.ascontiguousarray(stack.reshape(k, -1).T))
-    if flats.rank() != k:
+    flats = np.ascontiguousarray(stack.reshape(k, -1).T)
+    if rank(field, flats[None]) != [k]:
         raise ValueError("subalgebra basis matrices are dependent")
     i, j = np.triu_indices(k, 1)
     c = field.zeros((k, k, k))
@@ -172,22 +159,21 @@ def subalgebra_structure_from_matrices(
         prods = field.matmul(stack[np.concatenate([i, j])], stack[np.concatenate([j, i])])
         brackets = field.reduce(prods[: len(i)] - prods[len(i) :]).reshape(len(i), -1)
         try:
-            coords = coordinates_in_span(flats, Matrix(field, None, _raw=np.ascontiguousarray(brackets.T)))
+            coords = coordinates_in_span(field, flats, np.ascontiguousarray(brackets.T))
         except ValueError as exc:
             raise ClosureViolation(str(exc)) from exc
-        c[i, j] = coords.data.T
-        c[j, i] = field.reduce(-coords.data.T)
+        c[i, j] = coords.T
+        c[j, i] = field.reduce(-coords.T)
 
     killing = field.matmul(c.reshape(k, k * k), np.ascontiguousarray(c.transpose(0, 2, 1).reshape(k, k * k).T))
-    kmat = Matrix(field, None, _raw=killing)
-    krank = kmat.rank()
-    derived_dim = Matrix(field, None, _raw=c[i, j]).rank() if len(i) else 0
+    (krank,) = rank(field, killing[None])
+    derived_dim = rank(field, c[i, j][None])[0] if len(i) else 0
 
     return SubalgebraStructure(
         dimension=k,
-        basis=basis_vectors if basis_vectors is not None else [m.flatten() for m in mats],
+        basis=basis_vectors if basis_vectors is not None else stack.reshape(k, -1),
         structure_constants=c,
-        killing=kmat,
+        killing=killing,
         killing_rank=krank,
         killing_nullity=k - krank,
         derived_dimension=derived_dim,
@@ -201,7 +187,7 @@ def subalgebra_structure_from_matrices(
 class BilinearInvariants:
     symmetric_dim: int
     antisymmetric_dim: int
-    sample: Matrix | None
+    sample: np.ndarray | None
     sample_rank: int
     sample_symmetric: bool | None
 
@@ -239,10 +225,8 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
     if c == 0:
         return BilinearInvariants(0, 0, None, 0, None)
 
-    K = Matrix.identity(field, c)
+    K = field.eye(c)  # its columns span the forms that survive the generators so far
     for kk in range(rep.g):
-        if K.cols == 0:
-            break
         M = rep.tensor[kk]
         img = field.zeros((d * d, c))
         for j, (a, b) in enumerate(candidates):
@@ -250,62 +234,44 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
             np.add.at(img[:, j], rows1, M[a, :])
             rows2 = a * d + np.arange(d)
             np.add.at(img[:, j], rows2, M[b, :])
-        constrained = Matrix(field, None, _raw=field.reduce(img)) @ K
-        null = constrained.kernel_basis()
-        if not null:
-            K = Matrix.zeros(field, c, 0)
-            break
-        K = K @ Matrix(field, np.stack(null, axis=1))
-
-    total = K.cols
-    if total == 0:
-        return BilinearInvariants(0, 0, None, 0, None)
+        (null,) = kernel(field, field.matmul(field.reduce(img), K)[None])
+        if not len(null):
+            return BilinearInvariants(0, 0, None, 0, None)
+        K = field.matmul(K, np.ascontiguousarray(null.T))  # C order, see commutant_dimension
 
     # the candidate units E_ab are distinct, so each form is a scatter of one column of K
+    total = K.shape[1]
     rows, cols = zip(*candidates)
-    forms = []
-    for j in range(total):
-        B = field.zeros((d, d))
-        B[rows, cols] = K.data[:, j]
-        forms.append(Matrix(field, B))
-
-    sym_parts = [f + f.T for f in forms]
-    alt_parts = [f - f.T for f in forms]
-
-    def span_dim(parts):
-        stack = [m.flatten() for m in parts if not m.is_zero()]
-        if not stack:
-            return 0
-        return Matrix(field, np.stack(stack, axis=0)).rank()
-
-    sym_dim = span_dim(sym_parts)
-    alt_dim = span_dim(alt_parts)
+    forms = field.zeros((total, d, d))
+    forms[:, rows, cols] = K.T
+    nonzero = []
+    for parts in (forms + forms.transpose(0, 2, 1), forms - forms.transpose(0, 2, 1)):
+        flat = field.reduce(parts).reshape(total, d * d)
+        nonzero.append(flat[np.count_nonzero(flat, axis=1) > 0])
+    sym_dim, alt_dim = (rank(field, part[None])[0] if len(part) else 0 for part in nonzero)
     if sym_dim + alt_dim != total:
         raise AssertionError("invariant form space did not split into parities")
 
-    sample = None
-    sample_sym = None
-    pool = [m for m in sym_parts if not m.is_zero()] or [m for m in alt_parts if not m.is_zero()]
-    if pool:
-        sample = pool[0]
-        sample_sym = sample == sample.T
-    return BilinearInvariants(sym_dim, alt_dim, sample, sample.rank() if sample else 0, sample_sym)
+    # the parities add up to total > 0, so one of them holds a nonzero form
+    sample = (nonzero[0] if len(nonzero[0]) else nonzero[1])[0].reshape(d, d)
+    sample_sym = bool(np.array_equal(sample, sample.T))
+    return BilinearInvariants(sym_dim, alt_dim, sample, rank(field, sample[None])[0], sample_sym)
 
 
-def fixed_subspace(mats: list[Matrix]):
-    """Common null space of a nonempty list of matrices; returns (dimension, basis vectors)."""
-    basis = Matrix.vstack(mats).kernel_basis()
+def fixed_subspace(field, stack):
+    """Common null space of a nonempty (k, d, d) stack; returns (dimension, basis rows)."""
+    (basis,) = kernel(field, stack.reshape(1, -1, stack.shape[-1]))
     return len(basis), basis
 
 
-def isotypic_fingerprint(mats: list[Matrix]) -> tuple[int, int]:
-    """(generated associative algebra dim, commutant dim).
+def isotypic_fingerprint(field, stack) -> tuple[int, int]:
+    """(generated associative algebra dim, commutant dim) of a (k, d, d) stack.
 
     Certifies a module's decomposition shape without explicit intertwiners.
     """
-    if not mats:
+    if not len(stack):
         raise ValueError("fingerprint of an empty matrix list")
-    return associative_closure(mats), commutant_dimension(mats)
+    return associative_closure(field, stack), commutant_dimension(field, stack)
 
 
 # -- degree-4 invariants (budgeted stretch operation) ---------------------------
@@ -349,10 +315,8 @@ def invariant_quartic_dim(rep: LieRepresentation) -> int:
     if c == 0:
         return 0
 
-    K = Matrix.identity(field, c)
+    K = field.eye(c)  # its columns span the invariants among the candidates so far
     for kk in range(rep.g):
-        if K.cols == 0:
-            break
         if kk in diags:
             continue  # already exact on the candidate set by construction
         M = rep.tensor[kk]
@@ -374,15 +338,14 @@ def invariant_quartic_dim(rep: LieRepresentation) -> int:
         kept = np.flatnonzero(coeff)
         keys, row = np.unique(pair[kept] % d**4, return_inverse=True)
         t = len(keys)
-        if t * K.cols > _QUARTIC_MAX_ROWS * 8:
+        if t * K.shape[1] > _QUARTIC_MAX_ROWS * 8:
             raise Aborted("quartic row budget exceeded")
         appear = np.full(t, len(owner))
         np.minimum.at(appear, row, first[kept])
         img = np.zeros((t, c), dtype=np.int64)
         img[np.argsort(np.argsort(appear))[row], pair[kept] // d**4] = coeff[kept]
-        constrained = Matrix(field, None, _raw=img) @ K
-        null = constrained.kernel_basis()
-        if not null:
+        (null,) = kernel(field, field.matmul(img, K)[None])
+        if not len(null):
             return 0
-        K = K @ Matrix(field, np.stack(null, axis=1))
-    return K.cols
+        K = field.matmul(K, np.ascontiguousarray(null.T))  # C order, see commutant_dimension
+    return K.shape[1]

@@ -13,9 +13,9 @@ either field: X of shape (..., n, n-1) and Y of shape (..., n-1, n), one
 pair or a stack of pairs along a leading axis.  ``act``, ``tau`` and ``pi``
 take either; ``normalizations_to_j``, ``stabilizer_lie_dims`` and
 ``jacobian_ranks_pi`` take a stack and eliminate the systems of all its
-pairs as one stack (``Matrix.stacked``), so a single pair is a stack of
-one; ``fiber_transporter`` and ``random_fiber_partner`` take Y blocks of
-single pairs normalized to J.  Group elements always come with their
+pairs as one stack (``linalg.rref``), so a single pair is a stack of one;
+``fiber_transporter`` and ``random_fiber_partner`` take Y blocks of single
+pairs normalized to J.  Group elements always come with their
 inverse, so acting needs no elimination: ``random_samples`` draws A = LU
 from two unitriangular factors and forms A^{-1} = U^{-1} L^{-1} by forward
 substitution, normalization inverts the completed basis of X, and a
@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import RandomSource
-from .linalg import NON_UNIQUE, NO_SOLUTION, Matrix
+from .linalg import NON_UNIQUE, NO_SOLUTION, det, rank, rref, solve
 
 __all__ = [
     "NotInSLn",
@@ -77,7 +77,7 @@ def act(field, a, a_inv, x, y):
         raise ValueError("acting matrix has the wrong size")
     if not np.array_equal(field.matmul(a, a_inv), np.broadcast_to(field.eye(n), a.shape)):
         raise ValueError("a_inv is not the inverse of a")
-    if any(Matrix(field, None, _raw=m).det() != 1 for m in a.reshape(-1, n, n)):
+    if any(d != 1 for d in det(field, a.reshape(-1, n, n))):
         raise NotInSLn("acting matrix must have determinant 1")
     return field.matmul(a, x), field.matmul(y, a_inv)
 
@@ -109,13 +109,12 @@ def normalizations_to_j(field, x) -> list:
     j = canonical_j(field, n)
     aug = np.concatenate([x, np.broadcast_to(field.eye(n), (k, n, n))], axis=2)
     out = []
-    for xk, m in zip(x, Matrix.stacked(field, aug)):
-        red, pivots = m.rref()
+    for xk, (red, pivots) in zip(x, rref(field, aug)):
         if pivots[: n - 1] != tuple(range(n - 1)):
             out.append(None)
             continue
-        e = red.data[:, n - 1 :]
-        scale = Matrix(field, None, _raw=e).det()
+        e = red[:, n - 1 :]
+        (scale,) = det(field, e[None])
         basis = np.hstack([xk, field.zeros((n, 1))])
         basis[pivots[n - 1] - (n - 1), n - 1] = scale
         a = e.copy()
@@ -141,7 +140,7 @@ def fiber_transporter(field, y, z) -> np.ndarray:
     pi_y = pi(field, j, y)
     if not np.array_equal(pi_y, pi(field, j, z)):
         raise NotSameFiber("pairs have different products YX")
-    t = Matrix(field, None, _raw=pi_y).solve(field.reduce(y[:, n - 1] - z[:, n - 1]))
+    (t,) = solve(field, pi_y[None], field.reduce(y[:, n - 1] - z[:, n - 1])[None])
     if t is NO_SOLUTION or t is NON_UNIQUE:
         raise SingularFiber("YX is singular")
     a, a_inv = field.eye(n), field.eye(n)
@@ -157,7 +156,8 @@ def stabilizer_lie_dims(field, x, y) -> list[int]:
     """dim {a in sl_n : a X = 0 and Y a = 0} for each pair of a stack, X of
     shape (k, n, n-1) and Y of shape (k, n-1, n); 0 wherever YX is
     nonsingular.  The k systems are eliminated as one stack."""
-    return [len(m.kernel_basis()) for m in Matrix.stacked(field, _stabilizer_systems(field, x, y))]
+    n = x.shape[1]
+    return [n * n - r for r in rank(field, _stabilizer_systems(field, x, y))]
 
 
 def _stabilizer_systems(field, x, y):
@@ -186,7 +186,7 @@ def jacobian_ranks_pi(field, x, y) -> list[int]:
     kx = field.zeros((k, n - 1, n - 1, n - 1, n))
     kx[:, idx, :, idx, :] = np.swapaxes(x, 1, 2)
     mat = np.concatenate([m.reshape(k, (n - 1) ** 2, -1) for m in (yh, kx)], axis=2)
-    return [m.rank() for m in Matrix.stacked(field, mat)]
+    return rank(field, mat)
 
 
 def _lower_unitriangular_inverse(field, t):
@@ -221,7 +221,7 @@ def random_pairs(field, n: int, rng: RandomSource, count: int):
     shape (count, n-1, n).  Each pair draws the entries of X, then of Y,
     row by row."""
     k = n * (n - 1)
-    s = field.array(rng.scalars(field, count * 2 * k)).reshape(count, 2 * k)
+    s = rng.scalars(field, count * 2 * k).reshape(count, 2 * k)
     return s[:, :k].reshape(count, n, n - 1), s[:, k:].reshape(count, n - 1, n)
 
 
@@ -233,7 +233,7 @@ def random_samples(field, n: int, rng: RandomSource, count: int):
     scalars of A = LU in the order ``_sl_with_inverse`` reads them.
     """
     k = n * (n - 1)
-    s = field.array(rng.scalars(field, count * 3 * k)).reshape(count, 3 * k)
+    s = rng.scalars(field, count * 3 * k).reshape(count, 3 * k)
     a, a_inv = _sl_with_inverse(field, n, s[:, 2 * k :])
     return s[:, :k].reshape(count, n, n - 1), s[:, k : 2 * k].reshape(count, n - 1, n), a, a_inv
 

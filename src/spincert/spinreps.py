@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
 from .clifford import QuadraticSpace, so_pairs
-from .linalg import Matrix
 
 __all__ = [
     "LieRepresentation",
@@ -64,10 +63,6 @@ class LieRepresentation:
     def dim(self) -> int:
         return self.tensor.shape[1]
 
-    @cached_property
-    def matrices(self) -> list[Matrix]:
-        return [Matrix(self.field, None, _raw=np.ascontiguousarray(self.tensor[k])) for k in range(self.g)]
-
     def with_scaling(self) -> "LieRepresentation":
         """Append the identity as one extra generator (scalar action)."""
         tensor = np.concatenate([self.tensor, self.field.eye(self.dim)[None]], axis=0)
@@ -101,20 +96,14 @@ def _reduce_x4(field, x4: np.ndarray) -> np.ndarray:
 
 # -- integer construction, cached per n --------------------------------------
 
-_INT_CACHE: dict = {}
-_REP_CACHE: dict = {}
 
-
-def fock_generator_matrices(n: int) -> list[np.ndarray]:
-    """Action of each generator e_g on the Fock basis, as 0/+-1 int matrices.
+@cache
+def fock_generator_matrices(n: int) -> tuple[np.ndarray, ...]:
+    """Action of each generator e_g on the Fock basis, as read-only 0/+-1 int matrices.
 
     Fock basis index = subset bitmask over {0..m-1}; p_i creates, q_i
     annihilates, u flips sign on odd-degree vectors.
     """
-    key = ("fock_gens", n)
-    hit = _INT_CACHE.get(key)
-    if hit is not None:
-        return hit
     space = QuadraticSpace(n)
     m = space.m
     d = 1 << m
@@ -135,11 +124,11 @@ def fock_generator_matrices(n: int) -> list[np.ndarray]:
                 elif not creating and s & bit:
                     sign = -1 if (s & (bit - 1)).bit_count() % 2 else 1
                     mat[s ^ bit, s] = sign
-        mats.append(mat)
-    _INT_CACHE[key] = mats
-    return mats
+        mats.append(_freeze(mat))
+    return tuple(mats)
 
 
+@cache
 def _spin_x4(n: int) -> np.ndarray:
     """4 * m_ab on the Fock space: 2 e_a e_b - 2B(a,b), integer entries.
 
@@ -150,10 +139,6 @@ def _spin_x4(n: int) -> np.ndarray:
     its pairs at once, into a zeroed array, so no temporary is larger than
     one generator's share of the output.
     """
-    key = ("spin_x4", n)
-    hit = _INT_CACHE.get(key)
-    if hit is not None:
-        return hit
     space = QuadraticSpace(n)
     gens = np.stack(fock_generator_matrices(n))
     d = gens.shape[1]
@@ -165,17 +150,12 @@ def _spin_x4(n: int) -> np.ndarray:
         k = np.flatnonzero(a == x)
         out[k] = gens[x][:, rows[b[k]]].transpose(1, 0, 2) * (2 * signs[b[k]])[:, None, :]
     out[:, np.arange(d), np.arange(d)] -= np.array([space.two_b_int(x, y) for x, y in zip(a, b)])[:, None]
-    out = _freeze(out)
-    _INT_CACHE[key] = out
-    return out
+    return _freeze(out)
 
 
+@cache
 def _vector_x4(n: int) -> np.ndarray:
     """4 * (v -> [m_ab, v]) on the generator basis: [m_ab, e_c] = B(b,c) e_a - B(a,c) e_b."""
-    key = ("vector_x4", n)
-    hit = _INT_CACHE.get(key)
-    if hit is not None:
-        return hit
     space = QuadraticSpace(n)
     pairs = so_pairs(space)
     out = np.zeros((len(pairs), n, n), dtype=np.int64)
@@ -187,9 +167,7 @@ def _vector_x4(n: int) -> np.ndarray:
                 out[k, a, c] += 2 * tb_bc
             if tb_ac:
                 out[k, b, c] -= 2 * tb_ac
-    out = _freeze(out)
-    _INT_CACHE[key] = out
-    return out
+    return _freeze(out)
 
 
 def parity_indices(n: int) -> tuple[list[int], list[int]]:
@@ -200,35 +178,24 @@ def parity_indices(n: int) -> tuple[list[int], list[int]]:
     return even, odd
 
 
-def _cached_rep(key, build):
-    hit = _REP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    rep = build()
-    _REP_CACHE[key] = rep
-    return rep
+# Representations are cached per (space, field); both hash by value.
 
 
+@cache
 def vector_rep(space: QuadraticSpace, field) -> LieRepresentation:
     """The natural n-dimensional representation; every matrix is B-skew."""
-
-    def build():
-        tensor = _reduce_x4(field, _vector_x4(space.n))
-        return LieRepresentation(space.n, field, f"vector({space.n})", so_pairs(space), tensor)
-
-    return _cached_rep(("vector", space.n, field), build)
+    tensor = _reduce_x4(field, _vector_x4(space.n))
+    return LieRepresentation(space.n, field, f"vector({space.n})", so_pairs(space), tensor)
 
 
+@cache
 def spin_rep(space: QuadraticSpace, field) -> LieRepresentation:
     """The 2^floor(n/2)-dimensional spin representation (Fock model)."""
-
-    def build():
-        tensor = _reduce_x4(field, _spin_x4(space.n))
-        return LieRepresentation(space.n, field, f"spin({space.n})", so_pairs(space), tensor)
-
-    return _cached_rep(("spin", space.n, field), build)
+    tensor = _reduce_x4(field, _spin_x4(space.n))
+    return LieRepresentation(space.n, field, f"spin({space.n})", so_pairs(space), tensor)
 
 
+@cache
 def half_spin_reps(space: QuadraticSpace, field):
     """Even and odd parity blocks of the spin representation (n even).
 
@@ -237,30 +204,26 @@ def half_spin_reps(space: QuadraticSpace, field):
     """
     if space.odd:
         raise ValueError("half-spin representations need even n")
-
-    def build():
-        full = spin_rep(space, field)
-        even, odd = parity_indices(space.n)
-        for k in range(full.g):
-            off = full.tensor[k][np.ix_(even, odd)]
-            off2 = full.tensor[k][np.ix_(odd, even)]
-            if np.count_nonzero(off) or np.count_nonzero(off2):
-                raise AssertionError("spin matrix not parity-block-diagonal")
-        reps = []
-        for label, idx in (("even", even), ("odd", odd)):
-            tensor = np.ascontiguousarray(full.tensor[:, idx][:, :, idx])
-            reps.append(
-                LieRepresentation(
-                    space.n,
-                    field,
-                    f"half_spin_{label}({space.n})",
-                    so_pairs(space),
-                    _freeze(tensor),
-                )
+    full = spin_rep(space, field)
+    even, odd = parity_indices(space.n)
+    for k in range(full.g):
+        off = full.tensor[k][np.ix_(even, odd)]
+        off2 = full.tensor[k][np.ix_(odd, even)]
+        if np.count_nonzero(off) or np.count_nonzero(off2):
+            raise AssertionError("spin matrix not parity-block-diagonal")
+    reps = []
+    for label, idx in (("even", even), ("odd", odd)):
+        tensor = np.ascontiguousarray(full.tensor[:, idx][:, :, idx])
+        reps.append(
+            LieRepresentation(
+                space.n,
+                field,
+                f"half_spin_{label}({space.n})",
+                so_pairs(space),
+                _freeze(tensor),
             )
-        return tuple(reps)
-
-    return _cached_rep(("half_spin", space.n, field), build)
+        )
+    return tuple(reps)
 
 
 def direct_sum(reps: list[LieRepresentation], name: str | None = None) -> LieRepresentation:

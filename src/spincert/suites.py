@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import GF, QQ, PrimeField, RandomSource
-from .linalg import Matrix, random_matrix
+from .linalg import kernel, rank
 from .clifford import QuadraticSpace
 from .octonion import (
     derivation_algebra,
@@ -217,7 +217,7 @@ def _g2_octonion(cfg: RunConfig, f) -> dict:
     derivations = derivation_algebra(f)
     triple, vector, scaled = g2_stabilizer_checks(derivations, cfg.trials, cfg.seed)
     # cross-module consistency against the spinor route
-    deriv = subalgebra_structure_from_matrices(derivations.matrices)
+    deriv = subalgebra_structure_from_matrices(f, derivations.matrices)
     rpt, _ = min_trial_stabilizer(spin_rep(QuadraticSpace(7), f), cfg.trials, cfg.seed)
     spinor = subalgebra_structure(rpt.kernel, vector_rep(QuadraticSpace(7), f))
     return {
@@ -282,9 +282,9 @@ def _spin7(cfg: RunConfig, f) -> dict:
     inv = invariant_bilinear_space(rep)
     rpt, v = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
     struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-    fixed_dim, fixed = fixed_subspace(kernel_action_matrices(rpt.kernel, rep))
-    contains_point = fixed_dim == 1 and Matrix(f, np.stack([fixed[0], np.asarray(v)])).rank() == 1
-    scaled = f.reduce(np.asarray(v) * 7)
+    fixed_dim, fixed = fixed_subspace(f, kernel_action_matrices(rpt.kernel, rep))
+    contains_point = fixed_dim == 1 and rank(f, np.stack([fixed[0], v])[None]) == [1]
+    scaled = f.reduce(v * 7)
     return {
         "invariant-forms": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
         "stabilizer-dim": rpt.dimension,
@@ -399,7 +399,7 @@ def _spin11(cfg: RunConfig, f) -> dict:
     rep = spin_rep(space, f)
     rpt, _ = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
     struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-    _, commutant = isotypic_fingerprint(kernel_action_matrices(rpt.kernel, vector_rep(space, f)))
+    _, commutant = isotypic_fingerprint(f, kernel_action_matrices(rpt.kernel, vector_rep(space, f)))
     out = {
         "stabilizer-dim": rpt.dimension,
         "killing-rank": struct.killing_rank,
@@ -470,7 +470,7 @@ def _spin14(cfg: RunConfig, f) -> dict:
     rep = half_spin_reps(space, f)[0]
     rpt, v = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
     struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-    closure, commutant = isotypic_fingerprint(kernel_action_matrices(rpt.kernel, vector_rep(space, f)))
+    closure, commutant = isotypic_fingerprint(f, kernel_action_matrices(rpt.kernel, vector_rep(space, f)))
     inv = invariant_bilinear_space(rep)
     return {
         "stabilizer-dim": rpt.dimension,
@@ -569,22 +569,22 @@ _COREGULAR_FREE_CHECKS = tuple(
 )
 
 
-def _sp4_left_multiplication(cfg: RunConfig, f, omega: Matrix):
+def _sp4_left_multiplication(cfg: RunConfig, f, omega):
     """Minimum stabilizer dimension of a random invertible 4x4 matrix under sp4 = sp(omega)."""
     # row 4x + y is entry (x, y) of z^T omega + omega z; unknown z[k, c] at column 4k + c
-    eye, w = f.eye(4), omega.data
-    system = np.einsum("cx,ky->xykc", eye, w) + np.einsum("cy,xk->xykc", eye, w)
-    sp4 = Matrix(f, None, _raw=f.reduce(system.reshape(16, 16))).kernel_basis()
+    eye = f.eye(4)
+    system = np.einsum("cx,ky->xykc", eye, omega) + np.einsum("cy,xk->xykc", eye, omega)
+    (sp4,) = kernel(f, f.reduce(system.reshape(1, 16, 16)))
     if len(sp4) != 10:
         return f"sp4 dimension {len(sp4)}"
     rng = RandomSource(cfg.seed)
     best = None
     for _ in range(cfg.trials):
-        x = random_matrix(f, 4, 4, rng)
-        if x.rank() != 4:
+        x = rng.scalars(f, 16).reshape(4, 4)
+        if rank(f, x[None]) != [4]:
             continue
-        cols = f.matmul(np.stack(sp4).reshape(-1, 4, 4), x.data).reshape(len(sp4), 16).T
-        dim = len(Matrix(f, None, _raw=np.ascontiguousarray(cols)).kernel_basis())
+        cols = f.matmul(sp4.reshape(-1, 4, 4), x).reshape(len(sp4), 16).T
+        dim = len(sp4) - rank(f, cols[None])[0]
         best = dim if best is None else min(best, dim)
     return best
 
@@ -601,7 +601,7 @@ def _branching(cfg: RunConfig, f) -> dict:
     inv = invariant_bilinear_space(spin_rep(QuadraticSpace(5), f))
     return {
         "restriction-blocks": [0, 0, False] if mixed else [len(even), len(odd), True],
-        "half10-so5-fingerprint": list(isotypic_fingerprint(res10.matrices)),
+        "half10-so5-fingerprint": list(isotypic_fingerprint(f, res10.tensor)),
         "spin5-symplectic": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
         "sp4-left-multiplication": _sp4_left_multiplication(cfg, f, inv.sample),
     }
@@ -659,7 +659,7 @@ def _sln_quotient(cfg: RunConfig, f, n: int) -> dict:
     while found < 10 and attempts < 40:
         attempts += 1
         (x,), (y,) = random_pairs(f, n, rng, 1)
-        if Matrix(f, None, _raw=pi(f, x, y)).rank() != n - 1:
+        if rank(f, pi(f, x, y)[None]) != [n - 1]:
             continue
         ((_, basis),) = normalizations_to_j(f, x[None])
         jy = f.matmul(y, basis)

@@ -18,7 +18,6 @@ import time
 
 from spincert.clifford import QuadraticSpace, so_structure_constants
 from spincert.fields import GF, QQ, RandomSource
-from spincert.linalg import random_vector
 from spincert.orbits import (
     invariant_bilinear_space,
     min_trial_stabilizer,
@@ -235,7 +234,7 @@ def test_criterion_10_determinism_and_field_independence():
         inv_p.sample_rank,
     ) == (0, 1, 4)
 
-    v_q = random_vector(QQ, 8, RandomSource(0).child(0))
+    v_q = RandomSource(0).child(0).scalars(QQ, 8)
     dim_q = stabilizer(spin_rep(QuadraticSpace(7), QQ), v_q).dimension
     ok &= dim_q == 14
 

@@ -210,3 +210,18 @@ def test_every_exported_name_resolves():
     ]
     missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert len(modules) > 1 and missing == []
+
+
+def test_default_report_matches_golden(capsys, monkeypatch):
+    # the default certificate table, byte for byte, with the timings removed;
+    # the golden file is that report as a known-good tree printed it
+    for name in list(os.environ):
+        if name.startswith("NOETHER_"):
+            monkeypatch.delenv(name)
+    code, out = run_cli(["run", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    for suite in doc["suites"]:
+        del suite["elapsed_ms"]
+    golden = (Path(__file__).parent / "golden_default_report.json").read_text()
+    assert json.dumps(doc, indent=1) + "\n" == golden

@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spincert
 from spincert.fields import GF, QQ, FieldError, PrimeField, RandomSource, is_prime
 
 
@@ -67,8 +70,8 @@ def test_random_source_reproducible():
     f = GF(1000003)
     a = RandomSource(42).scalars(f, 20)
     b = RandomSource(42).scalars(f, 20)
-    assert a == b
-    assert RandomSource(43).scalars(f, 20) != a
+    assert np.array_equal(a, b)
+    assert not np.array_equal(RandomSource(43).scalars(f, 20), a)
     assert all(0 <= x < f.p for x in a)
 
 
@@ -92,14 +95,14 @@ def test_bulk_draws_match_the_per_scalar_loop(n):
 def test_field_draws_match_the_per_scalar_loop():
     f = GF(1_000_003)
     loop = random.Random(4)
-    assert RandomSource(4).scalars(f, 300) == [loop.randrange(f.p) for _ in range(300)]
+    assert RandomSource(4).scalars(f, 300).tolist() == [loop.randrange(f.p) for _ in range(300)]
     loop = random.Random(4)
-    assert RandomSource(4).scalars(QQ, 300) == [Fraction(loop.randint(-99, 99)) for _ in range(300)]
+    assert RandomSource(4).scalars(QQ, 300).tolist() == [Fraction(loop.randint(-99, 99)) for _ in range(300)]
 
 
 def test_child_streams():
     base = RandomSource(5)
-    assert base.child(3).scalars(QQ, 4) == RandomSource(8).scalars(QQ, 4)
+    assert np.array_equal(base.child(3).scalars(QQ, 4), RandomSource(8).scalars(QQ, 4))
 
 
 # -- array methods -------------------------------------------------------------
@@ -193,3 +196,49 @@ def test_reduce_is_idempotent(field):
 def test_json_entries():
     assert GF(7).json_entries(GF(7).array([[1, -1]])) == [[1, 6]]
     assert QQ.json_entries(QQ.array([[Fraction(1, 4), -2]])) == [["1/4", "-2"]]
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS, ids=ARRAY_IDS)
+def test_draws_are_field_arrays(field):
+    for count in (0, 1, 9):
+        draws = RandomSource(1).scalars(field, count)
+        assert draws.shape == (count,)
+        assert_field_array(field, draws)
+
+
+# -- one array path ------------------------------------------------------------
+
+# (module, function) of the only code outside fields.py that may branch on the field
+FIELD_BRANCHES = {("linalg", "_eliminate"), ("linalg", "det"), ("orbits", "invariant_quartic_dim")}
+
+
+class _FieldBranches(ast.NodeVisitor):
+    """(module, innermost enclosing function) of every isinstance(..., PrimeField | RationalField)."""
+
+    def __init__(self, module):
+        self.module, self.scope, self.found = module, ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+            if names & {"PrimeField", "RationalField"}:
+                self.found.add((self.module, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def test_field_branches_only_where_allowed():
+    found = set()
+    for path in sorted(Path(spincert.__file__).parent.glob("*.py")):
+        if path.name != "fields.py":
+            visitor = _FieldBranches(path.stem)
+            visitor.visit(ast.parse(path.read_text()))
+            found |= visitor.found
+    assert found == FIELD_BRANCHES

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spincert.clifford import QuadraticSpace
-from spincert.fields import GF, QQ, RandomSource
-from spincert.linalg import Matrix, coordinates_in_span, random_vector
+from spincert.fields import GF, QQ, PrimeField, RandomSource
+from spincert.linalg import coordinates_in_span, kernel, rank
 from spincert.octonion import derivation_algebra
 from spincert.orbits import (
     Aborted,
@@ -78,7 +78,7 @@ def test_min_trial_stabilizer_keeps_first_minimum(monkeypatch):
     rpt, v = min_trial_stabilizer(rep, 4, 7)
     # trial 1 reached the minimum first; trial 2 ties and must not replace it
     assert rpt.dimension == 3
-    assert np.array_equal(v, random_vector(F, 8, RandomSource(7).child(1)))
+    assert np.array_equal(v, RandomSource(7).child(1).scalars(F, 8))
     monkeypatch.setattr(orbits_mod, "_stabilizers", real)
     assert min_trial_stabilizer(rep, 4, 7)[0].dimension == 14
     with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_min_trial_stabilizer_equals_per_trial_loop(name, field, trials):
     rpt, v = min_trial_stabilizer(rep, trials, 5)
     best = None
     for t in range(trials):
-        w = random_vector(field, rep.dim, RandomSource(5).child(t))
+        w = RandomSource(5).child(t).scalars(field, rep.dim)
         r = stabilizer(rep, w)
         if best is None or r.dimension < best[0].dimension:
             best = (r, w)
@@ -144,22 +144,24 @@ def test_orbit_values_agree_over_q_and_fp(name, field, monkeypatch):
     assert (r.dimension, r.orbit_dimension) == (stab_dim, rep.g - stab_dim)
     mats = kernel_action_matrices(r.kernel, rep)
     assert len(mats) == stab_dim
-    assert all((m @ Matrix.column(field, v)).is_zero() for m in mats)
-    assert fixed_subspace(mats)[0] == fixed_dim
-    ss = subalgebra_structure_from_matrices(mats)
+    assert not np.count_nonzero(field.matmul(mats, v[:, None]))
+    assert fixed_subspace(field, mats)[0] == fixed_dim
+    ss = subalgebra_structure_from_matrices(field, mats)
     assert (ss.killing_rank, ss.killing_nullity, ss.derived_dimension) == structure
     inv = invariant_bilinear_space(rep)
     assert [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank] == forms
     # the re-check rejects a kernel vector that does not annihilate the point
-    first_generator = field.eye(rep.g)[0]
-    monkeypatch.setattr(Matrix, "kernel_basis", lambda self: [first_generator])
+    import spincert.orbits as orbits_mod
+
+    first_generator = field.eye(rep.g)[:1]
+    monkeypatch.setattr(orbits_mod, "kernel", lambda field, stack: [first_generator for _ in stack])
     with pytest.raises(AssertionError, match="does not annihilate"):
         stabilizer(rep, v)
 
 
 def test_stabilizer_kernel_annihilates_exactly():
     rep = spin_rep(QuadraticSpace(7), F)
-    v = random_vector(F, 8, RandomSource(0).child(0))
+    v = RandomSource(0).child(0).scalars(F, 8)
     r = stabilizer(rep, v)
     for z in r.kernel:
         acting = np.tensordot(z, rep.tensor, axes=(0, 0)) % F.p
@@ -168,7 +170,7 @@ def test_stabilizer_kernel_annihilates_exactly():
 
 def test_subalgebra_structure_g2_fingerprint():
     rep = spin_rep(QuadraticSpace(7), F)
-    v = random_vector(F, 8, RandomSource(0).child(0))
+    v = RandomSource(0).child(0).scalars(F, 8)
     r = stabilizer(rep, v)
     ss = subalgebra_structure(r.kernel, vector_rep(QuadraticSpace(7), F))
     assert ss.dimension == 14
@@ -178,34 +180,37 @@ def test_subalgebra_structure_g2_fingerprint():
 
 def test_subalgebra_structure_spin10_radical():
     rep = half_spin_reps(QuadraticSpace(10), F)[0]
-    v = random_vector(F, 16, RandomSource(0).child(0))
+    v = RandomSource(0).child(0).scalars(F, 16)
     r = stabilizer(rep, v)
     assert r.dimension == 29
     ss = subalgebra_structure(r.kernel, vector_rep(QuadraticSpace(10), F))
     assert ss.killing_rank == 21 and ss.killing_nullity == 8
 
 
-def _structure_by_pairs(mats):
+def _structure_by_pairs(field, mats):
     """The pairwise loop the batched subalgebra_structure_from_matrices replaces:
     (structure constants, Killing matrix, derived dimension)."""
     k = len(mats)
-    field = mats[0].field
-    flats = Matrix(field, np.stack([m.flatten() for m in mats], axis=1))
+    flats = np.stack([m.ravel() for m in mats], axis=1)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     c = field.zeros((k, k, k))
+
+    def bracket(x, y):
+        return field.reduce(field.matmul(x, y) - field.matmul(y, x))
+
     if pairs:
-        targets = Matrix(field, np.stack([(mats[i] @ mats[j] - mats[j] @ mats[i]).flatten() for i, j in pairs], axis=1))
-        coords = coordinates_in_span(flats, targets)
+        targets = np.stack([bracket(mats[i], mats[j]).ravel() for i, j in pairs], axis=1)
+        coords = coordinates_in_span(field, flats, targets)
         for idx, (i, j) in enumerate(pairs):
-            c[i, j] = coords.data[:, idx]
-            c[j, i] = field.reduce(-coords.data[:, idx])
+            c[i, j] = coords[:, idx]
+            c[j, i] = field.reduce(-coords[:, idx])
     ads = [np.ascontiguousarray(c[i].T) for i in range(k)]
     killing = field.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
             killing[i, j] = killing[j, i] = field.reduce(np.trace(field.matmul(ads[i], ads[j])))
-    derived = Matrix(field, np.stack([c[i, j] for i, j in pairs])).rank() if pairs else 0
-    return c, Matrix(field, killing), derived
+    derived = rank(field, np.stack([c[i, j] for i, j in pairs])[None])[0] if pairs else 0
+    return c, killing, derived
 
 
 def _stabilizer_mats(rep, v):
@@ -214,7 +219,7 @@ def _stabilizer_mats(rep, v):
 
 
 def _spin7_stabilizer(field):
-    return _stabilizer_mats(spin_rep(QuadraticSpace(7), field), random_vector(field, 8, RandomSource(0).child(0)))
+    return _stabilizer_mats(spin_rep(QuadraticSpace(7), field), RandomSource(0).child(0).scalars(field, 8))
 
 
 def _spin10_stabilizer(field):
@@ -234,17 +239,18 @@ def _spin10_stabilizer(field):
         pytest.param(lambda f: derivation_algebra(f).matrices, id="g2-derivations"),
         pytest.param(_spin7_stabilizer, id="spin7-stabilizer"),
         pytest.param(_spin10_stabilizer, id="spin10-stabilizer"),
-        pytest.param(lambda f: [Matrix(f, [[0, 1], [-1, 0]])], id="one-matrix"),
+        pytest.param(lambda f: f.array([[[0, 1], [-1, 0]]]), id="one-matrix"),
     ],
 )
 def test_subalgebra_structure_matches_pairwise_loop(build, field):
     mats = build(field)
-    c, killing, derived = _structure_by_pairs(mats)
-    ss = subalgebra_structure_from_matrices(mats)
+    c, killing, derived = _structure_by_pairs(field, mats)
+    ss = subalgebra_structure_from_matrices(field, mats)
     assert ss.dimension == len(mats)
     assert np.array_equal(ss.structure_constants, c)
-    assert ss.killing == killing
-    assert ss.killing_rank == killing.rank() and ss.killing_nullity == len(mats) - killing.rank()
+    assert np.array_equal(ss.killing, killing)
+    (killing_rank,) = rank(field, killing[None])
+    assert ss.killing_rank == killing_rank and ss.killing_nullity == len(mats) - killing_rank
     assert ss.derived_dimension == derived
 
 
@@ -264,7 +270,7 @@ def test_stabilizer_kernels_bracket_closed():
     # subalgebra_structure succeeding is the closure certificate
     for n, build in ((7, spin_rep), (11, spin_rep)):
         rep = build(QuadraticSpace(n), F)
-        v = random_vector(F, rep.dim, RandomSource(3).child(0))
+        v = RandomSource(3).child(0).scalars(F, rep.dim)
         r = stabilizer(rep, v)
         subalgebra_structure(r.kernel, vector_rep(QuadraticSpace(n), F))
 
@@ -286,10 +292,10 @@ def test_invariant_bilinear_spin7():
     assert inv.sample_rank == 8 and inv.sample_symmetric
     # the sample is genuinely invariant and symmetric, re-checked cold
     B = inv.sample
-    assert B == B.T
+    assert np.array_equal(B, B.T)
     rep = spin_rep(QuadraticSpace(7), F)
-    for m in rep.matrices:
-        assert (m.T @ B + B @ m).is_zero()
+    for m in rep.tensor:
+        assert not np.count_nonzero(F.reduce(F.matmul(m.T, B) + F.matmul(B, m)))
 
 
 def test_invariant_bilinear_spin5_symplectic():
@@ -312,14 +318,13 @@ def test_invariant_bilinear_vector_rep_is_gram_line():
 
 def test_fixed_subspace_examples():
     rep = spin_rep(QuadraticSpace(7), F)
-    v = random_vector(F, 8, RandomSource(0).child(0))
+    v = RandomSource(0).child(0).scalars(F, 8)
     r = stabilizer(rep, v)
     mats = kernel_action_matrices(r.kernel, rep)
-    dim, basis = fixed_subspace(mats)
+    dim, basis = fixed_subspace(F, mats)
     assert dim == 1
-    stacked = Matrix(F, np.stack([basis[0], np.asarray(v)]))
-    assert stacked.rank() == 1  # the fixed line is the point's line
-    dim_full, _ = fixed_subspace(rep.matrices)
+    assert rank(F, np.stack([basis[0], v])[None]) == [1]  # the fixed line is the point's line
+    dim_full, _ = fixed_subspace(F, rep.tensor)
     assert dim_full == 0  # irreducibility control
 
 
@@ -327,7 +332,7 @@ def test_isotypic_fingerprint_restricted_so5():
     space = QuadraticSpace(10)
     emb = embed_subalgebra(space, 5)
     res = restrict(half_spin_reps(space, F)[0], emb)
-    assert isotypic_fingerprint(res.matrices) == (16, 16)
+    assert isotypic_fingerprint(F, res.tensor) == (16, 16)
 
 
 def test_isotypic_fingerprint_spin11_natural_module():
@@ -338,14 +343,12 @@ def test_isotypic_fingerprint_spin11_natural_module():
     # invariant form.  The pairing of 5 with dual(5) gives one symmetric and
     # one alternating form; the trivial line adds a second symmetric form.
     rep = spin_rep(QuadraticSpace(11), F)
-    v = random_vector(F, 32, RandomSource(0).child(0))
+    v = RandomSource(0).child(0).scalars(F, 32)
     r = stabilizer(rep, v)
     mats = kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(11), F))
-    assert isotypic_fingerprint(mats) == (51, 3)
-    assert fixed_subspace(mats)[0] == 1
-    on_v11 = LieRepresentation(
-        11, F, "stabilizer on vector(11)", tuple((k,) for k in range(len(mats))), np.stack([m.data for m in mats])
-    )
+    assert isotypic_fingerprint(F, mats) == (51, 3)
+    assert fixed_subspace(F, mats)[0] == 1
+    on_v11 = LieRepresentation(11, F, "stabilizer on vector(11)", tuple((k,) for k in range(len(mats))), mats)
     forms = invariant_bilinear_space(on_v11)
     assert (forms.symmetric_dim, forms.antisymmetric_dim) == (2, 1)
 
@@ -386,10 +389,8 @@ def _quartic_by_dicts(rep):
     ]
     if not candidates:
         return 0
-    K = Matrix.identity(field, len(candidates))
+    K = field.eye(len(candidates))
     for kk in range(rep.g):
-        if K.cols == 0:
-            break
         if kk in diags:
             continue
         M = rep.tensor[kk]
@@ -410,11 +411,11 @@ def _quartic_by_dicts(rep):
         img = np.zeros((len(rows_index), len(candidates)), dtype=np.int64)
         for r, j, coeff in entries:
             img[r, j] = coeff
-        null = (Matrix(field, None, _raw=img) @ K).kernel_basis()
-        if not null:
+        (null,) = kernel(field, field.matmul(img, K)[None])
+        if not len(null):
             return 0
-        K = K @ Matrix(field, np.stack(null, axis=1))
-    return K.cols
+        K = field.matmul(K, null.T)
+    return K.shape[1]
 
 
 def _sheared_vector5(field):
@@ -444,8 +445,8 @@ def test_quartic_matches_dict_loop(build, p, monkeypatch):
     rep = build(GF(p))
     # the left operands of every product: each image before it meets K, then K
     seen = []
-    product = Matrix.__matmul__
-    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: seen.append(a.data.copy()) or product(a, b))
+    product = PrimeField.matmul
+    monkeypatch.setattr(PrimeField, "matmul", lambda self, a, b: seen.append(a.copy()) or product(self, a, b))
     want = _quartic_by_dicts(rep)
     want_operands = seen[:]
     seen.clear()

@@ -8,7 +8,7 @@ from test_clifford import CliffordElement, bivector_basis, commutator
 from spincert import spinreps
 from spincert.clifford import QuadraticSpace, SoStructure, so_pairs, so_structure_constants
 from spincert.fields import GF, QQ, PrimeField, RandomSource
-from spincert.linalg import Matrix, random_matrix
+from spincert.linalg import kernel, rank, rref
 from spincert.spinreps import (
     LieRepresentation,
     center_acts_minus_one,
@@ -27,16 +27,17 @@ from spincert.spinreps import (
 F = GF(1_000_003)
 
 
-def inverse(m: Matrix) -> Matrix:
+def inverse(field, m):
     """Reference inverse of a regular matrix, read off the rref of [A | I]."""
-    red, _ = Matrix.hstack([m, Matrix.identity(m.field, m.rows)]).rref()
-    return Matrix(m.field, red.data[:, m.rows :])
+    n = len(m)
+    ((red, _),) = rref(field, np.hstack([m, field.eye(n)])[None])
+    return red[:, n:]
 
 
 def gram_matrix(space, field):
     """The polarization B, read off the integer 2B table."""
     n = space.n
-    return Matrix(field, [[Fraction(space.two_b_int(i, j), 2) for j in range(n)] for i in range(n)])
+    return field.array([[Fraction(space.two_b_int(i, j), 2) for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 10])
@@ -44,8 +45,8 @@ def test_vector_rep_is_b_skew(n):
     space = QuadraticSpace(n)
     g = gram_matrix(space, QQ)
     rep = vector_rep(space, QQ)
-    for m in rep.matrices:
-        assert (m.T @ g + g @ m).is_zero()
+    for m in rep.tensor:
+        assert not np.count_nonzero(QQ.matmul(m.T, g) + QQ.matmul(g, m))
 
 
 def test_vector_rep_cartan_is_diagonal_with_opposite_signs():
@@ -206,8 +207,7 @@ def test_restrict_vector11_to_so10_fixes_u():
     space = QuadraticSpace(11)
     emb = embed_subalgebra(space, 10)
     res = restrict(vector_rep(space, F), emb)
-    stacked = Matrix.vstack(res.matrices)
-    basis = stacked.kernel_basis()
+    (basis,) = kernel(F, res.tensor.reshape(1, -1, res.dim))
     assert len(basis) == 1
     v = basis[0]
     assert v[10] != 0 and not v[:10].any()
@@ -328,12 +328,11 @@ def conjugated(rep, seed=7):
     """rep conjugated by a random invertible matrix: the same Lie map, dense."""
     rng = RandomSource(seed)
     while True:
-        P = random_matrix(rep.field, rep.dim, rep.dim, rng)
-        if P.rank() == rep.dim:
+        P = rng.scalars(rep.field, rep.dim * rep.dim).reshape(rep.dim, rep.dim)
+        if rank(rep.field, P[None]) == [rep.dim]:
             break
-    P_inv = inverse(P)
-    mats = [(P @ m @ P_inv).data for m in rep.matrices]
-    return LieRepresentation(rep.n, rep.field, f"conj({rep.name})", rep.basis_labels, np.stack(mats))
+    mats = rep.field.matmul(rep.field.matmul(P, rep.tensor), inverse(rep.field, P))
+    return LieRepresentation(rep.n, rep.field, f"conj({rep.name})", rep.basis_labels, mats)
 
 
 def _standard(n, kind):

@@ -1,9 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
 from spincert.fields import GF, QQ, RandomSource
-from spincert.linalg import Matrix
 from spincert.suites import (
     RunConfig,
     report_to_dict,
@@ -278,7 +278,7 @@ def test_prime_disagreement_is_reported_not_raised(monkeypatch):
     def no_fixed_line(kernel, rep):
         mats = real_action(kernel, rep)
         if rep.field.p == confirming:
-            mats = [Matrix.identity(rep.field, rep.dim) for _ in mats]
+            mats = np.stack([rep.field.eye(rep.dim)] * len(mats))
         return mats
 
     monkeypatch.setattr(suites_mod, "g2_stabilizer_checks", split_g2)
