@@ -28,7 +28,7 @@ def rref_stack(a, p):
     Returns ``(r, pivots)``: a fresh int64 array of ``a``'s shape and one
     pivot tuple per matrix, as ``rref`` gives for each matrix alone.
     """
-    m = np.asarray(a, dtype=np.int64) % p
+    m = np.mod(np.asarray(a, dtype=np.int64), p, order="C")  # so that flat below is a view of m
     k, rows, cols = m.shape
     cadence = (2**63 - 1) // ((p - 1) * (p - 1)) - 1
     if cadence < 1:

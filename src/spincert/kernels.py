@@ -116,14 +116,16 @@ _FLOAT_EXACT = 2**53
 
 
 def matmul_mod(a, b, p):
-    """Exact ``a @ b`` mod p for int64 arrays (supports batched shapes)."""
+    """Exact ``a @ b`` mod p for int64 arrays of any layout (supports batched shapes)."""
     inner = a.shape[-1]
     if inner == 0:
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
         return np.zeros(shape, dtype=np.int64)
+    # C order whatever the caller passes: a transposed operand makes OpenBLAS spin (2x CPU on spin14)
     if inner * (p - 1) * (p - 1) < _FLOAT_EXACT:
-        c = np.matmul(a.astype(np.float64), b.astype(np.float64))
+        c = np.matmul(a.astype(np.float64, order="C"), b.astype(np.float64, order="C"))
         return np.mod(c, float(p)).astype(np.int64)
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     # each chunk's int64 sum of products stays below 2**63; p < 2**31 keeps step >= 2
     step = (2**63 - 1) // ((p - 1) * (p - 1))
     return sum(np.matmul(a[..., s : s + step], b[..., s : s + step, :]) % p for s in range(0, inner, step)) % p

@@ -304,13 +304,7 @@ def commutant_dimension(field, gens) -> int:
         # the map X -> Xg - gX on row-major flattened X
         return field.reduce(np.kron(eye, np.ascontiguousarray(g.T)) - np.kron(g, eye))
 
-    def null_columns(m):
-        # never empty: the identity commutes with everything.  C order: a
-        # transposed operand makes OpenBLAS's spare thread spin through the
-        # elimination that follows (twice the CPU time on spin14, measured)
-        return np.ascontiguousarray(kernel(field, m[None])[0].T)
-
-    K = null_columns(sylvester(gens[0]))
+    K = kernel(field, sylvester(gens[0])[None])[0].T  # never empty: the identity commutes with everything
     for g in gens[1:]:
-        K = field.matmul(K, null_columns(field.matmul(sylvester(g), K)))
+        K = field.matmul(K, kernel(field, field.matmul(sylvester(g), K)[None])[0].T)
     return K.shape[1]

@@ -11,7 +11,10 @@ are exercised by the tests rather than assumed.
 The derivation algebra (the Lie algebra of the automorphism group) is
 recovered as the kernel of the Leibniz system over all 64 basis products.
 Its dimension must be 14; anything else is a construction failure, not a
-soft error.
+soft error.  ``trace_zero_rep`` is g2 acting on the 7-dim trace-zero
+octonions, a representation like any other: its stabilizer claims go
+through ``orbits.min_trial_stabilizer``, the single-copy ones with the
+witness ``anisotropic``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import RandomSource
-from .linalg import SpanBuilder, kernel, rank
+from .linalg import SpanBuilder, kernel
+from .spinreps import LieRepresentation
 
 __all__ = [
     "multiplication_tensor",
@@ -30,7 +33,8 @@ __all__ = [
     "derivation_algebra",
     "subalgebra_generated",
     "split_generating_triple",
-    "g2_stabilizer_checks",
+    "trace_zero_rep",
+    "anisotropic",
 ]
 
 
@@ -137,38 +141,15 @@ def split_generating_triple(field) -> np.ndarray:
     return field.array([[1, 0, 0, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 1, 0, 0]])
 
 
-def g2_stabilizer_checks(derivations: DerivationAlgebra, trials: int, seed: int) -> tuple[int, int, int]:
-    """Generic kernels of the derivation action on trace-zero octonions.
+def trace_zero_rep(derivations: DerivationAlgebra) -> LieRepresentation:
+    """g2 on the 7-dim trace-zero octonions, its basis labeled by the 14 derivations."""
+    field, tensor = derivations.field, derivations.trace_zero_matrices
+    return LieRepresentation(7, field, "g2 on trace-zero octonions", tuple(("g2", k) for k in range(14)), tensor)
 
-    ``derivations`` is the algebra from :func:`derivation_algebra`; its field
-    is the field of the sample points.
 
-    Returns the minimum over the trials of each kernel dimension: on three
-    trace-zero copies (expect 0), on one copy (expect 8), and on one copy with
-    the scaling generator appended (expect 8).  Anisotropic sample points are
-    used for the single-copy checks (isotropic vectors form a proper closed
-    subset, but there is no reason to leave the draw to luck when the norm is
-    one evaluation away).
+def anisotropic(field, x) -> bool:
+    """Whether the trace-zero point x = (d, v, w) has norm -(d^2 + v.w) != 0: g2's genericity witness.
+
+    An isotropic point has the generic stabilizer dimension, 8, but a scaled stabilizer of 9.
     """
-    field = derivations.field
-    derivs = derivations.trace_zero_matrices
-
-    def nullity(system):
-        return system.shape[1] - rank(field, system[None])[0]
-
-    dims = []
-    for t in range(trials):
-        rng = RandomSource(seed).child(t)
-        triple = rng.scalars(field, 21).reshape(3, 7)
-        # column m holds D_m v for v in the triple, stacked: row 7c + r
-        k1 = nullity(field.matmul(derivs, triple.T).transpose(2, 1, 0).reshape(21, -1))
-
-        # on trace-zero coordinates (d, v, w): N = -(d^2 + v.w)
-        v = rng.scalars(field, 7)
-        while not np.count_nonzero(field.matmul(v[None, :4], v[[0, 4, 5, 6], None])):
-            v = rng.scalars(field, 7)
-        cols = field.matmul(derivs, v[:, None])[:, :, 0].T
-        k2 = nullity(cols)
-        k3 = nullity(np.column_stack([cols, v]))
-        dims.append((k1, k2, k3))
-    return tuple(min(d[i] for d in dims) for i in range(3))
+    return bool(np.count_nonzero(field.matmul(x[None, :4], x[[0, 4, 5, 6], None])))

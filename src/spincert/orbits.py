@@ -2,10 +2,11 @@
 
 Everything here reduces to exact kernels of stacked action maps: stabilizer
 subalgebras, generic freeness, invariant bilinear forms, fixed subspaces and
-isotypic fingerprints.  Genericity claims follow one protocol: a handful of
-random trials, take the minimum dimension (dimension only jumps upward on
-special points); the suites recompute each claim over two primes and
-record a split as a failing check.
+isotypic fingerprints.  Genericity claims follow one protocol,
+``min_trial_stabilizer``: a handful of random trials, take the minimum
+dimension (dimension only jumps upward on special points), among the points
+that pass the claim's witness when it has one; the suites recompute each
+claim over two primes and record a split as a failing check.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .spinreps import LieRepresentation, _expand_ranges
 __all__ = [
     "ClosureViolation",
     "Aborted",
+    "NotWitnessed",
     "StabilizerReport",
     "SubalgebraStructure",
     "BilinearInvariants",
@@ -46,6 +48,10 @@ class Aborted(RuntimeError):
     """A budgeted computation exceeded its resource limit."""
 
 
+class NotWitnessed(RuntimeError):
+    """No trial point passed the genericity witness."""
+
+
 @dataclass
 class StabilizerReport:
     """Kernel of the stacked action map at one point."""
@@ -61,7 +67,7 @@ def action_matrix(rep: LieRepresentation, points) -> np.ndarray:
     field = rep.field
     # one small product per (point, generator), never one threaded BLAS call
     cols = field.matmul(rep.tensor, field.array(points)[:, None, :, None])
-    return np.ascontiguousarray(cols[..., 0].transpose(0, 2, 1))
+    return cols[..., 0].transpose(0, 2, 1)
 
 
 def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
@@ -90,18 +96,26 @@ def kernel_action_matrices(kernel, rep: LieRepresentation) -> np.ndarray:
     return field.matmul(z, rep.tensor.reshape(rep.g, -1)).reshape(-1, rep.dim, rep.dim)
 
 
-def min_trial_stabilizer(rep: LieRepresentation, trials: int, seed: int) -> tuple[StabilizerReport, np.ndarray]:
+def min_trial_stabilizer(
+    rep: LieRepresentation, trials: int, seed: int, witness=None
+) -> tuple[StabilizerReport, np.ndarray]:
     """Stabilizer report and point of the first minimum-dimension trial.
 
     Trial t samples its point from ``RandomSource(seed).child(t)``; a later
     trial replaces the best one only if its dimension is strictly smaller.
-    The action matrices of all trials are eliminated as one stack.
+    A ``witness``, a predicate on a point, says which points are generic:
+    only the trials whose point passes compete, whatever the dimension of
+    the others, and NotWitnessed is raised when none passes.  The action
+    matrices of the competing trials are eliminated as one stack.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
     points = [RandomSource(seed).child(t).scalars(rep.field, rep.dim) for t in range(trials)]
+    points = [v for v in points if witness is None or witness(v)]
+    if not points:
+        raise NotWitnessed(f"no point of {trials} trials on {rep.name} passes the genericity witness")
     reports = _stabilizers(rep, points)
-    best = min(range(trials), key=lambda t: reports[t].dimension)  # min keeps the first
+    best = min(range(len(points)), key=lambda t: reports[t].dimension)  # min keeps the first
     return reports[best], points[best]
 
 
@@ -165,7 +179,7 @@ def subalgebra_structure_from_matrices(field, stack, basis_vectors=None) -> Suba
         c[i, j] = coords.T
         c[j, i] = field.reduce(-coords.T)
 
-    killing = field.matmul(c.reshape(k, k * k), np.ascontiguousarray(c.transpose(0, 2, 1).reshape(k, k * k).T))
+    killing = field.matmul(c.reshape(k, k * k), c.transpose(0, 2, 1).reshape(k, k * k).T)
     (krank,) = rank(field, killing[None])
     derived_dim = rank(field, c[i, j][None])[0] if len(i) else 0
 
@@ -237,7 +251,7 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
         (null,) = kernel(field, field.matmul(field.reduce(img), K)[None])
         if not len(null):
             return BilinearInvariants(0, 0, None, 0, None)
-        K = field.matmul(K, np.ascontiguousarray(null.T))  # C order, see commutant_dimension
+        K = field.matmul(K, null.T)
 
     # the candidate units E_ab are distinct, so each form is a scatter of one column of K
     total = K.shape[1]
@@ -347,5 +361,5 @@ def invariant_quartic_dim(rep: LieRepresentation) -> int:
         (null,) = kernel(field, field.matmul(img, K)[None])
         if not len(null):
             return 0
-        K = field.matmul(K, np.ascontiguousarray(null.T))  # C order, see commutant_dimension
+        K = field.matmul(K, null.T)
     return K.shape[1]

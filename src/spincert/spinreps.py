@@ -41,12 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LieRepresentation:
-    """An ordered list of d x d matrices aligned with a labeled so(n) basis.
+    """An ordered list of d x d matrices aligned with a labeled Lie algebra basis.
 
     ``tensor`` has shape (g, d, d): int64 residues over a prime field,
     Fraction objects over Q.  ``basis_labels`` are the generator-index pairs
-    (a, b) of the bivector basis; a trailing ("scale",) label marks an
-    appended scaling generator.
+    (a, b) of the so(n) bivector basis, or name another algebra's basis (the
+    g2 of ``octonion.trace_zero_rep``, n then being its defining module's
+    dimension), which ``restrict`` and ``center_acts_minus_one`` refuse.  A
+    trailing ("scale",) label marks an appended scaling generator.
     """
 
     n: int
@@ -244,6 +246,11 @@ def direct_sum(reps: list[LieRepresentation], name: str | None = None) -> LieRep
     return LieRepresentation(first.n, first.field, name, first.basis_labels, _freeze(tensor))
 
 
+def _require_so_basis(rep: LieRepresentation):
+    if rep.basis_labels != so_pairs(QuadraticSpace(rep.n)):
+        raise ValueError(f"{rep.name} is not labeled by the so({rep.n}) bivector basis")
+
+
 # -- the center of Spin_n --------------------------------------------------------
 
 
@@ -259,6 +266,7 @@ def center_acts_minus_one(space: QuadraticSpace, rep: LieRepresentation) -> bool
     """
     if rep.n != space.n:
         raise ValueError(f"center check needs a module of so({space.n}), got {rep.name}")
+    _require_so_basis(rep)
     field = rep.field
     h1 = field.reduce(2 * rep.tensor[0])
     halves = (field.inv(2), field.reduce(-field.inv(2)))
@@ -446,8 +454,7 @@ def restrict(rep: LieRepresentation, emb: SubalgebraEmbedding) -> LieRepresentat
     """Representation of so(n') on the same space, via the embedding."""
     if rep.n != emb.ambient_n:
         raise ValueError("representation and embedding ambient dimensions differ")
-    if any(lbl == ("scale",) for lbl in rep.basis_labels):
-        raise ValueError("cannot restrict a scaling-augmented representation")
+    _require_so_basis(rep)  # a scaling-augmented module included
     field = rep.field
     d = rep.dim
     tensor = field.zeros((len(emb.pair_map), d, d))

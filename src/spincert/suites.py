@@ -30,10 +30,11 @@ from .fields import GF, QQ, PrimeField, RandomSource
 from .linalg import kernel, rank
 from .clifford import QuadraticSpace
 from .octonion import (
+    anisotropic,
     derivation_algebra,
-    g2_stabilizer_checks,
     split_generating_triple,
     subalgebra_generated,
+    trace_zero_rep,
 )
 from .orbits import (
     fixed_subspace,
@@ -60,6 +61,7 @@ from .slnpair import (
     tau,
 )
 from .spinreps import (
+    LieRepresentation,
     center_acts_minus_one,
     direct_sum,
     embed_subalgebra,
@@ -215,7 +217,9 @@ def _two_prime(per_field, specs):
 
 def _g2_octonion(cfg: RunConfig, f) -> dict:
     derivations = derivation_algebra(f)
-    triple, vector, scaled = g2_stabilizer_checks(derivations, cfg.trials, cfg.seed)
+    g2 = trace_zero_rep(derivations)
+    triple, _ = min_trial_stabilizer(direct_sum([g2] * 3), cfg.trials, cfg.seed)
+    vector, v = min_trial_stabilizer(g2, cfg.trials, cfg.seed, witness=lambda x: anisotropic(f, x))
     # cross-module consistency against the spinor route
     deriv = subalgebra_structure_from_matrices(f, derivations.matrices)
     rpt, _ = min_trial_stabilizer(spin_rep(QuadraticSpace(7), f), cfg.trials, cfg.seed)
@@ -223,9 +227,9 @@ def _g2_octonion(cfg: RunConfig, f) -> dict:
     return {
         "derivation-dim": derivations.dimension,
         "triple-closure": subalgebra_generated(f, split_generating_triple(f)),
-        "kernel-triple": triple,
-        "kernel-vector": vector,
-        "kernel-scaled": scaled,
+        "kernel-triple": triple.dimension,
+        "kernel-vector": vector.dimension,
+        "kernel-scaled": stabilizer(g2.with_scaling(), v).dimension,
         "cross-spinor": [[deriv.dimension, deriv.killing_rank], [rpt.dimension, spinor.killing_rank]],
     }
 
@@ -284,7 +288,7 @@ def _spin7(cfg: RunConfig, f) -> dict:
     struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
     fixed_dim, fixed = fixed_subspace(f, kernel_action_matrices(rpt.kernel, rep))
     contains_point = fixed_dim == 1 and rank(f, np.stack([fixed[0], v])[None]) == [1]
-    scaled = f.reduce(v * 7)
+    scaled = f.reduce(v * 2)  # a unit of every accepted field, p >= 5
     return {
         "invariant-forms": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
         "stabilizer-dim": rpt.dimension,
@@ -570,23 +574,17 @@ _COREGULAR_FREE_CHECKS = tuple(
 
 
 def _sp4_left_multiplication(cfg: RunConfig, f, omega):
-    """Minimum stabilizer dimension of a random invertible 4x4 matrix under sp4 = sp(omega)."""
+    """Generic stabilizer dimension of a 4x4 matrix under left multiplication by sp4 = sp(omega)."""
     # row 4x + y is entry (x, y) of z^T omega + omega z; unknown z[k, c] at column 4k + c
     eye = f.eye(4)
     system = np.einsum("cx,ky->xykc", eye, omega) + np.einsum("cy,xk->xykc", eye, omega)
     (sp4,) = kernel(f, f.reduce(system.reshape(1, 16, 16)))
     if len(sp4) != 10:
         return f"sp4 dimension {len(sp4)}"
-    rng = RandomSource(cfg.seed)
-    best = None
-    for _ in range(cfg.trials):
-        x = rng.scalars(f, 16).reshape(4, 4)
-        if rank(f, x[None]) != [4]:
-            continue
-        cols = f.matmul(sp4.reshape(-1, 4, 4), x).reshape(len(sp4), 16).T
-        dim = len(sp4) - rank(f, cols[None])[0]
-        best = dim if best is None else min(best, dim)
-    return best
+    # z x on row-major 4x4 matrices x is kron(z, I4)
+    tensor = np.stack([np.kron(z, eye) for z in sp4.reshape(-1, 4, 4)])
+    rep = LieRepresentation(4, f, "sp4 on 4x4 matrices", tuple(("sp4", k) for k in range(10)), tensor)
+    return min_trial_stabilizer(rep, cfg.trials, cfg.seed)[0].dimension
 
 
 def _branching(cfg: RunConfig, f) -> dict:

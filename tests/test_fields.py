@@ -212,11 +212,11 @@ def test_draws_are_field_arrays(field):
 FIELD_BRANCHES = {("linalg", "_eliminate"), ("linalg", "det"), ("orbits", "invariant_quartic_dim")}
 
 
-class _FieldBranches(ast.NodeVisitor):
-    """(module, innermost enclosing function) of every isinstance(..., PrimeField | RationalField)."""
+class _CallSites(ast.NodeVisitor):
+    """(module, innermost enclosing function) of every call that ``matches``."""
 
-    def __init__(self, module):
-        self.module, self.scope, self.found = module, ["<module>"], set()
+    def __init__(self, module, matches):
+        self.module, self.matches, self.scope, self.found = module, matches, ["<module>"], set()
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -226,19 +226,43 @@ class _FieldBranches(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
-            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
-            if names & {"PrimeField", "RationalField"}:
-                self.found.add((self.module, self.scope[-1]))
+        if self.matches(node):
+            self.found.add((self.module, self.scope[-1]))
         self.generic_visit(node)
 
 
-def test_field_branches_only_where_allowed():
+def _call_sites_outside_fields(matches):
     found = set()
     for path in sorted(Path(spincert.__file__).parent.glob("*.py")):
         if path.name != "fields.py":
-            visitor = _FieldBranches(path.stem)
+            visitor = _CallSites(path.stem, matches)
             visitor.visit(ast.parse(path.read_text()))
             found |= visitor.found
-    assert found == FIELD_BRANCHES
+    return found
+
+
+def _is_field_branch(node):
+    # isinstance(..., PrimeField | RationalField), under any spelling of the class
+    if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+        names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+        return bool(names & {"PrimeField", "RationalField"})
+    return False
+
+
+def test_field_branches_only_where_allowed():
+    assert _call_sites_outside_fields(_is_field_branch) == FIELD_BRANCHES
+
+
+# (module, function) of the only code outside fields.py that may open a random stream:
+# the genericity protocol, and the sln_quotient streams pinned by test_sln_quotient_draw_sequence
+STREAM_OPENERS = {("orbits", "min_trial_stabilizer"), ("suites", "_sln_quotient")}
+
+
+def _is_stream_opener(node):
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "RandomSource"
+
+
+def test_random_streams_open_only_where_allowed():
+    assert _call_sites_outside_fields(_is_stream_opener) == STREAM_OPENERS

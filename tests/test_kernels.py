@@ -119,6 +119,27 @@ def test_rref_stack_matches_rref_mod(rows, cols):
         assert pivots[i] == want_piv and np.array_equal(red[i], want)
 
 
+def test_rref_stack_ignores_operand_layout():
+    # a stack whose matrices are transposed views: the elimination must
+    # update the same buffer it reads its columns from
+    rng = np.random.default_rng(7)
+    b = rng.integers(0, P, size=(3, 4, 7))
+    s = np.ascontiguousarray(b.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert not s.flags.c_contiguous
+    red, pivots = rref_stack(s, P)
+    red_c, pivots_c = rref_stack(b, P)
+    assert np.array_equal(red, red_c) and pivots == pivots_c
+    assert all(np.array_equal(oracle_rref(m, P)[0], r) for m, r in zip(b, red))
+
+
+def test_matmul_mod_ignores_operand_layout():
+    rng = np.random.default_rng(8)
+    a, b = rng.integers(0, P, size=(2, 5, 6)), rng.integers(0, P, size=(2, 6, 3))
+    fortran_a, transposed_b = np.asfortranarray(a), np.ascontiguousarray(b.transpose(0, 2, 1)).transpose(0, 2, 1)
+    for p in (P, 2_147_483_647):
+        assert np.array_equal(matmul_mod(fortran_a, transposed_b, p), matmul_mod(a, b, p))
+
+
 def test_backend_name():
     assert backend() in ("cython", "python")
 

@@ -164,6 +164,15 @@ def test_solve_replay_random():
         assert all(p == q for p, q in zip(field.matmul(m, x[:, None])[:, 0], b))
 
 
+def test_kernel_of_a_transposed_view_stack_annihilates():
+    # a non-C-order stack used to be eliminated through a copy its updates never reached
+    F = GF(1_000_003)
+    b = random_matrix(F, 12, 7, RandomSource(14)).reshape(3, 4, 7)
+    s = np.ascontiguousarray(b.transpose(0, 2, 1)).transpose(0, 2, 1)
+    for z, m in zip(kernel(F, s), s):
+        assert len(z) == 3 and not np.count_nonzero(F.matmul(m, z.T))
+
+
 def test_rank_nullity_always():
     rng = RandomSource(3)
     for field in (F, QQ):

@@ -4,13 +4,15 @@ import pytest
 from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import kernel, rank
 from spincert.octonion import (
+    anisotropic,
     derivation_algebra,
-    g2_stabilizer_checks,
     multiplication_tensor,
     split_generating_triple,
     subalgebra_generated,
+    trace_zero_rep,
 )
-from spincert.orbits import subalgebra_structure_from_matrices
+from spincert.orbits import min_trial_stabilizer, stabilizer, subalgebra_structure_from_matrices
+from spincert.spinreps import direct_sum
 
 F = GF(1_000_003)
 PRIMES = (1_000_003, 999_983)
@@ -197,17 +199,35 @@ def test_subalgebra_generated_monotone():
     assert d1 <= d2 <= d3 <= 8
 
 
+def g2_kernels(field, trials, seed):
+    """(triple, vector, scaled) kernel dimensions, as the g2_octonion suite takes them."""
+    g2 = trace_zero_rep(derivation_algebra(field))
+    triple, _ = min_trial_stabilizer(direct_sum([g2] * 3), trials, seed)
+    vector, v = min_trial_stabilizer(g2, trials, seed, witness=lambda x: anisotropic(field, x))
+    return triple.dimension, vector.dimension, stabilizer(g2.with_scaling(), v).dimension
+
+
 def test_g2_checks_certificates():
     # each prime, and a seed change, leave the certificate values alone
     for p in PRIMES:
-        derivations = derivation_algebra(GF(p))
-        assert g2_stabilizer_checks(derivations, 3, 0) == (0, 8, 8)
-        assert g2_stabilizer_checks(derivations, 3, 777) == (0, 8, 8)
+        assert g2_kernels(GF(p), 3, 0) == (0, 8, 8)
+        assert g2_kernels(GF(p), 3, 777) == (0, 8, 8)
+
+
+def test_anisotropy_is_the_witness_the_scaled_kernel_needs():
+    # an isotropic trace-zero point has the generic stabilizer dimension, 8,
+    # but the scaling generator adds one: only the witness tells them apart
+    g2 = trace_zero_rep(derivation_algebra(F))
+    for x, witnessed, scaled in (([1, 0, 0, 0, 0, 0, 0], True, 8), ([0, 1, 0, 0, 0, 0, 0], False, 9)):
+        x = F.array(x)
+        assert anisotropic(F, x) is witnessed
+        assert stabilizer(g2, x).dimension == 8
+        assert stabilizer(g2.with_scaling(), x).dimension == scaled
 
 
 def test_octonion_checks_at_largest_prime():
     # residue products there leave int64 unless every sum goes through field.matmul
-    assert g2_stabilizer_checks(derivation_algebra(LARGEST), 3, 0) == (0, 8, 8)
+    assert g2_kernels(LARGEST, 3, 0) == (0, 8, 8)
     assert subalgebra_generated(LARGEST, split_generating_triple(LARGEST)) == 8
     rng = RandomSource(6)
     assert subalgebra_generated(LARGEST, [rand_trace_zero(LARGEST, rng) for _ in range(3)]) == 8

@@ -10,6 +10,7 @@ from spincert.octonion import derivation_algebra
 from spincert.orbits import (
     Aborted,
     ClosureViolation,
+    NotWitnessed,
     fixed_subspace,
     invariant_bilinear_space,
     invariant_quartic_dim,
@@ -83,6 +84,37 @@ def test_min_trial_stabilizer_keeps_first_minimum(monkeypatch):
     assert min_trial_stabilizer(rep, 4, 7)[0].dimension == 14
     with pytest.raises(ValueError):
         min_trial_stabilizer(rep, 0, 7)
+
+
+def _left_gl2(field):
+    """gl2 acting on 2x2 matrices by left multiplication: the stabilizer of x has dim 2 (2 - rank x)."""
+    units = np.eye(4, dtype=np.int64).reshape(4, 2, 2)
+    tensor = field.array(np.stack([np.kron(z, np.eye(2, dtype=np.int64)) for z in units]))
+    return LieRepresentation(2, field, "gl2 on 2x2 matrices", tuple(("gl2", k) for k in range(4)), tensor)
+
+
+def test_min_trial_witness_skips_failing_trials_even_when_smaller():
+    f5 = GF(5)
+    rep = _left_gl2(f5)
+
+    def singular(x):
+        return rank(f5, x.reshape(1, 2, 2)) != [2]
+
+    # a seed whose trial 0 is invertible (stabilizer 0) and trial 1 singular
+    def point(seed, t):
+        return RandomSource(seed).child(t).scalars(f5, 4)
+
+    seed = next(s for s in range(100) if [singular(point(s, t)) for t in (0, 1)] == [False, True])
+    rpt, v = min_trial_stabilizer(rep, 2, seed)
+    assert rpt.dimension == 0 and np.array_equal(v, point(seed, 0))
+    # a witness that only passes singular points: trial 0 is smaller but may not compete
+    rpt, v = min_trial_stabilizer(rep, 2, seed, witness=singular)
+    assert rpt.dimension > 0 and np.array_equal(v, point(seed, 1))
+
+
+def test_min_trial_witness_with_no_passing_trial_raises():
+    with pytest.raises(NotWitnessed):
+        min_trial_stabilizer(_left_gl2(F), 3, 0, witness=lambda x: False)
 
 
 # over Q one 106 x 91 elimination of free-14 takes seconds, so free-14 runs over F_p only
@@ -357,11 +389,13 @@ def test_scaling_extension_invariant():
     # appending the scaling generator: stabilizer stays 8 for the derivation
     # action on one octonion copy (radial line joins the orbit image); the
     # spin14 variant is exercised in the suites
-    from spincert.octonion import derivation_algebra, g2_stabilizer_checks
+    from spincert.octonion import anisotropic, trace_zero_rep
 
     for p in PRIMES:
-        _, vector_kernel, scaled_kernel = g2_stabilizer_checks(derivation_algebra(GF(p)), 3, 0)
-        assert vector_kernel == scaled_kernel == 8
+        field = GF(p)
+        g2 = trace_zero_rep(derivation_algebra(field))
+        rpt, v = min_trial_stabilizer(g2, 3, 0, witness=lambda x: anisotropic(field, x))
+        assert rpt.dimension == stabilizer(g2.with_scaling(), v).dimension == 8
 
 
 def test_quartic_invariants_vector7():

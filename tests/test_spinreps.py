@@ -248,6 +248,30 @@ def test_center_acts_minus_one_reads_the_module():
         center_acts_minus_one(QuadraticSpace(8), spin7)
 
 
+def _g2_on_octonions():
+    from spincert.octonion import derivation_algebra, trace_zero_rep
+
+    return trace_zero_rep(derivation_algebra(F))
+
+
+def test_center_check_refuses_modules_of_another_algebra():
+    # g2's first derivation is not h1, although the module has n = 7
+    g2 = _g2_on_octonions()
+    assert g2.n == 7
+    with pytest.raises(ValueError, match="bivector basis"):
+        center_acts_minus_one(QuadraticSpace(7), g2)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [_g2_on_octonions, lambda: vector_rep(QuadraticSpace(7), F).with_scaling()],
+    ids=["g2", "scaled-vector7"],
+)
+def test_restrict_refuses_modules_not_labeled_by_so_pairs(module):
+    with pytest.raises(ValueError, match="bivector basis"):
+        restrict(module(), embed_subalgebra(QuadraticSpace(7), 5))
+
+
 def test_minus_one_conjugation_fixes_vectors():
     # (-1) v (-1)^{-1} = v inside the oracle Clifford algebra
     space = QuadraticSpace(10)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -171,6 +172,12 @@ def test_coregular_suite():
     assert by_id["chain-14"] == 55
 
 
+def test_spin7_scale_invariance_at_p7():
+    # the point is rescaled by a unit of every accepted field, F_7 included
+    rep = run_suite("spin7", RunConfig(prime=7, confirm_prime=11))
+    assert {c.id: c.observed for c in rep.checks}["scale-invariance"] is True
+
+
 def test_branching_suite():
     rep = run_suite("branching", quick_cfg(suites=["branching"]))
     assert rep.passed
@@ -257,6 +264,15 @@ def test_unexpected_error_becomes_failed_check(monkeypatch):
     assert "injected" in str(rep.checks[-1].observed)
 
 
+def test_no_witnessed_trial_becomes_suite_error(monkeypatch):
+    # no anisotropic point among the trials: no sampled value is recorded
+    import spincert.suites as suites_mod
+
+    monkeypatch.setattr(suites_mod, "anisotropic", lambda field, x: False)
+    rep = run_suite("g2_octonion", quick_cfg(suites=["g2_octonion"]))
+    assert [(c.id, c.description) for c in rep.checks] == [("suite-error", "suite aborted: NotWitnessed")]
+
+
 def test_prime_disagreement_is_reported_not_raised(monkeypatch):
     # a per-field dependency that answers differently over the confirming
     # prime: each split check fails with both values, and the rest is recorded
@@ -264,11 +280,13 @@ def test_prime_disagreement_is_reported_not_raised(monkeypatch):
 
     cfg = quick_cfg()
     confirming = cfg.confirm_prime
-    real_g2 = suites_mod.g2_stabilizer_checks
+    real_min_trial = suites_mod.min_trial_stabilizer
 
-    def split_g2(derivations, trials, seed):
-        triple, vector, scaled = real_g2(derivations, trials, seed)
-        return triple, vector + (derivations.field.p == confirming), scaled
+    def split_g2(rep, trials, seed, witness=None):
+        rpt, v = real_min_trial(rep, trials, seed, witness)
+        if rep.name == "g2 on trace-zero octonions" and rep.field.p == confirming:
+            rpt = dataclasses.replace(rpt, dimension=rpt.dimension + 1)
+        return rpt, v
 
     def split_center(space, rep):
         return rep.field.p != confirming
@@ -281,7 +299,7 @@ def test_prime_disagreement_is_reported_not_raised(monkeypatch):
             mats = np.stack([rep.field.eye(rep.dim)] * len(mats))
         return mats
 
-    monkeypatch.setattr(suites_mod, "g2_stabilizer_checks", split_g2)
+    monkeypatch.setattr(suites_mod, "min_trial_stabilizer", split_g2)
     monkeypatch.setattr(suites_mod, "center_acts_minus_one", split_center)
     monkeypatch.setattr(suites_mod, "kernel_action_matrices", no_fixed_line)
 
