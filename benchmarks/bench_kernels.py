@@ -26,6 +26,9 @@ import argparse
 import time
 from fractions import Fraction
 
+# spincert before NumPy: the package caps OpenBLAS at one thread, as in a
+# program run, and the cap only holds if it is set before NumPy loads.
+import spincert  # noqa: F401
 import numpy as np
 
 from spincert import _modp_fallback, kernels, spinreps

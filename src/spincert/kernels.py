@@ -121,7 +121,8 @@ def matmul_mod(a, b, p):
     if inner == 0:
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
         return np.zeros(shape, dtype=np.int64)
-    # C order whatever the caller passes: a transposed operand makes OpenBLAS spin (2x CPU on spin14)
+    # C order whatever the caller passes: with more than one OpenBLAS thread (see
+    # __init__) a transposed operand made it spin (2x CPU on spin14)
     if inner * (p - 1) * (p - 1) < _FLOAT_EXACT:
         c = np.matmul(a.astype(np.float64, order="C"), b.astype(np.float64, order="C"))
         return np.mod(c, float(p)).astype(np.int64)

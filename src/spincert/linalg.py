@@ -108,12 +108,26 @@ def solve(field, a, b) -> list:
 
 def det(field, stack) -> list:
     """Determinant of every matrix of a (k, n, n) stack, exact over either
-    field: Bareiss elimination on integer rows."""
-    _, rows, cols = np.shape(stack)
+    field.  Over F_p one int64 Gaussian elimination runs over the whole
+    stack, column by column with first-nonzero pivoting and row swaps, and
+    multiplies the pivots mod p (p < 2^31 keeps every product below 2^62);
+    over Q each matrix runs Bareiss elimination on integer rows."""
+    k, rows, cols = np.shape(stack)
     if rows != cols:
         raise ValueError("det of non-square matrix")
     if isinstance(field, PrimeField):
-        return [_det_int(m.tolist()) % field.p for m in stack]
+        p = field.p
+        m = np.asarray(stack, dtype=np.int64) % p
+        out = np.ones(k, dtype=np.int64)
+        at = np.arange(k)
+        for c in range(rows):
+            r = c + np.argmax(m[:, c:, c] != 0, axis=1)  # c itself where the column is zero: pivot 0
+            m[at, c], m[at, r] = m[at, r], m[at, c]
+            out = np.where(r != c, -out, out) * m[:, c, c] % p
+            inv = np.array([pow(v, -1, p) if v else 0 for v in m[:, c, c].tolist()], dtype=np.int64)
+            f = m[:, c + 1 :, c] * inv[:, None] % p
+            m[:, c + 1 :, c:] = (m[:, c + 1 :, c:] - f[:, :, None] * m[:, None, c, c:]) % p
+        return out.tolist()
     out = []
     for m in stack:
         ints, den = _cleared(m)

@@ -9,18 +9,17 @@ fiber, triviality of the tangent stabilizer, and surjectivity of the
 differential of pi.
 
 Every function takes and returns field arrays, with the same code over
-either field: X of shape (..., n, n-1) and Y of shape (..., n-1, n), one
-pair or a stack of pairs along a leading axis.  ``act``, ``tau`` and ``pi``
-take either; ``normalizations_to_j``, ``stabilizer_lie_dims`` and
-``jacobian_ranks_pi`` take a stack and eliminate the systems of all its
-pairs as one stack (``linalg.rref``), so a single pair is a stack of one;
-``fiber_transporter`` and ``random_fiber_partner`` take Y blocks of single
-pairs normalized to J.  Group elements always come with their
+either field, and works on stacks of pairs along a leading axis: X of shape
+(k, n, n-1) and Y of shape (k, n-1, n), a single pair being a stack of one.
+``tau`` and ``pi`` also take an unstacked pair.  Whatever eliminates does so
+once for the whole stack (``linalg.rref``, ``linalg.det``): the
+normalizations and their scales, the transporter systems, the tangent
+stabilizers and the Jacobians.  Group elements always come with their
 inverse, so acting needs no elimination: ``random_samples`` draws A = LU
 from two unitriangular factors and forms A^{-1} = U^{-1} L^{-1} by forward
 substitution, normalization inverts the completed basis of X, and a
 transporter I + t e_n^T has inverse I - t e_n^T.  ``act`` checks the given
-inverse with one product and refuses a determinant other than one.
+inverses with one product and refuses any determinant other than one.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "jacobian_ranks_pi",
     "random_pairs",
     "random_samples",
-    "random_fiber_partner",
 ]
 
 
@@ -66,18 +64,20 @@ def canonical_j(field, n: int) -> np.ndarray:
 
 
 def act(field, a, a_inv, x, y):
-    """(X, Y) -> (AX, Y A^{-1}) for A in SL_n, with A^{-1} given by the caller.
+    """(X, Y) -> (AX, Y A^{-1}) for a stack of A in SL_n, with A^{-1} given by
+    the caller.
 
-    ``a`` and ``a_inv`` have shape (..., n, n), matching the pairs.
-    Raises ValueError unless A A^{-1} = I, and NotInSLn for any A whose
-    determinant is not one.
+    ``a`` and ``a_inv`` have shape (k, n, n), one element per pair of the
+    stacks ``x`` and ``y``.  Raises ValueError unless A A^{-1} = I, and
+    NotInSLn for any A whose determinant is not one; both checks cover the
+    whole stack at once.
     """
-    n = x.shape[-2]
-    if a.shape[-2:] != (n, n) or a_inv.shape != a.shape:
-        raise ValueError("acting matrix has the wrong size")
+    k, n, _ = x.shape
+    if a.shape != (k, n, n) or a_inv.shape != a.shape:
+        raise ValueError("acting matrices do not match the stack of pairs")
     if not np.array_equal(field.matmul(a, a_inv), np.broadcast_to(field.eye(n), a.shape)):
         raise ValueError("a_inv is not the inverse of a")
-    if any(d != 1 for d in det(field, a.reshape(-1, n, n))):
+    if any(d != 1 for d in det(field, a)):
         raise NotInSLn("acting matrix must have determinant 1")
     return field.matmul(a, x), field.matmul(y, a_inv)
 
@@ -92,9 +92,10 @@ def pi(field, x, y):
     return field.matmul(y, x)
 
 
-def normalizations_to_j(field, x) -> list:
-    """For each X of a stack of shape (k, n, n-1), (A, A^{-1}) with A in SL_n
-    and A X = J, or None where X has rank below n-1.
+def normalizations_to_j(field, x):
+    """(full, A, A^{-1}) for a stack X of shape (k, n, n-1): the boolean mask
+    ``full`` marks the X of rank n-1, and for those, in order, A in SL_n with
+    A X = J and its inverse, stacked with shape (m, n, n).
 
     The columns of X are completed to a basis by the first standard basis
     vector e_i outside their span, and that appended column is scaled by the
@@ -103,49 +104,48 @@ def normalizations_to_j(field, x) -> list:
     are pivots, the next pivot is the column of e_i, and the right block E
     of the reduced form is [X | e_i]^{-1}.  So the scale is det E, and A is
     E with its last row divided by det E.  Deterministic by construction;
-    the k reductions run as one stack.
+    the k reductions run as one stack, and so do the m determinants.
     """
     k, n, _ = x.shape
-    j = canonical_j(field, n)
     aug = np.concatenate([x, np.broadcast_to(field.eye(n), (k, n, n))], axis=2)
-    out = []
-    for xk, (red, pivots) in zip(x, rref(field, aug)):
-        if pivots[: n - 1] != tuple(range(n - 1)):
-            out.append(None)
-            continue
-        e = red[:, n - 1 :]
-        (scale,) = det(field, e[None])
-        basis = np.hstack([xk, field.zeros((n, 1))])
-        basis[pivots[n - 1] - (n - 1), n - 1] = scale
-        a = e.copy()
-        a[n - 1] = field.reduce(a[n - 1] * field.inv(scale))
-        if not np.array_equal(field.matmul(a, xk), j):
-            raise AssertionError("normalization replay failed")
-        out.append((a, basis))
-    return out
+    reduced = rref(field, aug)
+    full = np.array([pivots[: n - 1] == tuple(range(n - 1)) for _, pivots in reduced], dtype=bool)
+    kept = [r for r, ok in zip(reduced, full) if ok]
+    a = np.array([red[:, n - 1 :] for red, _ in kept], dtype=x.dtype).reshape(-1, n, n)
+    scales = det(field, a)
+    a_inv = np.concatenate([x[full], field.zeros((len(a), n, 1))], axis=2)
+    a_inv[np.arange(len(a)), [pivots[n - 1] - (n - 1) for _, pivots in kept], n - 1] = scales
+    a[:, n - 1] = field.reduce(a[:, n - 1] * field.array([field.inv(s) for s in scales])[:, None])
+    j = np.broadcast_to(canonical_j(field, n), (len(a), n, n - 1))
+    if not np.array_equal(field.matmul(a, x[full]), j):
+        raise AssertionError("normalization replay failed")
+    return full, a, a_inv
 
 
 def fiber_transporter(field, y, z) -> np.ndarray:
-    """The unique unipotent A with A . (J, Y) = (J, Z), for nonsingular YJ.
+    """The unique unipotent A with A . (J, Y) = (J, Z), for nonsingular YJ,
+    for each pair of two stacks of shape (k, n-1, n).
 
-    ``y`` and ``z`` are the Y blocks of two pairs normalized to J.  AJ = J
-    forces A to be the identity plus a free last column t; Z A = Y then is
-    a linear system whose coefficient matrix is exactly YJ, so
-    nonsingularity gives exactly one solution, and a singular YJ gives none
-    or many.  Y = Z returns the identity, which is the scheme-theoretic
-    triviality of the stabilizer seen at the level of points.
+    ``y`` and ``z`` are the Y blocks of pairs normalized to J.  AJ = J forces
+    A to be the identity plus a free last column t; Z A = Y then is a linear
+    system whose coefficient matrix is exactly YJ, so nonsingularity gives
+    exactly one solution, and a singular YJ gives none or many.  Y = Z
+    returns the identity, which is the scheme-theoretic triviality of the
+    stabilizer seen at the level of points.  The k systems are solved as one
+    stack and the k transporters replayed with one ``act``; NotSameFiber or
+    SingularFiber is raised if any one pair is off.
     """
-    n = y.shape[-1]
-    j = canonical_j(field, n)
+    k, _, n = y.shape
+    j = np.broadcast_to(canonical_j(field, n), (k, n, n - 1))
     pi_y = pi(field, j, y)
     if not np.array_equal(pi_y, pi(field, j, z)):
         raise NotSameFiber("pairs have different products YX")
-    (t,) = solve(field, pi_y[None], field.reduce(y[:, n - 1] - z[:, n - 1])[None])
-    if t is NO_SOLUTION or t is NON_UNIQUE:
-        raise SingularFiber("YX is singular")
-    a, a_inv = field.eye(n), field.eye(n)
-    a[: n - 1, n - 1] = t
-    a_inv[: n - 1, n - 1] = field.reduce(-t)
+    a, a_inv = (np.broadcast_to(field.eye(n), (k, n, n)).copy() for _ in range(2))
+    for i, t in enumerate(solve(field, pi_y, field.reduce(y[:, :, n - 1] - z[:, :, n - 1]))):
+        if t is NO_SOLUTION or t is NON_UNIQUE:
+            raise SingularFiber("YX is singular")
+        a[i, : n - 1, n - 1] = t
+        a_inv[i, : n - 1, n - 1] = field.reduce(-t)
     moved_j, moved_y = act(field, a, a_inv, j, y)
     if not (np.array_equal(moved_j, j) and np.array_equal(moved_y, z)):
         raise AssertionError("transporter replay failed")
@@ -236,13 +236,3 @@ def random_samples(field, n: int, rng: RandomSource, count: int):
     s = rng.scalars(field, count * 3 * k).reshape(count, 3 * k)
     a, a_inv = _sl_with_inverse(field, n, s[:, 2 * k :])
     return s[:, :k].reshape(count, n, n - 1), s[:, k : 2 * k].reshape(count, n - 1, n), a, a_inv
-
-
-def random_fiber_partner(field, y, rng: RandomSource) -> np.ndarray:
-    """The Y block Z of a pair (J, Z) in the fiber of (J, Y): Z shares the
-    left block of Y, with a fresh last column (that column is the free
-    parameter of the fiber)."""
-    n = y.shape[-1]
-    z = y.copy()
-    z[: n - 1, n - 1] = rng.scalars(field, n - 1)
-    return z

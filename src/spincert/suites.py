@@ -54,7 +54,6 @@ from .slnpair import (
     jacobian_ranks_pi,
     normalizations_to_j,
     pi,
-    random_fiber_partner,
     random_pairs,
     random_samples,
     stabilizer_lie_dims,
@@ -645,24 +644,26 @@ def _sln_quotient(cfg: RunConfig, f, n: int) -> dict:
 
     xs, ys = random_pairs(f, n, rng, 5)
     tau_ok = np.array_equal(pi(f, *tau(xs, ys)), np.swapaxes(pi(f, xs, ys), 1, 2))
-    norm_ok = True
-    for x_k, y_k, g in zip(xs, ys, normalizations_to_j(f, xs)):
-        if g is None:  # X of rank below n-1
-            continue
-        moved, _ = act(f, *g, x_k, y_k)
-        norm_ok &= np.array_equal(moved, canonical_j(f, n))
+    full, g, g_inv = normalizations_to_j(f, xs)  # an X of rank below n-1 has none
+    moved, _ = act(f, g, g_inv, xs[full], ys[full])
+    norm_ok = np.array_equal(moved, np.broadcast_to(canonical_j(f, n), moved.shape))
 
-    # one pair per attempt: its draws and eliminations interleave
-    found = attempts = 0
-    while found < 10 and attempts < 40:
+    # only the rank test of pi interleaves with the draws: a pair that passes
+    # draws the last column of its fiber partner (J, Z) next
+    found, columns = [], []
+    attempts = 0
+    while len(found) < 10 and attempts < 40:
         attempts += 1
-        (x,), (y,) = random_pairs(f, n, rng, 1)
-        if rank(f, pi(f, x, y)[None]) != [n - 1]:
-            continue
-        ((_, basis),) = normalizations_to_j(f, x[None])
-        jy = f.matmul(y, basis)
-        fiber_transporter(f, jy, random_fiber_partner(f, jy, rng))  # replays the move and checks det 1
-        found += 1
+        pair = random_pairs(f, n, rng, 1)
+        if rank(f, pi(f, *pair)) == [n - 1]:
+            found.append(pair)
+            columns.append(rng.scalars(f, n - 1))
+    x, y = (np.concatenate(part) for part in zip(*found))
+    _, _, basis = normalizations_to_j(f, x)  # YX nonsingular: every X has rank n-1
+    jy = f.matmul(y, basis)
+    jz = jy.copy()
+    jz[:, :, n - 1] = np.stack(columns)
+    fiber_transporter(f, jy, jz)  # replays every move and checks det 1
 
     stabilizer = min(stabilizer_lie_dims(f, *random_pairs(f, n, rng, cfg.trials)))
     jacobian = max(jacobian_ranks_pi(f, *random_pairs(f, n, rng, cfg.trials)))
@@ -670,7 +671,7 @@ def _sln_quotient(cfg: RunConfig, f, n: int) -> dict:
         "pi-invariant": invariant,
         "tau-quotient": tau_ok,
         "normalize": norm_ok,
-        "transporter": found,
+        "transporter": len(found),
         "stabilizer": stabilizer,
         "jacobian": jacobian,
     }
@@ -740,12 +741,12 @@ def _suite_sln_quotient(cfg: RunConfig, rec: _Recorder):
                 )
 
     # the worked 2x2 case
-    a = fiber_transporter(QQ, QQ.array([[3, 5]]), QQ.array([[3, 7]]))
+    a = fiber_transporter(QQ, QQ.array([[[3, 5]]]), QQ.array([[[3, 7]]]))
     rec.add(
         "hand-transporter",
         "the 2x2 worked example solves to t1 = -2/3",
         str(Fraction(-2, 3)),
-        str(a[0, 1]),
+        str(a[0, 0, 1]),
         "derived",
         "one-equation fiber system",
     )

@@ -184,9 +184,23 @@ def test_module_entry_point():
     assert "g2_octonion" in proc.stdout
 
 
-# -- the names perfbench/ reaches in the package ------------------------------
-
 ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
+def test_package_import_caps_blas_threads_unless_set(preset, want):
+    # importing spincert before NumPy loads OpenBLAS with one thread; a value already set wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, spincert, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want
+
+
+# -- the names perfbench/ reaches in the package ------------------------------
 
 
 def test_benchmark_trace_and_setup_still_resolve():

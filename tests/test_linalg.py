@@ -196,10 +196,29 @@ def test_rank_against_minor_oracle():
 
 def test_det_against_permutation_oracle():
     rng = RandomSource(5)
-    for field in (F, QQ):
-        for n in (1, 2, 3, 4):
-            m = random_matrix(field, n, n, rng)
-            assert det(field, m[None]) == [det_by_permutations(field, m)]
+    for n in (1, 2, 3, 4):
+        m = random_matrix(QQ, n, n, rng)
+        assert det(QQ, m[None]) == [det_by_permutations(QQ, m)]
+    # over F_p a whole stack is one elimination; at 2^31 - 1 the pivot
+    # products come close to 2^62
+    for field in (GF(7), F, GF(2**31 - 1)):
+        assert det(field, field.zeros((0, 3, 3))) == []
+        for n in range(7):
+            stack = rng.scalars(field, 8 * n * n).reshape(8, n, n)
+            if n:
+                stack[2] = 0
+                stack[3] = field.eye(n)[::-1]  # antidiagonal: det ±1 after row swaps
+                stack[4, 0, 0] = 0  # a swap in the first column
+                stack[4, n - 1, 0] = 1
+                stack[5] = np.triu(stack[5], 1) + np.diag(np.arange(1, n + 1))  # invertible
+                stack[5, [0, n - 1]] = stack[5, [n - 1, 0]]  # top-left 0 for n > 1
+            if n > 1:
+                stack[1, n - 1] = stack[1, 0]  # a repeated row
+            got = det(field, stack)
+            assert got == [det_by_permutations(field, m) for m in stack]
+            assert n == 0 or (got[2] == 0 and got[5] != 0 and got[3] in (1, field.p - 1))
+            if n > 1:
+                assert got[1] == 0
 
 
 def _qq_rref_cases():

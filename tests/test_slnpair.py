@@ -16,7 +16,6 @@ from spincert.slnpair import (
     jacobian_ranks_pi,
     normalizations_to_j,
     pi,
-    random_fiber_partner,
     random_pairs,
     random_samples,
     stabilizer_lie_dims,
@@ -39,17 +38,21 @@ def same(got, want):
 
 
 def test_act_identity_and_hand_case():
-    x, y = QQ.array([[1], [0]]), QQ.array([[3, 5]])
-    assert same(act(QQ, QQ.eye(2), QQ.eye(2), x, y), (x, y))
-    moved_x, moved_y = act(QQ, QQ.array([[1, 1], [0, 1]]), QQ.array([[1, -1], [0, 1]]), x, y)
-    assert moved_x.tolist() == [[Fraction(1)], [Fraction(0)]]
-    assert moved_y.tolist() == [[Fraction(3), Fraction(2)]]
+    x, y = QQ.array([[[1], [0]]]), QQ.array([[[3, 5]]])
+    eye = QQ.eye(2)[None]
+    assert same(act(QQ, eye, eye, x, y), (x, y))
+    moved_x, moved_y = act(QQ, QQ.array([[[1, 1], [0, 1]]]), QQ.array([[[1, -1], [0, 1]]]), x, y)
+    assert moved_x.tolist() == [[[Fraction(1)], [Fraction(0)]]]
+    assert moved_y.tolist() == [[[Fraction(3), Fraction(2)]]]
+    # act takes stacks only: an unstacked pair is refused
+    with pytest.raises(ValueError):
+        act(QQ, QQ.eye(2), QQ.eye(2), x[0], y[0])
 
 
 def test_act_rejects_non_sl():
-    x, y = QQ.array([[1], [0]]), QQ.array([[3, 5]])
+    x, y = QQ.array([[[1], [0]]]), QQ.array([[[3, 5]]])
     with pytest.raises(NotInSLn):
-        act(QQ, QQ.array([[2, 0], [0, 1]]), QQ.array([[Fraction(1, 2), 0], [0, 1]]), x, y)
+        act(QQ, QQ.array([[[2, 0], [0, 1]]]), QQ.array([[[Fraction(1, 2), 0], [0, 1]]]), x, y)
 
 
 @pytest.mark.parametrize("field", [F, QQ])
@@ -103,63 +106,80 @@ def test_tau_involution_and_identities():
 
 def test_normalize_examples():
     j = canonical_j(QQ, 3)
-    ((a, a_inv),) = normalizations_to_j(QQ, j[None])
-    assert np.array_equal(a, QQ.eye(3)) and np.array_equal(a_inv, QQ.eye(3))
+    full, a, a_inv = normalizations_to_j(QQ, j[None])
+    assert full.tolist() == [True]
+    assert np.array_equal(a, QQ.eye(3)[None]) and np.array_equal(a_inv, QQ.eye(3)[None])
 
-    ((a2, a2_inv),) = normalizations_to_j(QQ, QQ.array([[[2], [0]]]))
+    _, (a2,), (a2_inv,) = normalizations_to_j(QQ, QQ.array([[[2], [0]]]))
     assert a2.tolist() == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2)]]
     assert a2_inv.tolist() == [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
     # e_0 lies in the span of X, so the completion is e_1
-    x3 = QQ.array([[1, 0], [0, 0], [0, 1]])
-    ((a3, a3_inv),) = normalizations_to_j(QQ, x3[None])
-    assert a3_inv.tolist() == [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
-    moved_x, _ = act(QQ, a3, a3_inv, x3, QQ.array([[1, 2, 3], [4, 5, 6]]))
-    assert np.array_equal(moved_x, canonical_j(QQ, 3))
+    x3 = QQ.array([[[1, 0], [0, 0], [0, 1]]])
+    _, a3, a3_inv = normalizations_to_j(QQ, x3)
+    assert a3_inv.tolist() == [[[1, 0, 0], [0, 0, -1], [0, 1, 0]]]
+    moved_x, _ = act(QQ, a3, a3_inv, x3, QQ.array([[[1, 2, 3], [4, 5, 6]]]))
+    assert np.array_equal(moved_x, canonical_j(QQ, 3)[None])
 
     rng = RandomSource(3)
     for n in (2, 3, 4, 5):
         x, y = random_pairs(F, n, rng, 1)
-        ((a, a_inv),) = normalizations_to_j(F, x)  # a generic X has rank n-1
-        assert det(F, a[None]) == [1] and np.array_equal(a_inv, inverse(F, a))
-        assert same(act(F, a, a_inv, x[0], y[0]), (canonical_j(F, n), F.matmul(y[0], a_inv)))
+        full, a, a_inv = normalizations_to_j(F, x)  # a generic X has rank n-1
+        assert full.tolist() == [True] and det(F, a) == [1] and np.array_equal(a_inv[0], inverse(F, a[0]))
+        assert same(act(F, a, a_inv, x, y), (canonical_j(F, n)[None], F.matmul(y, a_inv)))
 
 
 def test_normalize_rejects_degenerate():
-    assert normalizations_to_j(QQ, QQ.zeros((1, 3, 2))) == [None]
+    full, a, a_inv = normalizations_to_j(QQ, QQ.zeros((1, 3, 2)))
+    assert full.tolist() == [False] and a.shape == a_inv.shape == (0, 3, 3)
 
 
 def test_transporter_hand_case():
-    a = fiber_transporter(QQ, QQ.array([[3, 5]]), QQ.array([[3, 7]]))
+    # a stack of one
+    (a,) = fiber_transporter(QQ, QQ.array([[[3, 5]]]), QQ.array([[[3, 7]]]))
     assert a[0, 1] == Fraction(-2, 3)
     assert a[1, 1] == 1 and a[1, 0] == 0
 
 
 def test_transporter_trivial_stabilizer():
-    y = QQ.array([[3, 5]])
-    assert np.array_equal(fiber_transporter(QQ, y, y), QQ.eye(2))
+    y = QQ.array([[[3, 5]], [[2, 9]]])
+    assert np.array_equal(fiber_transporter(QQ, y, y), np.broadcast_to(QQ.eye(2), (2, 2, 2)))
 
 
 def test_transporter_errors():
-    with pytest.raises(NotSameFiber):
-        fiber_transporter(QQ, QQ.array([[3, 5]]), QQ.array([[4, 5]]))
-    # zero leading block makes the product singular
-    y_sing = QQ.array([[0, 0, 1], [0, 0, 2]])
-    with pytest.raises(SingularFiber):
-        fiber_transporter(QQ, y_sing, y_sing)
+    for field in (F, QQ):
+        with pytest.raises(NotSameFiber):
+            fiber_transporter(field, field.array([[[3, 5]]]), field.array([[[4, 5]]]))
+        # one pair of a stack off its fiber is enough
+        y = field.array([[[3, 5]], [[2, 9]], [[1, 1]]])
+        z = y.copy()
+        z[1, 0, 0] = field.scalar(7)
+        with pytest.raises(NotSameFiber):
+            fiber_transporter(field, y, z)
+        # a zero leading block makes the product singular, in any one pair of a stack
+        y_sing = field.array([[[0, 0, 1], [0, 0, 2]]])
+        with pytest.raises(SingularFiber):
+            fiber_transporter(field, y_sing, y_sing)
+        y3 = field.array([[[1, 0, 4], [0, 1, 5]], [[0, 0, 1], [0, 0, 2]], [[2, 1, 0], [1, 1, 3]]])
+        with pytest.raises(SingularFiber):
+            fiber_transporter(field, y3, y3)
+        fiber_transporter(field, y3[[0, 2]], y3[[0, 2]])  # without the singular pair the stack passes
 
 
 def test_fiber_sampling_same_orbit_decision():
     # same pi <=> normalize + transporter succeeds; the full decision procedure
     rng = RandomSource(4)
     for n in (2, 3, 4):
-        (x,), (y,) = random_pairs(F, n, rng, 1)
-        if rank(F, pi(F, x, y)[None]) != [n - 1]:
-            continue
-        j = canonical_j(F, n)
-        ((a, basis),) = normalizations_to_j(F, x[None])
+        x, y = random_pairs(F, n, rng, 6)
+        keep = [k for k, r in enumerate(rank(F, pi(F, x, y))) if r == n - 1]
+        x, y = x[keep], y[keep]
+        j = np.broadcast_to(canonical_j(F, n), x.shape)
+        full, a, basis = normalizations_to_j(F, x)
+        assert full.all()
         jy = F.matmul(y, basis)
         assert same(act(F, a, basis, x, y), (j, jy))
-        jz = random_fiber_partner(F, jy, rng)
+        # a partner in the fiber: the left block of Y, a fresh last column
+        jz = jy.copy()
+        jz[:, :, n - 1] = rng.scalars(F, len(keep) * (n - 1)).reshape(len(keep), n - 1)
         assert np.array_equal(pi(F, j, jz), pi(F, j, jy))
         t = fiber_transporter(F, jy, jz)
         assert same(act(F, t, F.reduce(2 * F.eye(n) - t), j, jy), (j, jz))
@@ -246,9 +266,8 @@ def test_stacked_trials_match_pair_by_pair(field):
         alone = [(x[k : k + 1], y[k : k + 1]) for k in range(5)]
         assert stabilizer_lie_dims(field, x, y) == [stabilizer_lie_dims(field, *p)[0] for p in alone]
         assert jacobian_ranks_pi(field, x, y) == [jacobian_ranks_pi(field, *p)[0] for p in alone]
-        found = normalizations_to_j(field, x)
-        assert found[1] is None and found[3] is None and found[2] is not None
-        for got, (x_k, _) in zip(found, alone):
-            (want,) = normalizations_to_j(field, x_k)
-            assert (got is None) == (want is None)
-            assert got is None or same(got, want)
+        full, a, a_inv = normalizations_to_j(field, x)
+        assert full.tolist() == [True, False, True, False, True]
+        want = [normalizations_to_j(field, x_k) for x_k, _ in alone]
+        assert full.tolist() == [bool(w[0][0]) for w in want]
+        assert same((a, a_inv), tuple(np.concatenate([w[i] for w in want]) for i in (1, 2)))
