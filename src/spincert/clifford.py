@@ -20,6 +20,8 @@ structure constant is reproducible.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "QuadraticSpace",
     "so_pairs",
@@ -64,6 +66,10 @@ class QuadraticSpace:
             return 2 * self.q_int(i)
         return 1 if self.partner(i) == j else 0
 
+    def two_b_matrix(self) -> np.ndarray:
+        """The n x n integer table 2 B(e_i, e_j)."""
+        return np.array([[self.two_b_int(i, j) for j in range(self.n)] for i in range(self.n)], dtype=np.int64)
+
 
 def so_pairs(space: QuadraticSpace):
     """Ordered basis labels of so(n): pairs (a, b) with a < b."""
@@ -75,32 +81,23 @@ def so_dim(space: QuadraticSpace) -> int:
 
 
 class SoStructure:
-    """Structure constants of so(n) in the bivector basis.
+    """Structure constants of so(n) in the bivector basis, as aligned arrays.
 
-    table[(i, j)] for i < j holds the sparse expansion of [m_i, m_j]; use
-    :meth:`bracket_row` for arbitrary index order.
+    [m_i, m_j] = sum_t coeff[t] m_{k[t]} over the entries t with i[t] = i and
+    j[t] = j, for i < j.  The entries are sorted by (i, j, k); ``i``, ``j``
+    and ``k`` are int64 arrays, ``coeff`` a field array.
     """
 
-    __slots__ = ("space", "field", "pairs", "index", "table")
+    __slots__ = ("space", "field", "i", "j", "k", "coeff")
 
-    def __init__(self, space, field, pairs, table):
+    def __init__(self, space, field, i, j, k, coeff):
         self.space = space
         self.field = field
-        self.pairs = pairs
-        self.index = {p: k for k, p in enumerate(pairs)}
-        self.table = table
+        self.i, self.j, self.k, self.coeff = i, j, k, coeff
 
     @property
     def dim(self) -> int:
-        return len(self.pairs)
-
-    def bracket_row(self, i: int, j: int):
-        """Sparse expansion of [m_i, m_j] as a tuple of (k, coeff)."""
-        if i == j:
-            return ()
-        if i < j:
-            return self.table[(i, j)]
-        return tuple((k, self.field.reduce(-c)) for k, c in self.table[(j, i)])
+        return so_dim(self.space)
 
 
 def so_structure_constants(space: QuadraticSpace, field) -> SoStructure:
@@ -108,24 +105,23 @@ def so_structure_constants(space: QuadraticSpace, field) -> SoStructure:
 
     The four terms of a bracket land on distinct basis pairs, so each term
     is one coefficient +-B(x, y) of the expansion, or nothing when B(x, y)
-    vanishes or the pair is m_xx.
+    vanishes or the pair is m_xx.  All pairs i < j are expanded at once by
+    index arithmetic: m_zw with z > w is -m_wz.
     """
-    pairs = so_pairs(space)
-    index = {p: k for k, p in enumerate(pairs)}
-    half = field.inv(field.scalar(2))
-    coeff = {v: field.reduce(field.scalar(v) * half) for v in (-2, -1, 1, 2)}
-
-    def term(sign, x, y, z, w):
-        # sign * B(x, y) m_zw as (index of the sorted pair, coefficient)
-        tb = space.two_b_int(x, y)
-        if not tb or z == w:
-            return None
-        return (index[(z, w)], coeff[sign * tb]) if z < w else (index[(w, z)], coeff[-sign * tb])
-
-    table = {}
-    for i, (a, b) in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            c, d = pairs[j]
-            terms = (term(1, b, c, a, d), term(-1, a, c, b, d), term(1, b, d, c, a), term(-1, a, d, c, b))
-            table[(i, j)] = tuple(sorted(t for t in terms if t))
-    return SoStructure(space, field, pairs, table)
+    pairs = np.array(so_pairs(space))
+    g = len(pairs)
+    two_b = space.two_b_matrix()
+    index = np.zeros((space.n, space.n), dtype=np.int64)
+    index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = np.arange(g)
+    i, j = np.triu_indices(g, 1)  # row-major, so (i, j) ascends
+    (a, b), (c, d) = pairs[i].T, pairs[j].T
+    # one column per term sign * B(x, y) m_zw of the bracket formula
+    x, y = np.stack([b, a, b, a], 1), np.stack([c, c, d, d], 1)
+    z, w = np.stack([a, b, c, c], 1), np.stack([d, d, a, b], 1)
+    twice = np.array([1, -1, 1, -1]) * two_b[x, y] * np.where(z < w, 1, -1)
+    row, col = np.nonzero(twice * (z != w))
+    k = index[z, w][row, col]
+    order = np.lexsort((k, row))
+    row, col = row[order], col[order]
+    coeff = field.reduce(field.array(twice[row, col]) * field.inv(2))
+    return SoStructure(space, field, i[row], j[row], k[order], coeff)

@@ -21,6 +21,9 @@ array methods, so every other module has one code path for both:
   (``kernels.matmul_mod`` over F_p; over Q each operand is scaled by the lcm
   of its denominators, the Python-int object arrays are multiplied with
   ``np.matmul`` and every output entry is divided once into a ``Fraction``);
+- ``cleared(arr)`` gives (integer array, d) with arr = integers / d: the
+  residues themselves and 1 over F_p, Python ints over the lcm d of the
+  denominators over Q, so integer code can run on either;
 - ``json_entries(arr)`` gives nested lists for a JSON dump: ints over F_p,
   strings such as ``"1/4"`` over Q.
 
@@ -35,6 +38,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -125,6 +129,9 @@ class PrimeField:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return matmul_mod(a, b, self.p)
 
+    def cleared(self, arr: np.ndarray):
+        return arr, 1
+
     def json_entries(self, arr: np.ndarray) -> list:
         return arr.tolist()
 
@@ -173,6 +180,9 @@ class RationalField:
         divide = _fraction if den == 1 else np.frompyfunc(lambda x: Fraction(x, den), 1, 1)
         return divide(np.matmul(ints_a, ints_b))
 
+    def cleared(self, arr: np.ndarray):
+        return _cleared(arr)
+
     def json_entries(self, arr: np.ndarray) -> list:
         return arr.astype(str).tolist()
 
@@ -197,16 +207,11 @@ def _cleared(arr: np.ndarray):
         return _numerator(arr), 1
     return np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(arr), den
 
-_GF_CACHE: dict[int, PrimeField] = {}
 
-
+@cache
 def GF(p: int) -> PrimeField:
-    """Return the (cached) prime field F_p."""
-    fld = _GF_CACHE.get(p)
-    if fld is None:
-        fld = PrimeField(p)
-        _GF_CACHE[p] = fld
-    return fld
+    """Return the (cached) prime field F_p; an invalid p raises on every call."""
+    return PrimeField(p)
 
 
 class RandomSource:

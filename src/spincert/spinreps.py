@@ -92,8 +92,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _reduce_x4(field, x4: np.ndarray) -> np.ndarray:
-    """Turn a 4x-scaled integer tensor into field entries."""
-    return _freeze(field.reduce(field.array(x4) * field.inv(4)))
+    """Turn a 4x-scaled integer tensor into field entries, converting only its nonzero entries."""
+    out = field.zeros(x4.shape)
+    nonzero = np.nonzero(x4)
+    out[nonzero] = field.reduce(field.array(x4[nonzero]) * field.inv(4))
+    return _freeze(out)
 
 
 # -- integer construction, cached per n --------------------------------------
@@ -151,24 +154,23 @@ def _spin_x4(n: int) -> np.ndarray:
     for x in range(n):
         k = np.flatnonzero(a == x)
         out[k] = gens[x][:, rows[b[k]]].transpose(1, 0, 2) * (2 * signs[b[k]])[:, None, :]
-    out[:, np.arange(d), np.arange(d)] -= np.array([space.two_b_int(x, y) for x, y in zip(a, b)])[:, None]
+    out[:, np.arange(d), np.arange(d)] -= space.two_b_matrix()[a, b][:, None]
     return _freeze(out)
 
 
 @cache
 def _vector_x4(n: int) -> np.ndarray:
-    """4 * (v -> [m_ab, v]) on the generator basis: [m_ab, e_c] = B(b,c) e_a - B(a,c) e_b."""
+    """4 * (v -> [m_ab, v]) on the generator basis: [m_ab, e_c] = B(b,c) e_a - B(a,c) e_b.
+
+    Row a of 4 m_ab is twice row b of the 2B table and row b is minus twice
+    row a; since a < b, the two rows never overlap.
+    """
     space = QuadraticSpace(n)
-    pairs = so_pairs(space)
-    out = np.zeros((len(pairs), n, n), dtype=np.int64)
-    for k, (a, b) in enumerate(pairs):
-        for c in range(n):
-            tb_bc = space.two_b_int(b, c)
-            tb_ac = space.two_b_int(a, c)
-            if tb_bc:
-                out[k, a, c] += 2 * tb_bc
-            if tb_ac:
-                out[k, b, c] -= 2 * tb_ac
+    two_b = space.two_b_matrix()
+    a, b = np.array(so_pairs(space)).T
+    out = np.zeros((len(a), n, n), dtype=np.int64)
+    out[np.arange(len(a)), a] = 2 * two_b[b]
+    out[np.arange(len(a)), b] = -2 * two_b[a]
     return _freeze(out)
 
 
@@ -201,31 +203,20 @@ def spin_rep(space: QuadraticSpace, field) -> LieRepresentation:
 def half_spin_reps(space: QuadraticSpace, field):
     """Even and odd parity blocks of the spin representation (n even).
 
-    Every so(n) matrix is block-diagonal for the parity grading; this is
-    asserted during extraction.
+    Every so(n) matrix is block-diagonal for the parity grading; extraction
+    asserts it for the whole stack at once, as the two diagonal blocks
+    holding every nonzero entry.
     """
     if space.odd:
         raise ValueError("half-spin representations need even n")
-    full = spin_rep(space, field)
-    even, odd = parity_indices(space.n)
-    for k in range(full.g):
-        off = full.tensor[k][np.ix_(even, odd)]
-        off2 = full.tensor[k][np.ix_(odd, even)]
-        if np.count_nonzero(off) or np.count_nonzero(off2):
-            raise AssertionError("spin matrix not parity-block-diagonal")
-    reps = []
-    for label, idx in (("even", even), ("odd", odd)):
-        tensor = np.ascontiguousarray(full.tensor[:, idx][:, :, idx])
-        reps.append(
-            LieRepresentation(
-                space.n,
-                field,
-                f"half_spin_{label}({space.n})",
-                so_pairs(space),
-                _freeze(tensor),
-            )
-        )
-    return tuple(reps)
+    full = spin_rep(space, field).tensor
+    blocks = [np.ascontiguousarray(full[:, idx[:, None], idx]) for idx in map(np.array, parity_indices(space.n))]
+    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(full):
+        raise AssertionError("spin matrix not parity-block-diagonal")
+    return tuple(
+        LieRepresentation(space.n, field, f"half_spin_{label}({space.n})", so_pairs(space), _freeze(tensor))
+        for label, tensor in zip(("even", "odd"), blocks)
+    )
 
 
 def direct_sum(reps: list[LieRepresentation], name: str | None = None) -> LieRepresentation:
@@ -355,7 +346,7 @@ def compose_embeddings(outer: SubalgebraEmbedding, inner: SubalgebraEmbedding) -
     return SubalgebraEmbedding(n, inner.sub_n, tuple(tuple(v) for v in vectors), pair_map)
 
 
-# entries one join may produce before the right-hand generators are split into blocks
+# entries one sort-and-sum may hold; past it the left generators go in smaller blocks
 _JOIN_CAP = 1 << 22
 
 
@@ -367,16 +358,6 @@ def _expand_ranges(lo: np.ndarray, hi: np.ndarray):
     return owner, pos
 
 
-def _join(key: np.ndarray, order: np.ndarray, lines: np.ndarray, g: int, j0: int, j1: int):
-    """Entries on line ``lines[t]`` of a generator in [j0, j1), as (t, entry index).
-
-    ``key`` is the sorted line * g + generator of the entries, ``order``
-    maps its positions back to entry indices.
-    """
-    owner, pos = _expand_ranges(np.searchsorted(key, lines * g + j0), np.searchsorted(key, lines * g + j1))
-    return owner, order[pos]
-
-
 def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     """Check rho([m_i, m_j]) = [rho(m_i), rho(m_j)] on every basis pair.
 
@@ -386,17 +367,26 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     matrices had no hand in producing.  Both sides are antisymmetric, so the
     pairs i < j suffice.
 
-    The check works on the nonzero entries (k, r, c, v) of the tensor.  For
-    each left generator i, joining the column of each entry of T_i with the
-    row of the entries of every T_j (j > i) gives T_i T_j; joining on the row
-    of T_i and the column of T_j gives T_j T_i.  Those products, minus
-    sum coeff * T_k over ``struct.bracket_row(i, j)``, are keyed by
-    (j, row, col), sorted and summed per key; any nonzero sum is a failure.
-    Over F_p every product of two residues is below 2**62 for p < 2**31 and
-    is reduced mod p before summing, so int64 stays exact; over Q the same
-    code runs on Fraction objects.  The work follows the number of nonzeros,
-    and the right-hand generators are taken in blocks so one join stays
-    below ``_JOIN_CAP`` entries even for dense representations.
+    The check works on the nonzero entries (k, r, c, v) of the tensor, and
+    on a block of left generators i at a time.  Joining the column of each
+    entry of T_i with the row of the entries of every T_j (j > i) gives
+    T_i T_j; joining on the row of T_i and the column of T_j gives T_j T_i.
+    Those products, minus coeff * T_k for every entry (i, j, k, coeff) of
+    ``struct``, are keyed by (i, j, row, col), sorted and summed per key;
+    any nonzero sum is a failure.  A block holds whole left generators, so
+    no key's sum is split across blocks.
+
+    The ``searchsorted`` ranges of the joins give the exact number of
+    entries each left generator contributes.  Blocks start at one generator
+    and double while their entries stay within ``_JOIN_CAP``, so a defect at
+    a low generator is found early and memory stays bounded; a generator
+    that alone exceeds the cap has its right-hand generators split instead.
+    The sums are taken in integers: with T = A / den and coeff = C / cden
+    (``field.cleared``), den**2 * cden times each key's sum is cden times the
+    sum of the A products minus den times the C * A terms.  Over F_p, where
+    den = cden = 1, every product of two residues is below 2**62 for
+    p < 2**31 and is reduced mod p before summing, so int64 stays exact;
+    over Q the same code runs on Python ints.
     """
     if len(rep.basis_labels) != struct.dim:
         raise ValueError("representation basis does not match the structure constants")
@@ -405,48 +395,77 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     def times(x, y):
         return field.reduce(x * y)
 
-    T = rep.tensor
+    ints, den = field.cleared(rep.tensor)
+    coeff, cden = field.cleared(struct.coeff)
     g, d = rep.g, rep.dim
-    k, r, c = np.nonzero(T)  # C order: k ascending
-    v = T[k, r, c]
+    k, r, c = np.nonzero(ints)  # C order: k ascending
+    v = ints[k, r, c]
     k_start = np.searchsorted(k, np.arange(g + 1))
+    t_start = np.searchsorted(struct.i, np.arange(g + 1))
     by_row = np.lexsort((k, r))
     row_key = (r * g + k)[by_row]
     by_col = np.lexsort((k, c))
     col_key = (c * g + k)[by_col]
+
+    def ranges(e, j0, j1):
+        """Where entries e meet the entries of generators max(k + 1, j0) .. j1 - 1.
+
+        An entry (r, c) of T_i meets row c of T_j in T_i T_j and column r of
+        T_j in T_j T_i: (start, stop) positions in row_key and in col_key.
+        """
+        lo = np.maximum(k[e] + 1, j0)
+        row = np.searchsorted(row_key, c[e] * g + lo), np.searchsorted(row_key, c[e] * g + j1)
+        col = np.searchsorted(col_key, r[e] * g + lo), np.searchsorted(col_key, r[e] * g + j1)
+        return row, col
+
+    def defect_free(i0, i1, j0, j1):
+        """Every key with left generator in [i0, i1) and right one in [j0, j1) sums to zero."""
+        e = np.arange(k_start[i0], k_start[i1])
+        row, col = ranges(e, j0, j1)
+        # T_i T_j
+        owner, pos = _expand_ranges(*row)
+        a, b = e[owner], by_row[pos]
+        keys = [((k[a] * g + k[b]) * d + r[a]) * d + c[b]]
+        vals = [cden * times(v[a], v[b])]
+        # - T_j T_i
+        owner, pos = _expand_ranges(*col)
+        a, b = e[owner], by_col[pos]
+        keys.append(((k[a] * g + k[b]) * d + r[b]) * d + c[a])
+        vals.append(-cden * times(v[b], v[a]))
+        # - coeff * T_k for each term (i, j, k, coeff) of [m_i, m_j]
+        t = np.arange(t_start[i0], t_start[i1])
+        t = t[(struct.j[t] >= j0) & (struct.j[t] < j1)]
+        owner, pos = _expand_ranges(k_start[struct.k[t]], k_start[struct.k[t] + 1])
+        t = t[owner]
+        keys.append(((struct.i[t] * g + struct.j[t]) * d + r[pos]) * d + c[pos])
+        vals.append(-den * times(coeff[t], v[pos]))
+        keys = np.concatenate(keys)
+        if not len(keys):
+            return True
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        return not np.count_nonzero(field.reduce(np.add.reduceat(np.concatenate(vals)[order], starts)))
+
+    # entries of the blocks' joins, summed over the left generators below each i
+    (row_lo, row_hi), (col_lo, col_hi) = ranges(np.arange(len(k)), 0, g)
+    per_entry = np.concatenate(([0], np.cumsum(row_hi - row_lo + col_hi - col_lo)))
+    per_term = np.concatenate(([0], np.cumsum(k_start[struct.k + 1] - k_start[struct.k])))
+    below = per_entry[k_start] + per_term[t_start]
     # most entries on one row or one column of a single generator
     line = max(np.bincount(k * d + r).max(initial=0), np.bincount(k * d + c).max(initial=0), 1)
-    for i in range(g - 1):
-        own = slice(k_start[i], k_start[i + 1])
-        ri, ci, vi = r[own], c[own], v[own]
-        step = max(1, _JOIN_CAP // max(1, len(vi) * line))
-        for j0 in range(i + 1, g, step):
-            j1 = min(g, j0 + step)
-            # T_i T_j: an entry (r, c) of T_i meets the entries in row c of T_j
-            owner, b = _join(row_key, by_row, ci, g, j0, j1)
-            keys = [(k[b] * d + ri[owner]) * d + c[b]]
-            vals = [times(vi[owner], v[b])]
-            # T_j T_i: an entry (r, c) of T_i meets the entries in column r of T_j
-            owner, b = _join(col_key, by_col, ri, g, j0, j1)
-            keys.append((k[b] * d + r[b]) * d + ci[owner])
-            vals.append(-times(v[b], vi[owner]))
-            # - sum coeff * T_k for [m_i, m_j]
-            terms = [(j, kk, coeff) for j in range(j0, j1) for kk, coeff in struct.bracket_row(i, j)]
-            if terms:
-                js, ks, coeffs = zip(*terms)
-                js, ks = np.array(js), np.array(ks)
-                owner, pos = _expand_ranges(k_start[ks], k_start[ks + 1])
-                keys.append((js[owner] * d + r[pos]) * d + c[pos])
-                vals.append(-times(np.array(coeffs, dtype=v.dtype)[owner], v[pos]))
-            keys = np.concatenate(keys)
-            if not len(keys):
-                continue
-            order = np.argsort(keys)
-            keys = keys[order]
-            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            sums = field.reduce(np.add.reduceat(np.concatenate(vals)[order], starts))
-            if np.count_nonzero(sums):
-                return False
+    i0, width = 0, 1
+    while i0 < g - 1:
+        fits = np.searchsorted(below, below[i0] + _JOIN_CAP, "right") - 1
+        i1 = min(i0 + width, max(i0 + 1, fits))
+        if below[i1] - below[i0] <= _JOIN_CAP:
+            pieces = [(0, g)]
+        else:  # one left generator alone: take its right-hand generators in blocks
+            step = max(1, _JOIN_CAP // max(1, (k_start[i1] - k_start[i0]) * line))
+            pieces = [(j0, min(g, j0 + step)) for j0 in range(i1, g, step)]
+        if not all(defect_free(i0, i1, j0, j1) for j0, j1 in pieces):
+            return False
+        i0, width = i1, 2 * width
     return True
 
 

@@ -304,17 +304,34 @@ def test_blade_label_and_key():
 # -- the package's tables against the oracle -------------------------------------
 
 
+def table_of(struct):
+    """{(i, j): ((k, coeff), ...)} for every i < j, read off the structure arrays."""
+    table = {(i, j): () for i in range(struct.dim) for j in range(i + 1, struct.dim)}
+    for i, j, k, c in zip(struct.i.tolist(), struct.j.tolist(), struct.k.tolist(), struct.coeff.tolist()):
+        table[(i, j)] += ((k, c),)
+    return table
+
+
+def bracket_row(table, field, i, j):
+    """Sparse expansion of [m_i, m_j] for any index order, as a tuple of (k, coeff)."""
+    if i == j:
+        return ()
+    if i < j:
+        return table[(i, j)]
+    return tuple((k, field.reduce(-c)) for k, c in table[(j, i)])
+
+
 @pytest.mark.parametrize("n", range(3, 15))
 def test_structure_constants_match_oracle_mod_p(n):
     for field in PRIMES:
-        got = so_structure_constants(QuadraticSpace(n), field).table
+        got = table_of(so_structure_constants(QuadraticSpace(n), field))
         assert got == oracle_table(n, field)
         assert all(type(c) is int for row in got.values() for _, c in row)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_structure_constants_match_oracle_over_qq(n):
-    got = so_structure_constants(QuadraticSpace(n), QQ).table
+    got = table_of(so_structure_constants(QuadraticSpace(n), QQ))
     assert got == oracle_table(n, QQ)
     assert all(type(c) is Fraction for row in got.values() for _, c in row)
 
@@ -331,8 +348,9 @@ def test_structure_constants_close_and_antisymmetric():
     sp = QuadraticSpace(7)
     s = so_structure_constants(sp, QQ)
     assert s.dim == 21
-    for (i, j), row in s.table.items():
-        flipped = dict(s.bracket_row(j, i))
+    table = table_of(s)
+    for (i, j), row in table.items():
+        flipped = dict(bracket_row(table, QQ, j, i))
         assert flipped == {k: -c for k, c in row}
 
 
@@ -341,11 +359,12 @@ def test_structure_constants_jacobi():
     sp = QuadraticSpace(5)
     s = so_structure_constants(sp, QQ)
     g = s.dim
+    table = table_of(s)
 
     def bracket_vec(vec_sparse, k2):
         out = {}
         for k1, c1 in vec_sparse.items():
-            for k3, c3 in s.bracket_row(k1, k2):
+            for k3, c3 in bracket_row(table, QQ, k1, k2):
                 out[k3] = out.get(k3, Fraction(0)) + c1 * c3
         return {k: v for k, v in out.items() if v}
 
@@ -354,7 +373,7 @@ def test_structure_constants_jacobi():
         a, b, c = rnd.randrange(g), rnd.randrange(g), rnd.randrange(g)
         acc = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            inner = dict(s.bracket_row(y, z))
+            inner = dict(bracket_row(table, QQ, y, z))
             for k, v in bracket_vec(inner, x).items():
                 acc[k] = acc.get(k, Fraction(0)) - v  # [x, inner] = -[inner, x]
         assert all(v == 0 for v in acc.values())
@@ -364,7 +383,8 @@ def test_structure_constants_match_across_fields():
     sp = QuadraticSpace(5)
     s_qq = so_structure_constants(sp, QQ)
     s_gf = so_structure_constants(sp, F)
-    for key, row in s_qq.table.items():
-        got = dict(s_gf.table[key])
+    table_gf = table_of(s_gf)
+    for key, row in table_of(s_qq).items():
+        got = dict(table_gf[key])
         want = {k: F.scalar(c) for k, c in row}
         assert got == want

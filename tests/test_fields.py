@@ -36,6 +36,13 @@ def test_gf_cached_and_hashable():
     assert len({GF(7), GF(7), GF(11)}) == 2
 
 
+def test_gf_rejects_invalid_p_on_every_call():
+    # the cache holds fields, never a failure
+    for bad in (9, 9, 3, 2**31 + 11):
+        with pytest.raises(FieldError):
+            GF(bad)
+
+
 def test_scalar_coercion():
     f = GF(7)
     assert f.scalar(-1) == 6
@@ -191,6 +198,15 @@ def test_reduce_is_idempotent(field):
     assert_field_array(field, once)
     assert np.array_equal(field.reduce(once), once)
     assert once.ravel().tolist() == [field.reduce(u * c - v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS, ids=ARRAY_IDS)
+def test_cleared_is_integers_over_one_denominator(field):
+    arr = field.array([[Fraction(1, 2), -3], [Fraction(5, 12), 0]])
+    ints, den = field.cleared(arr)
+    assert all(isinstance(x, int) for x in ints.ravel().tolist()) and den >= 1
+    assert field.reduce(field.array(ints) * field.inv(den)).tolist() == arr.tolist()
+    assert field.cleared(field.array([[1, 2]]))[1] == 1
 
 
 def test_json_entries():

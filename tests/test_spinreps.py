@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_clifford import CliffordElement, bivector_basis, commutator
+from test_clifford import CliffordElement, bivector_basis, bracket_row, commutator, table_of
 
 from spincert import spinreps
 from spincert.clifford import QuadraticSpace, SoStructure, so_pairs, so_structure_constants
@@ -336,12 +336,13 @@ def dense_homomorphism(rep, struct):
         scale = math.lcm(*(x.denominator for x in rep.tensor.reshape(-1)))
         T = np.vectorize(lambda x: int(x * scale), otypes=[object])(rep.tensor)
     prods = np.matmul(T[:, None], T[None, :])  # scale**2 * T_i T_j
+    table = table_of(struct)
     for i in range(rep.g):
         for j in range(rep.g):
             if i == j:
                 continue
             diff = prods[i, j] - prods[j, i]
-            for k, c in struct.bracket_row(i, j):
+            for k, c in bracket_row(table, struct.field, i, j):
                 diff = diff - scale * c * T[k]
             if any(x % p if p else x for x in diff.reshape(-1)):
                 return False
@@ -424,13 +425,15 @@ def _nonzero_of(k):
 
 
 def _perturb_structure(rep, struct, last=False):
-    """One coefficient of the first nonzero bracket, or of one with the last generator."""
-    table = dict(struct.table)
+    """One coefficient of the first nonzero bracket, or of the last nonzero one with the last generator."""
+    table = table_of(struct)
     keys = [key for key, row in table.items() if row and (not last or key[1] == struct.dim - 1)]
     key = keys[-1] if last else keys[0]
-    (k, c), *rest = table[key]
-    table[key] = ((k, struct.field.reduce(c + 1)), *rest)
-    return rep, SoStructure(struct.space, struct.field, struct.pairs, table)
+    # the entries are sorted by (i, j, k), so the bracket's first term is the first entry of its pair
+    t = np.flatnonzero((struct.i == key[0]) & (struct.j == key[1]))[0]
+    coeff = struct.coeff.copy()
+    coeff[t] = struct.field.reduce(coeff[t] + 1)
+    return rep, SoStructure(struct.space, struct.field, struct.i, struct.j, struct.k, coeff)
 
 
 def _swap_basis(rep, struct):
@@ -474,6 +477,51 @@ def test_sparse_check_in_blocks(fname, monkeypatch):
     monkeypatch.setattr(spinreps, "_JOIN_CAP", 1)
     rep, struct = _conjugated_spin7(FIELDS[fname])
     assert verify_lie_homomorphism(rep, struct)
+    for name, mutant in MUTANTS.items():
+        if name != "filled_entry":
+            assert not verify_lie_homomorphism(*mutant(rep, struct))
+
+
+def join_sizes(rep, struct):
+    """Entries the three joins of each left generator produce, counted densely."""
+    nz = rep.tensor != 0
+    per_row, per_col = nz.sum(axis=2), nz.sum(axis=1)  # (g, d) entries per row and per column
+    sizes = []
+    for i in range(rep.g):
+        right = slice(i + 1, rep.g)
+        # T_i T_j: the entries in column c of T_i meet those in row c of T_j; T_j T_i the other way
+        size = (per_col[i] * per_row[right].sum(axis=0)).sum() + (per_row[i] * per_col[right].sum(axis=0)).sum()
+        sizes.append(size + sum(nz[k].sum() for k in struct.k[struct.i == i]))
+    return np.array(sizes)
+
+
+@pytest.mark.parametrize("cap", ["one", "several", "default"])
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_sparse_check_block_boundaries(fname, cap, monkeypatch):
+    rep, struct = _conjugated_spin7(FIELDS[fname])
+    sizes = join_sizes(rep, struct)
+    # "several": any two left generators fit, but not the whole module
+    limit = {"one": 1, "several": 2 * sizes.max(), "default": spinreps._JOIN_CAP}[cap]
+    monkeypatch.setattr(spinreps, "_JOIN_CAP", limit)
+    expand, joins = spinreps._expand_ranges, []
+
+    def spy(lo, hi):
+        joins.append(int((hi - lo).sum()))
+        return expand(lo, hi)
+
+    monkeypatch.setattr(spinreps, "_expand_ranges", spy)
+    assert verify_lie_homomorphism(rep, struct)
+    pieces = len(joins) // 3  # a row join, a column join and the structure terms per piece
+    if cap == "one":
+        # every left generator alone exceeds the cap: one right-hand generator per piece
+        assert (sizes[:-1] > limit).all()
+        assert pieces == rep.g * (rep.g - 1) // 2
+    else:
+        assert sizes.max() <= limit and max(joins) <= limit
+        # the default cap takes blocks of 1, 2, 4, 8 and the last 5 left generators;
+        # the smaller one needs more blocks, some still of several generators
+        assert pieces == 5 if cap == "default" else 5 < pieces < rep.g - 1
+    assert sum(joins) == sizes.sum()
     for name, mutant in MUTANTS.items():
         if name != "filled_entry":
             assert not verify_lie_homomorphism(*mutant(rep, struct))
