@@ -2,9 +2,11 @@
 
 Times reduced-row-echelon elimination over F_p on a few shapes that mirror
 the package's real workloads (stacked action maps, Sylvester systems,
-bilinear-form constraints, the spin(14) closure stacks) with the NumPy leaf,
-the compiled leaf when it is built, and ``kernels.rref_mod``, which runs the
-row-blocked driver on tall, large inputs.  Every result is checked against
+bilinear-form constraints) and on two tall kernel shapes of 196 columns,
+which the spin(14) closure produced before it spun a pair of generators,
+with the NumPy leaf, the compiled leaf when it is built, and
+``kernels.rref_mod``, which runs the row-blocked driver on tall, large
+inputs.  Every result is checked against
 the NumPy leaf.  Then it times the NumPy kernel on the stacks of two trial
 protocols, once per matrix and once as one stack, and checks the two agree:
 the action matrices of the free-14 module (three natural copies plus a
@@ -56,8 +58,8 @@ SHAPES = [
     ("stacked action map", 106, 91),
     ("square dense", 300, 300),
     ("sylvester stack", 2560, 256),
-    ("spin14 closure", 1624, 196),
-    ("spin14 closure", 813, 196),
+    ("tall kernel", 1624, 196),
+    ("tall kernel", 813, 196),
     ("wide kernel", 200, 1200),
 ]
 

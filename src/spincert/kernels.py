@@ -7,10 +7,12 @@ when it is built.  ``benchmarks/bench_kernels.py`` compares the two.
 The NumPy kernel eliminates a whole ``(k, rows, cols)`` stack in one call
 and takes a single matrix as a stack of one.  ``linalg.rref`` sends a stack
 of more than one matrix to ``rref_stack``, whatever the backend: that is
-where the genericity protocols eliminate all their trials, and their stacks
-are far below the row-blocked driver's size floor.  A stack of one goes to
-``rref_mod``, which stays 2-D.  Each matrix of a stack gets exactly the
-RREF (int64 residues) and pivots that ``rref_mod`` gives it alone.
+where the genericity protocols eliminate their remaining trials, and their
+stacks are far below the row-blocked driver's size floor.  A stack of one
+goes to ``rref_mod``, which stays 2-D; so does a protocol's first trial,
+eliminated alone in case it already sits at the floor.  Each matrix of a
+stack gets exactly the RREF (int64 residues) and pivots that ``rref_mod``
+gives it alone.
 
 All matrices advance one column per step, each pivoting on its first
 nonzero row at or below its pivot count.  While every matrix pivots at the

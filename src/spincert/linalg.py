@@ -5,10 +5,10 @@ of one: ``rref``, ``rank``, ``kernel``, ``solve`` and ``det`` take a
 ``(k, rows, cols)`` stack and return one result per matrix.  Elimination is
 the one step that differs by field (``_eliminate``): over F_p a stack of
 more than one matrix is one ``kernels.rref_stack`` call, which is how the
-genericity protocols eliminate all their trials, and a single matrix goes
-through ``kernels.rref_mod``; over Q each matrix goes through fraction-free
-Gauss-Jordan on cleared-denominator integer rows, which forms one
-``Fraction`` per output entry at the end (``_rref_qq``).  Pivoting is always
+genericity protocols eliminate their trials after the first, and a single
+matrix goes through ``kernels.rref_mod``; over Q each matrix goes through
+fraction-free Gauss-Jordan on cleared-denominator integer rows, which forms
+one ``Fraction`` per output entry at the end (``_rref_qq``).  Pivoting is always
 first-nonzero in column order, so every result is deterministic.
 """
 
@@ -255,17 +255,49 @@ class SpanBuilder:
 def coordinates_in_span(field, basis_cols, targets) -> np.ndarray:
     """Coordinates of each target column in the span of the basis columns.
 
-    ``basis_cols`` must have full column rank.  Raises ValueError naming the
-    first target column that falls outside the span.
+    ``basis_cols`` must have full column rank k.  Eliminating its transpose
+    names k independent rows; the k-row system on those rows is solved, and
+    one product checks the coordinates against every row.  Raises
+    ValueError naming the first target column that falls outside the span.
     """
     k = basis_cols.shape[1]
-    ((red, pivots),) = rref(field, np.hstack([basis_cols, targets])[None])
-    if len([p for p in pivots if p < k]) != k:
+    ((_, rows),) = rref(field, np.ascontiguousarray(basis_cols.T)[None])
+    if len(rows) != k:
         raise ValueError("basis columns are not linearly independent")
-    for p in pivots:
-        if p >= k:
-            raise ValueError(f"target column {p - k} is outside the span")
-    return np.ascontiguousarray(red[:k, k:])
+    rows = list(rows)
+    ((red, _),) = rref(field, np.hstack([basis_cols[rows], targets[rows]])[None])
+    coords = np.ascontiguousarray(red[:, k:])
+    residual = field.reduce(field.matmul(basis_cols, coords) - targets)
+    outside = np.flatnonzero(np.count_nonzero(residual, axis=0))
+    if len(outside):
+        raise ValueError(f"target column {outside[0]} is outside the span")
+    return coords
+
+
+def _pair(field, gens) -> np.ndarray:
+    """Sum (i+1) g_i and sum (i+1)^2 g_i: two fixed elements of the algebra a (k, d, d) stack generates."""
+    k, d, _ = gens.shape
+    w = np.arange(1, k + 1)
+    return field.matmul(field.array(np.stack([w, w * w])), gens.reshape(k, d * d)).reshape(2, d, d)
+
+
+def _spin(field, gens) -> np.ndarray:
+    """Echelon basis, one flattened matrix per row, of the span of {I} under
+    left multiplication by a nonempty (k, d, d) stack."""
+    d = gens.shape[1]
+    left = gens[:, None]
+    basis = field.eye(d).reshape(1, d * d)
+    frontier = basis
+    pivots = {0}
+    while len(frontier):
+        # every g_i F_j as one batch of small products
+        right = frontier.reshape(1, -1, d, d)
+        prod = field.matmul(left, right).reshape(-1, d * d)
+        ((red, new_pivots),) = rref(field, np.vstack([basis, prod])[None])
+        basis = red[: len(new_pivots)]
+        frontier = basis[[i for i, c in enumerate(new_pivots) if c not in pivots]]
+        pivots = set(new_pivots)
+    return basis
 
 
 def associative_closure(field, gens) -> int:
@@ -281,23 +313,22 @@ def associative_closure(field, gens) -> int:
     span a complement of the old W (pivot sets grow under inclusion) and
     become the next frontier.  The rank stops growing at the closure, which
     is bounded by d^2.
+
+    More than two generators are first replaced by the pair ``_pair``, as a
+    few elements usually generate the whole algebra (Holt and Rees,
+    "Testing modules for irreducibility", J. Austral. Math. Soc. 57, 1994).
+    The pair lies in the algebra, so its closure is a subalgebra; when one
+    rank shows every generator inside it, it is the whole algebra.
+    Otherwise the generators themselves are spun.
     """
     k, d, _ = gens.shape
     if not k:
         return 1
-    left = gens[:, None]
-    basis = field.eye(d).reshape(1, d * d)
-    frontier = basis
-    pivots = {0}
-    while len(frontier):
-        # every g_i F_j as one batch of small products
-        right = frontier.reshape(1, -1, d, d)
-        prod = field.matmul(left, right).reshape(-1, d * d)
-        ((red, new_pivots),) = rref(field, np.vstack([basis, prod])[None])
-        basis = red[: len(new_pivots)]
-        frontier = basis[[i for i, c in enumerate(new_pivots) if c not in pivots]]
-        pivots = set(new_pivots)
-    return len(basis)
+    if k > 2:
+        basis = _spin(field, _pair(field, gens))
+        if rank(field, np.vstack([basis, gens.reshape(k, d * d)])[None]) == [len(basis)]:
+            return len(basis)
+    return len(_spin(field, gens))
 
 
 def commutant_dimension(field, gens) -> int:
@@ -308,6 +339,11 @@ def commutant_dimension(field, gens) -> int:
     generator replaces K by K times the kernel of its Sylvester map
     restricted to the span of K's columns.  The systems shrink as K does,
     instead of one stacked (k d^2) x d^2 elimination.
+
+    More than two generators are first replaced by the pair ``_pair``, whose
+    commutant contains the answer.  One batched product then finds the
+    generators that fail to commute with some column of K, and only those
+    cut K further; every other generator already commutes with all of K.
     """
     k, d, _ = gens.shape
     if not k:
@@ -318,7 +354,16 @@ def commutant_dimension(field, gens) -> int:
         # the map X -> Xg - gX on row-major flattened X
         return field.reduce(np.kron(eye, np.ascontiguousarray(g.T)) - np.kron(g, eye))
 
-    K = kernel(field, sylvester(gens[0])[None])[0].T  # never empty: the identity commutes with everything
-    for g in gens[1:]:
-        K = field.matmul(K, kernel(field, field.matmul(sylvester(g), K)[None])[0].T)
+    def cut(K, g):
+        return field.matmul(K, kernel(field, field.matmul(sylvester(g), K)[None])[0].T)
+
+    pair = gens if k <= 2 else _pair(field, gens)
+    K = kernel(field, sylvester(pair[0])[None])[0].T  # never empty: the identity commutes with everything
+    for g in pair[1:]:
+        K = cut(K, g)
+    if k > 2:
+        xs = K.T.reshape(1, -1, d, d)
+        defect = field.reduce(field.matmul(xs, gens[:, None]) - field.matmul(gens[:, None], xs))
+        for g in gens[np.count_nonzero(defect.reshape(k, -1), axis=1) > 0]:
+            K = cut(K, g)
     return K.shape[1]

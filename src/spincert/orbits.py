@@ -5,7 +5,8 @@ subalgebras, generic freeness, invariant bilinear forms, fixed subspaces and
 isotypic fingerprints.  Genericity claims follow one protocol,
 ``min_trial_stabilizer``: a handful of random trials, take the minimum
 dimension (dimension only jumps upward on special points), among the points
-that pass the claim's witness when it has one; the suites recompute each
+that pass the claim's witness when it has one, and stop at the first trial
+that reaches the floor max(0, g - dim V); the suites recompute each
 claim over two primes and record a split as a failing check.
 """
 
@@ -105,8 +106,13 @@ def min_trial_stabilizer(
     trial replaces the best one only if its dimension is strictly smaller.
     A ``witness``, a predicate on a point, says which points are generic:
     only the trials whose point passes compete, whatever the dimension of
-    the others, and NotWitnessed is raised when none passes.  The action
-    matrices of the competing trials are eliminated as one stack.
+    the others, and NotWitnessed is raised when none passes.
+
+    The first competing trial is eliminated alone.  No stabilizer has
+    dimension below max(0, g - dim V), since the orbit dimension is at most
+    dim V; a first trial at that floor cannot be replaced and is returned.
+    Otherwise the action matrices of the remaining trials are eliminated as
+    one stack.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -114,8 +120,10 @@ def min_trial_stabilizer(
     points = [v for v in points if witness is None or witness(v)]
     if not points:
         raise NotWitnessed(f"no point of {trials} trials on {rep.name} passes the genericity witness")
-    reports = _stabilizers(rep, points)
-    best = min(range(len(points)), key=lambda t: reports[t].dimension)  # min keeps the first
+    reports = _stabilizers(rep, points[:1])
+    if len(points) > 1 and reports[0].dimension != max(0, rep.g - rep.dim):
+        reports += _stabilizers(rep, points[1:])
+    best = min(range(len(reports)), key=lambda t: reports[t].dimension)  # min keeps the first
     return reports[best], points[best]
 
 

@@ -204,18 +204,20 @@ def half_spin_reps(space: QuadraticSpace, field):
     """Even and odd parity blocks of the spin representation (n even).
 
     Every so(n) matrix is block-diagonal for the parity grading; extraction
-    asserts it for the whole stack at once, as the two diagonal blocks
-    holding every nonzero entry.
+    asserts it for the whole integer stack at once, as the two diagonal
+    blocks holding every nonzero entry.  Each block is gathered from the
+    cached integer tensor and reduced into the field on its own, so the
+    full spin tensor is never built over the field.
     """
     if space.odd:
         raise ValueError("half-spin representations need even n")
-    full = spin_rep(space, field).tensor
-    blocks = [np.ascontiguousarray(full[:, idx[:, None], idx]) for idx in map(np.array, parity_indices(space.n))]
+    full = _spin_x4(space.n)
+    blocks = [full[:, idx[:, None], idx] for idx in map(np.array, parity_indices(space.n))]
     if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(full):
         raise AssertionError("spin matrix not parity-block-diagonal")
     return tuple(
-        LieRepresentation(space.n, field, f"half_spin_{label}({space.n})", so_pairs(space), _freeze(tensor))
-        for label, tensor in zip(("even", "odd"), blocks)
+        LieRepresentation(space.n, field, f"half_spin_{label}({space.n})", so_pairs(space), _reduce_x4(field, block))
+        for label, block in zip(("even", "odd"), blocks)
     )
 
 

@@ -5,6 +5,8 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+import spincert.linalg as linalg_mod
+import spincert.orbits as orbits_mod
 from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import (
     NON_UNIQUE,
@@ -19,6 +21,7 @@ from spincert.linalg import (
     rref,
     solve,
 )
+from spincert.suites import RunConfig, run_selected
 
 F = GF(1_000_003)
 F2 = GF(999_983)
@@ -420,6 +423,65 @@ def test_closure_and_commutant_against_oracles(field):
     assert {(5, 25, 1), (5, 5, 5), (3, 4, 2), (4, 4, 4), (6, 9, 4), (3, 5, 1)} <= seen
 
 
+def test_closure_and_commutant_fall_back_when_the_pair_vanishes():
+    # index 4 weighs 5 and 25 in the pair, both zero mod 5: the pair is zero,
+    # so only the membership and commutation checks can see the generator
+    f5 = GF(5)
+    a = f5.array([[1, 2, 0], [0, 1, 3], [4, 0, 2]])
+    gens = f5.zeros((5, 3, 3))
+    gens[4] = a
+    assert not np.count_nonzero(linalg_mod._pair(f5, gens))
+    closure, commutant = associative_closure(f5, gens), commutant_dimension(f5, gens)
+    assert closure == closure_by_words(f5, gens) == 3
+    assert commutant == commutant_by_stacked_system(f5, gens) == 3
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_closure_and_commutant_when_generators_escape_the_pair(field):
+    # the shift's weights 1, -1, 1/3 cancel in 1 - 2 + 3/3 and 1 - 4 + 9/3, so the
+    # pair is diagonal while every generator carries the shift
+    rng = RandomSource(14)
+    shift = field.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    gens = field.zeros((3, 3, 3))
+    gens[:, range(3), range(3)] = rng.scalars(field, 9).reshape(3, 3)
+    weights = field.array(np.array([Fraction(1), Fraction(-1), Fraction(1, 3)], dtype=object))
+    gens = field.reduce(gens + weights[:, None, None] * shift)
+    pair = linalg_mod._pair(field, gens)
+    assert not np.count_nonzero(pair[:, [0, 1, 0], [1, 2, 2]])
+    closure, commutant = associative_closure(field, gens), commutant_dimension(field, gens)
+    assert closure == closure_by_words(field, gens) > associative_closure(field, pair)
+    assert commutant == commutant_by_stacked_system(field, gens) < commutant_dimension(field, pair)
+
+
+def test_default_fingerprints_never_fall_back(monkeypatch):
+    # the gain rests on the pair settling every fingerprint of the default run:
+    # one spin per closure and two kernels (the pair's) per commutant
+    spins, kernels, log = [], [], []
+    real_spin, real_kernel = linalg_mod._spin, linalg_mod.kernel
+    monkeypatch.setattr(linalg_mod, "_spin", lambda field, gens: spins.append(len(gens)) or real_spin(field, gens))
+    monkeypatch.setattr(linalg_mod, "kernel", lambda field, stack: kernels.append(1) or real_kernel(field, stack))
+
+    def spy(fn):
+        def wrapped(field, gens):
+            spins.clear()
+            kernels.clear()
+            out = fn(field, gens)
+            log.append((fn.__name__, len(gens), list(spins), len(kernels)))
+            return out
+
+        return wrapped
+
+    for name in ("associative_closure", "commutant_dimension"):
+        monkeypatch.setattr(orbits_mod, name, spy(getattr(linalg_mod, name)))
+    run_selected(RunConfig(suites=["spin11", "spin14", "branching"]))
+    closures = [entry for entry in log if entry[0] == "associative_closure"]
+    commutants = [entry for entry in log if entry[0] == "commutant_dimension"]
+    # three fingerprints (spin11, spin14, branching) at each of the two default primes
+    assert len(closures) == len(commutants) == 6
+    assert all(k > 2 and spun == [2] for _, k, spun, _ in closures)
+    assert all(k > 2 and cuts == 2 for _, k, _, cuts in commutants)
+
+
 def test_span_builder():
     sb = SpanBuilder(QQ, 3)
     assert sb.add([1, 2, 3])
@@ -438,6 +500,19 @@ def test_coordinates_in_span():
     assert coords.tolist() == [[Fraction(3)], [Fraction(4)]]
     with pytest.raises(ValueError):
         coordinates_in_span(QQ, basis, QQ.array([[1], [0], [0]]))
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_coordinates_in_span_checks_rows_past_the_pivots(field):
+    # rows 0 and 1 are the independent ones; column 1 agrees with 3*b0 + 4*b1 there
+    # and only row 2 (8, not 7) puts it outside the span
+    basis = field.array([[1, 0], [0, 1], [1, 1]])
+    targets = field.array([[3, 3], [4, 4], [7, 8]])
+    with pytest.raises(ValueError, match="target column 1 is outside the span"):
+        coordinates_in_span(field, basis, targets)
+    with pytest.raises(ValueError, match="not linearly independent"):
+        coordinates_in_span(field, field.array([[1, 2], [2, 4], [3, 6]]), targets)
+    assert coordinates_in_span(field, basis, targets[:, :1]).tolist() == [[3], [4]]
 
 
 def test_matrix_shape_and_field_guards():

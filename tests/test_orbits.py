@@ -86,6 +86,42 @@ def test_min_trial_stabilizer_keeps_first_minimum(monkeypatch):
         min_trial_stabilizer(rep, 0, 7)
 
 
+def _spy_stabilizers(monkeypatch):
+    """Record the number of points of every stacked stabilizer call."""
+    import spincert.orbits as orbits_mod
+
+    sizes = []
+    real = orbits_mod._stabilizers
+
+    def spy(rep, points):
+        sizes.append(len(points))
+        return real(rep, points)
+
+    monkeypatch.setattr(orbits_mod, "_stabilizers", spy)
+    return sizes
+
+
+def test_min_trial_stops_at_the_floor(monkeypatch):
+    # free-7: three natural copies plus the spin module, 29 > g = 21, so the floor is 0
+    space = QuadraticSpace(7)
+    rep = direct_sum([vector_rep(space, F)] * 3 + [spin_rep(space, F)])
+    sizes = _spy_stabilizers(monkeypatch)
+    rpt, v = min_trial_stabilizer(rep, 3, 0)
+    assert rpt.dimension == 0 and sizes == [1]
+    assert np.array_equal(v, RandomSource(0).child(0).scalars(F, rep.dim))
+
+
+def test_min_trial_above_the_floor_eliminates_the_rest(monkeypatch):
+    # spin7: floor 21 - 8 = 13, generic stabilizer g2 of dimension 14
+    rep = spin_rep(QuadraticSpace(7), F)
+    sizes = _spy_stabilizers(monkeypatch)
+    assert min_trial_stabilizer(rep, 3, 0)[0].dimension == 14
+    assert sizes == [1, 2]
+    sizes.clear()
+    assert min_trial_stabilizer(rep, 1, 0)[0].dimension == 14
+    assert sizes == [1]
+
+
 def _left_gl2(field):
     """gl2 acting on 2x2 matrices by left multiplication: the stabilizer of x has dim 2 (2 - rank x)."""
     units = np.eye(4, dtype=np.int64).reshape(4, 2, 2)
