@@ -1,20 +1,19 @@
-"""Benchmark: the elimination leaves, ``kernels.rref_mod`` and the Q kernels.
+"""Benchmark: the elimination leaves and the Q kernels.
 
 Times reduced-row-echelon elimination over F_p on a few shapes that mirror
 the package's real workloads (stacked action maps, Sylvester systems,
 bilinear-form constraints) and on two tall kernel shapes of 196 columns,
 which the spin(14) closure produced before it spun a pair of generators,
-with the NumPy leaf, the compiled leaf when it is built, and
-``kernels.rref_mod``, which runs the row-blocked driver on tall, large
-inputs.  Every result is checked against
-the NumPy leaf.  Then it times the NumPy kernel on the stacks of two trial
-protocols, once per matrix and once as one stack, and checks the two agree:
-the action matrices of the free-14 module (three natural copies plus a
-half-spin module of so(14)) at 8 trial points, and the 8 tangent-stabilizer
-systems of ``sln_quotient`` at n = 8.  Then it times the two Q kernels at the shapes of the
-``sln_quotient`` suite, the integer product ``QQ.matmul`` and the
-fraction-free elimination ``linalg._rref_qq``, against elementwise
-``Fraction`` arithmetic, and checks each result against that reference.
+with the NumPy leaf and the compiled leaf when it is built; the compiled
+result is checked against the NumPy leaf.  Then it times the NumPy kernel
+on the stacks of two trial protocols, once per matrix and once as one
+stack, and checks the two agree: the action matrices of the free-14 module
+(three natural copies plus a half-spin module of so(14)) at 8 trial
+points, and the 8 tangent-stabilizer systems of ``sln_quotient`` at n = 8.
+Then it times the two Q kernels at the shapes of the ``sln_quotient``
+suite, the integer product ``QQ.matmul`` and the fraction-free elimination
+``linalg._rref_qq``, against elementwise ``Fraction`` arithmetic, and
+checks each result against that reference.
 Last it times three batched layers against the per-pair loops they
 replace, and checks each result against its loop: ``spinreps._spin_x4(14)``,
 ``orbits.subalgebra_structure_from_matrices`` on a spin(14) stabilizer
@@ -33,7 +32,7 @@ from fractions import Fraction
 import spincert  # noqa: F401
 import numpy as np
 
-from spincert import _modp_fallback, kernels, spinreps
+from spincert import _modp_fallback, spinreps
 from spincert.clifford import QuadraticSpace, so_pairs
 from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import _rref_qq, coordinates_in_span, kernel
@@ -236,21 +235,16 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    print(f"{'shape':<22} {'rows x cols':<12} {'numpy':>10} {'cython':>10} {'rref_mod':>10}")
+    print(f"{'shape':<22} {'rows x cols':<12} {'numpy':>10} {'cython':>10}")
     for name, rows, cols in SHAPES:
         a = rng.integers(0, P, size=(rows, cols), dtype=np.int64)
-        want = _modp_fallback.rref(a, P)
-        timings = [bench(_modp_fallback.rref, a, args.repeats, P)]
-        for fn in (_modp_core.rref if _modp_core else None, kernels.rref_mod):
-            if fn is None:
-                timings.append(None)
-                continue
-            got = fn(a, P)
-            same = got[1] == want[1] and np.array_equal(got[0], want[0])
-            assert same, f"{fn.__module__}.{fn.__name__} disagrees with the NumPy leaf"
-            timings.append(bench(fn, a, args.repeats, P))
-        cells = " ".join(f"{'absent':>10}" if t is None else f"{t*1e3:>8.1f}ms" for t in timings)
-        print(f"{name:<22} {f'{rows}x{cols}':<12} {cells}")
+        numpy_s = bench(_modp_fallback.rref, a, args.repeats, P)
+        compiled = f"{'absent':>10}"
+        if _modp_core:
+            want, got = _modp_fallback.rref(a, P), _modp_core.rref(a, P)
+            assert got[1] == want[1] and np.array_equal(got[0], want[0]), "the compiled leaf disagrees with the NumPy leaf"
+            compiled = f"{bench(_modp_core.rref, a, args.repeats, P)*1e3:>8.1f}ms"
+        print(f"{name:<22} {f'{rows}x{cols}':<12} {numpy_s*1e3:>8.1f}ms {compiled}")
     if _modp_core is None:
         print("compiled kernel not built; install with `pip install -e . --no-build-isolation`")
     bench_stacks(args.repeats)

@@ -7,12 +7,14 @@ when it is built.  ``benchmarks/bench_kernels.py`` compares the two.
 The NumPy kernel eliminates a whole ``(k, rows, cols)`` stack in one call
 and takes a single matrix as a stack of one.  ``linalg.rref`` sends a stack
 of more than one matrix to ``rref_stack``, whatever the backend: that is
-where the genericity protocols eliminate their remaining trials, and their
-stacks are far below the row-blocked driver's size floor.  A stack of one
-goes to ``rref_mod``, which stays 2-D; so does a protocol's first trial,
-eliminated alone in case it already sits at the floor.  Each matrix of a
-stack gets exactly the RREF (int64 residues) and pivots that ``rref_mod``
-gives it alone.
+where the genericity protocols eliminate their remaining trials.  A stack
+of one goes to ``rref_mod``, the active backend's 2-D leaf; so does a
+protocol's first trial, eliminated alone in case its stabilizer already
+sits at the dimension floor.  Each matrix of a stack gets exactly the RREF
+(int64 residues) and pivots that ``rref_mod`` gives it alone.  The leaf
+takes every matrix whole: no system the program builds is tall, since the
+invariant-form constraints keep only their nonzero rows
+(``orbits.invariant_bilinear_space``).
 
 All matrices advance one column per step, each pivoting on its first
 nonzero row at or below its pivot count.  While every matrix pivots at the
@@ -35,20 +37,6 @@ p = 1000003 (so never), every 8 at p = 10^9 + 7, and at every update near
 p = 2^31, where the reduction is folded into the update of the rows it
 touches.  Columns left of the current one receive no further updates, and
 one final reduction makes the output exact.
-
-``rref_mod`` sends tall, large inputs (``rows >= 2*cols`` and
-``rows*cols >= 2**16``) through a row-blocked driver above the leaf, in the
-style of Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
-prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008.  A leaf
-pays rows x cols for every pivot although the rank is at most cols; the
-driver keeps a reduced basis of rank <= cols and meets each block of 64 rows
-with two ``matmul_mod`` products and one leaf call on the block alone.  The
-basis is the identity on its pivot columns, so each block residual is formed
-and eliminated on the free columns only; an all-zero block skips both
-products and the leaf, and an all-zero residual skips the leaf.  RREF is
-unique, so the output is the leaf's, bit for bit.  The size floor is there
-because each block has a fixed cost that a low-rank input does not repay:
-the leaf is cheap when it finds few pivots.
 
 Matrix multiplication mod p is shared by both backends: for the default
 primes the products fit a float64 mantissa exactly, so BLAS does the work
@@ -76,42 +64,9 @@ def backend() -> str:
     return _BACKEND
 
 
-_BLOCK = 64
-
-
 def rref_mod(a, p):
-    """Reduced row echelon form over F_p; returns (int64 array, pivots).
-
-    Tall, large inputs go through the row-blocked driver (module docstring).
-    """
-    rows, cols = np.shape(a)
-    if rows < 2 * cols or rows * cols < 2**16:
-        return _impl.rref(a, p)
-    m = np.asarray(a, dtype=np.int64) % p
-    basis = m[:0]  # reduced rows, one per pivot in increasing order
-    pivots = np.zeros(0, dtype=np.intp)
-    for start in range(0, rows, _BLOCK):
-        block = m[start : start + _BLOCK]
-        if not block.any():
-            continue
-        # the basis is the identity on its pivot columns, so the residual is zero there
-        free = np.delete(np.arange(cols), pivots)
-        residual = (block[:, free] - matmul_mod(block[:, pivots], basis[:, free], p)) % p
-        if not residual.any():
-            continue
-        red, new = _impl.rref(residual, p)
-        new = free[list(new)]
-        fresh = np.zeros((len(new), cols), dtype=np.int64)
-        fresh[:, free] = red[: len(new)]
-        basis = (basis - matmul_mod(basis[:, new], fresh, p)) % p
-        pivots = np.concatenate([pivots, new])
-        order = np.argsort(pivots)
-        basis, pivots = np.vstack([basis, fresh])[order], pivots[order]
-        if len(pivots) == cols:
-            break
-    out = np.zeros((rows, cols), dtype=np.int64)
-    out[: len(pivots)] = basis
-    return out, tuple(int(c) for c in pivots)
+    """Reduced row echelon form over F_p of one matrix; returns (int64 array, pivots)."""
+    return _impl.rref(a, p)
 
 
 _FLOAT_EXACT = 2**53

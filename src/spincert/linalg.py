@@ -34,6 +34,7 @@ __all__ = [
     "associative_closure",
     "commutant_dimension",
     "SpanBuilder",
+    "OutsideSpan",
     "coordinates_in_span",
 ]
 
@@ -252,13 +253,18 @@ class SpanBuilder:
         return True
 
 
+class OutsideSpan(ValueError):
+    """A target column of ``coordinates_in_span`` lies outside the span."""
+
+
 def coordinates_in_span(field, basis_cols, targets) -> np.ndarray:
     """Coordinates of each target column in the span of the basis columns.
 
-    ``basis_cols`` must have full column rank k.  Eliminating its transpose
-    names k independent rows; the k-row system on those rows is solved, and
-    one product checks the coordinates against every row.  Raises
-    ValueError naming the first target column that falls outside the span.
+    ``basis_cols`` must have full column rank k, else ValueError.
+    Eliminating its transpose names k independent rows; the k-row system on
+    those rows is solved, and one product checks the coordinates against
+    every row.  Raises OutsideSpan, a ValueError, naming the first target
+    column that falls outside the span.
     """
     k = basis_cols.shape[1]
     ((_, rows),) = rref(field, np.ascontiguousarray(basis_cols.T)[None])
@@ -270,7 +276,7 @@ def coordinates_in_span(field, basis_cols, targets) -> np.ndarray:
     residual = field.reduce(field.matmul(basis_cols, coords) - targets)
     outside = np.flatnonzero(np.count_nonzero(residual, axis=0))
     if len(outside):
-        raise ValueError(f"target column {outside[0]} is outside the span")
+        raise OutsideSpan(f"target column {outside[0]} is outside the span")
     return coords
 
 

@@ -18,7 +18,7 @@ from itertools import chain, combinations_with_replacement
 import numpy as np
 
 from .fields import PrimeField, RandomSource
-from .linalg import associative_closure, commutant_dimension, coordinates_in_span, kernel, rank
+from .linalg import OutsideSpan, associative_closure, commutant_dimension, coordinates_in_span, kernel, rank
 from .spinreps import LieRepresentation, _expand_ranges
 
 __all__ = [
@@ -164,28 +164,29 @@ def subalgebra_structure_from_matrices(field, stack, basis_vectors=None) -> Suba
 
     The brackets [x_i, x_j] of the pairs i < j, in ``np.triu_indices`` order,
     come from one batched product over the (k, d, d) stack and are solved in
-    the span of the basis by one elimination.  ad_i maps e_j to c[i, j, :],
-    so its matrix is c[i].T and trace(ad_i ad_j) = sum_{a,b} c[i,b,a] c[j,a,b]:
-    the whole Killing form is one (k, k^2) @ (k^2, k) product.
+    the span of the basis by ``coordinates_in_span``, whose elimination of
+    the basis also proves it independent, even for k = 1: a dependent basis
+    raises ValueError, a bracket outside the span ClosureViolation.  ad_i
+    maps e_j to c[i, j, :], so its matrix is c[i].T and trace(ad_i ad_j) =
+    sum_{a,b} c[i,b,a] c[j,a,b]: the whole Killing form is one
+    (k, k^2) @ (k^2, k) product.
     """
     k = len(stack)
     if k == 0:
         raise ValueError("empty subalgebra")
     flats = np.ascontiguousarray(stack.reshape(k, -1).T)
-    if rank(field, flats[None]) != [k]:
-        raise ValueError("subalgebra basis matrices are dependent")
     i, j = np.triu_indices(k, 1)
+    # x_i x_j and x_j x_i for every pair, as one batch
+    prods = field.matmul(stack[np.concatenate([i, j])], stack[np.concatenate([j, i])])
+    brackets = field.reduce(prods[: len(i)] - prods[len(i) :]).reshape(len(i), len(flats))
+    try:
+        # a dependent basis raises a plain ValueError, with or without brackets to place
+        coords = coordinates_in_span(field, flats, np.ascontiguousarray(brackets.T))
+    except OutsideSpan as exc:
+        raise ClosureViolation(str(exc)) from exc
     c = field.zeros((k, k, k))
-    if len(i):
-        # x_i x_j and x_j x_i for every pair, as one batch
-        prods = field.matmul(stack[np.concatenate([i, j])], stack[np.concatenate([j, i])])
-        brackets = field.reduce(prods[: len(i)] - prods[len(i) :]).reshape(len(i), -1)
-        try:
-            coords = coordinates_in_span(field, flats, np.ascontiguousarray(brackets.T))
-        except ValueError as exc:
-            raise ClosureViolation(str(exc)) from exc
-        c[i, j] = coords.T
-        c[j, i] = field.reduce(-coords.T)
+    c[i, j] = coords.T
+    c[j, i] = field.reduce(-coords.T)
 
     killing = field.matmul(c.reshape(k, k * k), c.transpose(0, 2, 1).reshape(k, k * k).T)
     (krank,) = rank(field, killing[None])
@@ -224,48 +225,43 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
 
     Diagonal basis members (the split Cartan acts diagonally on all the
     representations built here) prune the candidate matrix units E_ab to the
-    weight-opposite pairs; the surviving space is then intersected exactly
-    with the constraint of every generator, diagonal ones included.
+    weight-opposite pairs, w(a) + w(b) = 0 for every diagonal member; the
+    surviving space is then intersected exactly with the constraint of every
+    generator, diagonal ones included.  A generator's constraint is its
+    (d^2, c) image of the c candidates, of which only the nonzero rows are
+    eliminated: the row space, and so every result, is the same, and the
+    system stays small (spin(13): 4,096 rows, at most 32 of them nonzero).
     """
     field = rep.field
     d = rep.dim
-    diags = _diagonal_members(rep)
-    if diags:
-        neg_key = {}
-        buckets: dict = {}
-        for a in range(d):
-            key = tuple(rep.tensor[kk][a, a] for kk in diags)
-            buckets.setdefault(key, []).append(a)
-            neg_key[a] = tuple(field.reduce(-x) for x in key)
-        candidates = []
-        for a in range(d):
-            for b in buckets.get(neg_key[a], ()):
-                candidates.append((a, b))
-    else:
-        candidates = [(a, b) for a in range(d) for b in range(d)]
-    c = len(candidates)
+    keep = np.ones((d, d), dtype=bool)
+    for kk in _diagonal_members(rep):
+        w = np.diagonal(rep.tensor[kk])
+        keep &= field.reduce(w[:, None] + w[None, :]) == 0
+    a, b = np.nonzero(keep)  # the candidates (a, b) in lexicographic order
+    c = len(a)
     if c == 0:
         return BilinearInvariants(0, 0, None, 0, None)
 
     K = field.eye(c)  # its columns span the forms that survive the generators so far
-    for kk in range(rep.g):
-        M = rep.tensor[kk]
+    x, j = np.arange(d)[:, None], np.arange(c)
+    for M in rep.tensor:
+        # (M^T E_ab + E_ab M)[x, y] = M[a, x] [y == b] + [x == a] M[b, y]
         img = field.zeros((d * d, c))
-        for j, (a, b) in enumerate(candidates):
-            rows1 = np.arange(d) * d + b
-            np.add.at(img[:, j], rows1, M[a, :])
-            rows2 = a * d + np.arange(d)
-            np.add.at(img[:, j], rows2, M[b, :])
-        (null,) = kernel(field, field.matmul(field.reduce(img), K)[None])
+        img[x * d + b, j] = M[a].T
+        img[a * d + x, j] += M[b].T
+        # reduce the rows some candidate reaches, then drop those that cancel mod p
+        img = field.reduce(img[np.count_nonzero(img, axis=1) > 0])
+        img = img[np.count_nonzero(img, axis=1) > 0]
+        (null,) = kernel(field, field.matmul(img, K)[None])
         if not len(null):
             return BilinearInvariants(0, 0, None, 0, None)
         K = field.matmul(K, null.T)
 
     # the candidate units E_ab are distinct, so each form is a scatter of one column of K
     total = K.shape[1]
-    rows, cols = zip(*candidates)
     forms = field.zeros((total, d, d))
-    forms[:, rows, cols] = K.T
+    forms[:, a, b] = K.T
     nonzero = []
     for parts in (forms + forms.transpose(0, 2, 1), forms - forms.transpose(0, 2, 1)):
         flat = field.reduce(parts).reshape(total, d * d)

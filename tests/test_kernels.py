@@ -1,9 +1,7 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from spincert import _modp_fallback, kernels
+from spincert import _modp_fallback
 from spincert.kernels import backend, matmul_mod, rref_mod, rref_stack
 
 try:
@@ -110,7 +108,7 @@ def test_leaf_is_a_stack_of_one():
 
 @pytest.mark.parametrize("rows, cols", [(12, 9), (600, 120), (0, 4), (4, 0)])
 def test_rref_stack_matches_rref_mod(rows, cols):
-    # rref_mod takes 600 x 120 through the row-blocked driver, the stack through the kernel
+    # rref_mod takes each matrix alone, rref_stack the whole stack
     stack = _mixed_stack(np.random.default_rng(rows), 4, rows, cols, P)
     red, pivots = rref_stack(stack, P)
     assert red.shape == stack.shape and red.dtype == np.int64
@@ -228,120 +226,29 @@ def test_matmul_mod_largest_prime(inner):
     assert matmul_mod(a, b, p).tolist() == want
 
 
-def _staircase(rng, rows, cols, step, p):
-    # block k of 64 rows has rank `step` and spans the last 2*step*(k+1)
-    # columns: each block brings new pivots, to the left of the earlier ones
-    a = np.zeros((rows, cols), dtype=np.int64)
-    for start in range(0, rows, 64):
-        lo = max(cols - 2 * step * (start // 64 + 1), 0)
-        n = min(64, rows - start)
-        left = rng.integers(0, p, size=(n, step), dtype=np.int64)
-        a[start : start + n, lo:] = matmul_mod(left, rng.integers(0, p, size=(step, cols - lo), dtype=np.int64), p)
-    return a
-
-
-def _driver_cases():
+def _tall_cases():
     rng = np.random.default_rng(5)
     q = 2_147_483_647
+    saturated = np.full((700, 100), q - 1, dtype=np.int64)
+    saturated[::7] = rng.integers(0, q, size=(100, 100), dtype=np.int64)
+    def thin(rows, cols, k):
+        return rng.integers(0, P, size=(rows, k), dtype=np.int64) @ rng.integers(0, P, size=(k, cols)) % P
 
-    def rand(rows, cols, p=P):
-        return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
-
-    def thin(rows, cols, k, p=P):
-        return rand(rows, k, p) @ rand(k, cols, p) % p
-
-    repeated = thin(512, 128, 20)
-    repeated[64:128] = repeated[:64]
-    repeated[128:192] = 0
-    repeated[:256, :40] = 0
-    saturated = np.full((700, 100), P - 1, dtype=np.int64)
-    saturated[::7] = rand(100, 100)
     return [
-        pytest.param(rand(364, 182), P, id="rows-2cols"),
-        pytest.param(rand(363, 182), P, id="rows-2cols-minus-1"),
-        pytest.param(rand(512, 128), P, id="cells-2to16"),
-        pytest.param(rand(511, 128), P, id="cells-2to16-minus-row"),
-        pytest.param(rand(700, 100), P, id="ragged-last-block"),
-        pytest.param(_staircase(rng, 700, 100, 9, P), P, id="rank-over-blocks"),
-        pytest.param(thin(1000, 100, 5), P, id="low-rank"),
-        pytest.param(rand(2048, 32), P, id="early-stop"),
-        pytest.param(repeated, P, id="duplicate-and-zero-blocks"),
-        pytest.param(saturated, P, id="entries-p-minus-1"),
-        pytest.param(np.zeros((600, 120), dtype=np.int64), P, id="zero"),
-        pytest.param(np.zeros((1024, 64), dtype=np.int64), P, id="zero-1024x64"),
+        pytest.param(saturated, q, id="largest-prime-entries-p-minus-1"),
         pytest.param(thin(1024, 64, 4), P, id="rank-4-1024x64"),
-        pytest.param(_staircase(rng, 512, 128, 11, q), q, id="largest-prime"),
-        pytest.param(np.full((600, 110), q - 1, dtype=np.int64), q, id="largest-prime-entries-p-minus-1"),
-        pytest.param(np.vstack([rand(64, 128, q)] * 8), q, id="largest-prime-duplicate-blocks"),
+        pytest.param(thin(1000, 100, 5), P, id="low-rank"),
+        pytest.param(rng.integers(0, P, size=(2048, 32), dtype=np.int64), P, id="full-rank-2048x32"),
+        pytest.param(rng.integers(0, P, size=(364, 182), dtype=np.int64), P, id="rows-2cols"),
+        pytest.param(np.zeros((1024, 64), dtype=np.int64), P, id="zero-1024x64"),
     ]
 
 
-@pytest.mark.parametrize("a, p", _driver_cases())
-def test_rref_mod_matches_leaf(a, p):
-    want, want_piv = _modp_fallback.rref(a, p)
-    got, got_piv = rref_mod(a, p)
-    assert got_piv == want_piv
-    assert got.dtype == np.int64 and np.array_equal(got, want)
-
-
-@pytest.mark.parametrize(
-    "rows, cols, blocked",
-    [(364, 182, True), (363, 182, False), (512, 128, True), (511, 128, False), (700, 100, True), (700, 400, False)],
-)
-def test_rref_mod_blocks_only_tall_large_inputs(monkeypatch, rows, cols, blocked):
-    # the blocked path hands the leaf reduced residuals of at most 64 rows,
-    # restricted to the columns that are not pivots yet (7 new ones per block)
-    seen = []
-
-    def leaf(a, p):
-        seen.append(a.shape)
-        assert a.min() >= 0 and a.max() < p
-        return _modp_fallback.rref(a, p)
-
-    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(rref=leaf))
-    a = _staircase(np.random.default_rng(rows), rows, cols, 7, P)
-    assert rref_mod(a, P)[1] == _modp_fallback.rref(a, P)[1]
-    if blocked:
-        assert len(seen) == -(-rows // 64) and all(r <= 64 for r, _ in seen)
-        assert [c for _, c in seen] == [cols - 7 * k for k in range(len(seen))]
-    else:
-        assert seen == [(rows, cols)]
-
-
-def test_rref_mod_skips_zero_residuals(monkeypatch):
-    # a block inside the span found so far leaves an all-zero residual and no leaf call
-    seen = []
-
-    def leaf(a, p):
-        seen.append(a.shape)
-        return _modp_fallback.rref(a, p)
-
-    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(rref=leaf))
-    zero = np.zeros((1024, 64), dtype=np.int64)
-    assert rref_mod(zero, P)[1] == () and seen == []
-    rng = np.random.default_rng(8)
-    first = rng.integers(0, P, size=(64, 4), dtype=np.int64)
-    repeated = np.vstack([matmul_mod(first, rng.integers(0, P, size=(4, 64), dtype=np.int64), P)] * 16)
-    got, piv = rref_mod(repeated, P)
-    assert seen == [(64, 64)] and len(piv) == 4
-    assert np.array_equal(got, _modp_fallback.rref(repeated, P)[0])
-
-
-def test_rref_mod_skips_zero_blocks_before_any_product(monkeypatch):
-    # an all-zero block costs neither a block product nor a leaf call
-    calls = []
-
-    def spy(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
-
-    monkeypatch.setattr(kernels, "matmul_mod", spy("matmul_mod", kernels.matmul_mod))
-    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(rref=spy("leaf", _modp_fallback.rref)))
-    got, piv = rref_mod(np.zeros((1024, 64), dtype=np.int64), P)
-    assert calls == [] and piv == () and not got.any()
-    # the 14 zero blocks between the first and the last block (rank 32 each) are skipped
-    a = np.zeros((1024, 64), dtype=np.int64)
-    a[:32] = np.random.default_rng(9).integers(0, P, size=(32, 64), dtype=np.int64)
-    a[-64:-32] = np.random.default_rng(10).integers(0, P, size=(32, 64), dtype=np.int64)
-    got, piv = rref_mod(a, P)
-    assert calls == ["matmul_mod", "leaf", "matmul_mod", "matmul_mod", "leaf", "matmul_mod"]
-    assert piv == _modp_fallback.rref(a, P)[1] and np.array_equal(got, _modp_fallback.rref(a, P)[0])
+@pytest.mark.parametrize("a, p", _tall_cases())
+def test_leaf_matches_oracle_on_tall_inputs(a, p):
+    # rref_mod hands a tall input to the leaf whole
+    want, want_piv = oracle_rref(a, p)
+    for leaf in (rref_mod, _modp_fallback.rref):
+        got, got_piv = leaf(a, p)
+        assert got_piv == want_piv
+        assert got.dtype == np.int64 and np.array_equal(got, want)

@@ -7,6 +7,7 @@ import pytest
 
 import spincert.linalg as linalg_mod
 import spincert.orbits as orbits_mod
+from spincert.clifford import QuadraticSpace
 from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import (
     NON_UNIQUE,
@@ -21,6 +22,7 @@ from spincert.linalg import (
     rref,
     solve,
 )
+from spincert.spinreps import half_spin_reps, spin_rep
 from spincert.suites import RunConfig, run_selected
 
 F = GF(1_000_003)
@@ -480,6 +482,20 @@ def test_default_fingerprints_never_fall_back(monkeypatch):
     assert len(closures) == len(commutants) == 6
     assert all(k > 2 and spun == [2] for _, k, spun, _ in closures)
     assert all(k > 2 and cuts == 2 for _, k, _, cuts in commutants)
+
+
+def test_no_elimination_input_is_tall(monkeypatch):
+    # rref_mod hands every matrix to the leaf whole, which pays rows x cols per
+    # pivot: no input of the default run, nor the invariant-form systems of the
+    # larger spinor modules still to be certified, may be tall and large
+    shapes = []
+    real = linalg_mod.rref_mod
+    monkeypatch.setattr(linalg_mod, "rref_mod", lambda a, p: shapes.append(np.shape(a)) or real(a, p))
+    run_selected(RunConfig())
+    orbits_mod.invariant_bilinear_space(half_spin_reps(QuadraticSpace(12), F)[0])
+    orbits_mod.invariant_bilinear_space(spin_rep(QuadraticSpace(13), F))
+    assert len(shapes) > 100  # the spy sees the run
+    assert [(rows, cols) for rows, cols in shapes if rows >= 2 * cols and rows * cols >= 2**16] == []
 
 
 def test_span_builder():

@@ -384,6 +384,86 @@ def test_invariant_bilinear_vector_rep_is_gram_line():
     assert inv.sample_rank == 7
 
 
+def dense_bilinear_forms(rep):
+    """The invariant forms from the full (d^2, c) constraint of every generator,
+    one candidate column at a time: the reference for ``invariant_bilinear_space``.
+    Returns (symmetric dim, alternating dim, sample, sample rank, sample symmetric)."""
+    field, d = rep.field, rep.dim
+    weights = [np.diagonal(m) for m in rep.tensor if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))]
+    candidates = [
+        (a, b) for a in range(d) for b in range(d) if all(field.reduce(w[a] + w[b]) == 0 for w in weights)
+    ]
+    if not candidates:
+        return 0, 0, None, 0, None
+    K = field.eye(len(candidates))
+    for M in rep.tensor:
+        img = field.zeros((d * d, len(candidates)))
+        for j, (a, b) in enumerate(candidates):
+            np.add.at(img[:, j], np.arange(d) * d + b, M[a, :])
+            np.add.at(img[:, j], a * d + np.arange(d), M[b, :])
+        (null,) = kernel(field, field.matmul(field.reduce(img), K)[None])
+        if not len(null):
+            return 0, 0, None, 0, None
+        K = field.matmul(K, null.T)
+    forms = field.zeros((K.shape[1], d, d))
+    for j, (a, b) in enumerate(candidates):
+        forms[:, a, b] = K[j]
+    dims, samples = [], []
+    for parts in (forms + forms.transpose(0, 2, 1), forms - forms.transpose(0, 2, 1)):
+        flat = field.reduce(parts).reshape(len(forms), d * d)
+        flat = flat[np.count_nonzero(flat, axis=1) > 0]
+        dims.append(rank(field, flat[None])[0] if len(flat) else 0)
+        samples += list(flat[:1])
+    sample = samples[0].reshape(d, d)
+    return dims[0], dims[1], sample, rank(field, sample[None])[0], bool(np.array_equal(sample, sample.T))
+
+
+FORM_MODULES = {
+    "spin5": lambda f: spin_rep(QuadraticSpace(5), f),
+    "spin7": lambda f: spin_rep(QuadraticSpace(7), f),
+    "vector7": lambda f: vector_rep(QuadraticSpace(7), f),
+    "half10": lambda f: half_spin_reps(QuadraticSpace(10), f)[0],
+    "spin11|so10": lambda f: restrict(spin_rep(QuadraticSpace(11), f), embed_subalgebra(QuadraticSpace(11), 10)),
+}
+
+
+@pytest.mark.parametrize("field", [F, GF(7), QQ], ids=["GF(1000003)", "GF(7)", "QQ"])
+@pytest.mark.parametrize("name", list(FORM_MODULES))
+def test_invariant_bilinear_matches_dense_constraints(name, field):
+    inv = invariant_bilinear_space(FORM_MODULES[name](field))
+    sym, alt, sample, sample_rank, sample_sym = dense_bilinear_forms(FORM_MODULES[name](field))
+    assert (inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank, inv.sample_symmetric) == (
+        sym,
+        alt,
+        sample_rank,
+        sample_sym,
+    )
+    assert (inv.sample is None) == (sample is None)
+    if sample is not None:
+        assert inv.sample.dtype == sample.dtype and np.array_equal(inv.sample, sample)
+
+
+# the spinor modules still to be certified: a symmetric form on half-spin(8)
+# and spin(9), an alternating one on half-spin(12) and spin(13)
+SPINOR_ROW_FORMS = {
+    "half8": (lambda f: half_spin_reps(QuadraticSpace(8), f)[0], [1, 0]),
+    "spin9": (lambda f: spin_rep(QuadraticSpace(9), f), [1, 0]),
+    "half12": (lambda f: half_spin_reps(QuadraticSpace(12), f)[0], [0, 1]),
+    "spin13": (lambda f: spin_rep(QuadraticSpace(13), f), [0, 1]),
+}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", list(SPINOR_ROW_FORMS))
+def test_invariant_bilinear_new_spinor_rows(name, p):
+    build, forms = SPINOR_ROW_FORMS[name]
+    rep = build(GF(p))
+    inv = invariant_bilinear_space(rep)
+    assert [inv.symmetric_dim, inv.antisymmetric_dim] == forms
+    # nondegenerate, as a nonzero invariant form on an irreducible module must be
+    assert inv.sample_rank == rep.dim
+
+
 def test_fixed_subspace_examples():
     rep = spin_rep(QuadraticSpace(7), F)
     v = RandomSource(0).child(0).scalars(F, 8)

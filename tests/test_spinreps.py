@@ -471,17 +471,6 @@ def test_sparse_check_rejects_mutants(fname, case, mutant):
     assert not verify_lie_homomorphism(rep, struct)
 
 
-@pytest.mark.parametrize("fname", sorted(FIELDS))
-def test_sparse_check_in_blocks(fname, monkeypatch):
-    # a tiny join cap takes one right-hand generator per block
-    monkeypatch.setattr(spinreps, "_JOIN_CAP", 1)
-    rep, struct = _conjugated_spin7(FIELDS[fname])
-    assert verify_lie_homomorphism(rep, struct)
-    for name, mutant in MUTANTS.items():
-        if name != "filled_entry":
-            assert not verify_lie_homomorphism(*mutant(rep, struct))
-
-
 def join_sizes(rep, struct):
     """Entries the three joins of each left generator produce, counted densely."""
     nz = rep.tensor != 0
@@ -495,14 +484,10 @@ def join_sizes(rep, struct):
     return np.array(sizes)
 
 
-@pytest.mark.parametrize("cap", ["one", "several", "default"])
 @pytest.mark.parametrize("fname", sorted(FIELDS))
-def test_sparse_check_block_boundaries(fname, cap, monkeypatch):
+def test_sparse_check_block_boundaries(fname, monkeypatch):
     rep, struct = _conjugated_spin7(FIELDS[fname])
     sizes = join_sizes(rep, struct)
-    # "several": any two left generators fit, but not the whole module
-    limit = {"one": 1, "several": 2 * sizes.max(), "default": spinreps._JOIN_CAP}[cap]
-    monkeypatch.setattr(spinreps, "_JOIN_CAP", limit)
     expand, joins = spinreps._expand_ranges, []
 
     def spy(lo, hi):
@@ -511,16 +496,10 @@ def test_sparse_check_block_boundaries(fname, cap, monkeypatch):
 
     monkeypatch.setattr(spinreps, "_expand_ranges", spy)
     assert verify_lie_homomorphism(rep, struct)
-    pieces = len(joins) // 3  # a row join, a column join and the structure terms per piece
-    if cap == "one":
-        # every left generator alone exceeds the cap: one right-hand generator per piece
-        assert (sizes[:-1] > limit).all()
-        assert pieces == rep.g * (rep.g - 1) // 2
-    else:
-        assert sizes.max() <= limit and max(joins) <= limit
-        # the default cap takes blocks of 1, 2, 4, 8 and the last 5 left generators;
-        # the smaller one needs more blocks, some still of several generators
-        assert pieces == 5 if cap == "default" else 5 < pieces < rep.g - 1
+    # a row join, a column join and the structure terms per block: blocks of
+    # 1, 2, 4, 8 and the last 6 left generators, each joining what the dense count says
+    blocks = [(0, 1), (1, 3), (3, 7), (7, 15), (15, 21)]
+    assert [sum(joins[3 * b : 3 * b + 3]) for b in range(len(joins) // 3)] == [sizes[i0:i1].sum() for i0, i1 in blocks]
     assert sum(joins) == sizes.sum()
     for name, mutant in MUTANTS.items():
         if name != "filled_entry":
