@@ -4,12 +4,15 @@ Times reduced-row-echelon elimination over F_p on a few shapes that mirror
 the package's real workloads (stacked action maps, Sylvester systems,
 bilinear-form constraints) and on two tall kernel shapes of 196 columns,
 which the spin(14) closure produced before it spun a pair of generators,
-with the NumPy leaf and the compiled leaf when it is built; the compiled
-result is checked against the NumPy leaf.  Then it times the NumPy kernel
-on the stacks of two trial protocols, once per matrix and once as one
-stack, and checks the two agree: the action matrices of the free-14 module
-(three natural copies plus a half-spin module of so(14)) at 8 trial
-points, and the 8 tangent-stabilizer systems of ``sln_quotient`` at n = 8.
+with the NumPy leaf and the compiled leaf when it is built.  Each NumPy
+result is checked on its own: the kernel read off its RREF must annihilate
+the matrix, and its pivots plus that kernel's dimension must number the
+columns; the compiled result is checked against the NumPy leaf.  Then it
+times the NumPy kernel on the stacks of two trial protocols, once per
+matrix and once as one stack, and checks the two agree: the action
+matrices of the free-14 module (three natural copies plus a half-spin
+module of so(14)) at 8 trial points, and the 8 tangent-stabilizer systems
+of ``sln_quotient`` at n = 8.
 Then it times the two Q kernels at the shapes of the ``sln_quotient``
 suite, the integer product ``QQ.matmul`` and the fraction-free elimination
 ``linalg._rref_qq``, against elementwise ``Fraction`` arithmetic, and
@@ -35,6 +38,7 @@ import numpy as np
 from spincert import _modp_fallback, spinreps
 from spincert.clifford import QuadraticSpace, so_pairs
 from spincert.fields import GF, QQ, RandomSource
+from spincert.kernels import matmul_mod
 from spincert.linalg import _rref_qq, coordinates_in_span, kernel
 from spincert.orbits import (
     _diagonal_members,
@@ -76,6 +80,18 @@ def bench(fn, a, repeats, *args):
         fn(a, *args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def check_rref(a, red, pivots):
+    """The kernel read off the RREF annihilates ``a``, and rank plus nullity is the column count."""
+    cols = a.shape[1]
+    free = sorted(set(range(cols)) - set(pivots))
+    assert len(pivots) + len(free) == cols, "pivots are not distinct columns"
+    # the kernel vector of free column f: 1 at f, -R[i, f] at the i-th pivot
+    z = np.zeros((len(free), cols), dtype=np.int64)
+    z[np.arange(len(free)), free] = 1
+    z[:, list(pivots)] = -red[: len(pivots), free].T % P
+    assert not np.count_nonzero(matmul_mod(a, z.T, P)), "the kernel read off the RREF misses the matrix"
 
 
 def fraction_rref(a):
@@ -238,10 +254,12 @@ def main():
     print(f"{'shape':<22} {'rows x cols':<12} {'numpy':>10} {'cython':>10}")
     for name, rows, cols in SHAPES:
         a = rng.integers(0, P, size=(rows, cols), dtype=np.int64)
+        want = _modp_fallback.rref(a, P)
+        check_rref(a, *want)
         numpy_s = bench(_modp_fallback.rref, a, args.repeats, P)
         compiled = f"{'absent':>10}"
         if _modp_core:
-            want, got = _modp_fallback.rref(a, P), _modp_core.rref(a, P)
+            got = _modp_core.rref(a, P)
             assert got[1] == want[1] and np.array_equal(got[0], want[0]), "the compiled leaf disagrees with the NumPy leaf"
             compiled = f"{bench(_modp_core.rref, a, args.repeats, P)*1e3:>8.1f}ms"
         print(f"{name:<22} {f'{rows}x{cols}':<12} {numpy_s*1e3:>8.1f}ms {compiled}")

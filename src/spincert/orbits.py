@@ -58,7 +58,6 @@ class StabilizerReport:
     """Kernel of the stacked action map at one point."""
 
     dimension: int
-    algebra_dimension: int
     orbit_dimension: int
     kernel: np.ndarray  # (dimension, g): one so(n) coordinate row per basis vector
 
@@ -86,7 +85,7 @@ def _stabilizers(rep: LieRepresentation, points: list) -> list[StabilizerReport]
         if np.count_nonzero(field.matmul(mat, z.T)):
             raise AssertionError("kernel vector does not annihilate the point")
         dim = len(z)
-        reports.append(StabilizerReport(dim, rep.g, rep.g - dim, z))
+        reports.append(StabilizerReport(dim, rep.g - dim, z))
     return reports
 
 
@@ -140,7 +139,6 @@ class SubalgebraStructure:
     """
 
     dimension: int
-    basis: np.ndarray  # (k, .): one row per basis element
     structure_constants: np.ndarray  # (k, k, k), c[i, j, :] = [x_i, x_j]
     killing: np.ndarray
     killing_rank: int
@@ -156,10 +154,10 @@ def subalgebra_structure(kernel_vectors, carrier_rep: LieRepresentation) -> Suba
     same brackets, so closure and structure constants are computed there.
     """
     mats = kernel_action_matrices(kernel_vectors, carrier_rep)
-    return subalgebra_structure_from_matrices(carrier_rep.field, mats, basis_vectors=kernel_vectors)
+    return subalgebra_structure_from_matrices(carrier_rep.field, mats)
 
 
-def subalgebra_structure_from_matrices(field, stack, basis_vectors=None) -> SubalgebraStructure:
+def subalgebra_structure_from_matrices(field, stack) -> SubalgebraStructure:
     """Structure constants, Killing form and derived size of the span of a (k, d, d) stack.
 
     The brackets [x_i, x_j] of the pairs i < j, in ``np.triu_indices`` order,
@@ -194,7 +192,6 @@ def subalgebra_structure_from_matrices(field, stack, basis_vectors=None) -> Suba
 
     return SubalgebraStructure(
         dimension=k,
-        basis=basis_vectors if basis_vectors is not None else stack.reshape(k, -1),
         structure_constants=c,
         killing=killing,
         killing_rank=krank,

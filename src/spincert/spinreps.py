@@ -30,7 +30,6 @@ __all__ = [
     "direct_sum",
     "SubalgebraEmbedding",
     "embed_subalgebra",
-    "compose_embeddings",
     "restrict",
     "center_acts_minus_one",
     "fock_generator_matrices",
@@ -329,23 +328,6 @@ def embed_subalgebra(space: QuadraticSpace, sub_n: int) -> SubalgebraEmbedding:
         k -= 1
     pair_map = _pair_map_from_vectors(space, vectors)
     return SubalgebraEmbedding(n, sub_n, tuple(tuple(v) for v in vectors), pair_map)
-
-
-def compose_embeddings(outer: SubalgebraEmbedding, inner: SubalgebraEmbedding) -> SubalgebraEmbedding:
-    """so(n'') in so(n') in so(n) composed to a single embedding."""
-    if inner.ambient_n != outer.sub_n:
-        raise ValueError("embeddings do not chain")
-    n = outer.ambient_n
-    vectors = []
-    for row in inner.gen_vectors:
-        vec = [0] * n
-        for a, c in enumerate(row):
-            if c:
-                for j in range(n):
-                    vec[j] += c * outer.gen_vectors[a][j]
-        vectors.append(vec)
-    pair_map = _pair_map_from_vectors(QuadraticSpace(n), vectors)
-    return SubalgebraEmbedding(n, inner.sub_n, tuple(tuple(v) for v in vectors), pair_map)
 
 
 def _expand_ranges(lo: np.ndarray, hi: np.ndarray):

@@ -2,7 +2,11 @@
 
 Every suite is a per-field function, which computes the suite's values over
 one field keyed by check id, and a table of check specs (id, description,
-expected, provenance, anchor) in report order.  One genericity protocol,
+expected, provenance, anchor) in report order.  The four spinor suites,
+spin7, spin10, spin11 and spin14, are rows (n, module, checks) of one
+per-field function, ``_spinor``: it draws the row's generic point once per
+field, a ``_Point``, and each check carries its value as a function of that
+point, so a row is data only.  One genericity protocol,
 ``_Recorder.two_prime``, runs the per-field function once for each
 configured prime and records, per spec, the agreed value, or "a / b (primes
 disagree)" as a failing check.  ``sln_quotient`` instead records every field
@@ -23,6 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -209,9 +214,67 @@ def _two_prime(per_field, specs):
 
 # -- suites ---------------------------------------------------------------
 #
-# Check tables hold data only: the per-field functions look library callables
-# up as module globals at call time, so rebinding such a name (a test's
-# monkeypatch, a tracer) reaches them.
+# Check tables hold data only: the per-field functions and the value functions
+# of the spinor rows look library callables up as module globals at call time,
+# so rebinding such a name (a test's monkeypatch, a tracer) reaches them.
+
+
+def _module(space, f, module):
+    """The module a spinor row names: "spin", or the "even" or "odd" half-spin module."""
+    if module == "spin":
+        return spin_rep(space, f)
+    return half_spin_reps(space, f)[("even", "odd").index(module)]
+
+
+class _Point:
+    """A row's generic point over one field, drawn once, and what its checks derive from it.
+
+    The point is the first min-trial point of the module.  The derived data,
+    each computed on its first read only, are the Killing structure of the
+    stabilizer through V_n, the stabilizer's action on V_n, the module's
+    invariant bilinear forms and the stabilizer's fixed space in the module.
+    """
+
+    def __init__(self, cfg: RunConfig, f, n: int, module: str):
+        self.cfg, self.field, self.space = cfg, f, QuadraticSpace(n)
+        self.rep = _module(self.space, f, module)
+        self.stabilizer, self.v = min_trial_stabilizer(self.rep, cfg.trials, cfg.seed)
+
+    def at(self, module: str) -> _Point:
+        """The generic point of the same so(n) on another module."""
+        return _Point(self.cfg, self.field, self.space.n, module)
+
+    @cached_property
+    def structure(self):
+        return subalgebra_structure(self.stabilizer.kernel, vector_rep(self.space, self.field))
+
+    @cached_property
+    def on_vector(self):
+        return kernel_action_matrices(self.stabilizer.kernel, vector_rep(self.space, self.field))
+
+    @cached_property
+    def forms(self):
+        return invariant_bilinear_space(self.rep)
+
+    @cached_property
+    def fixed(self):
+        return fixed_subspace(self.field, kernel_action_matrices(self.stabilizer.kernel, self.rep))
+
+
+def _spinor(cfg: RunConfig, f, n: int, module: str, checks) -> dict:
+    """A spinor row's values over one field, each read at the row's generic point."""
+    point = _Point(cfg, f, n, module)
+    return {id: value(point) for id, value, *_ in checks}
+
+
+def _spinor_suite(n, module, checks, stretch=()):
+    """Suite body of the row (n, module, checks); ``--stretch`` appends the stretch checks."""
+
+    def body(cfg: RunConfig, rec: _Recorder):
+        run = checks + (stretch if cfg.stretch else ())
+        rec.two_prime(cfg, lambda cfg, f: _spinor(cfg, f, n, module, run), [(id, *spec) for id, _, *spec in run])
+
+    return body
 
 
 def _g2_octonion(cfg: RunConfig, f) -> dict:
@@ -219,17 +282,19 @@ def _g2_octonion(cfg: RunConfig, f) -> dict:
     g2 = trace_zero_rep(derivations)
     triple, _ = min_trial_stabilizer(direct_sum([g2] * 3), cfg.trials, cfg.seed)
     vector, v = min_trial_stabilizer(g2, cfg.trials, cfg.seed, witness=lambda x: anisotropic(f, x))
-    # cross-module consistency against the spinor route
+    # cross-module consistency against the spinor route, at the spin7 row's point
     deriv = subalgebra_structure_from_matrices(f, derivations.matrices)
-    rpt, _ = min_trial_stabilizer(spin_rep(QuadraticSpace(7), f), cfg.trials, cfg.seed)
-    spinor = subalgebra_structure(rpt.kernel, vector_rep(QuadraticSpace(7), f))
+    spinor = _Point(cfg, f, 7, "spin")
     return {
         "derivation-dim": derivations.dimension,
         "triple-closure": subalgebra_generated(f, split_generating_triple(f)),
         "kernel-triple": triple.dimension,
         "kernel-vector": vector.dimension,
         "kernel-scaled": stabilizer(g2.with_scaling(), v).dimension,
-        "cross-spinor": [[deriv.dimension, deriv.killing_rank], [rpt.dimension, spinor.killing_rank]],
+        "cross-spinor": [
+            [deriv.dimension, deriv.killing_rank],
+            [spinor.stabilizer.dimension, spinor.structure.killing_rank],
+        ],
     }
 
 
@@ -279,30 +344,22 @@ _G2_OCTONION_CHECKS = (
 )
 
 
-def _spin7(cfg: RunConfig, f) -> dict:
-    space = QuadraticSpace(7)
-    rep = spin_rep(space, f)
-    inv = invariant_bilinear_space(rep)
-    rpt, v = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-    struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-    fixed_dim, fixed = fixed_subspace(f, kernel_action_matrices(rpt.kernel, rep))
-    contains_point = fixed_dim == 1 and rank(f, np.stack([fixed[0], v])[None]) == [1]
-    scaled = f.reduce(v * 2)  # a unit of every accepted field, p >= 5
-    return {
-        "invariant-forms": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
-        "stabilizer-dim": rpt.dimension,
-        "killing-rank": struct.killing_rank,
-        "fixed-subspace": fixed_dim,
-        "fixed-contains-point": contains_point,
-        "orbit-dim": rpt.orbit_dimension,
-        "center-negates": center_acts_minus_one(space, rep),
-        "scale-invariance": stabilizer(rep, scaled).dimension == rpt.dimension,
-    }
-
+# A spinor row is (n, module, checks[, checks --stretch adds]), and a check is
+# (id, value, description, expected, provenance, anchor) with value a function
+# of the row's _Point.
+_CENTER_NEGATES = (
+    "center-negates",
+    lambda pt: center_acts_minus_one(pt.space, pt.rep),
+    "h1 = 2 m_{p1 q1} acts on the spin module diagonally with every entry +-1/2",
+    True,
+    "literature",
+    "so exp(2 pi i h1), the kernel of Spin_n -> SO_n, acts as -Id",
+)
 
 _SPIN7_CHECKS = (
     (
         "invariant-forms",
+        lambda pt: [pt.forms.symmetric_dim, pt.forms.antisymmetric_dim, pt.forms.sample_rank],
         "[symmetric dim, antisymmetric dim, sample rank] on the 8-dim spin module",
         [1, 0, 8],
         "literature",
@@ -310,6 +367,7 @@ _SPIN7_CHECKS = (
     ),
     (
         "stabilizer-dim",
+        lambda pt: pt.stabilizer.dimension,
         "generic spinor stabilizer dimension",
         14,
         "literature",
@@ -317,6 +375,7 @@ _SPIN7_CHECKS = (
     ),
     (
         "killing-rank",
+        lambda pt: pt.structure.killing_rank,
         "Killing rank of the stabilizer subalgebra",
         14,
         "derived",
@@ -324,6 +383,7 @@ _SPIN7_CHECKS = (
     ),
     (
         "fixed-subspace",
+        lambda pt: pt.fixed[0],
         "fixed subspace of the studied point's stabilizer inside the spin module",
         1,
         "literature",
@@ -331,6 +391,7 @@ _SPIN7_CHECKS = (
     ),
     (
         "fixed-contains-point",
+        lambda pt: pt.fixed[0] == 1 and rank(pt.field, np.stack([pt.fixed[1][0], pt.v])[None]) == [1],
         "the fixed line is spanned by the stabilized point",
         True,
         "derived",
@@ -338,20 +399,17 @@ _SPIN7_CHECKS = (
     ),
     (
         "orbit-dim",
+        lambda pt: pt.stabilizer.orbit_dimension,
         "orbit dimension 21 - 14 equals the quadric fiber dimension",
         7,
         "derived",
         "orbits fill the fibers of the invariant quadratic form",
     ),
-    (
-        "center-negates",
-        "h1 = 2 m_{p1 q1} acts on the spin module diagonally with every entry +-1/2",
-        True,
-        "literature",
-        "so exp(2 pi i h1), the kernel of Spin_n -> SO_n, acts as -Id",
-    ),
+    _CENTER_NEGATES,
     (
         "scale-invariance",
+        # 2 is a unit of every accepted field, p >= 5
+        lambda pt: stabilizer(pt.rep, pt.field.reduce(pt.v * 2)).dimension == pt.stabilizer.dimension,
         "rescaling the point leaves the stabilizer kernel unchanged",
         True,
         "plumbing",
@@ -359,22 +417,14 @@ _SPIN7_CHECKS = (
     ),
 )
 
-
-def _spin10(cfg: RunConfig, f) -> dict:
-    space = QuadraticSpace(10)
-    out = {}
-    for check_id, rep in zip(("stabilizer-certificate", "parity-twin"), half_spin_reps(space, f)):
-        rpt, _ = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-        struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-        out[check_id] = [rpt.dimension, struct.killing_rank, struct.killing_nullity]
-    inv = invariant_bilinear_space(half_spin_reps(space, f)[0])
-    out["invariant-forms"] = [inv.symmetric_dim, inv.antisymmetric_dim]
-    return out
+def _certificate(point) -> list:
+    return [point.stabilizer.dimension, point.structure.killing_rank, point.structure.killing_nullity]
 
 
 _SPIN10_CHECKS = (
     (
         "stabilizer-certificate",
+        _certificate,
         "[stabilizer dim, Killing rank, Killing nullity] on the 16-dim half-spin module",
         [29, 21, 8],
         "literature",
@@ -382,6 +432,7 @@ _SPIN10_CHECKS = (
     ),
     (
         "parity-twin",
+        lambda pt: _certificate(pt.at("odd")),
         "the other half-spin module yields identical certificates",
         [29, 21, 8],
         "derived",
@@ -389,6 +440,7 @@ _SPIN10_CHECKS = (
     ),
     (
         "invariant-forms",
+        lambda pt: [pt.forms.symmetric_dim, pt.forms.antisymmetric_dim],
         "[symmetric dim, antisymmetric dim] of invariant bilinear forms",
         [0, 0],
         "derived",
@@ -396,28 +448,10 @@ _SPIN10_CHECKS = (
     ),
 )
 
-
-def _spin11(cfg: RunConfig, f) -> dict:
-    space = QuadraticSpace(11)
-    rep = spin_rep(space, f)
-    rpt, _ = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-    struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-    _, commutant = isotypic_fingerprint(f, kernel_action_matrices(rpt.kernel, vector_rep(space, f)))
-    out = {
-        "stabilizer-dim": rpt.dimension,
-        "killing-rank": struct.killing_rank,
-        "commutant-on-v11": commutant,
-        "orbit-dim": rpt.orbit_dimension,
-        "center-negates": center_acts_minus_one(space, rep),
-    }
-    if cfg.stretch:
-        out["quartic-invariants"] = invariant_quartic_dim(rep)
-    return out
-
-
 _SPIN11_CHECKS = (
     (
         "stabilizer-dim",
+        lambda pt: pt.stabilizer.dimension,
         "generic stabilizer dimension on the 32-dim spin module",
         24,
         "literature",
@@ -425,6 +459,7 @@ _SPIN11_CHECKS = (
     ),
     (
         "killing-rank",
+        lambda pt: pt.structure.killing_rank,
         "Killing rank of the stabilizer subalgebra",
         24,
         "derived",
@@ -432,6 +467,7 @@ _SPIN11_CHECKS = (
     ),
     (
         "commutant-on-v11",
+        lambda pt: isotypic_fingerprint(pt.field, pt.on_vector)[1],
         "commutant dimension of the stabilizer acting on the natural 11-dim module",
         3,
         "derived",
@@ -439,23 +475,19 @@ _SPIN11_CHECKS = (
     ),
     (
         "orbit-dim",
+        lambda pt: pt.stabilizer.orbit_dimension,
         "orbit dimension 55 - 24 matches the invariant-quartic level hypersurfaces",
         31,
         "derived",
         "nonzero level sets of the degree-4 invariant are single orbits",
     ),
-    (
-        "center-negates",
-        "h1 = 2 m_{p1 q1} acts on the spin module diagonally with every entry +-1/2",
-        True,
-        "literature",
-        "so exp(2 pi i h1), the kernel of Spin_n -> SO_n, acts as -Id",
-    ),
+    _CENTER_NEGATES,
 )
 
 _SPIN11_STRETCH_CHECKS = (
     (
         "quartic-invariants",
+        lambda pt: invariant_quartic_dim(pt.rep),
         "dimension of degree-4 invariant polynomials on the spin module",
         1,
         "literature",
@@ -463,30 +495,10 @@ _SPIN11_STRETCH_CHECKS = (
     ),
 )
 
-
-def _suite_spin11(cfg: RunConfig, rec: _Recorder):
-    rec.two_prime(cfg, _spin11, _SPIN11_CHECKS + (_SPIN11_STRETCH_CHECKS if cfg.stretch else ()))
-
-
-def _spin14(cfg: RunConfig, f) -> dict:
-    space = QuadraticSpace(14)
-    rep = half_spin_reps(space, f)[0]
-    rpt, v = min_trial_stabilizer(rep, cfg.trials, cfg.seed)
-    struct = subalgebra_structure(rpt.kernel, vector_rep(space, f))
-    closure, commutant = isotypic_fingerprint(f, kernel_action_matrices(rpt.kernel, vector_rep(space, f)))
-    inv = invariant_bilinear_space(rep)
-    return {
-        "stabilizer-dim": rpt.dimension,
-        "killing-rank": struct.killing_rank,
-        "scaled-stabilizer": stabilizer(rep.with_scaling(), v).dimension,
-        "isotypic-fingerprint": [closure, commutant],
-        "invariant-forms": [inv.symmetric_dim, inv.antisymmetric_dim],
-    }
-
-
 _SPIN14_CHECKS = (
     (
         "stabilizer-dim",
+        lambda pt: pt.stabilizer.dimension,
         "generic stabilizer dimension on the 64-dim half-spin module",
         28,
         "literature",
@@ -494,6 +506,7 @@ _SPIN14_CHECKS = (
     ),
     (
         "killing-rank",
+        lambda pt: pt.structure.killing_rank,
         "Killing rank of the stabilizer subalgebra",
         28,
         "derived",
@@ -501,6 +514,7 @@ _SPIN14_CHECKS = (
     ),
     (
         "scaled-stabilizer",
+        lambda pt: stabilizer(pt.rep.with_scaling(), pt.v).dimension,
         "appending the scaling generator keeps the stabilizer dimension",
         28,
         "literature",
@@ -508,6 +522,7 @@ _SPIN14_CHECKS = (
     ),
     (
         "isotypic-fingerprint",
+        lambda pt: list(isotypic_fingerprint(pt.field, pt.on_vector)),
         "[closure dim, commutant dim] of the stabilizer acting on the natural 14-dim module",
         [98, 2],
         "literature",
@@ -515,6 +530,7 @@ _SPIN14_CHECKS = (
     ),
     (
         "invariant-forms",
+        lambda pt: [pt.forms.symmetric_dim, pt.forms.antisymmetric_dim],
         "[symmetric dim, antisymmetric dim] of invariant bilinear forms",
         [0, 0],
         "derived",
@@ -522,13 +538,13 @@ _SPIN14_CHECKS = (
     ),
 )
 
-# (check id, (n, natural copies, spinor summand, spinor copies), what); the
+# (check id, (n, natural copies, spinor module, spinor copies), what); the
 # vector chains carry their expected dimension before what.
 _FREENESS = (
     ("free-7", (7, 3, "spin", 1), "three natural copies plus the spin module"),
-    ("free-10", (10, 5, "half", 1), "five natural copies plus one half-spin module"),
+    ("free-10", (10, 5, "even", 1), "five natural copies plus one half-spin module"),
     ("free-11", (11, 4, "spin", 1), "four natural copies plus the spin module"),
-    ("free-14", (14, 3, "half", 1), "three natural copies plus one half-spin module"),
+    ("free-14", (14, 3, "even", 1), "three natural copies plus one half-spin module"),
 )
 _CHAINS = (
     ("chain-10", (10, 5, None, 0), 10, "five generic vectors leave the so(5) of the complement"),
@@ -539,13 +555,11 @@ _CHAINS = (
 
 def _coregular_free(cfg: RunConfig, f) -> dict:
     out = {}
-    for check_id, (n, copies_v, spin_kind, copies_w), *_ in _FREENESS + _CHAINS:
+    for check_id, (n, copies_v, module, copies_w), *_ in _FREENESS + _CHAINS:
         sp = QuadraticSpace(n)
         parts = [vector_rep(sp, f)] * copies_v
-        if spin_kind == "spin":
-            parts += [spin_rep(sp, f)] * copies_w
-        elif spin_kind == "half":
-            parts += [half_spin_reps(sp, f)[0]] * copies_w
+        if module:
+            parts += [_module(sp, f, module)] * copies_w
         rpt, _ = min_trial_stabilizer(direct_sum(parts), cfg.trials, cfg.seed)
         out[check_id] = rpt.dimension
     return out
@@ -758,19 +772,19 @@ SUITES = {
         "derivation algebra dim 14; generating triple; kernels (0, 8, 8); stabilizer SL_3 fingerprint",
     ),
     "spin7": (
-        _timed("spin7", _two_prime(_spin7, _SPIN7_CHECKS)),
+        _timed("spin7", _spinor_suite(7, "spin", _SPIN7_CHECKS)),
         "invariant quadratic; stabilizer G_2 (dim 14, Killing 14); fixed line; center -Id",
     ),
     "spin10": (
-        _timed("spin10", _two_prime(_spin10, _SPIN10_CHECKS)),
+        _timed("spin10", _spinor_suite(10, "even", _SPIN10_CHECKS)),
         "half-spin stabilizer dim 29 = 8-dim vector group + spin(7); no invariant forms",
     ),
     "spin11": (
-        _timed("spin11", _suite_spin11),
+        _timed("spin11", _spinor_suite(11, "spin", _SPIN11_CHECKS, _SPIN11_STRETCH_CHECKS)),
         "stabilizer SL_5 (dim 24, Killing 24); commutant on the natural module; center -Id",
     ),
     "spin14": (
-        _timed("spin14", _two_prime(_spin14, _SPIN14_CHECKS)),
+        _timed("spin14", _spinor_suite(14, "even", _SPIN14_CHECKS)),
         "half-spin stabilizer dim 28 (g2 x g2); natural module splits 7 + 7; projective open orbit",
     ),
     "coregular_free": (

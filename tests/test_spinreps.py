@@ -12,7 +12,6 @@ from spincert.linalg import kernel, rank, rref
 from spincert.spinreps import (
     LieRepresentation,
     center_acts_minus_one,
-    compose_embeddings,
     direct_sum,
     embed_subalgebra,
     fock_generator_matrices,
@@ -181,15 +180,6 @@ def test_embedded_images_satisfy_sub_structure_constants():
     assert verify_lie_homomorphism(res, struct5)
     res_spin = restrict(half_spin_reps(space, F)[0], emb)
     assert verify_lie_homomorphism(res_spin, struct5)
-
-
-def test_chain_composition_associative():
-    space = QuadraticSpace(11)
-    direct = embed_subalgebra(space, 7)
-    via9 = compose_embeddings(embed_subalgebra(space, 9), embed_subalgebra(QuadraticSpace(9), 7))
-    via8 = compose_embeddings(embed_subalgebra(space, 8), embed_subalgebra(QuadraticSpace(8), 7))
-    assert direct.gen_vectors == via9.gen_vectors == via8.gen_vectors
-    assert direct.pair_map == via9.pair_map == via8.pair_map
 
 
 def test_restrict_spin11_to_so10_parity_blocks():

@@ -264,6 +264,28 @@ def test_unexpected_error_becomes_failed_check(monkeypatch):
     assert "injected" in str(rep.checks[-1].observed)
 
 
+@pytest.mark.parametrize(
+    "name, passing, failing",
+    [
+        ("invariant_bilinear_space", ["spin11"], ["spin7"]),
+        ("isotypic_fingerprint", ["spin7", "spin10"], ["spin14"]),
+    ],
+)
+def test_spinor_row_computes_only_what_it_records(monkeypatch, name, passing, failing):
+    # a row derives data from its point only for the checks that read them;
+    # a failure aborts the row before any value is recorded
+    import spincert.suites as suites_mod
+
+    def boom(*a, **k):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(suites_mod, name, boom)
+    for suite in passing:
+        assert run_suite(suite, quick_cfg()).passed, suite
+    for suite in failing:
+        assert [c.id for c in run_suite(suite, quick_cfg()).checks] == ["suite-error"], suite
+
+
 def test_no_witnessed_trial_becomes_suite_error(monkeypatch):
     # no anisotropic point among the trials: no sampled value is recorded
     import spincert.suites as suites_mod
