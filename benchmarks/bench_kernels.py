@@ -1,8 +1,8 @@
 """Benchmark: the elimination leaves and the Q kernels.
 
 Times reduced-row-echelon elimination over F_p on a few shapes that mirror
-the package's real workloads (stacked action maps, Sylvester systems,
-bilinear-form constraints) and on two tall kernel shapes of 196 columns,
+the package's real workloads (stacked action maps, square and wide kernels,
+Sylvester systems) and on two tall kernel shapes of 196 columns,
 which the spin(14) closure produced before it spun a pair of generators,
 with the NumPy leaf and the compiled leaf when it is built.  Each NumPy
 result is checked on its own: the kernel read off its RREF must annihilate
@@ -17,10 +17,12 @@ Then it times the two Q kernels at the shapes of the ``sln_quotient``
 suite, the integer product ``QQ.matmul`` and the fraction-free elimination
 ``linalg._rref_qq``, against elementwise ``Fraction`` arithmetic, and
 checks each result against that reference.
-Last it times three batched layers against the per-pair loops they
-replace, and checks each result against its loop: ``spinreps._spin_x4(14)``,
-``orbits.subalgebra_structure_from_matrices`` on a spin(14) stabilizer
-(k = 28, d = 14) and ``orbits.invariant_quartic_dim`` on spin(11).
+Last it times four batched layers against the per-pair or per-generator
+loops they replace, and checks each result against its loop:
+``spinreps._spin_x4(14)``, ``orbits.subalgebra_structure_from_matrices`` on a
+spin(14) stabilizer (k = 28, d = 14), ``orbits.invariant_quartic_dim`` on
+spin(11), and ``orbits.invariant_bilinear_space`` on spin(13) against a
+dense (d^2, c) image of the c candidate forms per generator.
 Run after `pip install -e . --no-build-isolation`:
 
     python benchmarks/bench_kernels.py
@@ -39,10 +41,11 @@ from spincert import _modp_fallback, spinreps
 from spincert.clifford import QuadraticSpace, so_pairs
 from spincert.fields import GF, QQ, RandomSource
 from spincert.kernels import matmul_mod
-from spincert.linalg import _rref_qq, coordinates_in_span, kernel
+from spincert.linalg import _rref_qq, coordinates_in_span, kernel, rank
 from spincert.orbits import (
     _diagonal_members,
     action_matrix,
+    invariant_bilinear_space,
     invariant_quartic_dim,
     kernel_action_matrices,
     stabilizer,
@@ -214,6 +217,36 @@ def quartic_by_dicts(rep):
     return K.shape[1]
 
 
+def forms_by_dense_images(rep):
+    """Invariant forms from a dense (d^2, c) image of the c weight-zero units E_ab
+    per generator, diagonal ones included, its nonzero rows eliminated: the
+    reference for ``invariant_bilinear_space``.  Returns (symmetric dim,
+    alternating dim, sample, sample rank)."""
+    field, d = rep.field, rep.dim
+    keep = np.ones((d, d), dtype=bool)
+    for kk in _diagonal_members(rep):
+        w = np.diagonal(rep.tensor[kk])
+        keep &= field.reduce(w[:, None] + w[None, :]) == 0
+    a, b = np.nonzero(keep)
+    K = field.eye(len(a))
+    x, j = np.arange(d)[:, None], np.arange(len(a))
+    for M in rep.tensor:
+        # (M^T E_ab + E_ab M)[x, y] = M[a, x] [y == b] + [x == a] M[b, y]
+        img = field.zeros((d * d, len(a)))
+        img[x * d + b, j] = M[a].T
+        img[a * d + x, j] += M[b].T
+        # reduce the rows some candidate reaches, then drop those that cancel mod p
+        img = field.reduce(img[np.count_nonzero(img, axis=1) > 0])
+        (null,) = kernel(field, field.matmul(img[np.count_nonzero(img, axis=1) > 0], K)[None])
+        K = field.matmul(K, null.T)
+    forms = field.zeros((K.shape[1], d, d))
+    forms[:, a, b] = K.T
+    sym, alt = (field.reduce(forms + sign * forms.transpose(0, 2, 1)).reshape(len(forms), -1) for sign in (1, -1))
+    parts = np.concatenate([sym, alt])
+    sample = parts[np.count_nonzero(parts, axis=1) > 0][0].reshape(d, d)
+    return rank(field, sym[None])[0], rank(field, alt[None])[0], sample, rank(field, sample[None])[0]
+
+
 def bench_batched(repeats):
     field = GF(P)
     print(f"{'batched layer':<42} {'loop':>10} {'batched':>10}")
@@ -242,6 +275,14 @@ def bench_batched(repeats):
     assert same, "invariant_quartic_dim disagrees with the dict loop"
     ref, fast = bench(quartic_by_dicts, spin11, repeats), bench(invariant_quartic_dim, spin11, repeats)
     print(f"{'invariant_quartic_dim, spin(11)':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
+
+    spin13 = spinreps.spin_rep(QuadraticSpace(13), field)
+    inv = invariant_bilinear_space(spin13)
+    sym, alt, sample, sample_rank = forms_by_dense_images(spin13)
+    same = (inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank) == (sym, alt, sample_rank)
+    assert same and np.array_equal(inv.sample, sample), "invariant_bilinear_space disagrees with the dense images"
+    ref, fast = bench(forms_by_dense_images, spin13, repeats), bench(invariant_bilinear_space, spin13, repeats)
+    print(f"{'invariant_bilinear_space, spin(13)':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
 
 
 def main():

@@ -13,8 +13,8 @@ protocol's first trial, eliminated alone in case its stabilizer already
 sits at the dimension floor.  Each matrix of a stack gets exactly the RREF
 (int64 residues) and pivots that ``rref_mod`` gives it alone.  The leaf
 takes every matrix whole: no system the program builds is tall, since the
-invariant-form constraints keep only their nonzero rows
-(``orbits.invariant_bilinear_space``).
+invariant-form and quartic images keep only their nonzero rows
+(``orbits._invariants``).
 
 All matrices advance one column per step, each pivoting on its first
 nonzero row at or below its pivot count.  While every matrix pivots at the

@@ -32,7 +32,6 @@ __all__ = [
     "stabilizer",
     "kernel_action_matrices",
     "min_trial_stabilizer",
-    "subalgebra_structure",
     "subalgebra_structure_from_matrices",
     "invariant_bilinear_space",
     "fixed_subspace",
@@ -146,17 +145,6 @@ class SubalgebraStructure:
     derived_dimension: int
 
 
-def subalgebra_structure(kernel_vectors, carrier_rep: LieRepresentation) -> SubalgebraStructure:
-    """Structure of the span of kernel vectors, through a faithful carrier.
-
-    The kernel vectors live in so(n) coordinates; their images under any
-    faithful representation (the natural one is the cheap choice) have the
-    same brackets, so closure and structure constants are computed there.
-    """
-    mats = kernel_action_matrices(kernel_vectors, carrier_rep)
-    return subalgebra_structure_from_matrices(carrier_rep.field, mats)
-
-
 def subalgebra_structure_from_matrices(field, stack) -> SubalgebraStructure:
     """Structure constants, Killing form and derived size of the span of a (k, d, d) stack.
 
@@ -200,7 +188,7 @@ def subalgebra_structure_from_matrices(field, stack) -> SubalgebraStructure:
     )
 
 
-# -- invariant bilinear forms --------------------------------------------------
+# -- invariant tensors: bilinear forms and quartics ------------------------------
 
 
 @dataclass
@@ -214,49 +202,100 @@ class BilinearInvariants:
 
 def _diagonal_members(rep: LieRepresentation) -> list[int]:
     # diagonal exactly when every nonzero entry sits on the diagonal
-    return [kk for kk, m in enumerate(rep.tensor) if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))]
+    on_diagonal = np.count_nonzero(np.diagonal(rep.tensor, axis1=1, axis2=2), axis=1)
+    return np.flatnonzero(np.count_nonzero(rep.tensor, axis=(1, 2)) == on_diagonal).tolist()
+
+
+_QUARTIC_MAX_CANDIDATES = 60_000
+_QUARTIC_MAX_ROWS = 2_000_000
+
+
+def _invariants(rep: LieRepresentation, tuples: np.ndarray, symmetric: bool):
+    """The candidates, as s index rows, and a basis of the invariants among them, as the columns of K.
+
+    Column t of the (s, N) array ``tuples`` stands for x_{i_1} ... x_{i_s}: a
+    monomial when ``symmetric`` (each column ascending), else an ordered
+    tensor.  The diagonal basis members (the split Cartan acts diagonally on
+    all the representations built here) keep the candidates, the tuples of
+    weight zero, and vanish on them.  The images of the other generators
+    come from their nonzeros M[a, b]: a candidate slot holding a becomes b
+    with coefficient M[a, b], the result is sorted when ``symmetric``, keyed
+    in base d and summed per (generator, candidate, key).  Each generator's
+    image keeps its nonzero rows, numbered by first appearance in candidate,
+    slot, column order, and cuts K in turn.  Budget overruns raise Aborted.
+    """
+    field, d = rep.field, rep.dim
+    diags = _diagonal_members(rep)
+    keep = np.ones(tuples.shape[1], dtype=bool)
+    for kk in diags:
+        w = np.diagonal(rep.tensor[kk])
+        keep &= field.reduce(sum(w[slot] for slot in tuples)) == 0
+    candidates = tuples.T[keep].astype(np.int64)
+    c, s = candidates.shape
+    if c > _QUARTIC_MAX_CANDIDATES:
+        raise Aborted(f"invariant candidate budget exceeded ({_QUARTIC_MAX_CANDIDATES})")
+
+    K = field.eye(c)  # its columns span the invariants among the candidates so far
+    if not c:
+        return candidates.T, K
+    gens = np.delete(np.arange(rep.g), diags)
+    n = len(gens)
+    gen, ra, rb = np.nonzero(rep.tensor[gens])  # generator-major, then row-major: columns ascend within a row
+    starts = np.searchsorted(gen * d + ra, np.arange(n * d + 1))
+    # each generator meets each candidate slot: a slot holding a meets the entries of row a
+    lo = (np.arange(n)[:, None] * d + candidates.reshape(-1)).reshape(-1)
+    owner, entry = _expand_ranges(starts[lo], starts[lo + 1])
+    new = candidates[owner // s % c]
+    new[np.arange(len(owner)), owner % s] = rb[entry]
+    if symmetric:
+        new.sort(axis=1)
+    code = owner // s  # generator, then candidate, then image key in base d
+    for col in new.T:
+        code = code * d + col
+    pair, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    coeff = field.zeros(len(pair))
+    np.add.at(coeff, inv, rep.tensor[gens[gen], ra, rb][entry])
+    coeff = field.reduce(coeff)
+    kept = np.flatnonzero(coeff)
+    (source, key), first, coeff = np.divmod(pair[kept], d**s), first[kept], coeff[kept]
+    # one image row per (generator, key); positions run generator by generator, so ranking all
+    # rows by first appearance numbers each generator's rows in order, after the earlier generators'
+    rows, row = np.unique(source // c * d**s + key, return_inverse=True)
+    appear = np.full(len(rows), len(owner))
+    np.minimum.at(appear, row, first)
+    row = np.argsort(np.argsort(appear))[row]
+    ends = np.searchsorted(source // c, np.arange(n + 1))
+    offsets = np.searchsorted(rows // d**s, np.arange(n + 1))
+    for i in range(n):
+        e = slice(ends[i], ends[i + 1])
+        t = offsets[i + 1] - offsets[i]
+        if t * K.shape[1] > _QUARTIC_MAX_ROWS * 8:
+            raise Aborted("invariant row budget exceeded")
+        img = field.zeros((t, c))
+        img[row[e] - offsets[i], source[e] % c] = coeff[e]
+        (null,) = kernel(field, field.matmul(img, K)[None])
+        if not len(null):
+            return candidates.T, K[:, :0]
+        K = field.matmul(K, null.T)
+    return candidates.T, K
 
 
 def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
     """All bilinear forms B with rho(m)^T B + B rho(m) = 0 for every basis m.
 
-    Diagonal basis members (the split Cartan acts diagonally on all the
-    representations built here) prune the candidate matrix units E_ab to the
-    weight-opposite pairs, w(a) + w(b) = 0 for every diagonal member; the
-    surviving space is then intersected exactly with the constraint of every
-    generator, diagonal ones included.  A generator's constraint is its
-    (d^2, c) image of the c candidates, of which only the nonzero rows are
-    eliminated: the row space, and so every result, is the same, and the
-    system stays small (spin(13): 4,096 rows, at most 32 of them nonzero).
+    The candidates are the matrix units E_ab, that is the ordered pairs
+    (a, b) in lexicographic order, cut by ``_invariants``: B(x, y) = x_a y_b
+    meets x_i -> sum_j M[i, j] x_j in each slot, which is M^T E_ab + E_ab M.
+    What is left here is the split of the invariant space into its
+    symmetric and alternating parts, and a sample form.
     """
-    field = rep.field
-    d = rep.dim
-    keep = np.ones((d, d), dtype=bool)
-    for kk in _diagonal_members(rep):
-        w = np.diagonal(rep.tensor[kk])
-        keep &= field.reduce(w[:, None] + w[None, :]) == 0
-    a, b = np.nonzero(keep)  # the candidates (a, b) in lexicographic order
-    c = len(a)
-    if c == 0:
+    field, d = rep.field, rep.dim
+    (a, b), K = _invariants(rep, np.indices((d, d)).reshape(2, -1), symmetric=False)
+    total = K.shape[1]
+    if not total:
         return BilinearInvariants(0, 0, None, 0, None)
 
-    K = field.eye(c)  # its columns span the forms that survive the generators so far
-    x, j = np.arange(d)[:, None], np.arange(c)
-    for M in rep.tensor:
-        # (M^T E_ab + E_ab M)[x, y] = M[a, x] [y == b] + [x == a] M[b, y]
-        img = field.zeros((d * d, c))
-        img[x * d + b, j] = M[a].T
-        img[a * d + x, j] += M[b].T
-        # reduce the rows some candidate reaches, then drop those that cancel mod p
-        img = field.reduce(img[np.count_nonzero(img, axis=1) > 0])
-        img = img[np.count_nonzero(img, axis=1) > 0]
-        (null,) = kernel(field, field.matmul(img, K)[None])
-        if not len(null):
-            return BilinearInvariants(0, 0, None, 0, None)
-        K = field.matmul(K, null.T)
-
     # the candidate units E_ab are distinct, so each form is a scatter of one column of K
-    total = K.shape[1]
     forms = field.zeros((total, d, d))
     forms[:, a, b] = K.T
     nonzero = []
@@ -291,76 +330,19 @@ def isotypic_fingerprint(field, stack) -> tuple[int, int]:
 
 # -- degree-4 invariants (budgeted stretch operation) ---------------------------
 
-_QUARTIC_MAX_CANDIDATES = 60_000
-_QUARTIC_MAX_ROWS = 2_000_000
-
 
 def invariant_quartic_dim(rep: LieRepresentation) -> int:
     """Dimension of degree-4 invariant polynomials of the representation.
 
-    Monomials x_i x_j x_k x_l (i <= j <= k <= l, lexicographic) are pruned by
-    the diagonal (weight) generators first, then the surviving space is cut
-    exactly by the derivation action of every other generator.  A
-    generator's image is built from its nonzeros M[a, b]: each candidate
-    slot holding a meets the entries of row a, the slot is replaced by b,
-    the sorted result is keyed in base d, and the coefficients are summed
-    per (key, candidate) mod p.  Image rows are numbered by the first
-    appearance of their key in candidate, slot, column order.  Prime fields
-    only; budget overruns raise Aborted.
+    The candidates are the monomials x_i x_j x_k x_l (i <= j <= k <= l,
+    lexicographic), cut by ``_invariants`` under the derivation action
+    x_a -> sum_b M[a, b] x_b.  Prime fields and dimension <= 32 only.
     """
-    field = rep.field
-    if not isinstance(field, PrimeField):
+    if not isinstance(rep.field, PrimeField):
         raise ValueError("quartic invariants are computed over a prime field only")
     d = rep.dim
     if d > 32:
         raise ValueError("quartic invariants support dimension <= 32")
-    p = field.p
-
-    diags = _diagonal_members(rep)
-    # one column per monomial; int8 straight from the iterator keeps up to 52,360 of them small
+    # int8 straight from the iterator keeps up to 52,360 monomials small
     monos = np.fromiter(chain.from_iterable(combinations_with_replacement(range(d), 4)), np.int8).reshape(-1, 4).T
-    weightless = np.ones(monos.shape[1], dtype=bool)
-    for kk in diags:
-        w = np.diagonal(rep.tensor[kk])
-        weightless &= (w[monos[0]] + w[monos[1]] + w[monos[2]] + w[monos[3]]) % p == 0
-    candidates = monos.T[weightless].astype(np.int64)
-    c = len(candidates)
-    if c > _QUARTIC_MAX_CANDIDATES:
-        raise Aborted(f"quartic candidate budget exceeded ({_QUARTIC_MAX_CANDIDATES})")
-    if c == 0:
-        return 0
-
-    K = field.eye(c)  # its columns span the invariants among the candidates so far
-    for kk in range(rep.g):
-        if kk in diags:
-            continue  # already exact on the candidate set by construction
-        M = rep.tensor[kk]
-        ra, rb = np.nonzero(M)  # row-major, so columns ascend within a row
-        starts = np.searchsorted(ra, np.arange(d + 1))
-        slots = candidates.reshape(-1)
-        # derivation: x_a -> sum_b M[a, b] x_b in each slot holding a
-        owner, entry = _expand_ranges(starts[slots], starts[slots + 1])
-        j = owner // 4
-        new = candidates[j]
-        new[np.arange(len(owner)), owner % 4] = rb[entry]
-        new.sort(axis=1)
-        key = ((new[:, 0] * d + new[:, 1]) * d + new[:, 2]) * d + new[:, 3]
-        # one code per (candidate, image monomial), with the position of its first entry
-        pair, first, inv = np.unique(j * d**4 + key, return_index=True, return_inverse=True)
-        coeff = np.zeros(len(pair), dtype=np.int64)
-        np.add.at(coeff, inv, M[ra, rb][entry])
-        coeff %= p
-        kept = np.flatnonzero(coeff)
-        keys, row = np.unique(pair[kept] % d**4, return_inverse=True)
-        t = len(keys)
-        if t * K.shape[1] > _QUARTIC_MAX_ROWS * 8:
-            raise Aborted("quartic row budget exceeded")
-        appear = np.full(t, len(owner))
-        np.minimum.at(appear, row, first[kept])
-        img = np.zeros((t, c), dtype=np.int64)
-        img[np.argsort(np.argsort(appear))[row], pair[kept] // d**4] = coeff[kept]
-        (null,) = kernel(field, field.matmul(img, K)[None])
-        if not len(null):
-            return 0
-        K = field.matmul(K, null.T)
-    return K.shape[1]
+    return _invariants(rep, monos, symmetric=True)[1].shape[1]

@@ -49,7 +49,6 @@ from .orbits import (
     kernel_action_matrices,
     min_trial_stabilizer,
     stabilizer,
-    subalgebra_structure,
     subalgebra_structure_from_matrices,
 )
 from .slnpair import (
@@ -246,7 +245,7 @@ class _Point:
 
     @cached_property
     def structure(self):
-        return subalgebra_structure(self.stabilizer.kernel, vector_rep(self.space, self.field))
+        return subalgebra_structure_from_matrices(self.field, self.on_vector)
 
     @cached_property
     def on_vector(self):

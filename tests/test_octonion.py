@@ -235,7 +235,7 @@ def test_octonion_checks_at_largest_prime():
 
 def test_cross_module_g2_equals_spin7_stabilizer():
     from spincert.clifford import QuadraticSpace
-    from spincert.orbits import stabilizer, subalgebra_structure
+    from spincert.orbits import kernel_action_matrices, stabilizer
     from spincert.spinreps import spin_rep, vector_rep
 
     da = derivation_algebra(F)
@@ -243,7 +243,8 @@ def test_cross_module_g2_equals_spin7_stabilizer():
     rep = spin_rep(QuadraticSpace(7), F)
     v = RandomSource(0).child(0).scalars(F, 8)
     r = stabilizer(rep, v)
-    spinor_struct = subalgebra_structure(r.kernel, vector_rep(QuadraticSpace(7), F))
+    on_vector = kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(7), F))
+    spinor_struct = subalgebra_structure_from_matrices(F, on_vector)
     assert da.dimension == r.dimension == 14
     assert deriv_struct.killing_rank == spinor_struct.killing_rank == 14
 

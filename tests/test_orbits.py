@@ -6,7 +6,7 @@ import pytest
 from spincert.clifford import QuadraticSpace
 from spincert.fields import GF, QQ, PrimeField, RandomSource
 from spincert.linalg import coordinates_in_span, kernel, rank
-from spincert.octonion import derivation_algebra
+from spincert.octonion import derivation_algebra, trace_zero_rep
 from spincert.orbits import (
     Aborted,
     ClosureViolation,
@@ -18,7 +18,6 @@ from spincert.orbits import (
     kernel_action_matrices,
     min_trial_stabilizer,
     stabilizer,
-    subalgebra_structure,
     subalgebra_structure_from_matrices,
 )
 from spincert.spinreps import (
@@ -240,7 +239,7 @@ def test_subalgebra_structure_g2_fingerprint():
     rep = spin_rep(QuadraticSpace(7), F)
     v = RandomSource(0).child(0).scalars(F, 8)
     r = stabilizer(rep, v)
-    ss = subalgebra_structure(r.kernel, vector_rep(QuadraticSpace(7), F))
+    ss = subalgebra_structure_from_matrices(F, kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(7), F)))
     assert ss.dimension == 14
     assert ss.killing_rank == 14 and ss.killing_nullity == 0
     assert ss.derived_dimension == 14  # perfect algebra
@@ -251,7 +250,7 @@ def test_subalgebra_structure_spin10_radical():
     v = RandomSource(0).child(0).scalars(F, 16)
     r = stabilizer(rep, v)
     assert r.dimension == 29
-    ss = subalgebra_structure(r.kernel, vector_rep(QuadraticSpace(10), F))
+    ss = subalgebra_structure_from_matrices(F, kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(10), F)))
     assert ss.killing_rank == 21 and ss.killing_nullity == 8
 
 
@@ -331,16 +330,16 @@ def test_closure_violation_on_non_closed_span():
     z1[rep.basis_labels.index((0, 2))] = 1  # p1 p2
     z2[rep.basis_labels.index((1, 3))] = 1  # q1 q2
     with pytest.raises(ClosureViolation):
-        subalgebra_structure([z1, z2], rep)
+        subalgebra_structure_from_matrices(F, kernel_action_matrices([z1, z2], rep))
 
 
 def test_stabilizer_kernels_bracket_closed():
-    # subalgebra_structure succeeding is the closure certificate
+    # subalgebra_structure_from_matrices succeeding is the closure certificate
     for n, build in ((7, spin_rep), (11, spin_rep)):
         rep = build(QuadraticSpace(n), F)
         v = RandomSource(3).child(0).scalars(F, rep.dim)
         r = stabilizer(rep, v)
-        subalgebra_structure(r.kernel, vector_rep(QuadraticSpace(n), F))
+        subalgebra_structure_from_matrices(F, kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(n), F)))
 
 
 def test_generic_stabilizer_vector_sums():
@@ -418,12 +417,26 @@ def dense_bilinear_forms(rep):
     return dims[0], dims[1], sample, rank(field, sample[None])[0], bool(np.array_equal(sample, sample.T))
 
 
+def _sheared_vector5(field):
+    # vector(5) conjugated by I + E_01: a Cartan generator gains an off-diagonal
+    # entry, so it is no diagonal member and cuts the candidates itself, and
+    # weight-zero monomials meet diagonal coefficient sums such as 1 + (p - 1),
+    # which vanish only mod p
+    rep = vector_rep(QuadraticSpace(5), field)
+    shear, unshear = np.eye(5, dtype=np.int64), np.eye(5, dtype=np.int64)
+    shear[0, 1], unshear[0, 1] = 1, -1
+    tensor = field.matmul(field.matmul(field.array(shear), rep.tensor), field.array(unshear))
+    return LieRepresentation(5, field, "sheared vector(5)", rep.basis_labels, tensor)
+
+
 FORM_MODULES = {
     "spin5": lambda f: spin_rep(QuadraticSpace(5), f),
     "spin7": lambda f: spin_rep(QuadraticSpace(7), f),
     "vector7": lambda f: vector_rep(QuadraticSpace(7), f),
     "half10": lambda f: half_spin_reps(QuadraticSpace(10), f)[0],
     "spin11|so10": lambda f: restrict(spin_rep(QuadraticSpace(11), f), embed_subalgebra(QuadraticSpace(11), 10)),
+    "sheared-vector5": _sheared_vector5,
+    "g2-trace-zero": lambda f: trace_zero_rep(derivation_algebra(f)),
 }
 
 
@@ -505,7 +518,7 @@ def test_scaling_extension_invariant():
     # appending the scaling generator: stabilizer stays 8 for the derivation
     # action on one octonion copy (radial line joins the orbit image); the
     # spin14 variant is exercised in the suites
-    from spincert.octonion import anisotropic, trace_zero_rep
+    from spincert.octonion import anisotropic
 
     for p in PRIMES:
         field = GF(p)
@@ -568,17 +581,6 @@ def _quartic_by_dicts(rep):
     return K.shape[1]
 
 
-def _sheared_vector5(field):
-    # vector(5) conjugated by I + E_01: a Cartan generator gains an off-diagonal
-    # entry, so weight-zero monomials meet diagonal coefficient sums such as
-    # 1 + (p - 1), which vanish only mod p
-    rep = vector_rep(QuadraticSpace(5), field)
-    shear, unshear = np.eye(5, dtype=np.int64), np.eye(5, dtype=np.int64)
-    shear[0, 1], unshear[0, 1] = 1, -1
-    tensor = field.matmul(field.matmul(field.array(shear), rep.tensor), field.array(unshear))
-    return LieRepresentation(5, field, "sheared vector(5)", rep.basis_labels, tensor)
-
-
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize(
     "build",
@@ -629,4 +631,4 @@ def test_subalgebra_structure_rejects_dependent_basis():
     z[0] = 1
     z2 = (2 * z) % F.p
     with pytest.raises(ValueError):
-        subalgebra_structure([z, z2], rep)
+        subalgebra_structure_from_matrices(F, kernel_action_matrices([z, z2], rep))

@@ -317,7 +317,7 @@ def test_prime_disagreement_is_reported_not_raised(monkeypatch):
 
     def no_fixed_line(kernel, rep):
         mats = real_action(kernel, rep)
-        if rep.field.p == confirming:
+        if rep.name == "spin(7)" and rep.field.p == confirming:
             mats = np.stack([rep.field.eye(rep.dim)] * len(mats))
         return mats
 
