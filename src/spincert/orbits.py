@@ -1,8 +1,8 @@
 """Lie-algebra orbit and stabilizer analysis.
 
 Everything here reduces to exact kernels of stacked action maps: stabilizer
-subalgebras, generic freeness, invariant bilinear forms, fixed subspaces and
-isotypic fingerprints.  Genericity claims follow one protocol,
+subalgebras, generic freeness, invariant bilinear forms and quartics, and
+fixed subspaces.  Genericity claims follow one protocol,
 ``min_trial_stabilizer``: a handful of random trials, take the minimum
 dimension (dimension only jumps upward on special points), among the points
 that pass the claim's witness when it has one, and stop at the first trial
@@ -18,7 +18,7 @@ from itertools import chain, combinations_with_replacement
 import numpy as np
 
 from .fields import PrimeField, RandomSource
-from .linalg import OutsideSpan, associative_closure, commutant_dimension, coordinates_in_span, kernel, rank
+from .linalg import OutsideSpan, coordinates_in_span, kernel, rank
 from .spinreps import LieRepresentation, _expand_ranges
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "subalgebra_structure_from_matrices",
     "invariant_bilinear_space",
     "fixed_subspace",
-    "isotypic_fingerprint",
     "invariant_quartic_dim",
 ]
 
@@ -142,11 +141,10 @@ class SubalgebraStructure:
     killing: np.ndarray
     killing_rank: int
     killing_nullity: int
-    derived_dimension: int
 
 
 def subalgebra_structure_from_matrices(field, stack) -> SubalgebraStructure:
-    """Structure constants, Killing form and derived size of the span of a (k, d, d) stack.
+    """Structure constants and Killing form of the span of a (k, d, d) stack.
 
     The brackets [x_i, x_j] of the pairs i < j, in ``np.triu_indices`` order,
     come from one batched product over the (k, d, d) stack and are solved in
@@ -176,15 +174,12 @@ def subalgebra_structure_from_matrices(field, stack) -> SubalgebraStructure:
 
     killing = field.matmul(c.reshape(k, k * k), c.transpose(0, 2, 1).reshape(k, k * k).T)
     (krank,) = rank(field, killing[None])
-    derived_dim = rank(field, c[i, j][None])[0] if len(i) else 0
-
     return SubalgebraStructure(
         dimension=k,
         structure_constants=c,
         killing=killing,
         killing_rank=krank,
         killing_nullity=k - krank,
-        derived_dimension=derived_dim,
     )
 
 
@@ -197,7 +192,6 @@ class BilinearInvariants:
     antisymmetric_dim: int
     sample: np.ndarray | None
     sample_rank: int
-    sample_symmetric: bool | None
 
 
 def _diagonal_members(rep: LieRepresentation) -> list[int]:
@@ -234,6 +228,8 @@ def _invariants(rep: LieRepresentation, tuples: np.ndarray, symmetric: bool):
     c, s = candidates.shape
     if c > _QUARTIC_MAX_CANDIDATES:
         raise Aborted(f"invariant candidate budget exceeded ({_QUARTIC_MAX_CANDIDATES})")
+    if c * c > _QUARTIC_MAX_ROWS * 8:  # K starts as c x c: the cut loop's bound on t x c, checked before allocating
+        raise Aborted("invariant row budget exceeded")
 
     K = field.eye(c)  # its columns span the invariants among the candidates so far
     if not c:
@@ -293,7 +289,7 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
     (a, b), K = _invariants(rep, np.indices((d, d)).reshape(2, -1), symmetric=False)
     total = K.shape[1]
     if not total:
-        return BilinearInvariants(0, 0, None, 0, None)
+        return BilinearInvariants(0, 0, None, 0)
 
     # the candidate units E_ab are distinct, so each form is a scatter of one column of K
     forms = field.zeros((total, d, d))
@@ -308,24 +304,13 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
 
     # the parities add up to total > 0, so one of them holds a nonzero form
     sample = (nonzero[0] if len(nonzero[0]) else nonzero[1])[0].reshape(d, d)
-    sample_sym = bool(np.array_equal(sample, sample.T))
-    return BilinearInvariants(sym_dim, alt_dim, sample, rank(field, sample[None])[0], sample_sym)
+    return BilinearInvariants(sym_dim, alt_dim, sample, rank(field, sample[None])[0])
 
 
 def fixed_subspace(field, stack):
     """Common null space of a nonempty (k, d, d) stack; returns (dimension, basis rows)."""
     (basis,) = kernel(field, stack.reshape(1, -1, stack.shape[-1]))
     return len(basis), basis
-
-
-def isotypic_fingerprint(field, stack) -> tuple[int, int]:
-    """(generated associative algebra dim, commutant dim) of a (k, d, d) stack.
-
-    Certifies a module's decomposition shape without explicit intertwiners.
-    """
-    if not len(stack):
-        raise ValueError("fingerprint of an empty matrix list")
-    return associative_closure(field, stack), commutant_dimension(field, stack)
 
 
 # -- degree-4 invariants (budgeted stretch operation) ---------------------------

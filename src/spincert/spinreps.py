@@ -220,7 +220,7 @@ def half_spin_reps(space: QuadraticSpace, field):
     )
 
 
-def direct_sum(reps: list[LieRepresentation], name: str | None = None) -> LieRepresentation:
+def direct_sum(reps: list[LieRepresentation]) -> LieRepresentation:
     """Block-diagonal sum of representations of the same so(n)."""
     first = reps[0]
     for r in reps:
@@ -233,8 +233,7 @@ def direct_sum(reps: list[LieRepresentation], name: str | None = None) -> LieRep
     for r in reps:
         tensor[:, off : off + r.dim, off : off + r.dim] = r.tensor
         off += r.dim
-    if name is None:
-        name = " + ".join(r.name for r in reps)
+    name = " + ".join(r.name for r in reps)
     return LieRepresentation(first.n, first.field, name, first.basis_labels, _freeze(tensor))
 
 

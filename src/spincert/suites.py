@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import GF, QQ, PrimeField, RandomSource
-from .linalg import kernel, rank
+from .linalg import associative_closure, commutant_dimension, kernel, rank
 from .clifford import QuadraticSpace
 from .octonion import (
     anisotropic,
@@ -45,7 +45,6 @@ from .orbits import (
     fixed_subspace,
     invariant_bilinear_space,
     invariant_quartic_dim,
-    isotypic_fingerprint,
     kernel_action_matrices,
     min_trial_stabilizer,
     stabilizer,
@@ -80,7 +79,6 @@ __all__ = [
     "Check",
     "SuiteReport",
     "SUITES",
-    "suite_names",
     "run_suite",
     "run_selected",
     "report_to_dict",
@@ -466,7 +464,7 @@ _SPIN11_CHECKS = (
     ),
     (
         "commutant-on-v11",
-        lambda pt: isotypic_fingerprint(pt.field, pt.on_vector)[1],
+        lambda pt: commutant_dimension(pt.field, pt.on_vector),
         "commutant dimension of the stabilizer acting on the natural 11-dim module",
         3,
         "derived",
@@ -521,7 +519,7 @@ _SPIN14_CHECKS = (
     ),
     (
         "isotypic-fingerprint",
-        lambda pt: list(isotypic_fingerprint(pt.field, pt.on_vector)),
+        lambda pt: [associative_closure(pt.field, pt.on_vector), commutant_dimension(pt.field, pt.on_vector)],
         "[closure dim, commutant dim] of the stabilizer acting on the natural 14-dim module",
         [98, 2],
         "literature",
@@ -611,7 +609,7 @@ def _branching(cfg: RunConfig, f) -> dict:
     inv = invariant_bilinear_space(spin_rep(QuadraticSpace(5), f))
     return {
         "restriction-blocks": [0, 0, False] if mixed else [len(even), len(odd), True],
-        "half10-so5-fingerprint": list(isotypic_fingerprint(f, res10.tensor)),
+        "half10-so5-fingerprint": [associative_closure(f, res10.tensor), commutant_dimension(f, res10.tensor)],
         "spin5-symplectic": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
         "sp4-left-multiplication": _sp4_left_multiplication(cfg, f, inv.sample),
     }
@@ -799,10 +797,6 @@ SUITES = {
         "pair action invariants; J normalization; fiber transporter; Jacobian surjectivity",
     ),
 }
-
-
-def suite_names() -> list:
-    return list(SUITES)
 
 
 def run_suite(name: str, cfg: RunConfig) -> SuiteReport:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -224,6 +225,25 @@ def test_every_exported_name_resolves():
     ]
     missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert len(modules) > 1 and missing == []
+
+
+def test_every_exported_name_is_used():
+    # a name in an __all__ of the package must be imported, loaded or read as an
+    # attribute somewhere in the program, its benchmark or its kernel timings
+    used, exported = set(), []
+    for path in sorted(p for d in ("src", "perfbench", "benchmarks") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif path.parent.name == "spincert" and isinstance(node, ast.Assign):
+                if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                    exported += [f"{path.stem}.{name}" for name in ast.literal_eval(node.value)]
+    assert len(exported) > 50
+    assert [name for name in exported if name.rsplit(".", 1)[1] not in used] == []
 
 
 def test_default_report_matches_golden(capsys, monkeypatch):

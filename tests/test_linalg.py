@@ -7,6 +7,7 @@ import pytest
 
 import spincert.linalg as linalg_mod
 import spincert.orbits as orbits_mod
+import spincert.suites as suites_mod
 from spincert.clifford import QuadraticSpace
 from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import (
@@ -474,12 +475,13 @@ def test_default_fingerprints_never_fall_back(monkeypatch):
         return wrapped
 
     for name in ("associative_closure", "commutant_dimension"):
-        monkeypatch.setattr(orbits_mod, name, spy(getattr(linalg_mod, name)))
+        monkeypatch.setattr(suites_mod, name, spy(getattr(linalg_mod, name)))
     run_selected(RunConfig(suites=["spin11", "spin14", "branching"]))
     closures = [entry for entry in log if entry[0] == "associative_closure"]
     commutants = [entry for entry in log if entry[0] == "commutant_dimension"]
-    # three fingerprints (spin11, spin14, branching) at each of the two default primes
-    assert len(closures) == len(commutants) == 6
+    # at each of the two default primes: commutants of spin11, spin14 and branching,
+    # closures of spin14 and branching only (spin11 records no closure)
+    assert (len(closures), len(commutants)) == (4, 6)
     assert all(k > 2 and spun == [2] for _, k, spun, _ in closures)
     assert all(k > 2 and cuts == 2 for _, k, _, cuts in commutants)
 

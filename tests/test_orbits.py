@@ -5,7 +5,7 @@ import pytest
 
 from spincert.clifford import QuadraticSpace
 from spincert.fields import GF, QQ, PrimeField, RandomSource
-from spincert.linalg import coordinates_in_span, kernel, rank
+from spincert.linalg import associative_closure, commutant_dimension, coordinates_in_span, kernel, rank
 from spincert.octonion import derivation_algebra, trace_zero_rep
 from spincert.orbits import (
     Aborted,
@@ -14,7 +14,6 @@ from spincert.orbits import (
     fixed_subspace,
     invariant_bilinear_space,
     invariant_quartic_dim,
-    isotypic_fingerprint,
     kernel_action_matrices,
     min_trial_stabilizer,
     stabilizer,
@@ -177,23 +176,23 @@ def test_min_trial_stabilizer_equals_per_trial_loop(name, field, trials):
 
 
 # module -> (stabilizer dim, fixed subspace of the stabilizer's action,
-# Killing [rank, nullity] and derived dim of the stabilizer, forms [sym, alt, sample_rank])
+# Killing [rank, nullity] of the stabilizer, forms [sym, alt, sample_rank])
 SMALL_MODULES = {
-    "spin5": (lambda f: spin_rep(QuadraticSpace(5), f), 6, 1, (3, 3, 6), [0, 1, 4]),
-    "vector5": (lambda f: vector_rep(QuadraticSpace(5), f), 6, 1, (6, 0, 6), [1, 0, 5]),
-    "half_spin6": (lambda f: half_spin_reps(QuadraticSpace(6), f)[0], 11, 1, (8, 3, 11), [0, 0, 0]),
+    "spin5": (lambda f: spin_rep(QuadraticSpace(5), f), 6, 1, (3, 3), [0, 1, 4]),
+    "vector5": (lambda f: vector_rep(QuadraticSpace(5), f), 6, 1, (6, 0), [1, 0, 5]),
+    "half_spin6": (lambda f: half_spin_reps(QuadraticSpace(6), f)[0], 11, 1, (8, 3), [0, 0, 0]),
     "vector5+spin5": (
         lambda f: direct_sum([vector_rep(QuadraticSpace(5), f), spin_rep(QuadraticSpace(5), f)]),
         2,
         4,
-        (0, 2, 0),
+        (0, 2),
         [1, 1, 5],
     ),
     "spin7|so5": (
         lambda f: restrict(spin_rep(QuadraticSpace(7), f), embed_subalgebra(QuadraticSpace(7), 5)),
         3,
         4,
-        (3, 0, 3),
+        (3, 0),
         [1, 3, 8],
     ),
 }
@@ -214,7 +213,7 @@ def test_orbit_values_agree_over_q_and_fp(name, field, monkeypatch):
     assert not np.count_nonzero(field.matmul(mats, v[:, None]))
     assert fixed_subspace(field, mats)[0] == fixed_dim
     ss = subalgebra_structure_from_matrices(field, mats)
-    assert (ss.killing_rank, ss.killing_nullity, ss.derived_dimension) == structure
+    assert (ss.killing_rank, ss.killing_nullity) == structure
     inv = invariant_bilinear_space(rep)
     assert [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank] == forms
     # the re-check rejects a kernel vector that does not annihilate the point
@@ -242,7 +241,6 @@ def test_subalgebra_structure_g2_fingerprint():
     ss = subalgebra_structure_from_matrices(F, kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(7), F)))
     assert ss.dimension == 14
     assert ss.killing_rank == 14 and ss.killing_nullity == 0
-    assert ss.derived_dimension == 14  # perfect algebra
 
 
 def test_subalgebra_structure_spin10_radical():
@@ -256,7 +254,7 @@ def test_subalgebra_structure_spin10_radical():
 
 def _structure_by_pairs(field, mats):
     """The pairwise loop the batched subalgebra_structure_from_matrices replaces:
-    (structure constants, Killing matrix, derived dimension)."""
+    (structure constants, Killing matrix)."""
     k = len(mats)
     flats = np.stack([m.ravel() for m in mats], axis=1)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -276,8 +274,7 @@ def _structure_by_pairs(field, mats):
     for i in range(k):
         for j in range(i, k):
             killing[i, j] = killing[j, i] = field.reduce(np.trace(field.matmul(ads[i], ads[j])))
-    derived = rank(field, np.stack([c[i, j] for i, j in pairs])[None])[0] if pairs else 0
-    return c, killing, derived
+    return c, killing
 
 
 def _stabilizer_mats(rep, v):
@@ -311,14 +308,13 @@ def _spin10_stabilizer(field):
 )
 def test_subalgebra_structure_matches_pairwise_loop(build, field):
     mats = build(field)
-    c, killing, derived = _structure_by_pairs(field, mats)
+    c, killing = _structure_by_pairs(field, mats)
     ss = subalgebra_structure_from_matrices(field, mats)
     assert ss.dimension == len(mats)
     assert np.array_equal(ss.structure_constants, c)
     assert np.array_equal(ss.killing, killing)
     (killing_rank,) = rank(field, killing[None])
     assert ss.killing_rank == killing_rank and ss.killing_nullity == len(mats) - killing_rank
-    assert ss.derived_dimension == derived
 
 
 def test_closure_violation_on_non_closed_span():
@@ -356,7 +352,7 @@ def test_generic_stabilizer_vector_sums():
 def test_invariant_bilinear_spin7():
     inv = invariant_bilinear_space(spin_rep(QuadraticSpace(7), F))
     assert (inv.symmetric_dim, inv.antisymmetric_dim) == (1, 0)
-    assert inv.sample_rank == 8 and inv.sample_symmetric
+    assert inv.sample_rank == 8
     # the sample is genuinely invariant and symmetric, re-checked cold
     B = inv.sample
     assert np.array_equal(B, B.T)
@@ -368,7 +364,7 @@ def test_invariant_bilinear_spin7():
 def test_invariant_bilinear_spin5_symplectic():
     inv = invariant_bilinear_space(spin_rep(QuadraticSpace(5), F))
     assert (inv.symmetric_dim, inv.antisymmetric_dim) == (0, 1)
-    assert inv.sample_rank == 4 and inv.sample_symmetric is False
+    assert inv.sample_rank == 4 and not np.array_equal(inv.sample, inv.sample.T)
 
 
 def test_invariant_bilinear_open_orbit_controls():
@@ -445,14 +441,10 @@ FORM_MODULES = {
 def test_invariant_bilinear_matches_dense_constraints(name, field):
     inv = invariant_bilinear_space(FORM_MODULES[name](field))
     sym, alt, sample, sample_rank, sample_sym = dense_bilinear_forms(FORM_MODULES[name](field))
-    assert (inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank, inv.sample_symmetric) == (
-        sym,
-        alt,
-        sample_rank,
-        sample_sym,
-    )
+    assert (inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank) == (sym, alt, sample_rank)
     assert (inv.sample is None) == (sample is None)
     if sample is not None:
+        assert np.array_equal(inv.sample, inv.sample.T) == sample_sym
         assert inv.sample.dtype == sample.dtype and np.array_equal(inv.sample, sample)
 
 
@@ -493,7 +485,7 @@ def test_isotypic_fingerprint_restricted_so5():
     space = QuadraticSpace(10)
     emb = embed_subalgebra(space, 5)
     res = restrict(half_spin_reps(space, F)[0], emb)
-    assert isotypic_fingerprint(F, res.tensor) == (16, 16)
+    assert (associative_closure(F, res.tensor), commutant_dimension(F, res.tensor)) == (16, 16)
 
 
 def test_isotypic_fingerprint_spin11_natural_module():
@@ -507,7 +499,7 @@ def test_isotypic_fingerprint_spin11_natural_module():
     v = RandomSource(0).child(0).scalars(F, 32)
     r = stabilizer(rep, v)
     mats = kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(11), F))
-    assert isotypic_fingerprint(F, mats) == (51, 3)
+    assert (associative_closure(F, mats), commutant_dimension(F, mats)) == (51, 3)
     assert fixed_subspace(F, mats)[0] == 1
     on_v11 = LieRepresentation(11, F, "stabilizer on vector(11)", tuple((k,) for k in range(len(mats))), mats)
     forms = invariant_bilinear_space(on_v11)
@@ -623,6 +615,20 @@ def test_quartic_budget_and_field_guards(monkeypatch):
         invariant_quartic_dim(spin_rep(QuadraticSpace(11), QQ))
     with pytest.raises(ValueError):
         invariant_quartic_dim(half_spin_reps(QuadraticSpace(14), F)[0])
+
+
+def test_invariant_row_budget_fires_before_the_candidate_identity(monkeypatch):
+    # K starts as the c x c identity; with c * c over the row budget the
+    # computation aborts before allocating it (spin(11)'s quartic has c = 336)
+    import spincert.orbits as orbits_mod
+
+    rep = spin_rep(QuadraticSpace(11), F)
+    sizes, real_eye = [], PrimeField.eye
+    monkeypatch.setattr(orbits_mod, "_QUARTIC_MAX_ROWS", 1_000)
+    monkeypatch.setattr(PrimeField, "eye", lambda self, n: sizes.append(n) or real_eye(self, n))
+    with pytest.raises(Aborted, match="row budget"):
+        invariant_quartic_dim(rep)
+    assert [n for n in sizes if n * n > 1_000 * 8] == []
 
 
 def test_subalgebra_structure_rejects_dependent_basis():

@@ -8,8 +8,8 @@ from spincert.fields import GF, QQ, RandomSource
 from spincert.suites import (
     RunConfig,
     report_to_dict,
+    SUITES,
     run_suite,
-    suite_names,
 )
 
 
@@ -40,7 +40,7 @@ def strip_elapsed(doc):
 
 
 def test_suite_registry():
-    names = suite_names()
+    names = list(SUITES)
     assert len(names) == 8
     assert names == [
         "g2_octonion",
@@ -268,7 +268,7 @@ def test_unexpected_error_becomes_failed_check(monkeypatch):
     "name, passing, failing",
     [
         ("invariant_bilinear_space", ["spin11"], ["spin7"]),
-        ("isotypic_fingerprint", ["spin7", "spin10"], ["spin14"]),
+        ("associative_closure", ["spin7", "spin10", "spin11"], ["spin14"]),
     ],
 )
 def test_spinor_row_computes_only_what_it_records(monkeypatch, name, passing, failing):
