@@ -13,13 +13,14 @@ either field, and works on stacks of pairs along a leading axis: X of shape
 (k, n, n-1) and Y of shape (k, n-1, n), a single pair being a stack of one.
 ``tau`` and ``pi`` also take an unstacked pair.  Whatever eliminates does so
 once for the whole stack (``linalg.rref``, ``linalg.det``): the
-normalizations and their scales, the transporter systems, the tangent
-stabilizers and the Jacobians.  Group elements always come with their
-inverse, so acting needs no elimination: ``random_samples`` draws A = LU
-from two unitriangular factors and forms A^{-1} = U^{-1} L^{-1} by forward
-substitution, normalization inverts the completed basis of X, and a
-transporter I + t e_n^T has inverse I - t e_n^T.  ``act`` checks the given
-inverses with one product and refuses any determinant other than one.
+normalizations and their scales, the transporter systems, the Jacobians,
+and each of the two stages of the tangent stabilizers.  Group elements
+always come with their inverse, so acting needs no elimination:
+``random_samples`` draws A = LU from two unitriangular factors and forms
+A^{-1} = U^{-1} L^{-1} by forward substitution, normalization inverts the
+completed basis of X, and a transporter I + t e_n^T has inverse
+I - t e_n^T.  ``act`` checks the given inverses with one product and
+refuses any determinant other than one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import RandomSource
-from .linalg import NON_UNIQUE, NO_SOLUTION, det, rank, rref, solve
+from .linalg import NON_UNIQUE, NO_SOLUTION, det, kernel, rank, rref, solve
 
 __all__ = [
     "NotInSLn",
@@ -155,23 +156,29 @@ def fiber_transporter(field, y, z) -> np.ndarray:
 def stabilizer_lie_dims(field, x, y) -> list[int]:
     """dim {a in sl_n : a X = 0 and Y a = 0} for each pair of a stack, X of
     shape (k, n, n-1) and Y of shape (k, n-1, n); 0 wherever YX is
-    nonsingular.  The k systems are eliminated as one stack."""
-    n = x.shape[1]
-    return [n * n - r for r in rank(field, _stabilizer_systems(field, x, y))]
+    nonsingular.
 
-
-def _stabilizer_systems(field, x, y):
-    """The (k, 2n(n-1) + 1, n^2) systems a X = 0, Y a = 0, trace a = 0."""
+    Solved in two stages.  a X = 0 puts every row of a in the left null
+    space of X, so a = sum_j c_j w_j^T over a basis w_1..w_m of that space,
+    and a is determined by the columns c_j.  What remains is Y c_j = 0 for
+    each j and the trace sum_j w_j . c_j = 0: an (m(n-1) + 1) x mn system,
+    n x n when X has rank n-1.  The k null spaces are found as one stack,
+    and the systems of each size m as one more.
+    """
     k, n, _ = x.shape
-    idx = np.arange(n)
-    # a flattened row-major: (aX)[i, j] = sum_k X[k, j] a[i, k], (Ya)[i, j] = sum_k Y[i, k] a[k, j]
-    ax = field.zeros((k, n, n - 1, n, n))
-    ax[:, idx, :, idx, :] = np.swapaxes(x, 1, 2)
-    ya = field.zeros((k, n - 1, n, n, n))
-    ya[:, :, idx, :, idx] = y
-    trace = field.zeros((k, 1, n, n))
-    trace[:, 0, idx, idx] = field.scalar(1)
-    return np.concatenate([m.reshape(k, -1, n * n) for m in (ax, ya, trace)], axis=1)
+    bases = kernel(field, np.swapaxes(x, 1, 2))
+    dims = [0] * k
+    for m in sorted({len(w) for w in bases}):
+        ids = [i for i, w in enumerate(bases) if len(w) == m]
+        j = np.arange(m)
+        # unknown c_j[b] is column j*n + b; row block j holds Y c_j
+        ys = field.zeros((len(ids), m, n - 1, m, n))
+        ys[:, j, :, j, :] = y[ids]
+        trace = np.stack([bases[i] for i in ids]).reshape(len(ids), 1, m * n)
+        systems = np.concatenate([ys.reshape(len(ids), m * (n - 1), m * n), trace], axis=1)
+        for i, r in zip(ids, rank(field, systems)):
+            dims[i] = m * n - r
+    return dims
 
 
 def jacobian_ranks_pi(field, x, y) -> list[int]:

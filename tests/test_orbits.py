@@ -631,6 +631,28 @@ def test_invariant_row_budget_fires_before_the_candidate_identity(monkeypatch):
     assert [n for n in sizes if n * n > 1_000 * 8] == []
 
 
+def test_invariant_row_budget_fires_inside_the_cut_loop(monkeypatch):
+    # the weights of h leave c = 2 candidate forms, E_01 and E_10, and the dense
+    # member's image of them has t > c rows, so a budget between c * c and t * c
+    # passes the up-front check and aborts in the cut loop
+    import spincert.orbits as orbits_mod
+
+    h, dense = F.array(np.diag([1, -1, 2, 5])), F.array(np.arange(1, 17).reshape(4, 4))
+    rep = LieRepresentation(4, F, "diagonal and dense", (("h",), ("dense",)), np.stack([h, dense]))
+    assert invariant_bilinear_space(rep).symmetric_dim == 0
+    rows = []
+    monkeypatch.setattr(orbits_mod, "kernel", lambda field, stack: rows.append(stack.shape[1]) or kernel(field, stack))
+    invariant_bilinear_space(rep)
+    sizes, real_eye = [], PrimeField.eye
+    monkeypatch.setattr(PrimeField, "eye", lambda self, n: sizes.append(n) or real_eye(self, n))
+    monkeypatch.setattr(orbits_mod, "_QUARTIC_MAX_ROWS", 1)
+    c, budget = 2, 1 * 8
+    assert c * c <= budget < rows[0] * c
+    with pytest.raises(Aborted, match="row budget"):
+        invariant_bilinear_space(rep)
+    assert sizes[0] == 2  # K = I_2 was allocated: the up-front check passed
+
+
 def test_subalgebra_structure_rejects_dependent_basis():
     rep = vector_rep(QuadraticSpace(5), F)
     z = np.zeros(10, dtype=np.int64)

@@ -194,6 +194,41 @@ def test_stabilizer_lie_dims():
     assert stabilizer_lie_dims(F, canonical_j(F, 2)[None], F.zeros((1, 1, 2))) == [1]
 
 
+def full_stabilizer_systems(field, x, y):
+    """The (k, 2n(n-1) + 1, n^2) systems a X = 0, Y a = 0, trace a = 0 over a
+    flattened a, all of them at once: the reference for the two-stage solve."""
+    k, n, _ = x.shape
+    idx = np.arange(n)
+    # a flattened row-major: (aX)[i, j] = sum_k X[k, j] a[i, k], (Ya)[i, j] = sum_k Y[i, k] a[k, j]
+    ax = field.zeros((k, n, n - 1, n, n))
+    ax[:, idx, :, idx, :] = np.swapaxes(x, 1, 2)
+    ya = field.zeros((k, n - 1, n, n, n))
+    ya[:, :, idx, :, idx] = y
+    trace = field.zeros((k, 1, n, n))
+    trace[:, 0, idx, idx] = field.scalar(1)
+    return np.concatenate([m.reshape(k, -1, n * n) for m in (ax, ya, trace)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "field, ns", [(F, range(2, 9)), (GF(7), range(2, 9)), (QQ, range(2, 6))], ids=["GF1000003", "GF7", "QQ"]
+)
+def test_two_stage_stabilizer_matches_the_full_system(field, ns):
+    for n in ns:
+        for seed in (0, 1):
+            x, y = random_pairs(field, n, RandomSource(100 * n + seed), 8)
+            # degenerate members: X = 0, Y = 0, both zero, a repeated column of X, J with Y = 0
+            x[1] = field.zeros((n, n - 1))
+            y[2] = field.zeros((n - 1, n))
+            x[3], y[3] = field.zeros((n, n - 1)), field.zeros((n - 1, n))
+            if n > 2:
+                x[4, :, 1] = x[4, :, 0]
+            x[5], y[5] = canonical_j(field, n), field.zeros((n - 1, n))
+            want = [n * n - r for r in rank(field, full_stabilizer_systems(field, x, y))]
+            assert stabilizer_lie_dims(field, x, y) == want, (n, seed)
+            # both zero leaves all of sl_n
+            assert want[3] == n * n - 1
+
+
 def test_jacobian_ranks():
     rng = RandomSource(6)
     for n in (2, 3, 4, 5):

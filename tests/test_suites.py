@@ -251,6 +251,73 @@ def test_sln_quotient_draw_sequence(monkeypatch):
     assert drawn == SLN_DRAWS
 
 
+def spy_trials(monkeypatch, script=None):
+    """Record the stack size of every stabilizer and Jacobian call of
+    ``_sln_quotient``; ``script(name, n, size)``, when given, answers instead."""
+    import spincert.suites as suites_mod
+
+    calls = []
+    for name in ("stabilizer_lie_dims", "jacobian_ranks_pi"):
+
+        def spy(f, x, y, name=name, real=getattr(suites_mod, name)):
+            calls.append((name, len(x)))
+            return real(f, x, y) if script is None else script(name, x.shape[1], len(x))
+
+        monkeypatch.setattr(suites_mod, name, spy)
+    return calls
+
+
+def test_sln_first_trial_at_its_bound_decides(monkeypatch):
+    import spincert.suites as suites_mod
+
+    calls = spy_trials(monkeypatch)
+    for f, ns in [(QQ, range(2, 6)), (GF(1_000_003), range(2, 9)), (GF(999_983), range(2, 9))]:
+        for n in ns:
+            calls.clear()
+            values = suites_mod._sln_quotient(RunConfig(), f, n)
+            assert calls == [("stabilizer_lie_dims", 1), ("jacobian_ranks_pi", 1)], (f, n)
+            assert (values["stabilizer"], values["jacobian"]) == (0, (n - 1) ** 2)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 8])
+def test_sln_trials_past_a_first_trial_off_its_bound(monkeypatch, trials):
+    # a first trial off its bound brings in the other trials as one stack,
+    # and the best of all trials is recorded; a single trial stands alone
+    import spincert.suites as suites_mod
+
+    def script(name, n, size):
+        if name == "stabilizer_lie_dims":
+            return [2] if size == 1 else [3] + [1] * (size - 1)
+        return [(n - 1) ** 2 - 2] if size == 1 else [(n - 1) ** 2 - 3] + [(n - 1) ** 2 - 1] * (size - 1)
+
+    calls = spy_trials(monkeypatch, script)
+    n = 4
+    values = suites_mod._sln_quotient(RunConfig(trials=trials), GF(1_000_003), n)
+    rest = [("stabilizer_lie_dims", trials - 1), ("jacobian_ranks_pi", trials - 1)] if trials > 1 else []
+    assert calls == [("stabilizer_lie_dims", 1)] + rest[:1] + [("jacobian_ranks_pi", 1)] + rest[1:]
+    want = (2, (n - 1) ** 2 - 2) if trials == 1 else (1, (n - 1) ** 2 - 1)
+    assert (values["stabilizer"], values["jacobian"]) == want
+
+
+# the checks of sln_quotient at primes (7, 11) that read other than expected, pinned
+# before the first trial could decide alone; every other check passes.  At trials 1
+# the first trial misses its bound, and at trials 3 the later trials reach it.
+SLN_SMALL_PRIME_MISSES = {
+    (0, 1): {"stabilizer-F7-n3": 1, "stabilizer-F11-n3": 1},
+    (5, 1): {"stabilizer-F7-n5": 1},
+    (0, 3): {},
+    (5, 3): {},
+}
+
+
+@pytest.mark.parametrize("seed, trials", sorted(SLN_SMALL_PRIME_MISSES))
+def test_sln_small_primes_match_the_pinned_values(seed, trials):
+    cfg = RunConfig(suites=["sln_quotient"], prime=7, confirm_prime=11, seed=seed, trials=trials)
+    rep = run_suite("sln_quotient", cfg)
+    assert len(rep.checks) == 6 * (4 + 7 + 7) + 1
+    assert {c.id: c.observed for c in rep.checks if not c.passed} == SLN_SMALL_PRIME_MISSES[seed, trials]
+
+
 def test_unexpected_error_becomes_failed_check(monkeypatch):
     import spincert.suites as suites_mod
 
