@@ -7,7 +7,7 @@ error.  Every flag has an environment override with the NOETHER_ prefix;
 flags win over the environment.  An override is the flag's raw default
 string, so argparse converts it only when the flag is absent and reports a
 malformed one as a usage error; ``NOETHER_STRETCH`` takes 1/true/yes/on or
-0/false/no/off in any case.
+0/false/no/off in any case, and ``NOETHER_FORMAT`` text or json.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import json
 import os
 import sys
 
-from .fields import GF
 from .kernels import backend
 from .suites import SUITES, RunConfig, report_to_dict, run_selected
 
 _ENV_PREFIX = "NOETHER_"
+_FORMATS = ("text", "json")
 _SWITCH_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 
@@ -46,17 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--confirm-prime", type=int, default=_env("CONFIRM_PRIME", 999_983))
     run.add_argument("--seed", type=int, default=_env("SEED", 0))
     run.add_argument("--trials", type=int, default=_env("TRIALS", 3))
-    run.add_argument("--format", choices=("text", "json"), default=_env("FORMAT", "text"))
+    run.add_argument("--format", choices=_FORMATS, default=_env("FORMAT", "text"))
     run.add_argument(
         "--stretch",
         action="store_true",
         default=_env("STRETCH", False),
         help="enable the budgeted degree-4 invariant computation",
-    )
-    run.add_argument(
-        "--dump",
-        default=_env("DUMP", None),
-        help="write the representations used by the selected suites to this JSON file",
     )
 
     sub.add_parser("list-suites", help="list suite names with their certificate anchors")
@@ -70,60 +65,20 @@ def _config_from_args(args) -> RunConfig:
         confirm_prime=args.confirm_prime,
         seed=args.seed,
         trials=args.trials,
-        fmt=args.format,
         stretch=args.stretch,
-        dump=args.dump,
     )
 
 
-def _print_text(reports, stream=None) -> None:
-    stream = stream or sys.stdout
+def _print_text(reports) -> None:
     for rep in reports:
         flag = "PASS" if rep.passed else "FAIL"
-        print(f"suite {rep.suite:<16} [{flag}]  primes={rep.primes}  seed={rep.seed}  {rep.elapsed_ms} ms", file=stream)
+        print(f"suite {rep.suite:<16} [{flag}]  primes={rep.primes}  seed={rep.seed}  {rep.elapsed_ms} ms")
         width = max((len(c.id) for c in rep.checks), default=10)
         for c in rep.checks:
             mark = "ok " if c.passed else "FAIL"
-            print(
-                f"  {mark} {c.id:<{width}}  expected={c.expected!r}  observed={c.observed!r}  [{c.provenance}]",
-                file=stream,
-            )
+            print(f"  {mark} {c.id:<{width}}  expected={c.expected!r}  observed={c.observed!r}  [{c.provenance}]")
     total = sum(1 for r in reports if r.passed)
-    print(f"suites passed: {total}/{len(reports)}  (elimination backend: {backend()})", file=stream)
-
-
-def _dump_representations(cfg: RunConfig, path: str) -> None:
-    """Write the standard representations the selected suites rely on."""
-    from .clifford import QuadraticSpace
-    from .octonion import derivation_algebra
-    from .spinreps import half_spin_reps, spin_rep, vector_rep
-
-    needed_n = {
-        "spin7": [7],
-        "spin10": [10],
-        "spin11": [11],
-        "spin14": [14],
-        "branching": [5, 10, 11],
-        "coregular_free": [7, 10, 11, 14],
-        "g2_octonion": [],
-        "sln_quotient": [],
-    }
-    ns = sorted({n for s in cfg.resolved_suites() for n in needed_n[s]})
-    field = GF(cfg.prime)
-    reps = []
-    for n in ns:
-        space = QuadraticSpace(n)
-        reps.append(vector_rep(space, field).to_json_dict())
-        reps.append(spin_rep(space, field).to_json_dict())
-        if n % 2 == 0:
-            even, odd = half_spin_reps(space, field)
-            reps.append(even.to_json_dict())
-            reps.append(odd.to_json_dict())
-    doc = {"representations": reps}
-    if "g2_octonion" in cfg.resolved_suites():
-        doc["derivations"] = derivation_algebra(field).to_json_dict()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+    print(f"suites passed: {total}/{len(reports)}  (elimination backend: {backend()})")
 
 
 def main(argv=None) -> int:
@@ -139,6 +94,8 @@ def main(argv=None) -> int:
         if args.stretch.lower() not in _SWITCH_WORDS:
             parser.error(f"invalid NOETHER_STRETCH value: {args.stretch!r} (use 1/true/yes/on or 0/false/no/off)")
         args.stretch = _SWITCH_WORDS[args.stretch.lower()]
+    if args.format not in _FORMATS:  # argparse checks choices on --format only
+        parser.error(f"unknown format {args.format!r}")
     cfg = _config_from_args(args)
     try:
         cfg.validate()
@@ -146,10 +103,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits with code 2
 
     reports = run_selected(cfg)
-    if cfg.dump:
-        _dump_representations(cfg, cfg.dump)
-
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
             "suites": [report_to_dict(r) for r in reports],
             "seed": cfg.seed,

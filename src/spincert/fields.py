@@ -23,9 +23,7 @@ array methods, so every other module has one code path for both:
   ``np.matmul`` and every output entry is divided once into a ``Fraction``);
 - ``cleared(arr)`` gives (integer array, d) with arr = integers / d: the
   residues themselves and 1 over F_p, Python ints over the lcm d of the
-  denominators over Q, so integer code can run on either;
-- ``json_entries(arr)`` gives nested lists for a JSON dump: ints over F_p,
-  strings such as ``"1/4"`` over Q.
+  denominators over Q, so integer code can run on either.
 
 Everything is exact; the only floating point is inside ``matmul_mod``,
 where the float64 products are provably exact.
@@ -132,12 +130,6 @@ class PrimeField:
     def cleared(self, arr: np.ndarray):
         return arr, 1
 
-    def json_entries(self, arr: np.ndarray) -> list:
-        return arr.tolist()
-
-    def to_json(self):
-        return {"kind": "PrimeField", "prime": self.p}
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -182,12 +174,6 @@ class RationalField:
 
     def cleared(self, arr: np.ndarray):
         return _cleared(arr)
-
-    def json_entries(self, arr: np.ndarray) -> list:
-        return arr.astype(str).tolist()
-
-    def to_json(self):
-        return {"kind": "Rationals"}
 
     def __repr__(self):
         return "QQ"

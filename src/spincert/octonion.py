@@ -96,13 +96,6 @@ class DerivationAlgebra:
     def dimension(self) -> int:
         return len(self.matrices)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "dimension": self.dimension,
-            "matrices": self.field.json_entries(self.matrices),
-        }
-
 
 def derivation_algebra(field) -> DerivationAlgebra:
     """Solve D(x y) = D(x) y + x D(y) over all basis pairs; kernel dim 14."""

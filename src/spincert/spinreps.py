@@ -75,15 +75,6 @@ class LieRepresentation:
             _freeze(tensor),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "name": self.name,
-            "basisLabels": [list(l) for l in self.basis_labels],
-            "field": self.field.to_json(),
-            "matrices": self.field.json_entries(self.tensor),
-        }
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False

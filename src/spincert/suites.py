@@ -94,9 +94,7 @@ class RunConfig:
     confirm_prime: int = 999_983
     seed: int = 0
     trials: int = 3
-    fmt: str = "text"
     stretch: bool = False
-    dump: str | None = None
 
     def validate(self):
         for p in (self.prime, self.confirm_prime):
@@ -105,8 +103,6 @@ class RunConfig:
             raise ValueError("prime and confirm-prime must differ")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.fmt not in ("text", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
         for name in self.resolved_suites():
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}")
@@ -774,39 +770,27 @@ def _suite_sln_quotient(cfg: RunConfig, rec: _Recorder):
     )
 
 
+# (name, body, anchor) rows; each runner labels its report with its row's name
 SUITES = {
-    "g2_octonion": (
-        _timed("g2_octonion", _two_prime(_g2_octonion, _G2_OCTONION_CHECKS)),
-        "derivation algebra dim 14; generating triple; kernels (0, 8, 8); stabilizer SL_3 fingerprint",
-    ),
-    "spin7": (
-        _timed("spin7", _spinor_suite(7, "spin", _SPIN7_CHECKS)),
-        "invariant quadratic; stabilizer G_2 (dim 14, Killing 14); fixed line; center -Id",
-    ),
-    "spin10": (
-        _timed("spin10", _spinor_suite(10, "even", _SPIN10_CHECKS)),
-        "half-spin stabilizer dim 29 = 8-dim vector group + spin(7); no invariant forms",
-    ),
-    "spin11": (
-        _timed("spin11", _spinor_suite(11, "spin", _SPIN11_CHECKS, _SPIN11_STRETCH_CHECKS)),
-        "stabilizer SL_5 (dim 24, Killing 24); commutant on the natural module; center -Id",
-    ),
-    "spin14": (
-        _timed("spin14", _spinor_suite(14, "even", _SPIN14_CHECKS)),
-        "half-spin stabilizer dim 28 (g2 x g2); natural module splits 7 + 7; projective open orbit",
-    ),
-    "coregular_free": (
-        _timed("coregular_free", _two_prime(_coregular_free, _COREGULAR_FREE_CHECKS)),
-        "the four coregular sums are generically free; vector-chain stabilizers 10 / 21 / 55",
-    ),
-    "branching": (
-        _timed("branching", _two_prime(_branching, _BRANCHING_CHECKS)),
-        "spin(11) to so(10) parity blocks; half-spin(10) to so(5) is four spin(5) copies; sp4 freeness",
-    ),
-    "sln_quotient": (
-        _timed("sln_quotient", _suite_sln_quotient),
-        "pair action invariants; J normalization; fiber transporter; Jacobian surjectivity",
-    ),
+    name: (_timed(name, body), anchor)
+    for name, body, anchor in (
+        ("g2_octonion", _two_prime(_g2_octonion, _G2_OCTONION_CHECKS),
+         "derivation algebra dim 14; generating triple; kernels (0, 8, 8); stabilizer SL_3 fingerprint"),
+        ("spin7", _spinor_suite(7, "spin", _SPIN7_CHECKS),
+         "invariant quadratic; stabilizer G_2 (dim 14, Killing 14); fixed line; center -Id"),
+        ("spin10", _spinor_suite(10, "even", _SPIN10_CHECKS),
+         "half-spin stabilizer dim 29 = 8-dim vector group + spin(7); no invariant forms"),
+        ("spin11", _spinor_suite(11, "spin", _SPIN11_CHECKS, _SPIN11_STRETCH_CHECKS),
+         "stabilizer SL_5 (dim 24, Killing 24); commutant on the natural module; center -Id"),
+        ("spin14", _spinor_suite(14, "even", _SPIN14_CHECKS),
+         "half-spin stabilizer dim 28 (g2 x g2); natural module splits 7 + 7; projective open orbit"),
+        ("coregular_free", _two_prime(_coregular_free, _COREGULAR_FREE_CHECKS),
+         "the four coregular sums are generically free; vector-chain stabilizers 10 / 21 / 55"),
+        ("branching", _two_prime(_branching, _BRANCHING_CHECKS),
+         "spin(11) to so(10) parity blocks; half-spin(10) to so(5) is four spin(5) copies; sp4 freeness"),
+        ("sln_quotient", _suite_sln_quotient,
+         "pair action invariants; J normalization; fiber transporter; Jacobian surjectivity"),
+    )
 }
 
 

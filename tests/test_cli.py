@@ -155,23 +155,15 @@ def test_malformed_stretch_env_is_usage_error(capsys, monkeypatch):
     assert code == 0 and "spin11" in out
 
 
-def test_dump_representations(tmp_path, capsys):
-    out_file = tmp_path / "reps.json"
-    code, _ = run_cli(
-        ["run", "--suites", "g2_octonion,spin7", "--dump", str(out_file), "--trials", "2"],
-        capsys,
-    )
-    assert code == 0
-    doc = json.loads(out_file.read_text())
-    names = {r["name"] for r in doc["representations"]}
-    assert names == {"vector(7)", "spin(7)"}
-    rep = next(r for r in doc["representations"] if r["name"] == "spin(7)")
-    assert rep["n"] == 7
-    assert rep["field"] == {"kind": "PrimeField", "prime": 1000003}
-    assert len(rep["basisLabels"]) == 21
-    assert len(rep["matrices"]) == 21
-    assert all(isinstance(x, int) for row in rep["matrices"][0] for x in row)
-    assert doc["derivations"]["dimension"] == 14
+def test_env_format_is_checked_unless_flag_wins(capsys, monkeypatch):
+    # argparse applies choices to --format only, so main checks NOETHER_FORMAT itself
+    monkeypatch.setenv("NOETHER_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suites", "spin7"])
+    assert exc.value.code == 2
+    assert "unknown format 'xml'" in capsys.readouterr().err
+    code, out = run_cli(["run", "--suites", "spin7", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_module_entry_point():
@@ -244,6 +236,27 @@ def test_every_exported_name_is_used():
                     exported += [f"{path.stem}.{name}" for name in ast.literal_eval(node.value)]
     assert len(exported) > 50
     assert [name for name in exported if name.rsplit(".", 1)[1] not in used] == []
+
+
+def test_every_public_method_is_used():
+    # a public method or property of a class in the package must be read as an
+    # attribute, or named as a string, somewhere in the program, its benchmark
+    # or its kernel timings
+    used, methods = set(), []
+    for path in sorted(p for d in ("src", "perfbench", "benchmarks") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+            elif path.parent.name == "spincert" and isinstance(node, ast.ClassDef):
+                methods += [
+                    f"{path.stem}.{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    assert len(methods) > 40
+    assert [name for name in methods if name.rsplit(".", 1)[1] not in used] == []
 
 
 def test_default_report_matches_golden(capsys, monkeypatch):

@@ -209,11 +209,6 @@ def test_cleared_is_integers_over_one_denominator(field):
     assert field.cleared(field.array([[1, 2]]))[1] == 1
 
 
-def test_json_entries():
-    assert GF(7).json_entries(GF(7).array([[1, -1]])) == [[1, 6]]
-    assert QQ.json_entries(QQ.array([[Fraction(1, 4), -2]])) == [["1/4", "-2"]]
-
-
 @pytest.mark.parametrize("field", ARRAY_FIELDS, ids=ARRAY_IDS)
 def test_draws_are_field_arrays(field):
     for count in (0, 1, 9):

@@ -295,20 +295,6 @@ def test_fock_element_action_respects_products():
         assert np.array_equal(fock_action(x * y), F.matmul(fock_action(x), fock_action(y)))
 
 
-def test_rep_json_shape():
-    rep = spin_rep(QuadraticSpace(5), F)
-    doc = rep.to_json_dict()
-    assert doc["n"] == 5
-    assert doc["name"] == "spin(5)"
-    assert doc["field"] == {"kind": "PrimeField", "prime": F.p}
-    assert len(doc["basisLabels"]) == 10
-    assert len(doc["matrices"]) == 10 and len(doc["matrices"][0]) == 4
-    rep_q = vector_rep(QuadraticSpace(4), QQ)
-    doc_q = rep_q.to_json_dict()
-    assert doc_q["field"] == {"kind": "Rationals"}
-    assert isinstance(doc_q["matrices"][0][0][0], str)
-
-
 # -- the sparse Lie-homomorphism check against the definition ------------------
 
 
