@@ -178,9 +178,9 @@ def bench_stacks(repeats):
 def spin_x4_by_pairs(n):
     """One dense product per so(n) pair: the reference for ``_spin_x4``."""
     space = QuadraticSpace(n)
-    gens = spinreps.fock_generator_matrices(n)
+    gens, two_b = spinreps.fock_generator_matrices(n), space.two_b_matrix()
     eye = np.eye(gens[0].shape[0], dtype=np.int64)
-    return np.stack([2 * (gens[a] @ gens[b]) - space.two_b_int(a, b) * eye for a, b in so_pairs(space)])
+    return np.stack([2 * (gens[a] @ gens[b]) - two_b[a, b] * eye for a, b in so_pairs(space)])
 
 
 def structure_by_pairs(field, mats):

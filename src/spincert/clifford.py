@@ -3,8 +3,9 @@
 The quadratic space is split: hyperbolic pairs (p_i, q_i) for i = 1..m with
 B(p_i, q_i) = 1/2, plus one unit vector u with B(u, u) = 1 when n is odd.
 The generators are ordered p_1, q_1, ..., p_m, q_m, u, and the integer table
-2B(e_i, e_j) is all the rest of the package reads of the form.  In Cl(n),
-v w + w v = 2 B(v, w), so p_i q_i + q_i p_i = 1 and u^2 = 1.
+2B(e_i, e_j) (``QuadraticSpace.two_b_matrix``, set by index arrays) is all
+the rest of the package reads of the form.  In Cl(n), v w + w v = 2 B(v, w),
+so p_i q_i + q_i p_i = 1 and u^2 = 1.
 
 so(n) is spanned by the bivectors m_ab = (e_a e_b - e_b e_a)/4 of Cl(n) for
 a < b, acting on vectors by [m_ab, v] = B(b, v) e_a - B(a, v) e_b.  Their
@@ -52,23 +53,13 @@ class QuadraticSpace:
     def __hash__(self):
         return hash(("QuadraticSpace", self.n))
 
-    def partner(self, g: int) -> int:
-        """Hyperbolic partner of generator g (u is its own partner)."""
-        return g ^ 1 if g < 2 * self.m else g
-
-    def q_int(self, g: int) -> int:
-        """q(e_g): 0 on hyperbolic generators, 1 on u."""
-        return 1 if (self.odd and g == self.n - 1) else 0
-
-    def two_b_int(self, i: int, j: int) -> int:
-        """2 B(e_i, e_j) as an integer."""
-        if i == j:
-            return 2 * self.q_int(i)
-        return 1 if self.partner(i) == j else 0
-
     def two_b_matrix(self) -> np.ndarray:
-        """The n x n integer table 2 B(e_i, e_j)."""
-        return np.array([[self.two_b_int(i, j) for j in range(self.n)] for i in range(self.n)], dtype=np.int64)
+        """The n x n integer table 2 B(e_i, e_j): 1 between p_i and q_i, 2 on u."""
+        out = np.zeros((self.n, self.n), dtype=np.int64)
+        p = np.arange(0, 2 * self.m, 2)
+        out[p, p + 1] = out[p + 1, p] = 1
+        out[2 * self.m :, 2 * self.m :] = 2  # u, when n is odd
+        return out
 
 
 def so_pairs(space: QuadraticSpace):

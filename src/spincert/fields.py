@@ -210,6 +210,8 @@ class RandomSource:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:  # random.Random seeds by |seed|: -s would alias s
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self._rng = random.Random(self.seed)
 
     def child(self, index: int) -> "RandomSource":

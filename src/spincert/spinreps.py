@@ -3,19 +3,20 @@
 The spin module is the Fock space Lambda(span(f_1..f_m)) with basis indexed
 by subsets of {1..m}: p_i acts by exterior multiplication with f_i, q_i by
 the dual contraction, and the odd unit vector u by the parity involution.
-Substituting these generator actions into m_ab = (e_a e_b - e_b e_a)/4 gives
-the so(n) matrices; the same bivectors act on the generator basis itself for
-the vector representation.
+Each generator is a signed partial permutation of that basis, set by bit
+arithmetic.  Substituting these generator actions into
+m_ab = (e_a e_b - e_b e_a)/4 gives the so(n) matrices; the same bivectors act
+on the generator basis itself for the vector representation.
 
 Every constructed matrix has entries in Z/4 (quarter-integers), so the
 integer quadruple of each family is built once per n and reduced into
-whatever field a caller asks for.
+whatever field a caller asks for.  A subalgebra embedding is an integer
+matrix, and restricting a module is one product with it.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cache
 
 import numpy as np
@@ -93,57 +94,54 @@ def _reduce_x4(field, x4: np.ndarray) -> np.ndarray:
 
 
 @cache
+def _fock_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every generator e_g on the Fock basis: column s holds signs[g, s] in row rows[g, s].
+
+    Fock basis index = subset bitmask s over {0..m-1}; p_i creates, q_i
+    annihilates (signed by the parity of the bits of s below i), u flips
+    sign on odd-degree vectors.  A zero column has sign 0 and row s.
+    """
+    m = n // 2
+    s = np.arange(1 << m)
+    parity = (s[:, None] >> np.arange(m) & 1).sum(axis=1) & 1  # of the exterior degree
+    bit = 1 << np.arange(m)[:, None]
+    sign = 1 - 2 * parity[s & (bit - 1)]
+    has = (s & bit) != 0
+    rows = np.stack([s | bit, s & ~bit], axis=1).reshape(2 * m, -1)
+    signs = np.stack([sign * ~has, sign * has], axis=1).reshape(2 * m, -1)
+    if n % 2:
+        rows, signs = np.vstack([rows, s]), np.vstack([signs, 1 - 2 * parity])
+    return _freeze(rows), _freeze(signs)
+
+
+@cache
 def fock_generator_matrices(n: int) -> tuple[np.ndarray, ...]:
     """Action of each generator e_g on the Fock basis, as read-only 0/+-1 int matrices.
 
-    Fock basis index = subset bitmask over {0..m-1}; p_i creates, q_i
-    annihilates, u flips sign on odd-degree vectors.
+    The dense form of ``_fock_rows``, kept as the reference the tests and
+    ``benchmarks/bench_kernels.py`` compare ``_spin_x4`` against.
     """
-    space = QuadraticSpace(n)
-    m = space.m
-    d = 1 << m
-    mats = []
-    for g in range(n):
-        mat = np.zeros((d, d), dtype=np.int64)
-        if space.odd and g == n - 1:
-            for s in range(d):
-                mat[s, s] = 1 if s.bit_count() % 2 == 0 else -1
-        else:
-            i = g // 2
-            bit = 1 << i
-            creating = g % 2 == 0
-            for s in range(d):
-                if creating and not s & bit:
-                    sign = -1 if (s & (bit - 1)).bit_count() % 2 else 1
-                    mat[s | bit, s] = sign
-                elif not creating and s & bit:
-                    sign = -1 if (s & (bit - 1)).bit_count() % 2 else 1
-                    mat[s ^ bit, s] = sign
-        mats.append(_freeze(mat))
-    return tuple(mats)
+    rows, signs = _fock_rows(n)
+    out = np.zeros((n, rows.shape[1], rows.shape[1]), dtype=np.int64)
+    out[np.arange(n)[:, None], rows, np.arange(rows.shape[1])] = signs
+    return tuple(_freeze(out))
 
 
 @cache
 def _spin_x4(n: int) -> np.ndarray:
     """4 * m_ab on the Fock space: 2 e_a e_b - 2B(a,b), integer entries.
 
-    Every generator is a signed partial permutation with at most one nonzero
-    per column, say sign_b[s] in row row_b[s] of column s, so column s of
-    e_a e_b is column row_b[s] of e_a times sign_b[s]: a signed column
-    gather instead of a dense product.  Each left generator gathers for all
-    its pairs at once, into a zeroed array, so no temporary is larger than
-    one generator's share of the output.
+    With every generator a signed partial permutation (``_fock_rows``),
+    e_a e_b sends column s to row rows_a[rows_b[s]] with sign
+    signs_a[rows_b[s]] * signs_b[s], written for all pairs at once.
     """
     space = QuadraticSpace(n)
-    gens = np.stack(fock_generator_matrices(n))
-    d = gens.shape[1]
+    rows, signs = _fock_rows(n)
+    d = rows.shape[1]
     a, b = np.array(so_pairs(space)).T
-    rows = np.abs(gens).argmax(axis=1)  # a zero column points at row 0 and gets sign 0
-    signs = np.take_along_axis(gens, rows[:, None, :], axis=1)[:, 0]
+    via = rows[b]
     out = np.zeros((len(a), d, d), dtype=np.int64)
-    for x in range(n):
-        k = np.flatnonzero(a == x)
-        out[k] = gens[x][:, rows[b[k]]].transpose(1, 0, 2) * (2 * signs[b[k]])[:, None, :]
+    out[np.arange(len(a))[:, None], rows[a[:, None], via], np.arange(d)] = 2 * signs[a[:, None], via] * signs[b]
     out[:, np.arange(d), np.arange(d)] -= space.two_b_matrix()[a, b][:, None]
     return _freeze(out)
 
@@ -262,37 +260,28 @@ def center_acts_minus_one(space: QuadraticSpace, rep: LieRepresentation) -> bool
 class SubalgebraEmbedding:
     """so(n') inside so(n) by a choice of n' ambient quadratic vectors.
 
-    ``gen_vectors`` is an integer (n' x n) matrix: row a gives the ambient
-    coordinates of the a-th sub-generator.  ``pair_map`` expands each sub
-    bivector in the ambient bivector basis with integer coefficients.
+    ``gen_vectors`` is an integer (n' x n) matrix as a tuple of rows, row a the
+    ambient coordinates of sub-generator a.  ``pair_map``, an integer (g' x g)
+    array, expands each sub bivector in the ambient basis; eq and hash skip it.
     """
 
     ambient_n: int
     sub_n: int
     gen_vectors: tuple
-    pair_map: tuple
+    pair_map: np.ndarray = dc_field(compare=False)
 
 
-def _pair_map_from_vectors(ambient: QuadraticSpace, vectors: list[list[int]]):
+def _pair_map(ambient: QuadraticSpace, vectors: np.ndarray) -> np.ndarray:
     """Expand every sub bivector (v_a v_b - v_b v_a)/4 in the ambient basis.
 
-    With m_ij = (e_i e_j - e_j e_i)/4 for all i, j, the sub bivector is
-    sum_{i<j} (v_ai v_bj - v_aj v_bi) m_ij: integer coefficients, no
-    Clifford product.
+    The rows of ``vectors`` must reproduce the split sub form, V 2B V^T = 2B'.
+    The sub bivector is sum_{i<j} (v_ai v_bj - v_aj v_bi) m_ij: 2 x 2 minors of V.
     """
     sub = QuadraticSpace(len(vectors))
-    support = [[(i, c) for i, c in enumerate(v) if c] for v in vectors]
-    # B-compatibility: the chosen vectors must reproduce the split sub form.
-    for a, b in itertools.product(range(sub.n), repeat=2):
-        tb = sum(ci * cj * ambient.two_b_int(i, j) for i, ci in support[a] for j, cj in support[b])
-        if tb != sub.two_b_int(a, b):
-            raise ValueError("embedding vectors do not restrict to the split sub form")
-    out = []
-    for a, b in so_pairs(sub):
-        va, vb = vectors[a], vectors[b]
-        coeffs = (va[i] * vb[j] - va[j] * vb[i] for i, j in so_pairs(ambient))
-        out.append(tuple((k, c) for k, c in enumerate(coeffs) if c))
-    return tuple(out)
+    if not np.array_equal(vectors @ ambient.two_b_matrix() @ vectors.T, sub.two_b_matrix()):
+        raise ValueError("embedding vectors do not restrict to the split sub form")
+    (a, b), (i, j) = np.array(so_pairs(sub)).T, np.array(so_pairs(ambient)).T
+    return _freeze(vectors[np.ix_(a, i)] * vectors[np.ix_(b, j)] - vectors[np.ix_(a, j)] * vectors[np.ix_(b, i)])
 
 
 def embed_subalgebra(space: QuadraticSpace, sub_n: int) -> SubalgebraEmbedding:
@@ -300,24 +289,17 @@ def embed_subalgebra(space: QuadraticSpace, sub_n: int) -> SubalgebraEmbedding:
 
     One step down from odd n drops the unit vector u; one step down from
     even n folds the last hyperbolic pair into the unit vector p_m + q_m.
-    Larger drops compose the steps.
+    Composing the steps keeps the first sub_n generators, the last of them
+    folded with its partner (p + q) when sub_n is odd.
     """
     if sub_n >= space.n:
         raise ValueError("need sub_n < n")
     if sub_n < 2:
         raise ValueError("need sub_n >= 2")
-    n = space.n
-    vectors = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    k = n
-    while k > sub_n:
-        if k % 2 == 1:
-            vectors = vectors[: k - 1]
-        else:
-            folded = [vectors[k - 2][j] + vectors[k - 1][j] for j in range(n)]
-            vectors = vectors[: k - 2] + [folded]
-        k -= 1
-    pair_map = _pair_map_from_vectors(space, vectors)
-    return SubalgebraEmbedding(n, sub_n, tuple(tuple(v) for v in vectors), pair_map)
+    vectors = np.eye(space.n, dtype=np.int64)[:sub_n]
+    if sub_n % 2:
+        vectors[-1, sub_n] = 1
+    return SubalgebraEmbedding(space.n, sub_n, tuple(map(tuple, vectors.tolist())), _pair_map(space, vectors))
 
 
 def _expand_ranges(lo: np.ndarray, hi: np.ndarray):
@@ -427,21 +409,16 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
 
 
 def restrict(rep: LieRepresentation, emb: SubalgebraEmbedding) -> LieRepresentation:
-    """Representation of so(n') on the same space, via the embedding."""
+    """Representation of so(n') on the same space, via the embedding's pair map."""
     if rep.n != emb.ambient_n:
         raise ValueError("representation and embedding ambient dimensions differ")
     _require_so_basis(rep)  # a scaling-augmented module included
     field = rep.field
-    d = rep.dim
-    tensor = field.zeros((len(emb.pair_map), d, d))
-    for k, row in enumerate(emb.pair_map):
-        for amb, c in row:
-            tensor[k] = field.reduce(tensor[k] + c * rep.tensor[amb])
-    sub = QuadraticSpace(emb.sub_n)
+    tensor = field.matmul(field.array(emb.pair_map), rep.tensor.reshape(rep.g, -1))
     return LieRepresentation(
         emb.sub_n,
         field,
         f"{rep.name}|so({emb.sub_n})",
-        so_pairs(sub),
-        _freeze(tensor),
+        so_pairs(QuadraticSpace(emb.sub_n)),
+        _freeze(tensor.reshape(-1, rep.dim, rep.dim)),
     )

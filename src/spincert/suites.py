@@ -103,6 +103,8 @@ class RunConfig:
             raise ValueError("prime and confirm-prime must differ")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in self.resolved_suites():
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}")

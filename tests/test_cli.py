@@ -87,6 +87,9 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--prime", "4294967311"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--seed", "-1"])
+    assert exc.value.code == 2
 
 
 def test_failing_suite_exit_1(capsys, monkeypatch):

@@ -23,6 +23,17 @@ PRIMES = (F, GF(999_983))
 # -- the oracle ------------------------------------------------------------------
 
 
+def two_b(space: QuadraticSpace, i: int, j: int) -> int:
+    """2 B(e_i, e_j) of the split form, written out here rather than read from the package.
+
+    p_k = e_{2k} and q_k = e_{2k+1} pair to 1; u = e_{n-1} (n odd) gives 2.
+    """
+    n = space.n
+    if i == j:
+        return 2 if n % 2 and i == n - 1 else 0
+    return 1 if max(i, j) < n - n % 2 and j == i ^ 1 else 0
+
+
 def _bits(mask: int):
     return [g for g in range(mask.bit_length()) if mask >> g & 1]
 
@@ -51,8 +62,8 @@ def _blade_gen(space: QuadraticSpace, mask: int, g: int):
     if g > j:
         return ((mask | 1 << g, 1),)
     if g == j:
-        return ((rest, space.q_int(g)),) if space.q_int(g) else ()
-    tb = space.two_b_int(j, g)
+        return ((rest, two_b(space, g, g) // 2),) if two_b(space, g, g) else ()
+    tb = two_b(space, j, g)
     moved = tuple((m | 1 << j, -c) for m, c in _blade_gen(space, rest, g))
     return ((rest, tb),) + moved if tb else moved
 
@@ -154,7 +165,7 @@ def bivector_basis(space, field):
 @lru_cache(maxsize=None)
 def _bivector_index(space):
     """Degree-2 blade mask -> (so_pairs index, 2B(a, b))."""
-    return {1 << a | 1 << b: (k, space.two_b_int(a, b)) for k, (a, b) in enumerate(so_pairs(space))}
+    return {1 << a | 1 << b: (k, two_b(space, a, b)) for k, (a, b) in enumerate(so_pairs(space))}
 
 
 def expand_in_bivectors(elem):
@@ -192,14 +203,14 @@ def oracle_table(n, field):
 
 
 def oracle_pair_map(ambient, vectors):
-    """Every sub bivector (v_a v_b - v_b v_a)/4 expanded in the ambient basis, over Q."""
+    """Every sub bivector (v_a v_b - v_b v_a)/4 expanded in the ambient basis, over Q: matrix rows."""
     elems = [CliffordElement.vector(ambient, QQ, v) for v in vectors]
     out = []
     for a, b in so_pairs(QuadraticSpace(len(vectors))):
         coeffs = expand_in_bivectors(commutator(elems[a], elems[b]).scale(Fraction(1, 4)))
         assert all(c.denominator == 1 for c in coeffs)
-        out.append(tuple((k, int(c)) for k, c in enumerate(coeffs) if c))
-    return tuple(out)
+        out.append([int(c) for c in coeffs])
+    return out
 
 
 # -- the oracle itself -------------------------------------------------------------
@@ -226,7 +237,7 @@ def test_generator_relations_all_pairs(n):
         for i in range(n):
             for j in range(n):
                 lhs = e[i] * e[j] + e[j] * e[i]
-                rhs = CliffordElement.scalar(sp, field, sp.two_b_int(i, j))
+                rhs = CliffordElement.scalar(sp, field, two_b(sp, i, j))
                 assert lhs == rhs, (n, i, j)
 
 
@@ -341,7 +352,7 @@ def test_pair_maps_match_oracle(n):
     space = QuadraticSpace(n)
     for sub_n in range(2, n):
         emb = embed_subalgebra(space, sub_n)
-        assert emb.pair_map == oracle_pair_map(space, emb.gen_vectors)
+        assert emb.pair_map.tolist() == oracle_pair_map(space, emb.gen_vectors)
 
 
 def test_structure_constants_close_and_antisymmetric():

@@ -110,6 +110,8 @@ def test_field_draws_match_the_per_scalar_loop():
 def test_child_streams():
     base = RandomSource(5)
     assert np.array_equal(base.child(3).scalars(QQ, 4), RandomSource(8).scalars(QQ, 4))
+    with pytest.raises(ValueError):
+        RandomSource(-1)  # its children 0 and 2 would draw the same stream
 
 
 # -- array methods -------------------------------------------------------------

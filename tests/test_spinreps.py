@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_clifford import CliffordElement, bivector_basis, bracket_row, commutator, table_of
+from test_clifford import CliffordElement, bivector_basis, bracket_row, commutator, table_of, two_b
 
 from spincert import spinreps
 from spincert.clifford import QuadraticSpace, SoStructure, so_pairs, so_structure_constants
@@ -36,7 +36,7 @@ def inverse(field, m):
 def gram_matrix(space, field):
     """The polarization B, read off the integer 2B table."""
     n = space.n
-    return field.array([[Fraction(space.two_b_int(i, j), 2) for j in range(n)] for i in range(n)])
+    return field.array([[Fraction(two_b(space, i, j), 2) for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 10])
@@ -88,16 +88,16 @@ def test_fock_creation_annihilation_relations():
     for i in range(7):
         for j in range(7):
             got = gens[i] @ gens[j] + gens[j] @ gens[i]
-            assert np.array_equal(got, space.two_b_int(i, j) * np.eye(d, dtype=np.int64))
+            assert np.array_equal(got, two_b(space, i, j) * np.eye(d, dtype=np.int64))
 
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_spin_x4_matches_dense_products(n):
-    # the signed column gather against one dense product per pair
+    # the composed signed rows against one dense product per pair
     space = QuadraticSpace(n)
     gens = fock_generator_matrices(n)
     eye = np.eye(gens[0].shape[0], dtype=np.int64)
-    want = [2 * (gens[a] @ gens[b]) - space.two_b_int(a, b) * eye for a, b in so_pairs(space)]
+    want = [2 * (gens[a] @ gens[b]) - two_b(space, a, b) * eye for a, b in so_pairs(space)]
     got = spinreps._spin_x4(n)
     assert got.dtype == np.int64 and np.array_equal(got, np.stack(want))
 
@@ -159,9 +159,20 @@ def test_embedding_drop_u():
     # so(10) inside so(11) keeps exactly the bivectors avoiding u
     space = QuadraticSpace(11)
     emb = embed_subalgebra(space, 10)
-    assert len(emb.pair_map) == 45
-    for row in emb.pair_map:
-        assert len(row) == 1 and row[0][1] == 1
+    rows, cols = np.nonzero(emb.pair_map)
+    assert emb.pair_map.shape == (45, 55) and rows.tolist() == list(range(45))
+    assert (emb.pair_map[rows, cols] == 1).all()
+    assert [so_pairs(space)[c] for c in cols] == list(so_pairs(QuadraticSpace(10)))
+
+
+def test_pair_map_rejects_vectors_breaking_the_split_form():
+    space = QuadraticSpace(7)
+    doubled = np.array(embed_subalgebra(space, 5).gen_vectors)
+    doubled[0] *= 2  # 2B(2 p_1, q_1) = 2, not 1
+    isotropic = np.eye(7, dtype=np.int64)[:5]  # p_3 in place of a unit vector
+    for vectors in (doubled, isotropic):
+        with pytest.raises(ValueError, match="split sub form"):
+            spinreps._pair_map(space, vectors)
 
 
 def test_embedding_fold_last_pair():
@@ -170,6 +181,8 @@ def test_embedding_fold_last_pair():
     assert emb.gen_vectors[4] == (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
     assert len(emb.gen_vectors) == 5
     assert len(emb.pair_map) == 10
+    # eq and hash read the vectors, not the pair-map array
+    assert emb == embed_subalgebra(space, 5) and hash(emb) == hash(embed_subalgebra(space, 5))
 
 
 def test_embedded_images_satisfy_sub_structure_constants():

@@ -64,6 +64,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(trials=0).validate()
     with pytest.raises(ValueError):
+        RunConfig(seed=-1).validate()  # random.Random(-1) is random.Random(1)
+    with pytest.raises(ValueError):
         RunConfig(confirm_prime=4294967311).validate()  # beyond exact int64 elimination
     RunConfig().validate()
     RunConfig(prime=2147483647).validate()
