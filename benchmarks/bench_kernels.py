@@ -20,7 +20,8 @@ suite, the integer product ``QQ.matmul`` and the fraction-free elimination
 checks each result against that reference.
 Last it times four batched layers against the per-pair or per-generator
 loops they replace, and checks each result against its loop:
-``spinreps._spin_x4(14)``, ``orbits.subalgebra_structure_from_matrices`` on a
+``spinreps._spin_x4(14)`` (its entry list, scattered into a dense tensor),
+``orbits.subalgebra_structure_from_matrices`` on a
 spin(14) stabilizer (k = 28, d = 14), ``orbits.invariant_quartic_dim`` on
 spin(11), and ``orbits.invariant_bilinear_space`` on spin(13) against a
 dense (d^2, c) image of the c candidate forms per generator.
@@ -272,7 +273,13 @@ def bench_batched(repeats):
     def spin_x4(n):
         return spinreps._spin_x4.__wrapped__(n)  # time the construction, not the cache
 
-    assert np.array_equal(spin_x4(14), spin_x4_by_pairs(14)), "_spin_x4 disagrees with the dense products"
+    want = spin_x4_by_pairs(14)
+    k, r, c, v = spin_x4(14)
+    got = np.zeros_like(want)
+    got[k, r, c] = v
+    assert np.array_equal(got, want), "_spin_x4 disagrees with the dense products"
+    in_c_order = np.array_equal(np.ravel_multi_index((k, r, c), want.shape), np.flatnonzero(want))
+    assert in_c_order, "_spin_x4 entries are not the nonzeros once each in C order"
     ref, fast = bench(spin_x4_by_pairs, 14, repeats), bench(spin_x4, 14, repeats)
     print(f"{'spinreps._spin_x4(14)':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
 

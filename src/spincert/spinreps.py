@@ -9,9 +9,12 @@ m_ab = (e_a e_b - e_b e_a)/4 gives the so(n) matrices; the same bivectors act
 on the generator basis itself for the vector representation.
 
 Every constructed matrix has entries in Z/4 (quarter-integers), so the
-integer quadruple of each family is built once per n and reduced into
-whatever field a caller asks for.  A subalgebra embedding is an integer
-matrix, and restricting a module is one product with it.
+integer quadruple of each family is built once per n, as the list of its
+nonzero entries (k, r, c, v) in C order, and only those entries are reduced
+into whatever field a caller asks for; no dense integer tensor is formed.
+The modules built here carry those coordinates, and the Lie check reads
+them.  A subalgebra embedding is an integer matrix, and restricting a
+module is one product with it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cache
 
 import numpy as np
 
-from .clifford import QuadraticSpace, so_pairs
+from .clifford import QuadraticSpace, so_dim, so_pairs
 
 __all__ = [
     "LieRepresentation",
@@ -47,8 +50,11 @@ class LieRepresentation:
     Fraction objects over Q.  ``basis_labels`` are the generator-index pairs
     (a, b) of the so(n) bivector basis, or name another algebra's basis (the
     g2 of ``octonion.trace_zero_rep``, n then being its defining module's
-    dimension), which ``restrict`` and ``center_acts_minus_one`` refuse.  A
-    trailing ("scale",) label marks an appended scaling generator.
+    dimension), which ``restrict``, ``center_acts_minus_one`` and
+    ``verify_lie_homomorphism`` refuse.  A trailing ("scale",) label marks
+    an appended scaling generator.  ``coords``, when given, are the
+    (k, r, c) index arrays of every nonzero entry of ``tensor``, each once and
+    in C order; eq and hash skip them.
     """
 
     n: int
@@ -56,6 +62,7 @@ class LieRepresentation:
     name: str
     basis_labels: tuple
     tensor: np.ndarray
+    coords: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def g(self) -> int:
@@ -82,15 +89,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _reduce_x4(field, x4: np.ndarray) -> np.ndarray:
-    """Turn a 4x-scaled integer tensor into field entries, converting only its nonzero entries."""
-    out = field.zeros(x4.shape)
-    nonzero = np.nonzero(x4)
-    out[nonzero] = field.reduce(field.array(x4[nonzero]) * field.inv(4))
-    return _freeze(out)
-
-
 # -- integer construction, cached per n --------------------------------------
+
+
+def _degree_parity(m: int) -> np.ndarray:
+    """Parity of the exterior degree of every Fock index s < 2**m: its bit count mod 2."""
+    return (np.arange(1 << m)[:, None] >> np.arange(m) & 1).sum(axis=1) & 1
+
+
+def _entries(shape, k, r, c, v) -> tuple:
+    """Integer entries (k, r, c, v) of a ``shape`` tensor in C order, repeated positions summed and zeros dropped.
+
+    The four arguments broadcast against each other.
+    """
+    k, r, c, v = np.broadcast_arrays(k, r, c, v)
+    keys, at = np.unique(np.ravel_multi_index((k, r, c), shape).ravel(), return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, at, v.ravel())
+    keep = sums != 0
+    return tuple(map(_freeze, (*np.unravel_index(keys[keep], shape), sums[keep])))
 
 
 @cache
@@ -103,7 +120,7 @@ def _fock_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     m = n // 2
     s = np.arange(1 << m)
-    parity = (s[:, None] >> np.arange(m) & 1).sum(axis=1) & 1  # of the exterior degree
+    parity = _degree_parity(m)
     bit = 1 << np.arange(m)[:, None]
     sign = 1 - 2 * parity[s & (bit - 1)]
     has = (s & bit) != 0
@@ -119,7 +136,7 @@ def fock_generator_matrices(n: int) -> tuple[np.ndarray, ...]:
     """Action of each generator e_g on the Fock basis, as read-only 0/+-1 int matrices.
 
     The dense form of ``_fock_rows``, kept as the reference the tests and
-    ``benchmarks/bench_kernels.py`` compare ``_spin_x4`` against.
+    ``benchmarks/bench_kernels.py`` compare the entries of ``_spin_x4`` against.
     """
     rows, signs = _fock_rows(n)
     out = np.zeros((n, rows.shape[1], rows.shape[1]), dtype=np.int64)
@@ -128,46 +145,51 @@ def fock_generator_matrices(n: int) -> tuple[np.ndarray, ...]:
 
 
 @cache
-def _spin_x4(n: int) -> np.ndarray:
-    """4 * m_ab on the Fock space: 2 e_a e_b - 2B(a,b), integer entries.
+def _spin_x4(n: int) -> tuple:
+    """4 * m_ab on the Fock space, 2 e_a e_b - 2B(a,b), as integer entries (k, r, c, v).
 
     With every generator a signed partial permutation (``_fock_rows``),
     e_a e_b sends column s to row rows_a[rows_b[s]] with sign
-    signs_a[rows_b[s]] * signs_b[s], written for all pairs at once.
+    signs_a[rows_b[s]] * signs_b[s]; each column gets that entry, doubled,
+    and its diagonal entry -2B(a,b), written for all pairs at once.
     """
     space = QuadraticSpace(n)
     rows, signs = _fock_rows(n)
-    d = rows.shape[1]
+    g, d = so_dim(space), rows.shape[1]
     a, b = np.array(so_pairs(space)).T
     via = rows[b]
-    out = np.zeros((len(a), d, d), dtype=np.int64)
-    out[np.arange(len(a))[:, None], rows[a[:, None], via], np.arange(d)] = 2 * signs[a[:, None], via] * signs[b]
-    out[:, np.arange(d), np.arange(d)] -= space.two_b_matrix()[a, b][:, None]
-    return _freeze(out)
+    r = np.stack(np.broadcast_arrays(rows[a[:, None], via], np.arange(d)))
+    v = np.stack(np.broadcast_arrays(2 * signs[a[:, None], via] * signs[b], -space.two_b_matrix()[a, b][:, None]))
+    return _entries((g, d, d), np.arange(g)[:, None], r, np.arange(d), v)
 
 
 @cache
-def _vector_x4(n: int) -> np.ndarray:
-    """4 * (v -> [m_ab, v]) on the generator basis: [m_ab, e_c] = B(b,c) e_a - B(a,c) e_b.
+def _vector_x4(n: int) -> tuple:
+    """4 * (v -> [m_ab, v]) on the generator basis, as integer entries (k, r, c, v).
 
-    Row a of 4 m_ab is twice row b of the 2B table and row b is minus twice
-    row a; since a < b, the two rows never overlap.
+    [m_ab, e_c] = B(b,c) e_a - B(a,c) e_b, so row a of 4 m_ab is twice row b
+    of the 2B table and row b is minus twice row a.
     """
     space = QuadraticSpace(n)
     two_b = space.two_b_matrix()
     a, b = np.array(so_pairs(space)).T
-    out = np.zeros((len(a), n, n), dtype=np.int64)
-    out[np.arange(len(a)), a] = 2 * two_b[b]
-    out[np.arange(len(a)), b] = -2 * two_b[a]
-    return _freeze(out)
+    g = len(a)
+    rows, values = np.stack([a, b])[:, :, None], 2 * np.stack([two_b[b], -two_b[a]])
+    return _entries((g, n, n), np.arange(g)[:, None], rows, np.arange(n), values)
 
 
 def parity_indices(n: int) -> tuple[list[int], list[int]]:
     """Fock indices of even and odd exterior degree."""
-    m = n // 2
-    even = [s for s in range(1 << m) if s.bit_count() % 2 == 0]
-    odd = [s for s in range(1 << m) if s.bit_count() % 2 == 1]
-    return even, odd
+    parity = _degree_parity(n // 2)
+    return np.flatnonzero(parity == 0).tolist(), np.flatnonzero(parity).tolist()
+
+
+def _from_x4(space: QuadraticSpace, field, name: str, dim: int, x4: tuple) -> LieRepresentation:
+    """The module of so(n) whose 4x-scaled integer entries are ``x4``; only their values are converted."""
+    k, r, c, v = x4
+    tensor = field.zeros((so_dim(space), dim, dim))
+    tensor[k, r, c] = field.reduce(field.array(v) * field.inv(4))
+    return LieRepresentation(space.n, field, name, so_pairs(space), _freeze(tensor), tuple(map(_freeze, (k, r, c))))
 
 
 # Representations are cached per (space, field); both hash by value.
@@ -176,15 +198,13 @@ def parity_indices(n: int) -> tuple[list[int], list[int]]:
 @cache
 def vector_rep(space: QuadraticSpace, field) -> LieRepresentation:
     """The natural n-dimensional representation; every matrix is B-skew."""
-    tensor = _reduce_x4(field, _vector_x4(space.n))
-    return LieRepresentation(space.n, field, f"vector({space.n})", so_pairs(space), tensor)
+    return _from_x4(space, field, f"vector({space.n})", space.n, _vector_x4(space.n))
 
 
 @cache
 def spin_rep(space: QuadraticSpace, field) -> LieRepresentation:
     """The 2^floor(n/2)-dimensional spin representation (Fock model)."""
-    tensor = _reduce_x4(field, _spin_x4(space.n))
-    return LieRepresentation(space.n, field, f"spin({space.n})", so_pairs(space), tensor)
+    return _from_x4(space, field, f"spin({space.n})", 1 << space.m, _spin_x4(space.n))
 
 
 @cache
@@ -192,20 +212,24 @@ def half_spin_reps(space: QuadraticSpace, field):
     """Even and odd parity blocks of the spin representation (n even).
 
     Every so(n) matrix is block-diagonal for the parity grading; extraction
-    asserts it for the whole integer stack at once, as the two diagonal
-    blocks holding every nonzero entry.  Each block is gathered from the
-    cached integer tensor and reduced into the field on its own, so the
-    full spin tensor is never built over the field.
+    asserts it for the whole integer entry list at once, as every entry's
+    row and column having the same parity.  A Fock index sits in its block
+    at its rank among the indices of its parity, so each block's entries
+    are the spin entries of that parity, renumbered, and the full spin
+    tensor is never built over the field.
     """
     if space.odd:
         raise ValueError("half-spin representations need even n")
-    full = _spin_x4(space.n)
-    blocks = [full[:, idx[:, None], idx] for idx in map(np.array, parity_indices(space.n))]
-    if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(full):
+    k, r, c, v = _spin_x4(space.n)
+    parity = _degree_parity(space.m)
+    if np.any(parity[r] != parity[c]):
         raise AssertionError("spin matrix not parity-block-diagonal")
+    odd_before = np.cumsum(parity) - parity
+    rank = np.where(parity, odd_before, np.arange(len(parity)) - odd_before)
+    block, x4 = parity[r], (k, rank[r], rank[c], v)
     return tuple(
-        LieRepresentation(space.n, field, f"half_spin_{label}({space.n})", so_pairs(space), _reduce_x4(field, block))
-        for label, block in zip(("even", "odd"), blocks)
+        _from_x4(space, field, f"half_spin_{label}({space.n})", len(parity) // 2, tuple(x[block == q] for x in x4))
+        for q, label in enumerate(("even", "odd"))
     )
 
 
@@ -226,9 +250,9 @@ def direct_sum(reps: list[LieRepresentation]) -> LieRepresentation:
     return LieRepresentation(first.n, first.field, name, first.basis_labels, _freeze(tensor))
 
 
-def _require_so_basis(rep: LieRepresentation):
-    if rep.basis_labels != so_pairs(QuadraticSpace(rep.n)):
-        raise ValueError(f"{rep.name} is not labeled by the so({rep.n}) bivector basis")
+def _require_so_basis(rep: LieRepresentation, n: int):
+    if rep.basis_labels != so_pairs(QuadraticSpace(n)):
+        raise ValueError(f"{rep.name} is not labeled by the so({n}) bivector basis")
 
 
 # -- the center of Spin_n --------------------------------------------------------
@@ -246,7 +270,7 @@ def center_acts_minus_one(space: QuadraticSpace, rep: LieRepresentation) -> bool
     """
     if rep.n != space.n:
         raise ValueError(f"center check needs a module of so({space.n}), got {rep.name}")
-    _require_so_basis(rep)
+    _require_so_basis(rep, space.n)
     field = rep.field
     h1 = field.reduce(2 * rep.tensor[0])
     halves = (field.inv(2), field.reduce(-field.inv(2)))
@@ -320,7 +344,12 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     pairs i < j suffice.
 
     The check works on the nonzero entries (k, r, c, v) of the tensor, and
-    on a block of left generators i at a time.  Joining the column of each
+    on a block of left generators i at a time.  Their coordinates are the
+    ones the module carries (``LieRepresentation.coords``) once one count
+    of the tensor's nonzeros confirms them: exactly that many nonzeros, and
+    no zero at a carried coordinate.  Otherwise, or when the module carries
+    none, they come from one scan of the tensor, so the answer depends on
+    the tensor alone.  Joining the column of each
     entry of T_i with the row of the entries of every T_j (j > i) gives
     T_i T_j; joining on the row of T_i and the column of T_j gives T_j T_i.
     Those products, minus coeff * T_k for every entry (i, j, k, coeff) of
@@ -341,8 +370,9 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     p < 2**31 and is reduced mod p before summing, so int64 stays exact;
     over Q the same code runs on Python ints.
     """
-    if len(rep.basis_labels) != struct.dim:
-        raise ValueError("representation basis does not match the structure constants")
+    if rep.field != struct.field:
+        raise ValueError(f"{rep.name} and the structure constants are over different fields")
+    _require_so_basis(rep, struct.space.n)
     field = rep.field
 
     def times(x, y):
@@ -351,7 +381,10 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     ints, den = field.cleared(rep.tensor)
     coeff, cden = field.cleared(struct.coeff)
     g, d = rep.g, rep.dim
-    k, r, c = np.nonzero(ints)  # C order: k ascending
+    coords = rep.coords
+    if coords is None or np.count_nonzero(ints) != len(coords[0]) or not np.all(ints[coords]):
+        coords = np.nonzero(ints)
+    k, r, c = coords  # C order: k ascending
     v = ints[k, r, c]
     k_start = np.searchsorted(k, np.arange(g + 1))
     t_start = np.searchsorted(struct.i, np.arange(g + 1))
@@ -412,7 +445,7 @@ def restrict(rep: LieRepresentation, emb: SubalgebraEmbedding) -> LieRepresentat
     """Representation of so(n') on the same space, via the embedding's pair map."""
     if rep.n != emb.ambient_n:
         raise ValueError("representation and embedding ambient dimensions differ")
-    _require_so_basis(rep)  # a scaling-augmented module included
+    _require_so_basis(rep, rep.n)  # a scaling-augmented module included
     field = rep.field
     tensor = field.matmul(field.array(emb.pair_map), rep.tensor.reshape(rep.g, -1))
     return LieRepresentation(

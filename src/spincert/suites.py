@@ -105,9 +105,12 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in self.resolved_suites():
+        names = self.resolved_suites()
+        for name in names:
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}")
+            if names.count(name) > 1:
+                raise ValueError(f"suite {name!r} is named more than once")
 
     def resolved_suites(self) -> list:
         if self.suites == ["all"]:

@@ -82,6 +82,9 @@ def test_usage_error_exit_2():
         main(["run", "--suites", "unknown"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["run", "--suites", "spin7,spin7"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--prime", "7", "--confirm-prime", "7"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -93,13 +95,17 @@ def test_fock_creation_annihilation_relations():
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_spin_x4_matches_dense_products(n):
-    # the composed signed rows against one dense product per pair
+    # the entries composed from signed rows, scattered, against one dense product per pair
     space = QuadraticSpace(n)
     gens = fock_generator_matrices(n)
     eye = np.eye(gens[0].shape[0], dtype=np.int64)
-    want = [2 * (gens[a] @ gens[b]) - two_b(space, a, b) * eye for a, b in so_pairs(space)]
-    got = spinreps._spin_x4(n)
-    assert got.dtype == np.int64 and np.array_equal(got, np.stack(want))
+    want = np.stack([2 * (gens[a] @ gens[b]) - two_b(space, a, b) * eye for a, b in so_pairs(space)])
+    k, r, c, v = spinreps._spin_x4(n)
+    got = np.zeros_like(want)
+    got[k, r, c] = v
+    assert v.dtype == np.int64 and np.array_equal(got, want)
+    # every nonzero once, in C order
+    assert np.array_equal(np.ravel_multi_index((k, r, c), want.shape), np.flatnonzero(want))
 
 
 def test_spin_rep_lie_homomorphism_small():
@@ -124,6 +130,64 @@ def test_every_standard_module_is_a_lie_homomorphism(n):
     halves = half_spin_reps(space, F) if n % 2 == 0 else ()
     for rep in (vector_rep(space, F), spin_rep(space, F), *halves):
         assert verify_lie_homomorphism(rep, struct), rep.name
+        # the carried coordinates are the tensor's nonzeros, in C order
+        assert all(np.array_equal(x, y) for x, y in zip(rep.coords, np.nonzero(rep.tensor))), rep.name
+
+
+def test_lie_check_refuses_mismatched_inputs():
+    space5, space7 = QuadraticSpace(5), QuadraticSpace(7)
+    spin7 = spin_rep(space7, F)
+    for field in (GF(999_983), QQ):
+        with pytest.raises(ValueError, match="different fields"):
+            verify_lie_homomorphism(spin7, so_structure_constants(space7, field))
+    # so(5) = sp(4), but constants in the bivector basis do not describe another basis
+    spin5 = spin_rep(space5, F)
+    relabelled = dataclasses.replace(spin5, basis_labels=tuple(("sp4", k) for k in range(10)))
+    for rep, space in ((relabelled, space5), (spin5, space7), (spin7.with_scaling(), space7)):
+        with pytest.raises(ValueError, match="bivector basis"):
+            verify_lie_homomorphism(rep, so_structure_constants(space, F))
+
+
+def _outside_support(rep, carry_zero):
+    """rep with a 1 at a zero entry of generator 0, still carrying rep's coordinates.
+
+    With ``carry_zero`` the carried coordinates also gain another zero entry
+    of generator 0, so that their count matches the tensor's nonzeros while
+    the entries they read are still rep's own.
+    """
+    t = rep.tensor.copy()
+    zeros = np.argwhere(t[0] == 0)
+    t[(0, *zeros[0])] = 1
+    coords = rep.coords
+    if carry_zero:
+        keys = np.append(np.ravel_multi_index(coords, t.shape), np.ravel_multi_index((0, *zeros[1]), t.shape))
+        coords = np.unravel_index(np.sort(keys), t.shape)
+    return dataclasses.replace(rep, tensor=t, coords=coords)
+
+
+@pytest.mark.parametrize("carry_zero", [False, True], ids=["added", "carried-zero"])
+def test_lie_check_reads_entries_outside_the_carried_coordinates(carry_zero):
+    space = QuadraticSpace(7)
+    struct = so_structure_constants(space, F)
+    rep = _outside_support(spin_rep(space, F), carry_zero)
+    # one nonzero more than carried, or as many with one carried entry zero
+    assert np.count_nonzero(rep.tensor) == len(rep.coords[0]) + (not carry_zero)
+    assert not dense_homomorphism(rep, struct)
+    assert not verify_lie_homomorphism(rep, struct)
+
+
+def test_spin14_construction_allocates_only_its_field_tensors():
+    # building from entries: the peak is the three field tensors, not a dense integer copy beside them
+    for cached in (spinreps._fock_rows, spinreps._spin_x4, spin_rep, half_spin_reps):
+        cached.cache_clear()
+    space = QuadraticSpace(14)
+    tracemalloc.start()
+    try:
+        reps = [spin_rep(space, F), *half_spin_reps(space, F)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sum(rep.tensor.nbytes for rep in reps)
 
 
 def test_half_spin_blocks():

@@ -61,6 +61,8 @@ def test_config_validation():
         RunConfig(prime=7, confirm_prime=7).validate()
     with pytest.raises(ValueError):
         RunConfig(suites=["nope"]).validate()
+    with pytest.raises(ValueError, match="more than once"):
+        RunConfig(suites=["spin7", "g2_octonion", "spin7"]).validate()
     with pytest.raises(ValueError):
         RunConfig(trials=0).validate()
     with pytest.raises(ValueError):
