@@ -12,8 +12,7 @@ Every constructed matrix has entries in Z/4 (quarter-integers), so the
 integer quadruple of each family is built once per n, as the list of its
 nonzero entries (k, r, c, v) in C order, and only those entries are reduced
 into whatever field a caller asks for; no dense integer tensor is formed.
-The modules built here carry those coordinates, and the Lie check reads
-them.  A subalgebra embedding is an integer matrix, and restricting a
+A subalgebra embedding is an integer matrix, and restricting a
 module is one product with it.
 """
 
@@ -52,9 +51,7 @@ class LieRepresentation:
     g2 of ``octonion.trace_zero_rep``, n then being its defining module's
     dimension), which ``restrict``, ``center_acts_minus_one`` and
     ``verify_lie_homomorphism`` refuse.  A trailing ("scale",) label marks
-    an appended scaling generator.  ``coords``, when given, are the
-    (k, r, c) index arrays of every nonzero entry of ``tensor``, each once and
-    in C order; eq and hash skip them.
+    an appended scaling generator.
     """
 
     n: int
@@ -62,7 +59,6 @@ class LieRepresentation:
     name: str
     basis_labels: tuple
     tensor: np.ndarray
-    coords: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def g(self) -> int:
@@ -189,7 +185,7 @@ def _from_x4(space: QuadraticSpace, field, name: str, dim: int, x4: tuple) -> Li
     k, r, c, v = x4
     tensor = field.zeros((so_dim(space), dim, dim))
     tensor[k, r, c] = field.reduce(field.array(v) * field.inv(4))
-    return LieRepresentation(space.n, field, name, so_pairs(space), _freeze(tensor), tuple(map(_freeze, (k, r, c))))
+    return LieRepresentation(space.n, field, name, so_pairs(space), _freeze(tensor))
 
 
 # Representations are cached per (space, field); both hash by value.
@@ -344,12 +340,7 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     pairs i < j suffice.
 
     The check works on the nonzero entries (k, r, c, v) of the tensor, and
-    on a block of left generators i at a time.  Their coordinates are the
-    ones the module carries (``LieRepresentation.coords``) once one count
-    of the tensor's nonzeros confirms them: exactly that many nonzeros, and
-    no zero at a carried coordinate.  Otherwise, or when the module carries
-    none, they come from one scan of the tensor, so the answer depends on
-    the tensor alone.  Joining the column of each
+    on a block of left generators i at a time.  Joining the column of each
     entry of T_i with the row of the entries of every T_j (j > i) gives
     T_i T_j; joining on the row of T_i and the column of T_j gives T_j T_i.
     Those products, minus coeff * T_k for every entry (i, j, k, coeff) of
@@ -381,10 +372,7 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     ints, den = field.cleared(rep.tensor)
     coeff, cden = field.cleared(struct.coeff)
     g, d = rep.g, rep.dim
-    coords = rep.coords
-    if coords is None or np.count_nonzero(ints) != len(coords[0]) or not np.all(ints[coords]):
-        coords = np.nonzero(ints)
-    k, r, c = coords  # C order: k ascending
+    k, r, c = np.nonzero(ints)  # C order: k ascending
     v = ints[k, r, c]
     k_start = np.searchsorted(k, np.arange(g + 1))
     t_start = np.searchsorted(struct.i, np.arange(g + 1))
