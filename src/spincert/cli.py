@@ -3,30 +3,18 @@
 ``spincert run`` executes verification suites and prints a certificate
 table (or one JSON document); ``spincert list-suites`` names them.  Exit
 codes: 0 all selected suites passed, 1 at least one check failed, 2 usage
-error.  Every flag has an environment override with the NOETHER_ prefix;
-flags win over the environment.  An override is the flag's raw default
-string, so argparse converts it only when the flag is absent and reports a
-malformed one as a usage error; ``NOETHER_STRETCH`` takes 1/true/yes/on or
-0/false/no/off in any case, and ``NOETHER_FORMAT`` text or json.
+error.  Flags are the only way in: the environment sets no option.
+``--suites all``, the default, names every suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .kernels import backend
 from .suites import SUITES, RunConfig, report_to_dict, run_selected
-
-_ENV_PREFIX = "NOETHER_"
-_FORMATS = ("text", "json")
-_SWITCH_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
-
-
-def _env(name: str, default):
-    return os.environ.get(_ENV_PREFIX + name, default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,18 +27,17 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run verification suites")
     run.add_argument(
         "--suites",
-        default=_env("SUITES", "all"),
+        default="all",
         help="comma-separated suite names, or 'all' (default)",
     )
-    run.add_argument("--prime", type=int, default=_env("PRIME", 1_000_003))
-    run.add_argument("--confirm-prime", type=int, default=_env("CONFIRM_PRIME", 999_983))
-    run.add_argument("--seed", type=int, default=_env("SEED", 0))
-    run.add_argument("--trials", type=int, default=_env("TRIALS", 3))
-    run.add_argument("--format", choices=_FORMATS, default=_env("FORMAT", "text"))
+    run.add_argument("--prime", type=int, default=1_000_003)
+    run.add_argument("--confirm-prime", type=int, default=999_983)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--trials", type=int, default=3)
+    run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument(
         "--stretch",
         action="store_true",
-        default=_env("STRETCH", False),
         help="enable the budgeted degree-4 invariant computation",
     )
 
@@ -59,8 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    names = [s.strip() for s in args.suites.split(",") if s.strip()]
     return RunConfig(
-        suites=[s.strip() for s in args.suites.split(",") if s.strip()] or ["all"],
+        suites=list(SUITES) if names in ([], ["all"]) else names,
         prime=args.prime,
         confirm_prime=args.confirm_prime,
         seed=args.seed,
@@ -90,12 +78,6 @@ def main(argv=None) -> int:
             print(f"{name} - {anchor}")
         return 0
 
-    if isinstance(args.stretch, str):  # the raw NOETHER_STRETCH; --stretch stores True
-        if args.stretch.lower() not in _SWITCH_WORDS:
-            parser.error(f"invalid NOETHER_STRETCH value: {args.stretch!r} (use 1/true/yes/on or 0/false/no/off)")
-        args.stretch = _SWITCH_WORDS[args.stretch.lower()]
-    if args.format not in _FORMATS:  # argparse checks choices on --format only
-        parser.error(f"unknown format {args.format!r}")
     cfg = _config_from_args(args)
     try:
         cfg.validate()

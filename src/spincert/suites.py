@@ -1,17 +1,16 @@
 """Verification suites: constructions bound to expected certificates.
 
-Every suite is a per-field function, which computes the suite's values over
-one field keyed by check id, and a table of check specs (id, description,
-expected, provenance, anchor) in report order.  The four spinor suites,
-spin7, spin10, spin11 and spin14, are rows (n, module, checks) of one
-per-field function, ``_spinor``: it draws the row's generic point once per
-field, a ``_Point``, and each check carries its value as a function of that
-point, so a row is data only.  One genericity protocol,
-``_Recorder.two_prime``, runs the per-field function once for each
-configured prime and records, per spec, the agreed value, or "a / b (primes
-disagree)" as a failing check.  ``sln_quotient`` instead records every field
-on its own, Q for n = 2..5 and each prime for n = 2..8, with the field's
-label and n in the check ids.
+Seven suites, g2_octonion, spin7, spin10, spin11, spin14, coregular_free and
+branching, are two-prime suites: a context built once per configured prime
+and one table of checks (id, value, description, expected, provenance,
+anchor) in report order, each value a function of that context.  The spinor
+rows read a ``_Point``, the row's generic point on one module; g2_octonion,
+coregular_free and branching share a ``_Field``.  Either derives what its
+checks read on first read only.  One builder, ``_two_prime``, computes every
+value over both primes before it records, per check, the agreed value, or
+"a / b (primes disagree)" as a failing check.  ``sln_quotient`` instead
+records every field on its own, Q for n = 2..5 and each prime for n = 2..8,
+with the field's label and n in the check ids.
 
 Provenance is "literature" for values anchored in published stabilizer
 classifications, "derived" for values the package computes independently,
@@ -27,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -89,7 +88,7 @@ __all__ = [
 class RunConfig:
     """One run's knobs; defaults reproduce the full certificate table."""
 
-    suites: list = dc_field(default_factory=lambda: ["all"])
+    suites: list = dc_field(default_factory=lambda: list(SUITES))
     prime: int = 1_000_003
     confirm_prime: int = 999_983
     seed: int = 0
@@ -105,17 +104,11 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        names = self.resolved_suites()
-        for name in names:
+        for name in self.suites:
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}")
-            if names.count(name) > 1:
+            if self.suites.count(name) > 1:
                 raise ValueError(f"suite {name!r} is named more than once")
-
-    def resolved_suites(self) -> list:
-        if self.suites == ["all"]:
-            return list(SUITES)
-        return list(self.suites)
 
     @property
     def primes(self):
@@ -130,7 +123,10 @@ class Check:
     observed: object
     provenance: str
     anchor: str
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.observed
 
 
 @dataclass
@@ -168,53 +164,50 @@ def report_to_dict(report: SuiteReport) -> dict:
     }
 
 
-class _Recorder:
-    def __init__(self):
-        self.checks: list[Check] = []
-
-    def add(self, id, description, expected, observed, provenance, anchor):
-        self.checks.append(
-            Check(id, description, expected, observed, provenance, anchor, expected == observed)
-        )
-
-    def two_prime(self, cfg, per_field, specs):
-        """Run per_field(cfg, field) once per prime; record each spec's agreed value or the split."""
-        a, b = (per_field(cfg, GF(p)) for p in cfg.primes)
-        for id, description, expected, provenance, anchor in specs:
-            observed = a[id] if a[id] == b[id] else f"{a[id]} / {b[id]} (primes disagree)"
-            self.add(id, description, expected, observed, provenance, anchor)
-
-
 def _timed(name, body):
+    """Runner of a suite whose ``body(cfg, checks)`` appends its Checks to the list."""
+
     def runner(cfg: RunConfig) -> SuiteReport:
         start = time.perf_counter()
-        rec = _Recorder()
+        checks = []
         try:
-            body(cfg, rec)
+            body(cfg, checks)
         except Exception as exc:  # a suite failure must not abort the run
-            rec.add(
-                "suite-error",
-                f"suite aborted: {type(exc).__name__}",
-                "no error",
-                str(exc),
-                "plumbing",
-                "suite execution",
-            )
+            error = f"suite aborted: {type(exc).__name__}"
+            checks.append(Check("suite-error", error, "no error", str(exc), "plumbing", "suite execution"))
         elapsed = int((time.perf_counter() - start) * 1000)
-        return SuiteReport(name, rec.checks, cfg.seed, cfg.primes, elapsed)
+        return SuiteReport(name, checks, cfg.seed, cfg.primes, elapsed)
 
     return runner
 
 
-def _two_prime(per_field, specs):
-    return lambda cfg, rec: rec.two_prime(cfg, per_field, specs)
+def _two_prime(context, checks, stretch=()):
+    """Body of a two-prime suite: every check's value at ``context(cfg, field)``, built once per prime.
+
+    Both primes' values are computed before any is recorded; ``--stretch``
+    appends the stretch checks.
+    """
+
+    def body(cfg: RunConfig, out: list):
+        run = checks + (stretch if cfg.stretch else ())
+
+        def values(p):  # one prime's context is released before the next is built
+            ctx = context(cfg, GF(p))
+            return [value(ctx) for _, value, *_ in run]
+
+        a, b = map(values, cfg.primes)
+        for (id, _, description, expected, provenance, anchor), x, y in zip(run, a, b):
+            observed = x if x == y else f"{x} / {y} (primes disagree)"
+            out.append(Check(id, description, expected, observed, provenance, anchor))
+
+    return body
 
 
 # -- suites ---------------------------------------------------------------
 #
-# Check tables hold data only: the per-field functions and the value functions
-# of the spinor rows look library callables up as module globals at call time,
-# so rebinding such a name (a test's monkeypatch, a tracer) reaches them.
+# Check tables hold data only: the value functions look library callables up
+# as module globals at call time, so rebinding such a name (a test's
+# monkeypatch, a tracer) reaches them.
 
 
 def _module(space, f, module):
@@ -259,46 +252,61 @@ class _Point:
         return fixed_subspace(self.field, kernel_action_matrices(self.stabilizer.kernel, self.rep))
 
 
-def _spinor(cfg: RunConfig, f, n: int, module: str, checks) -> dict:
-    """A spinor row's values over one field, each read at the row's generic point."""
-    point = _Point(cfg, f, n, module)
-    return {id: value(point) for id, value, *_ in checks}
+class _Field:
+    """One field's shared data for the g2_octonion, coregular_free and branching tables.
+
+    Each is computed on its first read only: the octonion derivations, g2 on
+    the trace-zero octonions, g2's generic anisotropic point and spin(5)'s
+    invariant forms.
+    """
+
+    def __init__(self, cfg: RunConfig, f):
+        self.cfg, self.field = cfg, f
+
+    def generic_stabilizer_dim(self, rep):
+        """The min-trial stabilizer dimension of ``rep`` at the run's trials and seed."""
+        return min_trial_stabilizer(rep, self.cfg.trials, self.cfg.seed)[0].dimension
+
+    @cached_property
+    def derivations(self):
+        return derivation_algebra(self.field)
+
+    @cached_property
+    def g2(self):
+        return trace_zero_rep(self.derivations)
+
+    @cached_property
+    def g2_point(self):
+        """g2's stabilizer at a generic anisotropic trace-zero octonion, and the point."""
+        f = self.field
+        return min_trial_stabilizer(self.g2, self.cfg.trials, self.cfg.seed, witness=lambda x: anisotropic(f, x))
+
+    @cached_property
+    def spin5_forms(self):
+        return invariant_bilinear_space(spin_rep(QuadraticSpace(5), self.field))
 
 
-def _spinor_suite(n, module, checks, stretch=()):
-    """Suite body of the row (n, module, checks); ``--stretch`` appends the stretch checks."""
-
-    def body(cfg: RunConfig, rec: _Recorder):
-        run = checks + (stretch if cfg.stretch else ())
-        rec.two_prime(cfg, lambda cfg, f: _spinor(cfg, f, n, module, run), [(id, *spec) for id, _, *spec in run])
-
-    return body
+def _form_dims(forms) -> list:
+    return [forms.symmetric_dim, forms.antisymmetric_dim, forms.sample_rank]
 
 
-def _g2_octonion(cfg: RunConfig, f) -> dict:
-    derivations = derivation_algebra(f)
-    g2 = trace_zero_rep(derivations)
-    triple, _ = min_trial_stabilizer(direct_sum([g2] * 3), cfg.trials, cfg.seed)
-    vector, v = min_trial_stabilizer(g2, cfg.trials, cfg.seed, witness=lambda x: anisotropic(f, x))
-    # cross-module consistency against the spinor route, at the spin7 row's point
-    deriv = subalgebra_structure_from_matrices(f, derivations.matrices)
-    spinor = _Point(cfg, f, 7, "spin")
-    return {
-        "derivation-dim": derivations.dimension,
-        "triple-closure": subalgebra_generated(f, split_generating_triple(f)),
-        "kernel-triple": triple.dimension,
-        "kernel-vector": vector.dimension,
-        "kernel-scaled": stabilizer(g2.with_scaling(), v).dimension,
-        "cross-spinor": [
-            [deriv.dimension, deriv.killing_rank],
-            [spinor.stabilizer.dimension, spinor.structure.killing_rank],
-        ],
-    }
+def _fingerprint(f, mats) -> list:
+    return [associative_closure(f, mats), commutant_dimension(f, mats)]
 
 
+def _cross_spinor(c: _Field) -> list:
+    """(dim, Killing rank) of the derivations and of the stabilizer at the spin7 row's point."""
+    deriv = subalgebra_structure_from_matrices(c.field, c.derivations.matrices)
+    spinor = _Point(c.cfg, c.field, 7, "spin")
+    return [[deriv.dimension, deriv.killing_rank], [spinor.stabilizer.dimension, spinor.structure.killing_rank]]
+
+
+# A two-prime table holds checks (id, value, description, expected, provenance,
+# anchor), with value a function of the suite's per-field context.
 _G2_OCTONION_CHECKS = (
     (
         "derivation-dim",
+        lambda c: c.derivations.dimension,
         "octonion derivation algebra dimension",
         14,
         "derived",
@@ -306,6 +314,7 @@ _G2_OCTONION_CHECKS = (
     ),
     (
         "triple-closure",
+        lambda c: subalgebra_generated(c.field, split_generating_triple(c.field)),
         "split generating triple closes to the full algebra",
         8,
         "derived",
@@ -313,6 +322,7 @@ _G2_OCTONION_CHECKS = (
     ),
     (
         "kernel-triple",
+        lambda c: c.generic_stabilizer_dim(direct_sum([c.g2] * 3)),
         "derivation kernel on three trace-zero copies",
         0,
         "derived",
@@ -320,6 +330,7 @@ _G2_OCTONION_CHECKS = (
     ),
     (
         "kernel-vector",
+        lambda c: c.g2_point[0].dimension,
         "derivation kernel at an anisotropic trace-zero octonion",
         8,
         "literature",
@@ -327,6 +338,7 @@ _G2_OCTONION_CHECKS = (
     ),
     (
         "kernel-scaled",
+        lambda c: stabilizer(c.g2.with_scaling(), c.g2_point[1]).dimension,
         "kernel with the scaling generator appended",
         8,
         "literature",
@@ -334,6 +346,7 @@ _G2_OCTONION_CHECKS = (
     ),
     (
         "cross-spinor",
+        _cross_spinor,
         "derivation (dim, killing rank) equals spinor-stabilizer (dim, killing rank)",
         [[14, 14], [14, 14]],
         "derived",
@@ -342,9 +355,7 @@ _G2_OCTONION_CHECKS = (
 )
 
 
-# A spinor row is (n, module, checks[, checks --stretch adds]), and a check is
-# (id, value, description, expected, provenance, anchor) with value a function
-# of the row's _Point.
+# The spinor rows' checks read the row's _Point.
 _CENTER_NEGATES = (
     "center-negates",
     lambda pt: center_acts_minus_one(pt.space, pt.rep),
@@ -357,7 +368,7 @@ _CENTER_NEGATES = (
 _SPIN7_CHECKS = (
     (
         "invariant-forms",
-        lambda pt: [pt.forms.symmetric_dim, pt.forms.antisymmetric_dim, pt.forms.sample_rank],
+        lambda pt: _form_dims(pt.forms),
         "[symmetric dim, antisymmetric dim, sample rank] on the 8-dim spin module",
         [1, 0, 8],
         "literature",
@@ -520,7 +531,7 @@ _SPIN14_CHECKS = (
     ),
     (
         "isotypic-fingerprint",
-        lambda pt: [associative_closure(pt.field, pt.on_vector), commutant_dimension(pt.field, pt.on_vector)],
+        lambda pt: _fingerprint(pt.field, pt.on_vector),
         "[closure dim, commutant dim] of the stabilizer acting on the natural 14-dim module",
         [98, 2],
         "literature",
@@ -536,56 +547,56 @@ _SPIN14_CHECKS = (
     ),
 )
 
-# (check id, (n, natural copies, spinor module, spinor copies), what); the
-# vector chains carry their expected dimension before what.
-_FREENESS = (
-    ("free-7", (7, 3, "spin", 1), "three natural copies plus the spin module"),
-    ("free-10", (10, 5, "even", 1), "five natural copies plus one half-spin module"),
-    ("free-11", (11, 4, "spin", 1), "four natural copies plus the spin module"),
-    ("free-14", (14, 3, "even", 1), "three natural copies plus one half-spin module"),
+
+def _free(n: int, copies: int, module=None):
+    """Value function: the generic stabilizer dimension of ``copies`` natural
+    modules of so(n), plus one copy of the named spinor module when given."""
+
+    def value(c: _Field):
+        space = QuadraticSpace(n)
+        parts = [vector_rep(space, c.field)] * copies + ([_module(space, c.field, module)] if module else [])
+        return c.generic_stabilizer_dim(direct_sum(parts))
+
+    return value
+
+
+_FREE = "the listed coregular representation is generically free"
+_CHAIN = "each generic vector cuts the stabilizer down one orthogonal rank"
+_COREGULAR_FREE_CHECKS = (
+    ("free-7", _free(7, 3, "spin"), "generic stabilizer of three natural copies plus the spin module",
+     0, "literature", _FREE),
+    ("free-10", _free(10, 5, "even"), "generic stabilizer of five natural copies plus one half-spin module",
+     0, "literature", _FREE),
+    ("free-11", _free(11, 4, "spin"), "generic stabilizer of four natural copies plus the spin module",
+     0, "literature", _FREE),
+    ("free-14", _free(14, 3, "even"), "generic stabilizer of three natural copies plus one half-spin module",
+     0, "literature", _FREE),
+    ("chain-10", _free(10, 5), "five generic vectors leave the so(5) of the complement", 10, "derived", _CHAIN),
+    ("chain-11", _free(11, 4), "four generic vectors leave so(7)", 21, "derived", _CHAIN),
+    ("chain-14", _free(14, 3), "three generic vectors leave so(11)", 55, "derived", _CHAIN),
 )
-_CHAINS = (
-    ("chain-10", (10, 5, None, 0), 10, "five generic vectors leave the so(5) of the complement"),
-    ("chain-11", (11, 4, None, 0), 21, "four generic vectors leave so(7)"),
-    ("chain-14", (14, 3, None, 0), 55, "three generic vectors leave so(11)"),
-)
 
 
-def _coregular_free(cfg: RunConfig, f) -> dict:
-    out = {}
-    for check_id, (n, copies_v, module, copies_w), *_ in _FREENESS + _CHAINS:
-        sp = QuadraticSpace(n)
-        parts = [vector_rep(sp, f)] * copies_v
-        if module:
-            parts += [_module(sp, f, module)] * copies_w
-        rpt, _ = min_trial_stabilizer(direct_sum(parts), cfg.trials, cfg.seed)
-        out[check_id] = rpt.dimension
-    return out
-
-
-_COREGULAR_FREE_CHECKS = tuple(
-    (
-        check_id,
-        f"generic stabilizer of {what}",
-        0,
-        "literature",
-        "the listed coregular representation is generically free",
+def _restriction_blocks(c: _Field) -> list:
+    """[even block, odd block, True] when spin(11) restricted to so(10) is block-diagonal by parity."""
+    space = QuadraticSpace(11)
+    res = restrict(spin_rep(space, c.field), embed_subalgebra(space, 10))
+    even, odd = parity_indices(11)
+    mixed = any(
+        res.tensor[k][np.ix_(even, odd)].any() or res.tensor[k][np.ix_(odd, even)].any() for k in range(res.g)
     )
-    for check_id, _, what in _FREENESS
-) + tuple(
-    (
-        check_id,
-        what,
-        expected,
-        "derived",
-        "each generic vector cuts the stabilizer down one orthogonal rank",
-    )
-    for check_id, _, expected, what in _CHAINS
-)
+    return [0, 0, False] if mixed else [len(even), len(odd), True]
 
 
-def _sp4_left_multiplication(cfg: RunConfig, f, omega):
-    """Generic stabilizer dimension of a 4x4 matrix under left multiplication by sp4 = sp(omega)."""
+def _half10_on_so5(c: _Field):
+    space = QuadraticSpace(10)
+    return restrict(half_spin_reps(space, c.field)[0], embed_subalgebra(space, 5)).tensor
+
+
+def _sp4_left_multiplication(c: _Field):
+    """Generic stabilizer dimension of a 4x4 matrix under left multiplication by sp4 = sp(omega),
+    omega the sample invariant form of spin(5)."""
+    f, omega = c.field, c.spin5_forms.sample
     # row 4x + y is entry (x, y) of z^T omega + omega z; unknown z[k, c] at column 4k + c
     eye = f.eye(4)
     system = np.einsum("cx,ky->xykc", eye, omega) + np.einsum("cy,xk->xykc", eye, omega)
@@ -595,30 +606,13 @@ def _sp4_left_multiplication(cfg: RunConfig, f, omega):
     # z x on row-major 4x4 matrices x is kron(z, I4)
     tensor = np.stack([np.kron(z, eye) for z in sp4.reshape(-1, 4, 4)])
     rep = LieRepresentation(4, f, "sp4 on 4x4 matrices", tuple(("sp4", k) for k in range(10)), tensor)
-    return min_trial_stabilizer(rep, cfg.trials, cfg.seed)[0].dimension
-
-
-def _branching(cfg: RunConfig, f) -> dict:
-    space11 = QuadraticSpace(11)
-    res = restrict(spin_rep(space11, f), embed_subalgebra(space11, 10))
-    even, odd = parity_indices(11)
-    mixed = any(
-        res.tensor[k][np.ix_(even, odd)].any() or res.tensor[k][np.ix_(odd, even)].any() for k in range(res.g)
-    )
-    space10 = QuadraticSpace(10)
-    res10 = restrict(half_spin_reps(space10, f)[0], embed_subalgebra(space10, 5))
-    inv = invariant_bilinear_space(spin_rep(QuadraticSpace(5), f))
-    return {
-        "restriction-blocks": [0, 0, False] if mixed else [len(even), len(odd), True],
-        "half10-so5-fingerprint": [associative_closure(f, res10.tensor), commutant_dimension(f, res10.tensor)],
-        "spin5-symplectic": [inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank],
-        "sp4-left-multiplication": _sp4_left_multiplication(cfg, f, inv.sample),
-    }
+    return c.generic_stabilizer_dim(rep)
 
 
 _BRANCHING_CHECKS = (
     (
         "restriction-blocks",
+        _restriction_blocks,
         "[even block, odd block, all 45 matrices block-diagonal] for spin(11) restricted to so(10)",
         [16, 16, True],
         "literature",
@@ -626,6 +620,7 @@ _BRANCHING_CHECKS = (
     ),
     (
         "half10-so5-fingerprint",
+        lambda c: _fingerprint(c.field, _half10_on_so5(c)),
         "[closure dim, commutant dim] of half-spin(10) restricted to so(5)",
         [16, 16],
         "literature",
@@ -633,6 +628,7 @@ _BRANCHING_CHECKS = (
     ),
     (
         "spin5-symplectic",
+        lambda c: _form_dims(c.spin5_forms),
         "[symmetric dim, antisymmetric dim, rank] of invariant forms on the 4-dim spin module",
         [0, 1, 4],
         "literature",
@@ -640,6 +636,7 @@ _BRANCHING_CHECKS = (
     ),
     (
         "sp4-left-multiplication",
+        _sp4_left_multiplication,
         "stabilizer of a generic invertible 4x4 matrix under sp4 left multiplication",
         0,
         "derived",
@@ -748,30 +745,34 @@ _SLN_QUOTIENT_CHECKS = (
 )
 
 
-def _suite_sln_quotient(cfg: RunConfig, rec: _Recorder):
+def _suite_sln_quotient(cfg: RunConfig, checks: list):
     plans = [("QQ", QQ, range(2, 6))] + [(f"F{p}", GF(p), range(2, 9)) for p in cfg.primes]
     for label, f, ns in plans:
         for n in ns:
             values = _sln_quotient(cfg, f, n)
             for kind, description, expected, provenance, anchor in _SLN_QUOTIENT_CHECKS:
-                rec.add(
-                    f"{kind}-{label}-n{n}",
-                    description.format(n=n, label=label),
-                    expected(n) if callable(expected) else expected,
-                    values[kind],
-                    provenance,
-                    anchor,
+                checks.append(
+                    Check(
+                        f"{kind}-{label}-n{n}",
+                        description.format(n=n, label=label),
+                        expected(n) if callable(expected) else expected,
+                        values[kind],
+                        provenance,
+                        anchor,
+                    )
                 )
 
     # the worked 2x2 case
     a = fiber_transporter(QQ, QQ.array([[[3, 5]]]), QQ.array([[[3, 7]]]))
-    rec.add(
-        "hand-transporter",
-        "the 2x2 worked example solves to t1 = -2/3",
-        str(Fraction(-2, 3)),
-        str(a[0, 0, 1]),
-        "derived",
-        "one-equation fiber system",
+    checks.append(
+        Check(
+            "hand-transporter",
+            "the 2x2 worked example solves to t1 = -2/3",
+            str(Fraction(-2, 3)),
+            str(a[0, 0, 1]),
+            "derived",
+            "one-equation fiber system",
+        )
     )
 
 
@@ -779,19 +780,19 @@ def _suite_sln_quotient(cfg: RunConfig, rec: _Recorder):
 SUITES = {
     name: (_timed(name, body), anchor)
     for name, body, anchor in (
-        ("g2_octonion", _two_prime(_g2_octonion, _G2_OCTONION_CHECKS),
+        ("g2_octonion", _two_prime(_Field, _G2_OCTONION_CHECKS),
          "derivation algebra dim 14; generating triple; kernels (0, 8, 8); stabilizer SL_3 fingerprint"),
-        ("spin7", _spinor_suite(7, "spin", _SPIN7_CHECKS),
+        ("spin7", _two_prime(partial(_Point, n=7, module="spin"), _SPIN7_CHECKS),
          "invariant quadratic; stabilizer G_2 (dim 14, Killing 14); fixed line; center -Id"),
-        ("spin10", _spinor_suite(10, "even", _SPIN10_CHECKS),
+        ("spin10", _two_prime(partial(_Point, n=10, module="even"), _SPIN10_CHECKS),
          "half-spin stabilizer dim 29 = 8-dim vector group + spin(7); no invariant forms"),
-        ("spin11", _spinor_suite(11, "spin", _SPIN11_CHECKS, _SPIN11_STRETCH_CHECKS),
+        ("spin11", _two_prime(partial(_Point, n=11, module="spin"), _SPIN11_CHECKS, _SPIN11_STRETCH_CHECKS),
          "stabilizer SL_5 (dim 24, Killing 24); commutant on the natural module; center -Id"),
-        ("spin14", _spinor_suite(14, "even", _SPIN14_CHECKS),
+        ("spin14", _two_prime(partial(_Point, n=14, module="even"), _SPIN14_CHECKS),
          "half-spin stabilizer dim 28 (g2 x g2); natural module splits 7 + 7; projective open orbit"),
-        ("coregular_free", _two_prime(_coregular_free, _COREGULAR_FREE_CHECKS),
+        ("coregular_free", _two_prime(_Field, _COREGULAR_FREE_CHECKS),
          "the four coregular sums are generically free; vector-chain stabilizers 10 / 21 / 55"),
-        ("branching", _two_prime(_branching, _BRANCHING_CHECKS),
+        ("branching", _two_prime(_Field, _BRANCHING_CHECKS),
          "spin(11) to so(10) parity blocks; half-spin(10) to so(5) is four spin(5) copies; sp4 freeness"),
         ("sln_quotient", _suite_sln_quotient,
          "pair action invariants; J normalization; fiber transporter; Jacobian surjectivity"),
@@ -805,4 +806,4 @@ def run_suite(name: str, cfg: RunConfig) -> SuiteReport:
 
 
 def run_selected(cfg: RunConfig) -> list:
-    return [run_suite(name, cfg) for name in cfg.resolved_suites()]
+    return [run_suite(name, cfg) for name in cfg.suites]

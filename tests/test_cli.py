@@ -85,6 +85,9 @@ def test_usage_error_exit_2():
         main(["run", "--suites", "spin7,spin7"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["run", "--suites", "spin7,all"])  # 'all' alone names every suite
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--prime", "7", "--confirm-prime", "7"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
@@ -107,69 +110,32 @@ def test_failing_suite_exit_1(capsys, monkeypatch):
     assert "FAIL suite-error" in out
 
 
-def test_env_override_and_flag_priority(capsys, monkeypatch):
-    monkeypatch.setenv("NOETHER_SUITES", "g2_octonion")
-    monkeypatch.setenv("NOETHER_TRIALS", "2")
-    code, out = run_cli(["run", "--format", "json"], capsys)
-    assert code == 0
-    assert [s["suite"] for s in json.loads(out)["suites"]] == ["g2_octonion"]  # env selected the suite
+def test_environment_sets_no_option(capsys, monkeypatch):
+    # flags are the only way in: NOETHER_* values, malformed or not, change nothing
+    for name, value in (
+        ("NOETHER_SUITES", "g2_octonion"),
+        ("NOETHER_PRIME", "abc"),
+        ("NOETHER_FORMAT", "xml"),
+        ("NOETHER_STRETCH", "maybe"),
+    ):
+        monkeypatch.setenv(name, value)
     code, out = run_cli(["run", "--suites", "spin7", "--format", "json"], capsys)
     assert code == 0
-    assert [s["suite"] for s in json.loads(out)["suites"]] == ["spin7"]  # flag beat the environment
+    doc = json.loads(out)
+    assert doc["primes"] == [1000003, 999983]
+    assert [s["suite"] for s in doc["suites"]] == ["spin7"]
 
 
-def test_malformed_env_is_usage_error_unless_flag_wins(capsys, monkeypatch):
-    monkeypatch.setenv("NOETHER_PRIME", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--suites", "spin7"])
-    assert exc.value.code == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
-    # list-suites never reads the run defaults
-    code, out = run_cli(["list-suites"], capsys)
-    assert code == 0 and "spin7" in out
-    monkeypatch.delenv("NOETHER_PRIME")
-    monkeypatch.setenv("NOETHER_TRIALS", "1.5")
-    code, out = run_cli(["run", "--suites", "spin7", "--trials", "2", "--format", "json"], capsys)
-    assert code == 0 and json.loads(out)["trials"] == 2
-
-
-def test_stretch_env_words(capsys, monkeypatch):
+def test_all_names_every_suite(monkeypatch):
+    # 'all', or no name at all, reaches the suites as the registry's names
     import spincert.cli as cli_mod
+    from spincert.suites import SUITES
 
     seen = []
-    monkeypatch.setattr(cli_mod, "run_selected", lambda cfg: seen.append(cfg.stretch) or [])
-    for word, stretch in (("Yes", True), ("ON", True), ("1", True), ("false", False), ("Off", False), ("0", False)):
-        monkeypatch.setenv("NOETHER_STRETCH", word)
-        assert main(["run", "--suites", "spin11"]) == 0
-        assert seen.pop() is stretch
-    capsys.readouterr()
-
-
-def test_malformed_stretch_env_is_usage_error(capsys, monkeypatch):
-    import spincert.cli as cli_mod
-
-    monkeypatch.setenv("NOETHER_STRETCH", "maybe")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--suites", "spin11"])
-    assert exc.value.code == 2
-    assert "invalid NOETHER_STRETCH value: 'maybe'" in capsys.readouterr().err
-    # the flag wins over the malformed value, and list-suites never reads it
-    seen = []
-    monkeypatch.setattr(cli_mod, "run_selected", lambda cfg: seen.append(cfg.stretch) or [])
-    assert main(["run", "--suites", "spin11", "--stretch"]) == 0 and seen == [True]
-    code, out = run_cli(["list-suites"], capsys)
-    assert code == 0 and "spin11" in out
-
-
-def test_env_format_is_checked_unless_flag_wins(capsys, monkeypatch):
-    # argparse applies choices to --format only, so main checks NOETHER_FORMAT itself
-    monkeypatch.setenv("NOETHER_FORMAT", "xml")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--suites", "spin7"])
-    assert exc.value.code == 2
-    assert "unknown format 'xml'" in capsys.readouterr().err
-    code, out = run_cli(["run", "--suites", "spin7", "--format", "json"], capsys)
-    assert code == 0 and json.loads(out)["pass"] is True
+    monkeypatch.setattr(cli_mod, "run_selected", lambda cfg: seen.append(cfg.suites) or [])
+    for argv in (["run"], ["run", "--suites", "all"], ["run", "--suites", " , "]):
+        assert main(argv) == 0
+    assert seen == [list(SUITES)] * 3
 
 
 def test_module_entry_point():
@@ -197,6 +163,27 @@ def test_package_import_caps_blas_threads_unless_set(preset, want):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == want
+
+
+def test_no_module_reads_the_environment():
+    # the one read is the package's OpenBLAS thread default, set before NumPy loads
+    reads = []
+    for path in sorted((ROOT / "src" / "spincert").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node.func.value)
+            for node in ast.walk(tree)
+            if path.name == "__init__.py"
+            and isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "os.environ.setdefault"
+            and ast.unparse(node.args[0]) == "'OPENBLAS_NUM_THREADS'"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv") and id(node) not in allowed:
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}" for a in node.names if a.name in ("environ", "getenv")]
+    assert reads == []
 
 
 # -- the names perfbench/ reaches in the package ------------------------------
@@ -265,12 +252,9 @@ def test_every_public_method_is_used():
     assert [name for name in methods if name.rsplit(".", 1)[1] not in used] == []
 
 
-def test_default_report_matches_golden(capsys, monkeypatch):
+def test_default_report_matches_golden(capsys):
     # the default certificate table, byte for byte, with the timings removed;
     # the golden file is that report as a known-good tree printed it
-    for name in list(os.environ):
-        if name.startswith("NOETHER_"):
-            monkeypatch.delenv(name)
     code, out = run_cli(["run", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)

@@ -6,15 +6,17 @@ import pytest
 
 from spincert.fields import GF, QQ, RandomSource
 from spincert.suites import (
+    Check,
     RunConfig,
     report_to_dict,
+    SuiteReport,
     SUITES,
     run_suite,
 )
 
 
 def quick_cfg(**kw):
-    defaults = dict(suites=["all"], trials=2)
+    defaults = dict(trials=2)
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -69,8 +71,19 @@ def test_config_validation():
         RunConfig(seed=-1).validate()  # random.Random(-1) is random.Random(1)
     with pytest.raises(ValueError):
         RunConfig(confirm_prime=4294967311).validate()  # beyond exact int64 elimination
+    with pytest.raises(ValueError, match="unknown suite 'all'"):
+        RunConfig(suites=["all"]).validate()  # 'all' is CLI input only
+    assert RunConfig().suites == list(SUITES)
     RunConfig().validate()
     RunConfig(prime=2147483647).validate()
+
+
+def test_check_passes_when_observed_equals_expected():
+    agreed = Check("x", "d", [1, 2], [1, 2], "derived", "a")
+    split = Check("x", "d", 8, "8 / 9 (primes disagree)", "derived", "a")
+    assert agreed.passed and not split.passed
+    doc = report_to_dict(SuiteReport("s", [agreed, split], 0, (5, 7), 0))
+    assert [c["pass"] for c in doc["checks"]] == [True, False]
 
 
 def test_g2_suite_passes_and_is_deterministic():
@@ -338,13 +351,15 @@ def test_unexpected_error_becomes_failed_check(monkeypatch):
 @pytest.mark.parametrize(
     "name, passing, failing",
     [
-        ("invariant_bilinear_space", ["spin11"], ["spin7"]),
+        ("invariant_bilinear_space", ["spin11", "g2_octonion", "coregular_free"], ["spin7", "branching"]),
         ("associative_closure", ["spin7", "spin10", "spin11"], ["spin14"]),
+        ("subalgebra_generated", [], ["g2_octonion"]),
     ],
 )
 def test_spinor_row_computes_only_what_it_records(monkeypatch, name, passing, failing):
-    # a row derives data from its point only for the checks that read them;
-    # a failure aborts the row before any value is recorded
+    # every two-prime table, the spinor rows and the shared-context ones alike,
+    # derives data from its context only for the checks that read them; a
+    # failure aborts the suite before any value is recorded
     import spincert.suites as suites_mod
 
     def boom(*a, **k):
