@@ -25,6 +25,10 @@ loops they replace, and checks each result against its loop:
 spin(14) stabilizer (k = 28, d = 14), ``orbits.invariant_quartic_dim`` on
 spin(11), and ``orbits.invariant_bilinear_space`` on spin(13) against a
 dense (d^2, c) image of the c candidate forms per generator.
+Then it times ``linalg.hom_space`` on the three largest Hom_H(V_n, W) pairs
+of the generic stabilizer H at one seed-0 point: V_11 into spin(11) (352
+unknowns), V_12 into the odd half-spin module of a point of the even one
+(384) and V_14 likewise (896), and checks every basis map by product.
 Run after `pip install -e . --no-build-isolation`:
 
     python benchmarks/bench_kernels.py
@@ -43,7 +47,7 @@ from spincert import _modp_fallback, spinreps
 from spincert.clifford import QuadraticSpace, so_pairs
 from spincert.fields import GF, QQ, RandomSource
 from spincert.kernels import matmul_mod
-from spincert.linalg import _rref_qq, coordinates_in_span, kernel, rank
+from spincert.linalg import _rref_qq, coordinates_in_span, hom_space, kernel, rank
 from spincert.orbits import (
     _diagonal_members,
     action_matrix,
@@ -310,6 +314,25 @@ def bench_batched(repeats):
     print(f"{'invariant_bilinear_space, spin(13)':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
 
 
+def bench_hom(repeats):
+    field = GF(P)
+    print(f"{'Hom_H(V_n, W)':<42} {'unknowns':>8} {'dim':>4} {'hom_space':>10}")
+    for n, module in ((11, "spin"), (12, "odd"), (14, "odd")):
+        space = QuadraticSpace(n)
+        if n % 2:
+            point_rep = w = spinreps.spin_rep(space, field)
+        else:
+            point_rep, w = spinreps.half_spin_reps(space, field)
+        stab = stabilizer(point_rep, RandomSource(0).child(0).scalars(field, point_rep.dim)).kernel
+        a, b = (kernel_action_matrices(stab, rep) for rep in (w, spinreps.vector_rep(space, field)))
+        basis = hom_space(field, a, b)
+        xs = basis.reshape(-1, 1, w.dim, n)
+        assert not np.count_nonzero(field.reduce(field.matmul(a, xs) - field.matmul(xs, b))), "a basis map fails"
+        assert rank(field, basis[None]) == [len(basis)], "the basis maps are dependent"
+        fast = bench(lambda _: hom_space(field, a, b), None, repeats)
+        print(f"{f'V_{n} -> {module}, h={len(a)}':<42} {w.dim * n:>8} {len(basis):>4} {fast*1e3:>8.1f}ms")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3)
@@ -334,6 +357,7 @@ def main():
     bench_stacks(args.repeats)
     bench_qq(rng, args.repeats)
     bench_batched(args.repeats)
+    bench_hom(args.repeats)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ __all__ = [
     "solve",
     "det",
     "associative_closure",
+    "hom_space",
     "commutant_dimension",
     "SpanBuilder",
     "OutsideSpan",
@@ -337,39 +338,47 @@ def associative_closure(field, gens) -> int:
     return len(_spin(field, gens))
 
 
-def commutant_dimension(field, gens) -> int:
-    """Dimension of {X : Xg = gX for every g of a (k, d, d) stack}.
+def hom_space(field, a, b) -> np.ndarray:
+    """Basis of {X : a_i X = X b_i for every i}, the module maps from a (k, db, db)
+    stack b's module to a (k, da, da) stack a's, as (dim, da db) rows, X row-major.
 
     Kernels are intersected one generator at a time: K starts as the kernel
-    of the first generator's Sylvester map X -> Xg - gX, and each further
-    generator replaces K by K times the kernel of its Sylvester map
+    of the first generator's Sylvester map X -> a_1 X - X b_1, and each
+    further generator replaces K by K times the kernel of its Sylvester map
     restricted to the span of K's columns.  The systems shrink as K does,
-    instead of one stacked (k d^2) x d^2 elimination.
+    instead of one stacked (k da db) x (da db) elimination.
 
-    More than two generators are first replaced by the pair ``_pair``, whose
-    commutant contains the answer.  One batched product then finds the
-    generators that fail to commute with some column of K, and only those
-    cut K further; every other generator already commutes with all of K.
+    More than two generators are first replaced by the pair ``_pair``, with
+    the same coefficients on both sides, whose Hom space contains the answer.
+    One batched product then finds the generators that fail on some column
+    of K, and only those cut K further.
     """
-    k, d, _ = gens.shape
+    (k, da, _), (kb, db, _) = a.shape, b.shape
+    if k != kb:
+        raise ValueError(f"Hom space of stacks of {k} and {kb} matrices")
     if not k:
-        return d * d
-    eye = field.eye(d)
+        return field.eye(da * db)
 
-    def sylvester(g):
-        # the map X -> Xg - gX on row-major flattened X
-        return field.reduce(np.kron(eye, np.ascontiguousarray(g.T)) - np.kron(g, eye))
+    def sylvester(x, y):
+        # the map X -> xX - Xy on row-major flattened X
+        return field.reduce(np.kron(x, field.eye(db)) - np.kron(field.eye(da), np.ascontiguousarray(y.T)))
 
-    def cut(K, g):
-        return field.matmul(K, kernel(field, field.matmul(sylvester(g), K)[None])[0].T)
+    def cut(K, x, y):
+        return field.matmul(K, kernel(field, field.matmul(sylvester(x, y), K)[None])[0].T)
 
-    pair = gens if k <= 2 else _pair(field, gens)
-    K = kernel(field, sylvester(pair[0])[None])[0].T  # never empty: the identity commutes with everything
-    for g in pair[1:]:
-        K = cut(K, g)
+    pa = a if k <= 2 else _pair(field, a)
+    pb = pa if b is a else b if k <= 2 else _pair(field, b)
+    K = kernel(field, sylvester(pa[0], pb[0])[None])[0].T
+    for x, y in zip(pa[1:], pb[1:]):
+        K = cut(K, x, y)
     if k > 2:
-        xs = K.T.reshape(1, -1, d, d)
-        defect = field.reduce(field.matmul(xs, gens[:, None]) - field.matmul(gens[:, None], xs))
-        for g in gens[np.count_nonzero(defect.reshape(k, -1), axis=1) > 0]:
-            K = cut(K, g)
-    return K.shape[1]
+        xs = K.T.reshape(1, -1, da, db)
+        defect = field.reduce(field.matmul(a[:, None], xs) - field.matmul(xs, b[:, None]))
+        for i in np.flatnonzero(np.count_nonzero(defect.reshape(k, -1), axis=1)):
+            K = cut(K, a[i], b[i])
+    return K.T
+
+
+def commutant_dimension(field, gens) -> int:
+    """Dimension of {X : Xg = gX for every g of a (k, d, d) stack}: ``hom_space`` of the stack with itself."""
+    return len(hom_space(field, gens, gens))

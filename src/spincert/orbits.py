@@ -1,8 +1,8 @@
 """Lie-algebra orbit and stabilizer analysis.
 
 Everything here reduces to exact kernels of stacked action maps: stabilizer
-subalgebras, generic freeness, invariant bilinear forms and quartics, and
-fixed subspaces.  Genericity claims follow one protocol,
+subalgebras, generic freeness, and invariant bilinear forms and quartics.
+Genericity claims follow one protocol,
 ``min_trial_stabilizer``: a handful of random trials, take the minimum
 dimension (dimension only jumps upward on special points), among the points
 that pass the claim's witness when it has one, and stop at the first trial
@@ -34,7 +34,6 @@ __all__ = [
     "min_trial_stabilizer",
     "subalgebra_structure_from_matrices",
     "invariant_bilinear_space",
-    "fixed_subspace",
     "invariant_quartic_dim",
 ]
 
@@ -305,12 +304,6 @@ def invariant_bilinear_space(rep: LieRepresentation) -> BilinearInvariants:
     # the parities add up to total > 0, so one of them holds a nonzero form
     sample = (nonzero[0] if len(nonzero[0]) else nonzero[1])[0].reshape(d, d)
     return BilinearInvariants(sym_dim, alt_dim, sample, rank(field, sample[None])[0])
-
-
-def fixed_subspace(field, stack):
-    """Common null space of a nonempty (k, d, d) stack; returns (dimension, basis rows)."""
-    (basis,) = kernel(field, stack.reshape(1, -1, stack.shape[-1]))
-    return len(basis), basis
 
 
 # -- degree-4 invariants (budgeted stretch operation) ---------------------------

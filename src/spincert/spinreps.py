@@ -254,7 +254,7 @@ def _require_so_basis(rep: LieRepresentation, n: int):
 # -- the center of Spin_n --------------------------------------------------------
 
 
-def center_acts_minus_one(space: QuadraticSpace, rep: LieRepresentation) -> bool:
+def center_acts_minus_one(rep: LieRepresentation) -> bool:
     """True when the central -1 of Spin_n acts as -Id on the module of ``rep``.
 
     h_1 = 2 m_{p_1 q_1} (basis index 0) acts on the vector module as
@@ -264,9 +264,7 @@ def center_acts_minus_one(space: QuadraticSpace, rep: LieRepresentation) -> bool
     it is the nontrivial element of that kernel and negates the module.  The
     check reads the module's first matrix and nothing else.
     """
-    if rep.n != space.n:
-        raise ValueError(f"center check needs a module of so({space.n}), got {rep.name}")
-    _require_so_basis(rep, space.n)
+    _require_so_basis(rep, rep.n)
     field = rep.field
     h1 = field.reduce(2 * rep.tensor[0])
     halves = (field.inv(2), field.reduce(-field.inv(2)))

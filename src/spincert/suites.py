@@ -31,7 +31,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .fields import GF, QQ, PrimeField, RandomSource
-from .linalg import associative_closure, commutant_dimension, kernel, rank
+from .linalg import associative_closure, commutant_dimension, hom_space, kernel, rank
 from .clifford import QuadraticSpace
 from .octonion import (
     anisotropic,
@@ -41,7 +41,6 @@ from .octonion import (
     trace_zero_rep,
 )
 from .orbits import (
-    fixed_subspace,
     invariant_bilinear_space,
     invariant_quartic_dim,
     kernel_action_matrices,
@@ -249,7 +248,8 @@ class _Point:
 
     @cached_property
     def fixed(self):
-        return fixed_subspace(self.field, kernel_action_matrices(self.stabilizer.kernel, self.rep))
+        mats = kernel_action_matrices(self.stabilizer.kernel, self.rep)
+        return hom_space(self.field, mats, self.field.zeros((len(mats), 1, 1)))
 
 
 class _Field:
@@ -358,7 +358,7 @@ _G2_OCTONION_CHECKS = (
 # The spinor rows' checks read the row's _Point.
 _CENTER_NEGATES = (
     "center-negates",
-    lambda pt: center_acts_minus_one(pt.space, pt.rep),
+    lambda pt: center_acts_minus_one(pt.rep),
     "h1 = 2 m_{p1 q1} acts on the spin module diagonally with every entry +-1/2",
     True,
     "literature",
@@ -392,7 +392,7 @@ _SPIN7_CHECKS = (
     ),
     (
         "fixed-subspace",
-        lambda pt: pt.fixed[0],
+        lambda pt: len(pt.fixed),
         "fixed subspace of the studied point's stabilizer inside the spin module",
         1,
         "literature",
@@ -400,7 +400,7 @@ _SPIN7_CHECKS = (
     ),
     (
         "fixed-contains-point",
-        lambda pt: pt.fixed[0] == 1 and rank(pt.field, np.stack([pt.fixed[1][0], pt.v])[None]) == [1],
+        lambda pt: len(pt.fixed) == 1 and rank(pt.field, np.stack([pt.fixed[0], pt.v])[None]) == [1],
         "the fixed line is spanned by the stabilized point",
         True,
         "derived",

@@ -18,6 +18,7 @@ from spincert.linalg import (
     commutant_dimension,
     coordinates_in_span,
     det,
+    hom_space,
     kernel,
     rank,
     rref,
@@ -367,16 +368,24 @@ def closure_by_words(field, gens):
     return sb.dim
 
 
-def commutant_by_stacked_system(field, gens):
-    """d^2 minus the rank of X -> (Xg - gX for every g), one row per unit E_ab."""
-    d = gens.shape[1]
+def hom_by_stacked_system(field, a, b):
+    """da db minus the rank of X -> (a_i X - X b_i for every i), one row per unit E_rs."""
+    da, db = a.shape[1], b.shape[1]
     rows = []
-    for a in range(d):
-        for b in range(d):
-            x = field.zeros((d, d))
-            x[a, b] = field.scalar(1)
-            rows.append(np.concatenate([field.reduce(field.matmul(x, g) - field.matmul(g, x)).ravel() for g in gens]))
-    return d * d - rank1(field, np.stack(rows))
+    for r in range(da):
+        for s in range(db):
+            x = field.zeros((da, db))
+            x[r, s] = field.scalar(1)
+            rows.append(field.reduce(field.matmul(a, x) - field.matmul(x, b)).ravel())
+    return da * db - rank1(field, np.stack(rows))
+
+
+def check_hom_basis(field, a, b, basis):
+    """The rows are independent maps X with a_i X = X b_i; returns their number."""
+    xs = basis.reshape(-1, 1, a.shape[1], b.shape[1])
+    assert not np.count_nonzero(field.reduce(field.matmul(a, xs) - field.matmul(xs, b)))
+    assert rank1(field, basis) == len(basis)
+    return len(basis)
 
 
 def _closure_cases(field, rng):
@@ -419,7 +428,7 @@ def test_closure_and_commutant_against_oracles(field):
         closure = associative_closure(field, gens)
         commutant = commutant_dimension(field, gens)
         assert closure == closure_by_words(field, gens)
-        assert commutant == commutant_by_stacked_system(field, gens)
+        assert commutant == hom_by_stacked_system(field, gens, gens)
         seen.add((gens.shape[1], closure, commutant))
     # full matrix algebra, one generator (commutative), nilpotent, conjugate blocks,
     # idempotent and shift
@@ -436,7 +445,11 @@ def test_closure_and_commutant_fall_back_when_the_pair_vanishes():
     assert not np.count_nonzero(linalg_mod._pair(f5, gens))
     closure, commutant = associative_closure(f5, gens), commutant_dimension(f5, gens)
     assert closure == closure_by_words(f5, gens) == 3
-    assert commutant == commutant_by_stacked_system(f5, gens) == 3
+    assert commutant == hom_by_stacked_system(f5, gens, gens) == 3
+    assert check_hom_basis(f5, gens, gens, hom_space(f5, gens, gens)) == 3
+    # into the trivial line the pair is zero too: only the defect pass cuts the identity to a's kernel
+    zero = f5.zeros((5, 1, 1))
+    assert check_hom_basis(f5, gens, zero, hom_space(f5, gens, zero)) == hom_by_stacked_system(f5, gens, zero) == 0
 
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
@@ -453,7 +466,45 @@ def test_closure_and_commutant_when_generators_escape_the_pair(field):
     assert not np.count_nonzero(pair[:, [0, 1, 0], [1, 2, 2]])
     closure, commutant = associative_closure(field, gens), commutant_dimension(field, gens)
     assert closure == closure_by_words(field, gens) > associative_closure(field, pair)
-    assert commutant == commutant_by_stacked_system(field, gens) < commutant_dimension(field, pair)
+    assert commutant == hom_by_stacked_system(field, gens, gens) < commutant_dimension(field, pair)
+
+
+def _hom_cases(field, rng):
+    """(a, b) stacks of every length from 0 to 4, with da != db and Hom spaces of 0, 1 and 2."""
+    cases = [(field.zeros((0, 2, 2)), field.zeros((0, 3, 3)))]
+    for k in range(1, 5):
+        a = np.stack([random_matrix(field, 2, 2, rng) for _ in range(k)])
+        c = np.stack([random_matrix(field, 3, 3, rng) for _ in range(k)])
+        cases.append((a, c))  # no common eigenvalue nor submodule: Hom 0
+        # b_i = P diag(a_i, c_i) P^-1: a's module is a summand of b's, once
+        p = random_matrix(field, 5, 5, rng)
+        b = field.zeros((k, 5, 5))
+        b[:, :2, :2], b[:, 2:, 2:] = a, c
+        b = field.matmul(field.matmul(p, b), inverse(field, p))
+        cases += [(a, b), (b, a)]
+    return cases
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_hom_space_against_the_stacked_system(field):
+    seen = set()
+    for a, b in _hom_cases(field, RandomSource(15)):
+        basis = hom_space(field, a, b)
+        dim = check_hom_basis(field, a, b, basis)
+        assert dim == hom_by_stacked_system(field, a, b)
+        seen.add((len(a), a.shape[1], b.shape[1], dim))
+    # no generators: every X; one generic matrix shares both of its eigenvalues with
+    # diag(a, c); two or more generate M_2, and the summand is met once
+    assert np.array_equal(hom_space(field, field.zeros((0, 2, 2)), field.zeros((0, 3, 3))), field.eye(6))
+    assert {(0, 2, 3, 6), (1, 2, 5, 2), (1, 5, 2, 2), (1, 2, 3, 0)} <= seen
+    assert {(k, 2, 3, 0) for k in (2, 3, 4)} | {(k, 2, 5, 1) for k in (2, 3, 4)} | {(k, 5, 2, 1) for k in (2, 3, 4)} <= seen
+
+
+def test_hom_space_refuses_stacks_of_different_lengths():
+    with pytest.raises(ValueError):
+        hom_space(F, F.zeros((3, 2, 2)), F.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        hom_space(QQ, QQ.zeros((0, 2, 2)), QQ.zeros((1, 1, 1)))
 
 
 def test_default_fingerprints_never_fall_back(monkeypatch):

@@ -5,13 +5,12 @@ import pytest
 
 from spincert.clifford import QuadraticSpace
 from spincert.fields import GF, QQ, PrimeField, RandomSource
-from spincert.linalg import associative_closure, commutant_dimension, coordinates_in_span, kernel, rank
+from spincert.linalg import associative_closure, commutant_dimension, coordinates_in_span, hom_space, kernel, rank
 from spincert.octonion import derivation_algebra, trace_zero_rep
 from spincert.orbits import (
     Aborted,
     ClosureViolation,
     NotWitnessed,
-    fixed_subspace,
     invariant_bilinear_space,
     invariant_quartic_dim,
     kernel_action_matrices,
@@ -31,6 +30,11 @@ from spincert.spinreps import (
 
 F = GF(1_000_003)
 PRIMES = (1_000_003, 999_983)
+
+
+def fixed_space(field, mats):
+    """Basis of the vectors every matrix of the stack kills: the maps from the trivial line."""
+    return hom_space(field, mats, field.zeros((len(mats), 1, 1)))
 
 
 def test_stabilizer_of_zero_is_everything():
@@ -211,7 +215,7 @@ def test_orbit_values_agree_over_q_and_fp(name, field, monkeypatch):
     mats = kernel_action_matrices(r.kernel, rep)
     assert len(mats) == stab_dim
     assert not np.count_nonzero(field.matmul(mats, v[:, None]))
-    assert fixed_subspace(field, mats)[0] == fixed_dim
+    assert len(fixed_space(field, mats)) == fixed_dim
     ss = subalgebra_structure_from_matrices(field, mats)
     assert (ss.killing_rank, ss.killing_nullity) == structure
     inv = invariant_bilinear_space(rep)
@@ -474,11 +478,36 @@ def test_fixed_subspace_examples():
     v = RandomSource(0).child(0).scalars(F, 8)
     r = stabilizer(rep, v)
     mats = kernel_action_matrices(r.kernel, rep)
-    dim, basis = fixed_subspace(F, mats)
-    assert dim == 1
+    basis = fixed_space(F, mats)
+    assert len(basis) == 1
     assert rank(F, np.stack([basis[0], v])[None]) == [1]  # the fixed line is the point's line
-    dim_full, _ = fixed_subspace(F, rep.tensor)
-    assert dim_full == 0  # irreducibility control
+    assert len(fixed_space(F, rep.tensor)) == 0  # irreducibility control
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_hom_spaces_under_the_generic_stabilizer(p):
+    # Hom_H(A, B) is hom_space(f, B's matrices, A's matrices), H the generic
+    # stabilizer of the row's module at seed 0 and 3 trials, as the suites draw it
+    f = GF(p)
+
+    def generic_action(rep, dim):
+        r, _ = min_trial_stabilizer(rep, 3, 0)
+        assert r.dimension == dim
+        return lambda module: kernel_action_matrices(r.kernel, module)
+
+    # spin7: H = g2 splits spin as 1 + 7, the 7 being V_7, so V_7 maps into spin once
+    space = QuadraticSpace(7)
+    spin = spin_rep(space, f)
+    on = generic_action(spin, 14)
+    assert len(hom_space(f, on(spin), on(vector_rep(space, f)))) == 1
+    # half-spin(8) on S+: H = spin7 acts on V_8 and on S- as its 8-dim spin module
+    # (triality), so Hom_H(V_8, S-) = 1, and on S+ as 1 + 7, so Hom_H(V_8, S+) = 0
+    space = QuadraticSpace(8)
+    plus, minus = half_spin_reps(space, f)
+    on = generic_action(plus, 21)
+    on_vector = on(vector_rep(space, f))
+    assert len(hom_space(f, on(minus), on_vector)) == 1
+    assert len(hom_space(f, on(plus), on_vector)) == 0
 
 
 def test_isotypic_fingerprint_restricted_so5():
@@ -500,7 +529,7 @@ def test_isotypic_fingerprint_spin11_natural_module():
     r = stabilizer(rep, v)
     mats = kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(11), F))
     assert (associative_closure(F, mats), commutant_dimension(F, mats)) == (51, 3)
-    assert fixed_subspace(F, mats)[0] == 1
+    assert len(fixed_space(F, mats)) == 1
     on_v11 = LieRepresentation(11, F, "stabilizer on vector(11)", tuple((k,) for k in range(len(mats))), mats)
     forms = invariant_bilinear_space(on_v11)
     assert (forms.symmetric_dim, forms.antisymmetric_dim) == (2, 1)

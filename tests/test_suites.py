@@ -396,7 +396,7 @@ def test_prime_disagreement_is_reported_not_raised(monkeypatch):
             rpt = dataclasses.replace(rpt, dimension=rpt.dimension + 1)
         return rpt, v
 
-    def split_center(space, rep):
+    def split_center(rep):
         return rep.field.p != confirming
 
     real_action = suites_mod.kernel_action_matrices
