@@ -14,18 +14,6 @@ import os
 # benchmark by 30% or more (3.3 s against 2.25-2.5 s with one thread).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .fields import GF, QQ, PrimeField, RandomSource, RationalField  # noqa: E402
-from .linalg import associative_closure, commutant_dimension  # noqa: E402
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF",
-    "QQ",
-    "PrimeField",
-    "RationalField",
-    "RandomSource",
-    "associative_closure",
-    "commutant_dimension",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -86,10 +86,6 @@ class SoStructure:
         self.field = field
         self.i, self.j, self.k, self.coeff = i, j, k, coeff
 
-    @property
-    def dim(self) -> int:
-        return so_dim(self.space)
-
 
 def so_structure_constants(space: QuadraticSpace, field) -> SoStructure:
     """Every [m_i, m_j], i < j, from the 2B table (see the module docstring).

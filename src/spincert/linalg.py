@@ -2,7 +2,8 @@
 
 A matrix is a field array (see ``fields``), and a single matrix is a stack
 of one: ``rref``, ``rank``, ``kernel``, ``solve`` and ``det`` take a
-``(k, rows, cols)`` stack and return one result per matrix.  Elimination is
+``(k, rows, cols)`` stack and return one result per matrix, ``solve``'s
+being None where a system has no solution or more than one.  Elimination is
 the one step that differs by field (``_eliminate``): over F_p a stack of
 more than one matrix is one ``kernels.rref_stack`` call, which is how the
 genericity protocols eliminate their trials after the first, and a single
@@ -22,10 +23,6 @@ from .fields import PrimeField, _cleared
 from .kernels import rref_mod, rref_stack
 
 __all__ = [
-    "NoSolution",
-    "NonUnique",
-    "NO_SOLUTION",
-    "NON_UNIQUE",
     "rref",
     "rank",
     "kernel",
@@ -38,24 +35,6 @@ __all__ = [
     "OutsideSpan",
     "coordinates_in_span",
 ]
-
-
-class NoSolution:
-    """Marker: the linear system has no solution."""
-
-    def __repr__(self):
-        return "NoSolution"
-
-
-class NonUnique:
-    """Marker: the system is consistent but the kernel is nontrivial."""
-
-    def __repr__(self):
-        return "NonUnique"
-
-
-NO_SOLUTION = NoSolution()
-NON_UNIQUE = NonUnique()
 
 
 # -- elimination ---------------------------------------------------------------
@@ -90,21 +69,15 @@ def kernel(field, stack) -> list[np.ndarray]:
 def solve(field, a, b) -> list:
     """Solve ``a[i] @ x = b[i]`` for a (k, rows, cols) stack and (k, rows) right-hand sides.
 
-    Each result is the unique solution vector, or NO_SOLUTION / NON_UNIQUE.
-    The two failure modes are never collapsed: uniqueness is load-bearing
-    for the fiber-transporter argument.
+    Each result is the unique solution vector, or None when the system has
+    no solution or more than one: the fiber transporter needs exactly one.
     """
     k, rows, cols = np.shape(a)
     if np.shape(b) != (k, rows):
         raise ValueError("dimension mismatch between matrix and rhs")
     out = []
     for red, pivots in rref(field, np.concatenate([a, b[:, :, None]], axis=2)):
-        if cols in pivots:
-            out.append(NO_SOLUTION)
-        elif len(pivots) < cols:
-            out.append(NON_UNIQUE)
-        else:
-            out.append(red[:cols, cols].copy())
+        out.append(None if cols in pivots or len(pivots) < cols else red[:cols, cols].copy())
     return out
 
 
@@ -217,9 +190,8 @@ class SpanBuilder:
     subalgebras.
     """
 
-    def __init__(self, field, ambient_dim: int):
+    def __init__(self, field):
         self.field = field
-        self.n = ambient_dim
         self.rows: list[np.ndarray] = []
         self.pivots: list[int] = []
 

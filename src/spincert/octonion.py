@@ -117,7 +117,7 @@ def subalgebra_generated(field, rows) -> int:
     Each round forms every product of two spanning rows of which at least
     one grew the span in the last round, until no product grows it.
     """
-    sb = SpanBuilder(field, 8)
+    sb = SpanBuilder(field)
     old = field.zeros((0, 8))
     new = [r for r in field.array(np.vstack([_UNIT, rows])) if sb.add(r)]
     while new:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import RandomSource
-from .linalg import NON_UNIQUE, NO_SOLUTION, det, kernel, rank, rref, solve
+from .linalg import det, kernel, rank, rref, solve
 
 __all__ = [
     "NotInSLn",
@@ -143,7 +143,7 @@ def fiber_transporter(field, y, z) -> np.ndarray:
         raise NotSameFiber("pairs have different products YX")
     a, a_inv = (np.broadcast_to(field.eye(n), (k, n, n)).copy() for _ in range(2))
     for i, t in enumerate(solve(field, pi_y, field.reduce(y[:, :, n - 1] - z[:, :, n - 1]))):
-        if t is NO_SOLUTION or t is NON_UNIQUE:
+        if t is None:
             raise SingularFiber("YX is singular")
         a[i, : n - 1, n - 1] = t
         a_inv[i, : n - 1, n - 1] = field.reduce(-t)

@@ -138,18 +138,19 @@ def test_all_names_every_suite(monkeypatch):
     assert seen == [list(SUITES)] * 3
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "spincert", "list-suites"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0
     assert "g2_octonion" in proc.stdout
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")], ids=["unset", "preset"])

@@ -317,7 +317,8 @@ def test_blade_label_and_key():
 
 def table_of(struct):
     """{(i, j): ((k, coeff), ...)} for every i < j, read off the structure arrays."""
-    table = {(i, j): () for i in range(struct.dim) for j in range(i + 1, struct.dim)}
+    g = so_dim(struct.space)
+    table = {(i, j): () for i in range(g) for j in range(i + 1, g)}
     for i, j, k, c in zip(struct.i.tolist(), struct.j.tolist(), struct.k.tolist(), struct.coeff.tolist()):
         table[(i, j)] += ((k, c),)
     return table
@@ -358,7 +359,7 @@ def test_pair_maps_match_oracle(n):
 def test_structure_constants_close_and_antisymmetric():
     sp = QuadraticSpace(7)
     s = so_structure_constants(sp, QQ)
-    assert s.dim == 21
+    assert so_dim(s.space) == 21
     table = table_of(s)
     for (i, j), row in table.items():
         flipped = dict(bracket_row(table, QQ, j, i))
@@ -369,7 +370,7 @@ def test_structure_constants_jacobi():
     # [a,[b,c]] + [b,[c,a]] + [c,[a,b]] = 0, expanded through the table
     sp = QuadraticSpace(5)
     s = so_structure_constants(sp, QQ)
-    g = s.dim
+    g = so_dim(s.space)
     table = table_of(s)
 
     def bracket_vec(vec_sparse, k2):

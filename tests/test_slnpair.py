@@ -159,6 +159,14 @@ def test_transporter_errors():
         y_sing = field.array([[[0, 0, 1], [0, 0, 2]]])
         with pytest.raises(SingularFiber):
             fiber_transporter(field, y_sing, y_sing)
+        # singular products whose transporter systems have no solution: the right-hand
+        # side (0, -1) lies outside the column space of YJ = 0, and of YJ of rank 1
+        for y_bad, z_bad in (
+            ([[0, 0, 1], [0, 0, 2]], [[0, 0, 1], [0, 0, 3]]),
+            ([[1, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 0, 1]]),
+        ):
+            with pytest.raises(SingularFiber):
+                fiber_transporter(field, field.array([y_bad]), field.array([z_bad]))
         y3 = field.array([[[1, 0, 4], [0, 1, 5]], [[0, 0, 1], [0, 0, 2]], [[2, 1, 0], [1, 1, 3]]])
         with pytest.raises(SingularFiber):
             fiber_transporter(field, y3, y3)

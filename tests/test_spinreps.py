@@ -8,7 +8,7 @@ import pytest
 from test_clifford import CliffordElement, bivector_basis, bracket_row, commutator, table_of, two_b
 
 from spincert import spinreps
-from spincert.clifford import QuadraticSpace, SoStructure, so_pairs, so_structure_constants
+from spincert.clifford import QuadraticSpace, SoStructure, so_dim, so_pairs, so_structure_constants
 from spincert.fields import GF, QQ, PrimeField, RandomSource
 from spincert.linalg import kernel, rank, rref
 from spincert.spinreps import (
@@ -445,7 +445,7 @@ def _nonzero_of(k):
 def _perturb_structure(rep, struct, last=False):
     """One coefficient of the first nonzero bracket, or of the last nonzero one with the last generator."""
     table = table_of(struct)
-    keys = [key for key, row in table.items() if row and (not last or key[1] == struct.dim - 1)]
+    keys = [key for key, row in table.items() if row and (not last or key[1] == so_dim(struct.space) - 1)]
     key = keys[-1] if last else keys[0]
     # the entries are sorted by (i, j, k), so the bracket's first term is the first entry of its pair
     t = np.flatnonzero((struct.i == key[0]) & (struct.j == key[1]))[0]
