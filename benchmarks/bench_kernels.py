@@ -47,7 +47,7 @@ from spincert import _modp_fallback, spinreps
 from spincert.clifford import QuadraticSpace, so_pairs
 from spincert.fields import GF, QQ, RandomSource
 from spincert.kernels import matmul_mod
-from spincert.linalg import _rref_qq, coordinates_in_span, hom_space, kernel, rank
+from spincert.linalg import _rref_qq, hom_space, kernel, rank, solve
 from spincert.orbits import (
     _diagonal_members,
     action_matrix,
@@ -194,7 +194,7 @@ def structure_by_pairs(field, mats):
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     flats = np.stack([m.ravel() for m in mats], axis=1)
     brackets = [field.reduce(field.matmul(mats[i], mats[j]) - field.matmul(mats[j], mats[i])) for i, j in pairs]
-    coords = coordinates_in_span(field, flats, np.stack([b.ravel() for b in brackets], axis=1))
+    (coords,) = solve(field, flats[None], np.stack([b.ravel() for b in brackets], axis=1)[None])
     c = field.zeros((k, k, k))
     for idx, (i, j) in enumerate(pairs):
         c[i, j], c[j, i] = coords[:, idx], field.reduce(-coords[:, idx])

@@ -2,15 +2,17 @@
 
 A matrix is a field array (see ``fields``), and a single matrix is a stack
 of one: ``rref``, ``rank``, ``kernel``, ``solve`` and ``det`` take a
-``(k, rows, cols)`` stack and return one result per matrix, ``solve``'s
-being None where a system has no solution or more than one.  Elimination is
-the one step that differs by field (``_eliminate``): over F_p a stack of
-more than one matrix is one ``kernels.rref_stack`` call, which is how the
-genericity protocols eliminate their trials after the first, and a single
-matrix goes through ``kernels.rref_mod``; over Q each matrix goes through
-fraction-free Gauss-Jordan on cleared-denominator integer rows, which forms
-one ``Fraction`` per output entry at the end (``_rref_qq``).  Pivoting is always
-first-nonzero in column order, so every result is deterministic.
+``(k, rows, cols)`` stack and return one result per matrix.  ``solve``, the
+one solver of A X = B, takes (k, rows, t) right-hand sides and gives each
+(cols, t) solution, or None where a system has no solution or more than one.
+Elimination is the one step that differs by field (``_eliminate``): over
+F_p a stack of more than one matrix is one ``kernels.rref_stack`` call,
+which is how the genericity protocols eliminate their trials after the
+first, and a single matrix goes through ``kernels.rref_mod``; over Q each
+matrix goes through fraction-free Gauss-Jordan on cleared-denominator
+integer rows, which forms one ``Fraction`` per output entry at the end
+(``_rref_qq``).  Pivoting is always first-nonzero in column order, so every
+result is deterministic.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ __all__ = [
     "hom_space",
     "commutant_dimension",
     "SpanBuilder",
-    "OutsideSpan",
-    "coordinates_in_span",
 ]
 
 
@@ -67,17 +67,31 @@ def kernel(field, stack) -> list[np.ndarray]:
 
 
 def solve(field, a, b) -> list:
-    """Solve ``a[i] @ x = b[i]`` for a (k, rows, cols) stack and (k, rows) right-hand sides.
+    """Solve ``a[i] @ X = b[i]`` for a (k, rows, cols) stack and (k, rows, t) right-hand sides.
 
-    Each result is the unique solution vector, or None when the system has
-    no solution or more than one: the fiber transporter needs exactly one.
+    Each result is the unique (cols, t) solution, or None when there is none
+    or more than one.  A square or wide stack is one elimination of [a | b].
+    A tall one first eliminates each a[i]^T, whose pivots name cols
+    independent rows (fewer give None); only those rows of [a[i] | b[i]] are
+    reduced, and one batched product checks every X against all rows.
     """
     k, rows, cols = np.shape(a)
-    if np.shape(b) != (k, rows):
+    if np.ndim(b) != 3 or np.shape(b)[:2] != (k, rows):
         raise ValueError("dimension mismatch between matrix and rhs")
-    out = []
-    for red, pivots in rref(field, np.concatenate([a, b[:, :, None]], axis=2)):
-        out.append(None if cols in pivots or len(pivots) < cols else red[:cols, cols].copy())
+    if rows <= cols:
+        systems = rref(field, np.concatenate([a, b], axis=2))
+        return [red[:cols, cols:].copy() if pivots == tuple(range(cols)) else None for red, pivots in systems]
+    picks = [pivots for _, pivots in rref(field, np.ascontiguousarray(a.transpose(0, 2, 1)))]
+    full = [i for i, pivots in enumerate(picks) if len(pivots) == cols]
+    out = [None] * k
+    if not full:
+        return out
+    at, sel = np.array(full)[:, None], np.array([picks[i] for i in full], dtype=np.intp)
+    x = np.stack([red[:, cols:] for red, _ in rref(field, np.concatenate([a[at, sel], b[at, sel]], axis=2))])
+    a, b = (a, b) if len(full) == k else (a[full], b[full])  # no copies when every a[i] is full
+    residual = field.reduce(field.matmul(a, x) - b)
+    for i, xi, bad in zip(full, x, np.count_nonzero(residual.reshape(len(full), -1), axis=1)):
+        out[i] = None if bad else xi
     return out
 
 
@@ -224,33 +238,6 @@ class SpanBuilder:
         self.rows.append(v)
         self.pivots.append(j)
         return True
-
-
-class OutsideSpan(ValueError):
-    """A target column of ``coordinates_in_span`` lies outside the span."""
-
-
-def coordinates_in_span(field, basis_cols, targets) -> np.ndarray:
-    """Coordinates of each target column in the span of the basis columns.
-
-    ``basis_cols`` must have full column rank k, else ValueError.
-    Eliminating its transpose names k independent rows; the k-row system on
-    those rows is solved, and one product checks the coordinates against
-    every row.  Raises OutsideSpan, a ValueError, naming the first target
-    column that falls outside the span.
-    """
-    k = basis_cols.shape[1]
-    ((_, rows),) = rref(field, np.ascontiguousarray(basis_cols.T)[None])
-    if len(rows) != k:
-        raise ValueError("basis columns are not linearly independent")
-    rows = list(rows)
-    ((red, _),) = rref(field, np.hstack([basis_cols[rows], targets[rows]])[None])
-    coords = np.ascontiguousarray(red[:, k:])
-    residual = field.reduce(field.matmul(basis_cols, coords) - targets)
-    outside = np.flatnonzero(np.count_nonzero(residual, axis=0))
-    if len(outside):
-        raise OutsideSpan(f"target column {outside[0]} is outside the span")
-    return coords
 
 
 def _pair(field, gens) -> np.ndarray:

@@ -18,7 +18,7 @@ from itertools import chain, combinations_with_replacement
 import numpy as np
 
 from .fields import PrimeField, RandomSource
-from .linalg import OutsideSpan, coordinates_in_span, kernel, rank
+from .linalg import kernel, rank, solve
 from .spinreps import LieRepresentation, _expand_ranges
 
 __all__ = [
@@ -147,9 +147,9 @@ def subalgebra_structure_from_matrices(field, stack) -> SubalgebraStructure:
 
     The brackets [x_i, x_j] of the pairs i < j, in ``np.triu_indices`` order,
     come from one batched product over the (k, d, d) stack and are solved in
-    the span of the basis by ``coordinates_in_span``, whose elimination of
-    the basis also proves it independent, even for k = 1: a dependent basis
-    raises ValueError, a bracket outside the span ClosureViolation.  ad_i
+    the span of the basis by ``solve``, whose unique solution also proves
+    the basis independent, even for k = 1.  Without one, a dependent basis
+    raises ValueError and a bracket outside the span ClosureViolation.  ad_i
     maps e_j to c[i, j, :], so its matrix is c[i].T and trace(ad_i ad_j) =
     sum_{a,b} c[i,b,a] c[j,a,b]: the whole Killing form is one
     (k, k^2) @ (k^2, k) product.
@@ -162,11 +162,11 @@ def subalgebra_structure_from_matrices(field, stack) -> SubalgebraStructure:
     # x_i x_j and x_j x_i for every pair, as one batch
     prods = field.matmul(stack[np.concatenate([i, j])], stack[np.concatenate([j, i])])
     brackets = field.reduce(prods[: len(i)] - prods[len(i) :]).reshape(len(i), len(flats))
-    try:
-        # a dependent basis raises a plain ValueError, with or without brackets to place
-        coords = coordinates_in_span(field, flats, np.ascontiguousarray(brackets.T))
-    except OutsideSpan as exc:
-        raise ClosureViolation(str(exc)) from exc
+    (coords,) = solve(field, flats[None], np.ascontiguousarray(brackets.T)[None])
+    if coords is None:
+        if rank(field, stack.reshape(k, -1)[None]) != [k]:
+            raise ValueError("basis matrices are not linearly independent")
+        raise ClosureViolation("a bracket is outside the span of the basis")
     c = field.zeros((k, k, k))
     c[i, j] = coords.T
     c[j, i] = field.reduce(-coords.T)

@@ -142,11 +142,11 @@ def fiber_transporter(field, y, z) -> np.ndarray:
     if not np.array_equal(pi_y, pi(field, j, z)):
         raise NotSameFiber("pairs have different products YX")
     a, a_inv = (np.broadcast_to(field.eye(n), (k, n, n)).copy() for _ in range(2))
-    for i, t in enumerate(solve(field, pi_y, field.reduce(y[:, :, n - 1] - z[:, :, n - 1]))):
+    for i, t in enumerate(solve(field, pi_y, field.reduce(y[:, :, n - 1 :] - z[:, :, n - 1 :]))):
         if t is None:
             raise SingularFiber("YX is singular")
-        a[i, : n - 1, n - 1] = t
-        a_inv[i, : n - 1, n - 1] = field.reduce(-t)
+        a[i, : n - 1, n - 1 :] = t
+        a_inv[i, : n - 1, n - 1 :] = field.reduce(-t)
     moved_j, moved_y = act(field, a, a_inv, j, y)
     if not (np.array_equal(moved_j, j) and np.array_equal(moved_y, z)):
         raise AssertionError("transporter replay failed")

@@ -14,7 +14,6 @@ from spincert.linalg import (
     SpanBuilder,
     associative_closure,
     commutant_dimension,
-    coordinates_in_span,
     det,
     hom_space,
     kernel,
@@ -148,14 +147,16 @@ def test_solve_examples():
     def solve1(field, a, b):
         return solve(field, field.array(a)[None], field.array(b)[None])[0]
 
-    x = solve1(QQ, QQ.eye(3), [2, 5, 9])
-    assert list(x) == [Fraction(2), Fraction(5), Fraction(9)]
-    assert list(solve1(QQ, [[3]], [5])) == [Fraction(5, 3)]
-    assert solve1(QQ, [[1, 1]], [1]) is None  # more than one solution
-    assert solve1(QQ, [[1], [1]], [1, 2]) is None  # no solution
-    assert solve1(F, [[1, 1]], [1]) is None
+    x = solve1(QQ, QQ.eye(3), [[2], [5], [9]])
+    assert x.tolist() == [[Fraction(2)], [Fraction(5)], [Fraction(9)]]
+    assert solve1(QQ, [[3]], [[5]]).tolist() == [[Fraction(5, 3)]]
+    assert solve1(QQ, [[1, 1]], [[1]]) is None  # more than one solution
+    assert solve1(QQ, [[1], [1]], [[1], [2]]) is None  # no solution
+    assert solve1(F, [[1, 1]], [[1]]) is None
     with pytest.raises(ValueError):
-        solve1(F, [[1, 1]], [1, 2, 3])
+        solve1(F, [[1, 1]], [[1], [2], [3]])
+    with pytest.raises(ValueError):  # right-hand sides are a (k, rows, t) stack
+        solve1(F, [[1, 1]], [1])
 
 
 def test_solve_replay_random():
@@ -164,9 +165,22 @@ def test_solve_replay_random():
         m = random_matrix(field, 5, 5, rng)
         if rank1(field, m) < 5:
             continue
-        b = rng.scalars(field, 5)
+        b = rng.scalars(field, 5).reshape(5, 1)
         (x,) = solve(field, m[None], b[None])
-        assert all(p == q for p, q in zip(field.matmul(m, x[:, None])[:, 0], b))
+        assert field.matmul(m, x).tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
+def test_solve_tall_stack_many_columns(field):
+    # a unique solution; a matrix with dependent columns; and a column that agrees
+    # with a0 @ x on the two rows the elimination of a0^T names (0 and 1) but not on row 4
+    a0 = [[1, 0], [0, 1], [1, 1], [2, 1], [1, 3]]
+    a = field.array([a0, [[1, 2], [2, 4], [3, 6], [0, 0], [1, 2]], a0])
+    x = field.array([[1, 2], [3, 4]])
+    b = field.matmul(a, x)
+    b[2, 4, 1] += 1
+    out = solve(field, a, b)
+    assert out[0].tolist() == x.tolist() and out[1:] == [None, None]
 
 
 def test_kernel_of_a_transposed_view_stack_annihilates():
@@ -536,16 +550,23 @@ def test_default_fingerprints_never_fall_back(monkeypatch):
 
 
 def test_no_elimination_input_is_tall(monkeypatch):
-    # rref_mod hands every matrix to the leaf whole, which pays rows x cols per
-    # pivot: no input of the default run, nor the invariant-form systems of the
-    # larger spinor modules still to be certified, may be tall and large
-    shapes = []
-    real = linalg_mod.rref_mod
+    # rref_mod and rref_stack hand every matrix to the leaf whole, which pays
+    # rows x cols per pivot: no input of the default run, nor the invariant-form
+    # systems of the larger spinor modules still to be certified, may be tall and large
+    shapes, stacks = [], []
+    real, real_stack = linalg_mod.rref_mod, linalg_mod.rref_stack
+
+    def stacked(arr, p):
+        stacks.append(len(arr))
+        shapes.extend([np.shape(arr)[1:]] * len(arr))
+        return real_stack(arr, p)
+
     monkeypatch.setattr(linalg_mod, "rref_mod", lambda a, p: shapes.append(np.shape(a)) or real(a, p))
+    monkeypatch.setattr(linalg_mod, "rref_stack", stacked)
     run_selected(RunConfig())
     orbits_mod.invariant_bilinear_space(half_spin_reps(QuadraticSpace(12), F)[0])
     orbits_mod.invariant_bilinear_space(spin_rep(QuadraticSpace(13), F))
-    assert len(shapes) > 100  # the spy sees the run
+    assert len(shapes) > 100 and len(stacks) > 10  # the spy sees the run and its stacked trials
     assert [(rows, cols) for rows, cols in shapes if rows >= 2 * cols and rows * cols >= 2**16] == []
 
 
@@ -560,26 +581,23 @@ def test_span_builder():
     assert rank1(QQ, np.vstack(sb.rows + [QQ.array([0, 0, 1])])) == 3
 
 
-def test_coordinates_in_span():
+def test_solve_tall_coordinates():
     basis = QQ.array([[1, 0], [0, 1], [1, 1]])
-    targets = QQ.array([[3], [4], [7]])
-    coords = coordinates_in_span(QQ, basis, targets)
+    (coords,) = solve(QQ, basis[None], QQ.array([[[3], [4], [7]]]))
     assert coords.tolist() == [[Fraction(3)], [Fraction(4)]]
-    with pytest.raises(ValueError):
-        coordinates_in_span(QQ, basis, QQ.array([[1], [0], [0]]))
+    assert solve(QQ, basis[None], QQ.array([[[1], [0], [0]]]))[0] is None
 
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
-def test_coordinates_in_span_checks_rows_past_the_pivots(field):
+def test_solve_tall_checks_rows_past_the_pivots(field):
     # rows 0 and 1 are the independent ones; column 1 agrees with 3*b0 + 4*b1 there
     # and only row 2 (8, not 7) puts it outside the span
     basis = field.array([[1, 0], [0, 1], [1, 1]])
     targets = field.array([[3, 3], [4, 4], [7, 8]])
-    with pytest.raises(ValueError, match="target column 1 is outside the span"):
-        coordinates_in_span(field, basis, targets)
-    with pytest.raises(ValueError, match="not linearly independent"):
-        coordinates_in_span(field, field.array([[1, 2], [2, 4], [3, 6]]), targets)
-    assert coordinates_in_span(field, basis, targets[:, :1]).tolist() == [[3], [4]]
+    assert solve(field, basis[None], targets[None])[0] is None
+    assert solve(field, field.array([[[1, 2], [2, 4], [3, 6]]]), targets[None])[0] is None
+    (coords,) = solve(field, basis[None], targets[None, :, :1])
+    assert coords.tolist() == [[3], [4]]
 
 
 def test_matrix_shape_and_field_guards():

@@ -5,7 +5,7 @@ import pytest
 
 from spincert.clifford import QuadraticSpace
 from spincert.fields import GF, QQ, PrimeField, RandomSource
-from spincert.linalg import associative_closure, commutant_dimension, coordinates_in_span, hom_space, kernel, rank
+from spincert.linalg import associative_closure, commutant_dimension, hom_space, kernel, rank, solve
 from spincert.octonion import derivation_algebra, trace_zero_rep
 from spincert.orbits import (
     Aborted,
@@ -269,7 +269,7 @@ def _structure_by_pairs(field, mats):
 
     if pairs:
         targets = np.stack([bracket(mats[i], mats[j]).ravel() for i, j in pairs], axis=1)
-        coords = coordinates_in_span(field, flats, targets)
+        (coords,) = solve(field, flats[None], targets[None])
         for idx, (i, j) in enumerate(pairs):
             c[i, j] = coords[:, idx]
             c[j, i] = field.reduce(-coords[:, idx])
