@@ -30,10 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated suite names, or 'all' (default)",
     )
-    run.add_argument("--prime", type=int, default=1_000_003)
-    run.add_argument("--confirm-prime", type=int, default=999_983)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--trials", type=int, default=3)
+    run.add_argument("--prime", type=int, default=RunConfig.prime)
+    run.add_argument("--confirm-prime", type=int, default=RunConfig.confirm_prime)
+    run.add_argument("--seed", type=int, default=RunConfig.seed)
+    run.add_argument("--trials", type=int, default=RunConfig.trials)
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument(
         "--stretch",

@@ -5,14 +5,14 @@ of one: ``rref``, ``rank``, ``kernel``, ``solve`` and ``det`` take a
 ``(k, rows, cols)`` stack and return one result per matrix.  ``solve``, the
 one solver of A X = B, takes (k, rows, t) right-hand sides and gives each
 (cols, t) solution, or None where a system has no solution or more than one.
-Elimination is the one step that differs by field (``_eliminate``): over
-F_p a stack of more than one matrix is one ``kernels.rref_stack`` call,
-which is how the genericity protocols eliminate their trials after the
-first, and a single matrix goes through ``kernels.rref_mod``; over Q each
-matrix goes through fraction-free Gauss-Jordan on cleared-denominator
-integer rows, which forms one ``Fraction`` per output entry at the end
-(``_rref_qq``).  Pivoting is always first-nonzero in column order, so every
-result is deterministic.
+RREF differs by field (``_eliminate``): over F_p a stack of more than one
+matrix is one ``kernels.rref_stack`` call, as when the genericity protocols
+eliminate their trials after the first, and one matrix goes through
+``kernels.rref_mod``; over Q each matrix runs fraction-free Gauss-Jordan on
+cleared integer rows (``_rref_qq``).  ``det`` runs one fraction-free
+(Bareiss) loop over the whole stack for both fields, which differ only in
+its division step.  Pivoting is always first-nonzero in column order, so
+every result is deterministic.
 """
 
 from __future__ import annotations
@@ -96,32 +96,39 @@ def solve(field, a, b) -> list:
 
 
 def det(field, stack) -> list:
-    """Determinant of every matrix of a (k, n, n) stack, exact over either
-    field.  Over F_p one int64 Gaussian elimination runs over the whole
-    stack, column by column with first-nonzero pivoting and row swaps, and
-    multiplies the pivots mod p (p < 2^31 keeps every product below 2^62);
-    over Q each matrix runs Bareiss elimination on integer rows."""
-    k, rows, cols = np.shape(stack)
-    if rows != cols:
+    """Determinant of every matrix of a (k, n, n) stack, exact over either field.
+
+    One fraction-free (Bareiss) elimination runs over the whole stack of
+    ``field.cleared`` integers, which over Q share one denominator d.  At
+    each column every matrix pivots on its first nonzero entry, a row swap
+    flipping its sign, and each entry x below and right of the pivot
+    becomes (piv x - below right) / prev, prev the previous pivot (Bareiss,
+    Math. Comp. 22, 1968).  The last pivot, signed, is the determinant of
+    the integers, and det = that / d^n.  A column without a pivot zeroes the
+    rest of its matrix, whose later divisions use 1.  Only the division
+    differs by field: exact ``//`` over Q, a product with the inverse mod p
+    over F_p (p < 2^31 keeps every product below 2^62).
+    """
+    k, n, cols = np.shape(stack)
+    if n != cols:
         raise ValueError("det of non-square matrix")
-    if isinstance(field, PrimeField):
-        p = field.p
-        m = np.asarray(stack, dtype=np.int64) % p
-        out = np.ones(k, dtype=np.int64)
-        at = np.arange(k)
-        for c in range(rows):
-            r = c + np.argmax(m[:, c:, c] != 0, axis=1)  # c itself where the column is zero: pivot 0
-            m[at, c], m[at, r] = m[at, r], m[at, c]
-            out = np.where(r != c, -out, out) * m[:, c, c] % p
-            inv = np.array([pow(v, -1, p) if v else 0 for v in m[:, c, c].tolist()], dtype=np.int64)
-            f = m[:, c + 1 :, c] * inv[:, None] % p
-            m[:, c + 1 :, c:] = (m[:, c + 1 :, c:] - f[:, :, None] * m[:, None, c, c:]) % p
-        return out.tolist()
-    out = []
-    for m in stack:
-        ints, den = _cleared(m)
-        out.append(Fraction(_det_int(ints.tolist()), den**rows))
-    return out
+    ints, den = field.cleared(stack)
+    m = np.array(ints)  # a copy for the swaps: over F_p the cleared stack is the input
+    at, sign = np.arange(k), np.ones(k, dtype=np.int64)
+    piv = prev = np.ones(k, dtype=m.dtype)
+    for c in range(n):
+        r = c + np.argmax(m[:, c:, c] != 0, axis=1)  # c itself where the column is zero: pivot 0
+        m[at, c], m[at, r] = m[at, r], m[at, c]
+        sign = np.where(r != c, -sign, sign)
+        piv = m[:, c, c]
+        x = piv[:, None, None] * m[:, c + 1 :, c + 1 :] - m[:, c + 1 :, c, None] * m[:, None, c, c + 1 :]
+        if isinstance(field, PrimeField):
+            inv = np.array([pow(v, -1, field.p) for v in prev.tolist()], dtype=np.int64)
+            m[:, c + 1 :, c + 1 :] = x % field.p * inv[:, None, None] % field.p
+        else:
+            m[:, c + 1 :, c + 1 :] = x // prev[:, None, None]
+        prev = np.where(piv == 0, 1, piv)
+    return field.reduce(field.array(sign * piv) * field.inv(den**n)).tolist()
 
 
 def _eliminate(field, arr):
@@ -172,26 +179,6 @@ def _rref_qq(arr: np.ndarray):
     out = np.full((rows, cols), Fraction(0), dtype=object)
     out[: len(pivots)] = np.frompyfunc(lambda x: Fraction(x, prev), 1, 1)(m[: len(pivots)])
     return out, tuple(pivots)
-
-
-def _det_int(work: list[list[int]]) -> int:
-    """Determinant of an integer matrix (rows as lists, consumed) by Bareiss elimination."""
-    n = len(work)
-    sign = 1
-    prev = 1
-    for c in range(n):
-        sel = next((i for i in range(c, n) if work[i][c]), -1)
-        if sel < 0:
-            return 0
-        if sel != c:
-            work[c], work[sel] = work[sel], work[c]
-            sign = -sign
-        piv = work[c][c]
-        for i in range(c + 1, n):
-            f = work[i][c]
-            work[i] = [(piv * x - f * y) // prev for x, y in zip(work[i], work[c])]
-        prev = piv
-    return sign * prev
 
 
 # -- spans -------------------------------------------------------------------

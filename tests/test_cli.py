@@ -138,6 +138,16 @@ def test_all_names_every_suite(monkeypatch):
     assert seen == [list(SUITES)] * 3
 
 
+def test_flag_defaults_are_the_run_defaults(monkeypatch):
+    import spincert.cli as cli_mod
+    from spincert.suites import RunConfig
+
+    seen = []
+    monkeypatch.setattr(cli_mod, "run_selected", lambda cfg: seen.append(cfg) or [])
+    assert main(["run"]) == 0
+    assert seen == [RunConfig()]
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -218,26 +218,40 @@ def test_det_against_permutation_oracle():
     for n in (1, 2, 3, 4):
         m = random_matrix(QQ, n, n, rng)
         assert det(QQ, m[None]) == [det_by_permutations(QQ, m)]
-    # over F_p a whole stack is one elimination; at 2^31 - 1 the pivot
-    # products come close to 2^62
-    for field in (GF(7), F, GF(2**31 - 1)):
+    # over either field a whole stack is one elimination; at 2^31 - 1 the
+    # pivot products come close to 2^62
+    for field in (GF(7), F, GF(2**31 - 1), QQ):
         assert det(field, field.zeros((0, 3, 3))) == []
         for n in range(7):
             stack = rng.scalars(field, 8 * n * n).reshape(8, n, n)
             if n:
-                stack[2] = 0
+                stack[2] = field.zeros((n, n))
                 stack[3] = field.eye(n)[::-1]  # antidiagonal: det ±1 after row swaps
-                stack[4, 0, 0] = 0  # a swap in the first column
-                stack[4, n - 1, 0] = 1
-                stack[5] = np.triu(stack[5], 1) + np.diag(np.arange(1, n + 1))  # invertible
+                stack[4, 0, 0] = field.scalar(0)  # a swap in the first column
+                stack[4, n - 1, 0] = field.scalar(1)
+                stack[5] = field.array(np.triu(stack[5], 1) + np.diag(np.arange(1, n + 1)))  # invertible
                 stack[5, [0, n - 1]] = stack[5, [n - 1, 0]]  # top-left 0 for n > 1
             if n > 1:
                 stack[1, n - 1] = stack[1, 0]  # a repeated row
+            if field is QQ and n:
+                stack[6] = stack[6] / field.array(np.arange(2, n * n + 2).reshape(n, n))  # one lcm for the stack
             got = det(field, stack)
             assert got == [det_by_permutations(field, m) for m in stack]
-            assert n == 0 or (got[2] == 0 and got[5] != 0 and got[3] in (1, field.p - 1))
+            assert n == 0 or (got[2] == 0 and got[5] != 0 and field.reduce(got[3] ** 2) == 1)
             if n > 1:
                 assert got[1] == 0
+            if field is QQ:
+                assert all(type(d) is Fraction for d in got)
+
+
+def test_det_over_q_reduces_to_det_over_f_p():
+    rng = random.Random(35)
+    for n in range(1, 6):
+        ints = np.array([rng.randint(-(10**6), 10**6) for _ in range(10 * n * n)], dtype=np.int64).reshape(10, n, n)
+        ints[0, -1] = 3 * ints[0, 0] if n > 1 else 0  # one singular matrix
+        over_q = det(QQ, QQ.array(ints))
+        for p in (7, 1_000_003, 2**31 - 1):
+            assert [GF(p).scalar(d) for d in over_q] == det(GF(p), GF(p).array(ints))
 
 
 def _qq_rref_cases():
