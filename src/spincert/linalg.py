@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import PrimeField, _cleared
+from .fields import QQ, PrimeField
 from .kernels import rref_mod, rref_stack
 
 __all__ = [
@@ -158,7 +158,7 @@ def _rref_qq(arr: np.ndarray):
     row, d the last pivot, so each output entry is one ``Fraction(x, d)``.
     """
     rows, cols = arr.shape
-    m, _ = _cleared(arr)
+    m, _ = QQ.cleared(arr)
     pivots: list[int] = []
     prev = 1
     for c in range(cols):

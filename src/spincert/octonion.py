@@ -10,16 +10,17 @@ are exercised by the tests rather than assumed.
 
 The derivation algebra (the Lie algebra of the automorphism group) is
 recovered as the kernel of the Leibniz system over all 64 basis products.
-Its dimension must be 14; anything else is a construction failure, not a
-soft error.  ``trace_zero_rep`` is g2 acting on the 7-dim trace-zero
-octonions, a representation like any other: its stabilizer claims go
-through ``orbits.min_trial_stabilizer``, the single-copy ones with the
-witness ``anisotropic``.
+Its dimension must be 14, and every derivation must preserve the trace-zero
+octonions; anything else is a construction failure, not a soft error.
+``derivation_algebra`` returns g2 acting on the 7-dim trace-zero octonions,
+a ``LieRepresentation`` like any other: restriction to that subspace is an
+injective Lie map, so its structure constants and Killing form are those of
+the 8-dim derivations.  Its stabilizer claims go through
+``orbits.min_trial_stabilizer``, the single-copy ones with the witness
+``anisotropic``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +30,9 @@ from .spinreps import LieRepresentation
 __all__ = [
     "multiplication_tensor",
     "ConstructionFailure",
-    "DerivationAlgebra",
     "derivation_algebra",
     "subalgebra_generated",
     "split_generating_triple",
-    "trace_zero_rep",
     "anisotropic",
 ]
 
@@ -84,21 +83,8 @@ def _products(field, xs, ys) -> np.ndarray:
     return field.matmul(ys, left).reshape(-1, 8)
 
 
-@dataclass
-class DerivationAlgebra:
-    """Basis of the 14-dimensional derivation algebra, as stacks of matrices."""
-
-    field: object
-    matrices: np.ndarray  # (14, 8, 8), on the full 8-dim algebra
-    trace_zero_matrices: np.ndarray  # (14, 7, 7), restricted to the 7-dim trace-zero space
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrices)
-
-
-def derivation_algebra(field) -> DerivationAlgebra:
-    """Solve D(x y) = D(x) y + x D(y) over all basis pairs; kernel dim 14."""
+def derivation_algebra(field) -> LieRepresentation:
+    """g2 on the 7-dim trace-zero octonions: the 14 solutions of D(x y) = D(x) y + x D(y), restricted."""
     (null,) = kernel(field, field.array(_LEIBNIZ)[None])
     if len(null) != 14:
         raise ConstructionFailure(f"derivation algebra dimension {len(null)}, expected 14")
@@ -108,7 +94,8 @@ def derivation_algebra(field) -> DerivationAlgebra:
     # derivations preserve the trace-zero subspace: row a + row b must cancel
     if np.count_nonzero(field.reduce(full[:, 0] + full[:, 7])):
         raise ConstructionFailure("derivation does not preserve trace zero")
-    return DerivationAlgebra(field, mats, np.ascontiguousarray(full[:, :7]))
+    basis = tuple(("g2", k) for k in range(14))
+    return LieRepresentation(7, field, "g2 on trace-zero octonions", basis, np.ascontiguousarray(full[:, :7]))
 
 
 def subalgebra_generated(field, rows) -> int:
@@ -132,12 +119,6 @@ def subalgebra_generated(field, rows) -> int:
 def split_generating_triple(field) -> np.ndarray:
     """An explicit trace-zero triple that generates all 8 dimensions, as 3 rows."""
     return field.array([[1, 0, 0, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 1, 0, 0]])
-
-
-def trace_zero_rep(derivations: DerivationAlgebra) -> LieRepresentation:
-    """g2 on the 7-dim trace-zero octonions, its basis labeled by the 14 derivations."""
-    field, tensor = derivations.field, derivations.trace_zero_matrices
-    return LieRepresentation(7, field, "g2 on trace-zero octonions", tuple(("g2", k) for k in range(14)), tensor)
 
 
 def anisotropic(field, x) -> bool:

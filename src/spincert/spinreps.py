@@ -48,7 +48,7 @@ class LieRepresentation:
     ``tensor`` has shape (g, d, d): int64 residues over a prime field,
     Fraction objects over Q.  ``basis_labels`` are the generator-index pairs
     (a, b) of the so(n) bivector basis, or name another algebra's basis (the
-    g2 of ``octonion.trace_zero_rep``, n then being its defining module's
+    g2 of ``octonion.derivation_algebra``, n then being its defining module's
     dimension), which ``restrict``, ``center_acts_minus_one`` and
     ``verify_lie_homomorphism`` refuse.  A trailing ("scale",) label marks
     an appended scaling generator.

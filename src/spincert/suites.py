@@ -37,7 +37,6 @@ from .octonion import (
     derivation_algebra,
     split_generating_triple,
     subalgebra_generated,
-    trace_zero_rep,
 )
 from .orbits import (
     invariant_bilinear_space,
@@ -240,8 +239,8 @@ class _Point:
 class _Field:
     """One field's shared data for the g2_octonion, coregular_free and branching tables.
 
-    Each is computed on its first read only: the octonion derivations, g2 on
-    the trace-zero octonions, g2's generic anisotropic point and spin(5)'s
+    Each is computed on its first read only: g2 on the trace-zero octonions
+    (the octonion derivations), g2's generic anisotropic point and spin(5)'s
     invariant forms.
     """
 
@@ -253,12 +252,8 @@ class _Field:
         return min_trial_stabilizer(rep, self.cfg.trials, self.cfg.seed)[0].dimension
 
     @cached_property
-    def derivations(self):
-        return derivation_algebra(self.field)
-
-    @cached_property
     def g2(self):
-        return trace_zero_rep(self.derivations)
+        return derivation_algebra(self.field)
 
     @cached_property
     def g2_point(self):
@@ -281,7 +276,7 @@ def _fingerprint(f, mats) -> list:
 
 def _cross_spinor(c: _Field) -> list:
     """(dim, Killing rank) of the derivations and of the stabilizer at the spin7 row's point."""
-    deriv = subalgebra_structure_from_matrices(c.field, c.derivations.matrices)
+    deriv = subalgebra_structure_from_matrices(c.field, c.g2.tensor)
     spinor = _Point(c.cfg, c.field, 7, "spin")
     return [[deriv.dimension, deriv.killing_rank], [spinor.stabilizer.dimension, spinor.structure.killing_rank]]
 
@@ -291,7 +286,7 @@ def _cross_spinor(c: _Field) -> list:
 _G2_OCTONION_CHECKS = (
     (
         "derivation-dim",
-        lambda c: c.derivations.dimension,
+        lambda c: c.g2.g,
         "octonion derivation algebra dimension",
         14,
         "derived",
@@ -567,9 +562,7 @@ def _restriction_blocks(c: _Field) -> list:
     space = QuadraticSpace(11)
     res = restrict(spin_rep(space, c.field), embed_subalgebra(space, 10))
     even, odd = parity_indices(11)
-    mixed = any(
-        res.tensor[k][np.ix_(even, odd)].any() or res.tensor[k][np.ix_(odd, even)].any() for k in range(res.g)
-    )
+    mixed = res.tensor[:, even][:, :, odd].any() or res.tensor[:, odd][:, :, even].any()
     return [0, 0, False] if mixed else [len(even), len(odd), True]
 
 

@@ -200,17 +200,49 @@ def test_no_module_reads_the_environment():
 # -- the names perfbench/ reaches in the package ------------------------------
 
 
+TRACED_RUN = """
+import contextlib, io, json
+import layertrace
+
+tracer = layertrace.Tracer()
+tracer.install()
+from spincert.cli import main
+from spincert.clifford import QuadraticSpace, so_structure_constants
+from spincert.fields import GF
+from spincert.orbits import invariant_quartic_dim
+from spincert.spinreps import spin_rep, vector_rep, verify_lie_homomorphism
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["run", "--format", "json"])
+f, five, seven = GF(1_000_003), QuadraticSpace(5), QuadraticSpace(7)
+lie = verify_lie_homomorphism(spin_rep(five, f), so_structure_constants(five, f))
+quartic = invariant_quartic_dim(vector_rep(seven, f))
+calls = {layer: rec["calls"] for layer, rec in tracer.totals().items()}
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "lie": lie, "quartic": quartic, "calls": calls}))
+"""
+
+
 def test_benchmark_trace_and_setup_still_resolve():
-    # the tracer raises LayerMissing when a wrapped function is gone;
-    # child.py imports the modules and names every workload uses
+    # child.py imports the modules and names every workload uses.  The tracer
+    # raises LayerMissing when a wrapped function is gone, and a traced run fails
+    # when a wrapped function's arguments no longer fit its observer; the default
+    # run, the spin(5) Lie check and the vector(7) quartic reach every layer
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    for argv in (
-        ["-c", "import layertrace; layertrace.Tracer().install()"],
-        [str(ROOT / "perfbench" / "child.py"), "--setup-only"],
-    ):
-        proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert "LayerMissing" not in proc.stderr
+        return proc.stdout
+
+    run(str(ROOT / "perfbench" / "child.py"), "--setup-only")
+    doc = json.loads(run("-c", TRACED_RUN))
+    assert (doc["code"], doc["lie"], doc["quartic"]) == (0, True, 1)
+    for suite in doc["report"]["suites"]:
+        del suite["elapsed_ms"]
+    golden = (ROOT / "tests" / "golden_default_report.json").read_text()
+    assert json.dumps(doc["report"], indent=1) + "\n" == golden
+    assert [layer for layer, calls in doc["calls"].items() if calls == 0] == []
 
 
 def test_every_exported_name_resolves():

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from spincert import octonion
 from spincert.fields import GF, QQ, RandomSource
 from spincert.linalg import kernel, rank
 from spincert.octonion import (
+    ConstructionFailure,
     anisotropic,
     derivation_algebra,
     multiplication_tensor,
     split_generating_triple,
     subalgebra_generated,
-    trace_zero_rep,
 )
 from spincert.orbits import min_trial_stabilizer, stabilizer, subalgebra_structure_from_matrices
 from spincert.spinreps import direct_sum
@@ -62,6 +63,17 @@ def leibniz_by_loops(field):
                     row[r * 8 + j] = field.reduce(row[r * 8 + j] - tensor[i, r, b])
                 rows.append(row)
     return np.stack(rows)
+
+
+def loop_derivations(field):
+    """The 8x8 derivations, D[r, c] the r-th coordinate of D(e_c): the loop-built system's kernel."""
+    (null,) = kernel(field, leibniz_by_loops(field)[None])
+    return null.reshape(-1, 8, 8)
+
+
+def trace_zero_basis(field):
+    """The 8x7 basis (e_0 - e_7, e_1, ..., e_6) of the trace-zero octonions, as columns."""
+    return field.array(np.vstack([np.eye(7, dtype=np.int64), [[-1, 0, 0, 0, 0, 0, 0]]]))
 
 
 # -- helpers -------------------------------------------------------------------
@@ -126,32 +138,68 @@ def test_trace_form_nondegenerate_and_derivations_skew():
     t = multiplication_tensor(F)
     t = F.reduce(t[:, :, 0] + t[:, :, 7])
     assert rank(F, t[None]) == [8]
-    for m in derivation_algebra(F).matrices:
+    for m in loop_derivations(F):
         assert not np.count_nonzero(F.reduce(F.matmul(m.T, t) + F.matmul(t, m)))
 
 
 def test_derivation_dimension_both_primes():
     for p in PRIMES:
-        assert derivation_algebra(GF(p)).dimension == 14
+        g2 = derivation_algebra(GF(p))
+        assert (g2.g, g2.dim) == (14, 7)
 
 
 def test_derivation_dimension_over_qq():
-    assert derivation_algebra(QQ).dimension == 14
+    g2 = derivation_algebra(QQ)
+    assert (g2.g, g2.dim) == (14, 7)
 
 
 def test_derivations_match_loop_built_leibniz_system():
+    # D B = B R for each loop-built derivation D, B the trace-zero basis: D
+    # preserves trace zero, and R, the module's matrix, is its restriction
     for field in (*map(GF, PRIMES), QQ):
-        (null,) = kernel(field, leibniz_by_loops(field)[None])
-        assert derivation_algebra(field).matrices.tolist() == null.reshape(-1, 8, 8).tolist()
+        full, basis, tensor = loop_derivations(field), trace_zero_basis(field), derivation_algebra(field).tensor
+        assert full.shape == (14, 8, 8) and tensor.shape == (14, 7, 7)
+        assert field.matmul(full, basis).tolist() == field.matmul(basis, tensor).tolist()
+
+
+@pytest.mark.parametrize("field", [*map(GF, PRIMES), QQ], ids=repr)
+def test_trace_zero_module_has_the_structure_of_the_full_derivations(field):
+    # restriction to trace zero is an injective Lie map, so the 7x7 module has the
+    # 8x8 derivations' structure constants and Killing form: cross-spinor's [14, 14]
+    seven = subalgebra_structure_from_matrices(field, derivation_algebra(field).tensor)
+    eight = subalgebra_structure_from_matrices(field, loop_derivations(field))
+    assert np.array_equal(seven.structure_constants, eight.structure_constants)
+    assert np.array_equal(seven.killing, eight.killing)
+    assert seven.killing_rank == eight.killing_rank == 14
+
+
+def test_dimension_guard_refuses_a_short_kernel(monkeypatch):
+    real = octonion.kernel
+    monkeypatch.setattr(octonion, "kernel", lambda field, stack: [null[1:] for null in real(field, stack)])
+    with pytest.raises(ConstructionFailure, match="dimension 13, expected 14"):
+        derivation_algebra(F)
+
+
+def test_trace_zero_guard_refuses_a_derivation_leaving_it(monkeypatch):
+    real = octonion.kernel
+
+    def skewed(field, stack):
+        (null,) = real(field, stack)
+        null = null.copy()
+        null[0, 1] = field.reduce(null[0, 1] + 1)  # D(e_1) gains an a-entry and no b-entry
+        return [null]
+
+    monkeypatch.setattr(octonion, "kernel", skewed)
+    with pytest.raises(ConstructionFailure, match="does not preserve trace zero"):
+        derivation_algebra(F)
 
 
 def test_derivations_kill_unit_and_leibniz():
-    da = derivation_algebra(F)
     basis = F.eye(8)
     # row 8i + j: e_i and e_j
     left, right = np.repeat(basis, 8, axis=0), np.tile(basis, (8, 1))
     products = tensor_mul(F, left, right)
-    for m in da.matrices:
+    for m in loop_derivations(F):
         assert not np.count_nonzero(F.matmul(m, F.array(UNIT)[:, None]))
         # Leibniz on all 64 basis pairs, exact: D(e_i e_j) = D(e_i) e_j + e_i D(e_j)
         d = m.T  # row i is D(e_i)
@@ -161,16 +209,9 @@ def test_derivations_kill_unit_and_leibniz():
 
 
 def test_derivations_closed_under_commutator():
-    da = derivation_algebra(F)
-    ss = subalgebra_structure_from_matrices(F, da.matrices)  # raises on non-closure
+    ss = subalgebra_structure_from_matrices(F, derivation_algebra(F).tensor)  # raises on non-closure
     assert ss.dimension == 14
     assert ss.killing_rank == 14
-
-
-def test_derivations_preserve_trace_zero():
-    da = derivation_algebra(F)
-    assert len(da.trace_zero_matrices) == 14
-    assert all(m.shape == (7, 7) for m in da.trace_zero_matrices)
 
 
 def test_subalgebra_generated_examples():
@@ -201,7 +242,7 @@ def test_subalgebra_generated_monotone():
 
 def g2_kernels(field, trials, seed):
     """(triple, vector, scaled) kernel dimensions, as the g2_octonion suite takes them."""
-    g2 = trace_zero_rep(derivation_algebra(field))
+    g2 = derivation_algebra(field)
     triple, _ = min_trial_stabilizer(direct_sum([g2] * 3), trials, seed)
     vector, v = min_trial_stabilizer(g2, trials, seed, witness=lambda x: anisotropic(field, x))
     return triple.dimension, vector.dimension, stabilizer(g2.with_scaling(), v).dimension
@@ -217,7 +258,7 @@ def test_g2_checks_certificates():
 def test_anisotropy_is_the_witness_the_scaled_kernel_needs():
     # an isotropic trace-zero point has the generic stabilizer dimension, 8,
     # but the scaling generator adds one: only the witness tells them apart
-    g2 = trace_zero_rep(derivation_algebra(F))
+    g2 = derivation_algebra(F)
     for x, witnessed, scaled in (([1, 0, 0, 0, 0, 0, 0], True, 8), ([0, 1, 0, 0, 0, 0, 0], False, 9)):
         x = F.array(x)
         assert anisotropic(F, x) is witnessed
@@ -238,14 +279,14 @@ def test_cross_module_g2_equals_spin7_stabilizer():
     from spincert.orbits import kernel_action_matrices, stabilizer
     from spincert.spinreps import spin_rep, vector_rep
 
-    da = derivation_algebra(F)
-    deriv_struct = subalgebra_structure_from_matrices(F, da.matrices)
+    g2 = derivation_algebra(F)
+    deriv_struct = subalgebra_structure_from_matrices(F, g2.tensor)
     rep = spin_rep(QuadraticSpace(7), F)
     v = RandomSource(0).child(0).scalars(F, 8)
     r = stabilizer(rep, v)
     on_vector = kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(7), F))
     spinor_struct = subalgebra_structure_from_matrices(F, on_vector)
-    assert da.dimension == r.dimension == 14
+    assert g2.g == r.dimension == 14
     assert deriv_struct.killing_rank == spinor_struct.killing_rank == 14
 
 

@@ -6,7 +6,7 @@ import pytest
 from spincert.clifford import QuadraticSpace
 from spincert.fields import GF, QQ, PrimeField, RandomSource
 from spincert.linalg import associative_closure, commutant_dimension, hom_space, kernel, rank, solve
-from spincert.octonion import derivation_algebra, trace_zero_rep
+from spincert.octonion import derivation_algebra
 from spincert.orbits import (
     Aborted,
     ClosureViolation,
@@ -304,7 +304,7 @@ def _spin10_stabilizer(field):
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(lambda f: derivation_algebra(f).matrices, id="g2-derivations"),
+        pytest.param(lambda f: derivation_algebra(f).tensor, id="g2-derivations"),
         pytest.param(_spin7_stabilizer, id="spin7-stabilizer"),
         pytest.param(_spin10_stabilizer, id="spin10-stabilizer"),
         pytest.param(lambda f: f.array([[[0, 1], [-1, 0]]]), id="one-matrix"),
@@ -436,7 +436,7 @@ FORM_MODULES = {
     "half10": lambda f: half_spin_reps(QuadraticSpace(10), f)[0],
     "spin11|so10": lambda f: restrict(spin_rep(QuadraticSpace(11), f), embed_subalgebra(QuadraticSpace(11), 10)),
     "sheared-vector5": _sheared_vector5,
-    "g2-trace-zero": lambda f: trace_zero_rep(derivation_algebra(f)),
+    "g2-trace-zero": derivation_algebra,
 }
 
 
@@ -543,7 +543,7 @@ def test_scaling_extension_invariant():
 
     for p in PRIMES:
         field = GF(p)
-        g2 = trace_zero_rep(derivation_algebra(field))
+        g2 = derivation_algebra(field)
         rpt, v = min_trial_stabilizer(g2, 3, 0, witness=lambda x: anisotropic(field, x))
         assert rpt.dimension == stabilizer(g2.with_scaling(), v).dimension == 8
 

@@ -281,9 +281,9 @@ def test_center_acts_minus_one_reads_the_module():
 
 
 def _g2_on_octonions():
-    from spincert.octonion import derivation_algebra, trace_zero_rep
+    from spincert.octonion import derivation_algebra
 
-    return trace_zero_rep(derivation_algebra(F))
+    return derivation_algebra(F)
 
 
 def test_center_check_refuses_modules_of_another_algebra():

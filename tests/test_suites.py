@@ -437,3 +437,20 @@ def test_report_json_schema():
     for c in doc["checks"]:
         assert set(c) == {"id", "description", "expected", "observed", "provenance", "anchor", "pass"}
     json.dumps(doc)  # must be serializable as-is
+
+
+def test_restriction_blocks_reads_mixed_blocks(monkeypatch):
+    # with one even and one odd Fock index swapped, some so(10) generator
+    # couples the two parts, and the branching check reads no blocks
+    import spincert.suites as suites_mod
+
+    real = suites_mod.parity_indices
+
+    def swapped(n):
+        even, odd = real(n)
+        return [odd[0], *even[1:]], [even[0], *odd[1:]]
+
+    field = suites_mod._Field(RunConfig(), GF(1_000_003))
+    assert suites_mod._restriction_blocks(field) == [16, 16, True]
+    monkeypatch.setattr(suites_mod, "parity_indices", swapped)
+    assert suites_mod._restriction_blocks(field) == [0, 0, False]
