@@ -214,6 +214,16 @@ def test_derivations_closed_under_commutator():
     assert ss.killing_rank == 14
 
 
+def test_derivations_preserve_trace_zero():
+    # the module's 14 matrices act on the 7-dim trace-zero space, and every
+    # loop-built derivation sends a trace-zero basis vector to a trace-zero vector
+    tensor = derivation_algebra(F).tensor
+    assert len(tensor) == 14
+    assert all(m.shape == (7, 7) for m in tensor)
+    images = F.matmul(loop_derivations(F), trace_zero_basis(F))
+    assert not np.count_nonzero(F.reduce(images[:, 0] + images[:, 7]))
+
+
 def test_subalgebra_generated_examples():
     rng = RandomSource(3)
     zero = F.zeros(8)
