@@ -2,7 +2,7 @@
 
 Times reduced-row-echelon elimination over F_p on a few shapes that mirror
 the package's real workloads (stacked action maps, square and wide kernels,
-Sylvester systems) and on two tall kernel shapes of 196 columns,
+a tall stack) and on two tall kernel shapes of 196 columns,
 which the spin(14) closure produced before it spun a pair of generators,
 with the NumPy leaf and the compiled leaf when it is built.  Each NumPy
 result is checked on its own: the kernel read off its RREF must annihilate
@@ -25,10 +25,12 @@ loops they replace, and checks each result against its loop:
 spin(14) stabilizer (k = 28, d = 14), ``orbits.invariant_quartic_dim`` on
 spin(11), and ``orbits.invariant_bilinear_space`` on spin(13) against a
 dense (d^2, c) image of the c candidate forms per generator.
-Then it times ``linalg.hom_space`` on the three largest Hom_H(V_n, W) pairs
-of the generic stabilizer H at one seed-0 point: V_11 into spin(11) (352
-unknowns), V_12 into the odd half-spin module of a point of the even one
-(384) and V_14 likewise (896), and checks every basis map by product.
+Then it times ``linalg.hom_space``, which spins seed vectors of the source
+module, on the five largest Hom_H spaces of the generic stabilizer H at
+one seed-0 point: V_11 into spin(11) (352 unknowns of a dense system),
+End(spin(11)) (1,024), V_12 into the odd half-spin module of a point of
+the even one (384), V_13 into spin(13) (832) and V_14 into the odd
+half-spin module (896), and checks every basis map by product.
 Last it times ``linalg.det`` on the stacks of SL_n samples that a default
 ``sln_quotient`` run acts with, 50 at n = 5 over Q and 50 at n = 8 over
 GF(1000003), and checks each determinant against a Laplace expansion.
@@ -320,21 +322,24 @@ def bench_batched(repeats):
 
 def bench_hom(repeats):
     field = GF(P)
-    print(f"{'Hom_H(V_n, W)':<42} {'unknowns':>8} {'dim':>4} {'hom_space':>10}")
-    for n, module in ((11, "spin"), (12, "odd"), (14, "odd")):
+    print(f"{'Hom_H(A, W)':<42} {'unknowns':>8} {'dim':>4} {'hom_space':>10}")
+    for n, source in ((11, "V"), (11, "W"), (12, "V"), (13, "V"), (14, "V")):
         space = QuadraticSpace(n)
         if n % 2:
             point_rep = w = spinreps.spin_rep(space, field)
         else:
             point_rep, w = spinreps.half_spin_reps(space, field)
         stab = stabilizer(point_rep, RandomSource(0).child(0).scalars(field, point_rep.dim)).kernel
-        a, b = (kernel_action_matrices(stab, rep) for rep in (w, spinreps.vector_rep(space, field)))
+        a = kernel_action_matrices(stab, w)
+        b = a if source == "W" else kernel_action_matrices(stab, spinreps.vector_rep(space, field))
         basis = hom_space(field, a, b)
-        xs = basis.reshape(-1, 1, w.dim, n)
+        xs = basis.reshape(-1, 1, w.dim, b.shape[1])
         assert not np.count_nonzero(field.reduce(field.matmul(a, xs) - field.matmul(xs, b))), "a basis map fails"
         assert rank(field, basis[None]) == [len(basis)], "the basis maps are dependent"
         fast = bench(lambda _: hom_space(field, a, b), None, repeats)
-        print(f"{f'V_{n} -> {module}, h={len(a)}':<42} {w.dim * n:>8} {len(basis):>4} {fast*1e3:>8.1f}ms")
+        module = "spin" if n % 2 else "odd"
+        label = f"End({module}({n}))" if source == "W" else f"V_{n} -> {module}"
+        print(f"{f'{label}, h={len(a)}':<42} {w.dim * b.shape[1]:>8} {len(basis):>4} {fast*1e3:>8.1f}ms")
 
 
 def det_by_cofactors(field, m):

@@ -6,13 +6,13 @@ of one: ``rref``, ``rank``, ``kernel``, ``solve`` and ``det`` take a
 one solver of A X = B, takes (k, rows, t) right-hand sides and gives each
 (cols, t) solution, or None where a system has no solution or more than one.
 RREF differs by field (``_eliminate``): over F_p a stack of more than one
-matrix is one ``kernels.rref_stack`` call, as when the genericity protocols
-eliminate their trials after the first, and one matrix goes through
+matrix is one ``kernels.rref_stack`` call and one matrix goes through
 ``kernels.rref_mod``; over Q each matrix runs fraction-free Gauss-Jordan on
 cleared integer rows (``_rref_qq``).  ``det`` runs one fraction-free
-(Bareiss) loop over the whole stack for both fields, which differ only in
-its division step.  Pivoting is always first-nonzero in column order, so
-every result is deterministic.
+(Bareiss) loop over the whole stack for both fields.  Pivoting is always
+first-nonzero in column order, so every result is deterministic.
+``associative_closure`` and ``hom_space`` share one spinning routine,
+``_spin``: the closure spins I, a Hom space the seeds of its source module.
 """
 
 from __future__ import annotations
@@ -234,95 +234,92 @@ def _pair(field, gens) -> np.ndarray:
     return field.matmul(field.array(np.stack([w, w * w])), gens.reshape(k, d * d)).reshape(2, d, d)
 
 
-def _spin(field, gens) -> np.ndarray:
-    """Echelon basis, one flattened matrix per row, of the span of {I} under
-    left multiplication by a nonempty (k, d, d) stack."""
-    d = gens.shape[1]
-    left = gens[:, None]
-    basis = field.eye(d).reshape(1, d * d)
-    frontier = basis
-    pivots = {0}
+def _spin(field, a, b, basis, frontier, width) -> tuple:
+    """Spin an echelon basis under the pairs (a_i, b_i) of two (k, ., .) stacks.
+
+    g_i maps a row [W | M], W a flattened (db, width / db) matrix and M
+    flattened (da, da) blocks, to [b_i W | a_i M].  Each level maps the
+    frontier, the rows not yet mapped, by every g_i in one batched product
+    and reduces the images under the basis once (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, section 7).  Rows with
+    new pivots in W are the next frontier; rows whose W vanishes are returned.
+    """
+    (k, db, _), da = b.shape, a.shape[1]
+    pivots, found = set(np.argmax(basis != 0, axis=1).tolist()), []
     while len(frontier):
-        # every g_i F_j as one batch of small products
-        right = frontier.reshape(1, -1, d, d)
-        prod = field.matmul(left, right).reshape(-1, d * d)
-        ((red, new_pivots),) = rref(field, np.vstack([basis, prod])[None])
-        basis = red[: len(new_pivots)]
-        frontier = basis[[i for i, c in enumerate(new_pivots) if c not in pivots]]
-        pivots = set(new_pivots)
-    return basis
+        w = field.matmul(b[:, None], frontier[:, :width].reshape(1, -1, db, width // db)).reshape(k, -1, width)
+        m = field.matmul(a[:, None], frontier[:, width:].reshape(1, -1, da, da)).reshape(k, len(frontier), -1)
+        ((red, new),) = rref(field, np.vstack([basis, np.concatenate([w, m], 2).reshape(-1, frontier.shape[1])])[None])
+        kept = int(np.searchsorted(new, width))
+        basis, found = red[:kept], found + [red[kept : len(new)]]
+        frontier = basis[[i for i, c in enumerate(new[:kept]) if c not in pivots]]
+        pivots = set(new[:kept])
+    return basis, found
+
+
+def _left_kernel(field, m) -> np.ndarray:
+    """Basis of {c : c m = 0}: the tails of the rows of rref [m | I] whose m part vanishes."""
+    ((red, pivots),) = rref(field, np.hstack([m, field.eye(len(m))])[None])
+    return red[int(np.searchsorted(pivots, m.shape[1])) : len(pivots), m.shape[1] :]
 
 
 def associative_closure(field, gens) -> int:
-    """Dimension of the unital associative algebra generated by a (k, d, d) stack.
-
-    Level-batched spinning (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, section 7): the algebra is the span of
-    {I} under left multiplication by the generators.  An echelon basis W of
-    the flattened matrices is kept together with a frontier spanning a
-    complement of the previous W.  Each round multiplies every generator by
-    every frontier matrix in one batched product, stacks the results under W
-    and reduces once; the rows of the new reduced form whose pivots are new
-    span a complement of the old W (pivot sets grow under inclusion) and
-    become the next frontier.  The rank stops growing at the closure, which
-    is bounded by d^2.
+    """Dimension of the unital associative algebra generated by a (k, d, d) stack:
+    ``_spin`` of {I} under left multiplication, W the flattened matrices.
 
     More than two generators are first replaced by the pair ``_pair``, as a
     few elements usually generate the whole algebra (Holt and Rees,
     "Testing modules for irreducibility", J. Austral. Math. Soc. 57, 1994).
-    The pair lies in the algebra, so its closure is a subalgebra; when one
-    rank shows every generator inside it, it is the whole algebra.
-    Otherwise the generators themselves are spun.
+    The pair lies in the algebra, so its closure is the whole algebra when
+    one rank shows every generator inside it; otherwise the generators are spun.
     """
     k, d, _ = gens.shape
     if not k:
         return 1
+    one = field.eye(d).reshape(1, d * d)
     if k > 2:
-        basis = _spin(field, _pair(field, gens))
+        pair = _pair(field, gens)
+        basis, _ = _spin(field, pair, pair, one, one, d * d)
         if rank(field, np.vstack([basis, gens.reshape(k, d * d)])[None]) == [len(basis)]:
             return len(basis)
-    return len(_spin(field, gens))
+    return len(_spin(field, gens, gens, one, one, d * d)[0])
 
 
 def hom_space(field, a, b) -> np.ndarray:
     """Basis of {X : a_i X = X b_i for every i}, the module maps from a (k, db, db)
     stack b's module to a (k, da, da) stack a's, as (dim, da db) rows, X row-major.
 
-    Kernels are intersected one generator at a time: K starts as the kernel
-    of the first generator's Sylvester map X -> a_1 X - X b_1, and each
-    further generator replaces K by K times the kernel of its Sylvester map
-    restricted to the span of K's columns.  The systems shrink as K does,
-    instead of one stacked (k da db) x (da db) elimination.
-
-    More than two generators are first replaced by the pair ``_pair``, with
-    the same coefficients on both sides, whose Hom space contains the answer.
-    One batched product then finds the generators that fail on some column
-    of K, and only those cut K further.
+    The MeatAxe's standard-basis method (Lux and Szoke, Experimental Math.
+    12, 2003): a map is fixed by the images y of seeds e_c, c a column
+    without a pivot, taken only while the spun span falls short of b's
+    module.  ``_spin`` spins rows [w | M], X w = M y, under w -> b_i w and
+    M -> a_i M; a row whose w vanishes gives conditions M y = 0.  Then the
+    w part is I, so X e_j = M_j y, and the kernel of the conditions, one
+    wide elimination, gives the basis.  More than two generators are first
+    replaced by ``_pair`` on both sides, whose Hom space contains the
+    answer; the defects of the generators failing on it then cut it.
     """
     (k, da, _), (kb, db, _) = a.shape, b.shape
     if k != kb:
         raise ValueError(f"Hom space of stacks of {k} and {kb} matrices")
     if not k:
         return field.eye(da * db)
-
-    def sylvester(x, y):
-        # the map X -> xX - Xy on row-major flattened X
-        return field.reduce(np.kron(x, field.eye(db)) - np.kron(field.eye(da), np.ascontiguousarray(y.T)))
-
-    def cut(K, x, y):
-        return field.matmul(K, kernel(field, field.matmul(sylvester(x, y), K)[None])[0].T)
-
-    pa = a if k <= 2 else _pair(field, a)
-    pb = pa if b is a else b if k <= 2 else _pair(field, b)
-    K = kernel(field, sylvester(pa[0], pb[0])[None])[0].T
-    for x, y in zip(pa[1:], pb[1:]):
-        K = cut(K, x, y)
-    if k > 2:
-        xs = K.T.reshape(1, -1, da, db)
-        defect = field.reduce(field.matmul(a[:, None], xs) - field.matmul(xs, b[:, None]))
-        for i in np.flatnonzero(np.count_nonzero(defect.reshape(k, -1), axis=1)):
-            K = cut(K, a[i], b[i])
-    return K.T
+    pa, pb = (a, b) if k <= 2 else (_pair(field, a), _pair(field, b))
+    basis = conditions = field.zeros((0, db))
+    while len(basis) < db:
+        basis, conditions = (np.hstack([x, field.zeros((len(x), da * da))]) for x in (basis, conditions))
+        seed = np.hstack([field.zeros((1, basis.shape[1] - da * da)), field.eye(da).reshape(1, -1)])
+        seed[0, min(set(range(db)).difference(np.argmax(basis != 0, axis=1).tolist()))] = field.scalar(1)
+        basis, found = _spin(field, pa, pb, np.vstack([basis, seed]), seed, db)
+        conditions = np.vstack([conditions, *found])
+    maps = basis[:, db:].reshape(db, -1, da, da).transpose(2, 0, 1, 3).reshape(da * db, -1)
+    eqs = conditions[:, db:].reshape(-1, maps.shape[1] // da, da, da).transpose(1, 3, 0, 2).reshape(maps.shape[1], -1)
+    K = field.matmul(_left_kernel(field, eqs), maps.T)
+    xs = K.reshape(1, -1, da, db)
+    defect = field.reduce(field.matmul(a[:, None], xs) - field.matmul(xs, b[:, None]))
+    if np.count_nonzero(defect):  # only where the pair misses a generator; zero columns cost no step
+        K = field.matmul(_left_kernel(field, defect.transpose(1, 0, 2, 3).reshape(len(K), -1)), K)
+    return K
 
 
 def commutant_dimension(field, gens) -> int:

@@ -13,19 +13,21 @@ recovered as the kernel of the Leibniz system over all 64 basis products.
 Its dimension must be 14, and every derivation must preserve the trace-zero
 octonions; anything else is a construction failure, not a soft error.
 ``derivation_algebra`` returns g2 acting on the 7-dim trace-zero octonions,
-a ``LieRepresentation`` like any other: restriction to that subspace is an
-injective Lie map, so its structure constants and Killing form are those of
-the 8-dim derivations.  Its stabilizer claims go through
-``orbits.min_trial_stabilizer``, the single-copy ones with the witness
-``anisotropic``.
+a ``LieRepresentation`` cached per field like any other: restriction to
+that subspace is an injective Lie map, so its structure constants and
+Killing form are those of the 8-dim derivations.  Its stabilizer claims go
+through ``orbits.min_trial_stabilizer``, the single-copy ones with the
+witness ``anisotropic``.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .linalg import SpanBuilder, kernel
-from .spinreps import LieRepresentation
+from .spinreps import LieRepresentation, _freeze
 
 __all__ = [
     "multiplication_tensor",
@@ -83,6 +85,7 @@ def _products(field, xs, ys) -> np.ndarray:
     return field.matmul(ys, left).reshape(-1, 8)
 
 
+@cache
 def derivation_algebra(field) -> LieRepresentation:
     """g2 on the 7-dim trace-zero octonions: the 14 solutions of D(x y) = D(x) y + x D(y), restricted."""
     (null,) = kernel(field, field.array(_LEIBNIZ)[None])
@@ -95,7 +98,7 @@ def derivation_algebra(field) -> LieRepresentation:
     if np.count_nonzero(field.reduce(full[:, 0] + full[:, 7])):
         raise ConstructionFailure("derivation does not preserve trace zero")
     basis = tuple(("g2", k) for k in range(14))
-    return LieRepresentation(7, field, "g2 on trace-zero octonions", basis, np.ascontiguousarray(full[:, :7]))
+    return LieRepresentation(7, field, "g2 on trace-zero octonions", basis, _freeze(np.ascontiguousarray(full[:, :7])))
 
 
 def subalgebra_generated(field, rows) -> int:

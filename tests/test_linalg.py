@@ -21,7 +21,7 @@ from spincert.linalg import (
     rref,
     solve,
 )
-from spincert.spinreps import half_spin_reps, spin_rep
+from spincert.spinreps import half_spin_reps, spin_rep, vector_rep
 from spincert.suites import RunConfig, run_selected
 
 F = GF(1_000_003)
@@ -480,14 +480,7 @@ def test_closure_and_commutant_fall_back_when_the_pair_vanishes():
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
 def test_closure_and_commutant_when_generators_escape_the_pair(field):
-    # the shift's weights 1, -1, 1/3 cancel in 1 - 2 + 3/3 and 1 - 4 + 9/3, so the
-    # pair is diagonal while every generator carries the shift
-    rng = RandomSource(14)
-    shift = field.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    gens = field.zeros((3, 3, 3))
-    gens[:, range(3), range(3)] = rng.scalars(field, 9).reshape(3, 3)
-    weights = field.array(np.array([Fraction(1), Fraction(-1), Fraction(1, 3)], dtype=object))
-    gens = field.reduce(gens + weights[:, None, None] * shift)
+    gens = escaping_generators(field, RandomSource(14))
     pair = linalg_mod._pair(field, gens)
     assert not np.count_nonzero(pair[:, [0, 1, 0], [1, 2, 2]])
     closure, commutant = associative_closure(field, gens), commutant_dimension(field, gens)
@@ -495,26 +488,59 @@ def test_closure_and_commutant_when_generators_escape_the_pair(field):
     assert commutant == hom_by_stacked_system(field, gens, gens) < commutant_dimension(field, pair)
 
 
+def conjugate(field, p, stack):
+    """P m P^-1 for every matrix m of a stack."""
+    return field.matmul(field.matmul(p, stack), inverse(field, p))
+
+
+def escaping_generators(field, rng):
+    """Three upper triangular 3 x 3 generators whose shift parts cancel in the pair.
+
+    The shift's weights 1, -1, 1/3 cancel in 1 - 2 + 3/3 and 1 - 4 + 9/3, so the
+    pair is diagonal while every generator carries the shift.
+    """
+    shift = field.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    gens = field.zeros((3, 3, 3))
+    gens[:, range(3), range(3)] = rng.scalars(field, 9).reshape(3, 3)
+    weights = field.array(np.array([Fraction(1), Fraction(-1), Fraction(1, 3)], dtype=object))
+    return field.reduce(gens + weights[:, None, None] * shift)
+
+
 def _hom_cases(field, rng):
-    """(a, b) stacks of every length from 0 to 4, with da != db and Hom spaces of 0, 1 and 2."""
+    """(a, b) stacks of every length from 0 to 4, with da != db and Hom spaces of 0, 1 and 2,
+    sources that need more than one seed, the 1-dim zero source of a fixed space, and
+    last two conjugate stacks whose generators escape the pair."""
     cases = [(field.zeros((0, 2, 2)), field.zeros((0, 3, 3)))]
     for k in range(1, 5):
         a = np.stack([random_matrix(field, 2, 2, rng) for _ in range(k)])
         c = np.stack([random_matrix(field, 3, 3, rng) for _ in range(k)])
         cases.append((a, c))  # no common eigenvalue nor submodule: Hom 0
         # b_i = P diag(a_i, c_i) P^-1: a's module is a summand of b's, once
-        p = random_matrix(field, 5, 5, rng)
         b = field.zeros((k, 5, 5))
         b[:, :2, :2], b[:, 2:, 2:] = a, c
-        b = field.matmul(field.matmul(p, b), inverse(field, p))
+        b = conjugate(field, random_matrix(field, 5, 5, rng), b)
         cases += [(a, b), (b, a)]
+        # three conjugated copies of a's module: one vector spins at most 4 dimensions
+        # under M_2 and 2 under one matrix, so the source needs two or three seeds
+        thrice = field.zeros((k, 6, 6))
+        thrice[:, :2, :2] = thrice[:, 2:4, 2:4] = thrice[:, 4:, 4:] = a
+        thrice = conjugate(field, random_matrix(field, 6, 6, rng), thrice)
+        cases += [(a, thrice), (thrice, thrice)]
+        # maps from the zero 1 x 1 module are the common fixed vectors: a line, then none
+        line = field.zeros((k, 3, 3))
+        line[:, :2, :2] = a
+        zero = field.zeros((k, 1, 1))
+        cases += [(conjugate(field, random_matrix(field, 3, 3, rng), line), zero), (a, zero)]
+    gens = escaping_generators(field, rng)
+    cases.append((conjugate(field, random_matrix(field, 3, 3, rng), gens), gens))
     return cases
 
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
 def test_hom_space_against_the_stacked_system(field):
     seen = set()
-    for a, b in _hom_cases(field, RandomSource(15)):
+    cases = _hom_cases(field, RandomSource(15))
+    for a, b in cases:
         basis = hom_space(field, a, b)
         dim = check_hom_basis(field, a, b, basis)
         assert dim == hom_by_stacked_system(field, a, b)
@@ -524,6 +550,13 @@ def test_hom_space_against_the_stacked_system(field):
     assert np.array_equal(hom_space(field, field.zeros((0, 2, 2)), field.zeros((0, 3, 3))), field.eye(6))
     assert {(0, 2, 3, 6), (1, 2, 5, 2), (1, 5, 2, 2), (1, 2, 3, 0)} <= seen
     assert {(k, 2, 3, 0) for k in (2, 3, 4)} | {(k, 2, 5, 1) for k in (2, 3, 4)} | {(k, 5, 2, 1) for k in (2, 3, 4)} <= seen
+    # three copies: the polynomials in one generic matrix, then M_2's scalars, per copy
+    assert {(1, 2, 6, 6), (1, 6, 6, 18)} | {(k, 2, 6, 3) for k in (2, 3, 4)} | {(k, 6, 6, 9) for k in (2, 3, 4)} <= seen
+    assert {(k, 3, 1, 1) for k in range(1, 5)} | {(k, 2, 1, 0) for k in range(1, 5)} <= seen
+    # the escaping generators: the pair's maps fail them, and only the defect cut brings the space down
+    a, b = cases[-1]
+    pa, pb = linalg_mod._pair(field, a), linalg_mod._pair(field, b)
+    assert hom_by_stacked_system(field, pa, pb) > hom_by_stacked_system(field, a, b) > 0
 
 
 def test_hom_space_refuses_stacks_of_different_lengths():
@@ -534,12 +567,13 @@ def test_hom_space_refuses_stacks_of_different_lengths():
 
 
 def test_default_fingerprints_never_fall_back(monkeypatch):
-    # the gain rests on the pair settling every fingerprint of the default run:
-    # one spin per closure and two kernels (the pair's) per commutant
+    # the gain rests on the pair settling every fingerprint of the default run: one
+    # spin of the pair per closure, and per commutant spins of the pair only and one
+    # left kernel (its conditions'), so no generator's defects cut the basis
     spins, kernels, log = [], [], []
-    real_spin, real_kernel = linalg_mod._spin, linalg_mod.kernel
-    monkeypatch.setattr(linalg_mod, "_spin", lambda field, gens: spins.append(len(gens)) or real_spin(field, gens))
-    monkeypatch.setattr(linalg_mod, "kernel", lambda field, stack: kernels.append(1) or real_kernel(field, stack))
+    real_spin, real_left_kernel = linalg_mod._spin, linalg_mod._left_kernel
+    monkeypatch.setattr(linalg_mod, "_spin", lambda field, a, *rest: spins.append(len(a)) or real_spin(field, a, *rest))
+    monkeypatch.setattr(linalg_mod, "_left_kernel", lambda field, m: kernels.append(1) or real_left_kernel(field, m))
 
     def spy(fn):
         def wrapped(field, gens):
@@ -560,7 +594,32 @@ def test_default_fingerprints_never_fall_back(monkeypatch):
     # closures of spin14 and branching only (spin11 records no closure)
     assert (len(closures), len(commutants)) == (4, 6)
     assert all(k > 2 and spun == [2] for _, k, spun, _ in closures)
-    assert all(k > 2 and cuts == 2 for _, k, _, cuts in commutants)
+    assert all(k > 2 and spun and set(spun) == {2} and cuts == 1 for _, k, spun, cuts in commutants)
+
+
+def _generic_action(n):
+    """At a seed-0 point of spin(n) (n odd) or the even half-spin module, the stabilizer's
+    action on that module W and on V_n, over GF(1000003)."""
+    space = QuadraticSpace(n)
+    point_rep, w = (spin_rep(space, F),) * 2 if n % 2 else half_spin_reps(space, F)
+    stab = orbits_mod.stabilizer(point_rep, RandomSource(0).child(0).scalars(F, point_rep.dim)).kernel
+    return (orbits_mod.kernel_action_matrices(stab, rep) for rep in (w, vector_rep(space, F)))
+
+
+def test_large_hom_spaces_skip_the_dense_system(monkeypatch):
+    # V_14 -> S^- and End(spin(11)) have 896 and 1,024 unknowns: no elimination may
+    # take the square system of that size, nor a tall input (as in the test below)
+    shapes = []
+    real = linalg_mod.rref
+    monkeypatch.setattr(linalg_mod, "rref", lambda field, stack: shapes.append(np.shape(stack)[1:]) or real(field, stack))
+    w14, v14 = _generic_action(14)
+    w11, _ = _generic_action(11)
+    for a, b, dim in ((w14, v14, 2), (w11, w11, 8)):
+        shapes.clear()
+        assert check_hom_basis(F, a, b, hom_space(F, a, b)) == dim
+        unknowns = a.shape[1] * b.shape[1]
+        assert shapes and all(rows * cols < unknowns**2 for rows, cols in shapes)
+        assert [(rows, cols) for rows, cols in shapes if rows >= 2 * cols and rows * cols >= 2**16] == []
 
 
 def test_no_elimination_input_is_tall(monkeypatch):

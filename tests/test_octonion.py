@@ -153,6 +153,14 @@ def test_derivation_dimension_over_qq():
     assert (g2.g, g2.dim) == (14, 7)
 
 
+def test_derivation_algebra_is_cached_per_field():
+    # like the spin modules: one Leibniz kernel per field, shared read-only
+    g2 = derivation_algebra(F)
+    assert derivation_algebra(GF(1_000_003)) is g2
+    assert derivation_algebra(GF(999_983)) is not g2
+    assert not g2.tensor.flags.writeable
+
+
 def test_derivations_match_loop_built_leibniz_system():
     # D B = B R for each loop-built derivation D, B the trace-zero basis: D
     # preserves trace zero, and R, the module's matrix, is its restriction
@@ -174,6 +182,7 @@ def test_trace_zero_module_has_the_structure_of_the_full_derivations(field):
 
 
 def test_dimension_guard_refuses_a_short_kernel(monkeypatch):
+    derivation_algebra.cache_clear()  # a cached module would skip the guard
     real = octonion.kernel
     monkeypatch.setattr(octonion, "kernel", lambda field, stack: [null[1:] for null in real(field, stack)])
     with pytest.raises(ConstructionFailure, match="dimension 13, expected 14"):
@@ -181,6 +190,7 @@ def test_dimension_guard_refuses_a_short_kernel(monkeypatch):
 
 
 def test_trace_zero_guard_refuses_a_derivation_leaving_it(monkeypatch):
+    derivation_algebra.cache_clear()
     real = octonion.kernel
 
     def skewed(field, stack):
