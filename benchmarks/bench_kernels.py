@@ -1,19 +1,17 @@
 """Benchmark: the elimination leaves and the Q kernels.
 
 Times reduced-row-echelon elimination over F_p on a few shapes that mirror
-the package's real workloads (stacked action maps, square and wide kernels,
-a tall stack) and on two tall kernel shapes of 196 columns,
-which the spin(14) closure produced before it spun a pair of generators,
-with the NumPy leaf and the compiled leaf when it is built.  Each NumPy
-result is checked on its own: the kernel read off its RREF must annihilate
-the matrix, and its pivots plus that kernel's dimension must number the
-columns; the compiled result is checked against the NumPy leaf.  Then it
-times the NumPy kernel on the stacks of two trial protocols, once per
-matrix and once as one stack, and checks the two agree: the action
-matrices of the free-14 module (three natural copies plus a half-spin
-module of so(14)) at 8 trial points, and the 8 full tangent-stabilizer
-systems of ``sln_quotient`` at n = 8 (the suite now solves them in two
-smaller stages; the shape stays as a kernel workload).
+the package's real workloads (stacked action maps, square and wide kernels)
+and on two tall kernel shapes of 196 columns, which the spin(14) closure
+produced before it spun a pair of generators, with the two leaves of
+``spincert.kernels``: the NumPy kernel on a stack of one, and the compiled
+leaf when it is built.  Each NumPy result is checked on its own: the
+kernel read off its RREF must annihilate the matrix, and its pivots plus
+that kernel's dimension must number the columns; the compiled result is
+checked against the NumPy leaf.  Then it times the NumPy kernel on a
+trial protocol's stack, once per matrix and once as one stack, and checks
+the two agree: the action matrices of the free-14 module (three natural
+copies plus a half-spin module of so(14)) at 8 trial points.
 Then it times the two Q kernels at the shapes of the ``sln_quotient``
 suite, the integer product ``QQ.matmul`` and the fraction-free elimination
 ``linalg._rref_qq``, against elementwise ``Fraction`` arithmetic, and
@@ -49,10 +47,10 @@ from functools import cache
 import spincert  # noqa: F401
 import numpy as np
 
-from spincert import _modp_fallback, spinreps
+from spincert import spinreps
 from spincert.clifford import QuadraticSpace, so_pairs
 from spincert.fields import GF, QQ, RandomSource
-from spincert.kernels import matmul_mod
+from spincert.kernels import _rref_numpy, matmul_mod
 from spincert.linalg import _rref_qq, det, hom_space, kernel, rank, solve
 from spincert.orbits import (
     _diagonal_members,
@@ -63,7 +61,7 @@ from spincert.orbits import (
     stabilizer,
     subalgebra_structure_from_matrices,
 )
-from spincert.slnpair import random_pairs, random_samples
+from spincert.slnpair import random_samples
 
 try:
     from spincert import _modp_core
@@ -75,7 +73,6 @@ P = 1_000_003
 SHAPES = [
     ("stacked action map", 106, 91),
     ("square dense", 300, 300),
-    ("sylvester stack", 2560, 256),
     ("tall kernel", 1624, 196),
     ("tall kernel", 813, 196),
     ("wide kernel", 200, 1200),
@@ -90,12 +87,13 @@ QQ_ELIMINATIONS = [(5, 10), (41, 25), (16, 40)]
 
 
 def bench(fn, a, repeats, *args):
+    """(best seconds over ``repeats`` calls of ``fn(a, *args)``, the last result)."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn(a, *args)
+        out = fn(a, *args)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, out
 
 
 def check_rref(a, red, pivots):
@@ -136,54 +134,40 @@ def bench_qq(rng, repeats):
 
     print(f"{'Q kernel':<22} {'shape':<18} {'Fraction':>10} {'integer':>10}")
     a, b = rational(QQ_PRODUCT[0]), rational(QQ_PRODUCT[1])
-    assert np.array_equal(QQ.matmul(a, b), np.matmul(a, b)), "QQ.matmul disagrees with Fraction arithmetic"
-    ref, fast = bench(lambda x: np.matmul(x, b), a, repeats), bench(lambda x: QQ.matmul(x, b), a, repeats)
+    ref, want = bench(lambda x: np.matmul(x, b), a, repeats)
+    fast, got = bench(lambda x: QQ.matmul(x, b), a, repeats)
+    assert np.array_equal(got, want), "QQ.matmul disagrees with Fraction arithmetic"
     print(f"{'QQ.matmul':<22} {'(50,5,5)@(50,5,4)':<18} {ref*1e3:>8.2f}ms {fast*1e3:>8.2f}ms")
     for rows, cols in QQ_ELIMINATIONS:
         m = rational((rows, cols))
-        want, got = fraction_rref(m), _rref_qq(m)
+        (ref, want), (fast, got) = bench(fraction_rref, m, repeats), bench(_rref_qq, m, repeats)
         assert got[1] == want[1] and np.array_equal(got[0], want[0]), "_rref_qq disagrees with Fraction arithmetic"
-        ref, fast = bench(fraction_rref, m, repeats), bench(_rref_qq, m, repeats)
         print(f"{'linalg._rref_qq':<22} {f'{rows}x{cols}':<18} {ref*1e3:>8.2f}ms {fast*1e3:>8.2f}ms")
 
 
-def stabilizer_systems(field, x, y):
-    """The (k, 2n(n-1) + 1, n^2) systems a X = 0, Y a = 0, trace a = 0 over a
-    flattened a, which ``sln_quotient`` eliminated in one piece before it
-    solved them in two stages; kept as a stack shape."""
-    k, n, _ = x.shape
-    idx = np.arange(n)
-    # a flattened row-major: (aX)[i, j] = sum_k X[k, j] a[i, k], (Ya)[i, j] = sum_k Y[i, k] a[k, j]
-    ax = field.zeros((k, n, n - 1, n, n))
-    ax[:, idx, :, idx, :] = np.swapaxes(x, 1, 2)
-    ya = field.zeros((k, n - 1, n, n, n))
-    ya[:, :, idx, :, idx] = y
-    trace = field.zeros((k, 1, n, n))
-    trace[:, 0, idx, idx] = field.scalar(1)
-    return np.concatenate([m.reshape(k, -1, n * n) for m in (ax, ya, trace)], axis=1)
-
-
-def trial_stacks():
-    """(name, stack) for the two trial protocols, 8 trials each, over GF(P)."""
+def free14_stack():
+    """The action matrices of the free-14 module at 8 trial points, over GF(P)."""
     field = GF(P)
     space = QuadraticSpace(14)
     rep = spinreps.direct_sum([spinreps.vector_rep(space, field)] * 3 + [spinreps.half_spin_reps(space, field)[0]])
-    free14 = action_matrix(rep, np.stack([RandomSource(0).child(t).scalars(field, rep.dim) for t in range(8)]))
-    sln8 = stabilizer_systems(field, *random_pairs(field, 8, RandomSource(0), 8))
-    return [("free-14 action stack", free14), ("sln n=8 stabilizer", sln8)]
+    return action_matrix(rep, np.stack([RandomSource(0).child(t).scalars(field, rep.dim) for t in range(8)]))
 
 
-def bench_stacks(repeats):
+def numpy_rref(a, p):
+    """The NumPy kernel on a stack of one: the leaf ``rref_mod`` is without the compiled one."""
+    red, pivots = _rref_numpy(a[None], p)
+    return red[0], pivots[0]
+
+
+def bench_stack(repeats):
     print(f"{'stack':<22} {'k x rows x cols':<16} {'per matrix':>10} {'stacked':>10}")
-    for name, stack in trial_stacks():
-        red, pivots = _modp_fallback.rref_stack(stack, P)
-        for i, a in enumerate(stack):
-            want, want_piv = _modp_fallback.rref(a, P)
-            assert pivots[i] == want_piv and np.array_equal(red[i], want), f"{name}: stack and matrix {i} disagree"
-        loop = bench(lambda s: [_modp_fallback.rref(a, P) for a in s], stack, repeats)
-        fast = bench(_modp_fallback.rref_stack, stack, repeats, P)
-        k, rows, cols = stack.shape
-        print(f"{name:<22} {f'{k} x {rows}x{cols}':<16} {loop*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
+    stack = free14_stack()
+    loop, alone = bench(lambda s: [numpy_rref(a, P) for a in s], stack, repeats)
+    fast, (red, pivots) = bench(_rref_numpy, stack, repeats, P)
+    for i, (want, want_piv) in enumerate(alone):
+        assert pivots[i] == want_piv and np.array_equal(red[i], want), f"stack and matrix {i} disagree"
+    k, rows, cols = stack.shape
+    print(f"{'free-14 action stack':<22} {f'{k} x {rows}x{cols}':<16} {loop*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
 
 
 def spin_x4_by_pairs(n):
@@ -283,40 +267,34 @@ def bench_batched(repeats):
     def spin_x4(n):
         return spinreps._spin_x4.__wrapped__(n)  # time the construction, not the cache
 
-    want = spin_x4_by_pairs(14)
-    k, r, c, v = spin_x4(14)
+    (ref, want), (fast, (k, r, c, v)) = bench(spin_x4_by_pairs, 14, repeats), bench(spin_x4, 14, repeats)
     got = np.zeros_like(want)
     got[k, r, c] = v
     assert np.array_equal(got, want), "_spin_x4 disagrees with the dense products"
     in_c_order = np.array_equal(np.ravel_multi_index((k, r, c), want.shape), np.flatnonzero(want))
     assert in_c_order, "_spin_x4 entries are not the nonzeros once each in C order"
-    ref, fast = bench(spin_x4_by_pairs, 14, repeats), bench(spin_x4, 14, repeats)
     print(f"{'spinreps._spin_x4(14)':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
 
     space = QuadraticSpace(14)
     half = spinreps.half_spin_reps(space, field)[0]
     stab = stabilizer(half, RandomSource(0).child(0).scalars(field, half.dim)).kernel
     mats = kernel_action_matrices(stab, spinreps.vector_rep(space, field))
-    c, killing = structure_by_pairs(field, mats)
-    got = subalgebra_structure_from_matrices(field, mats)
+    ref, (c, killing) = bench(structure_by_pairs, field, repeats, mats)
+    fast, got = bench(subalgebra_structure_from_matrices, field, repeats, mats)
     same = np.array_equal(got.structure_constants, c) and np.array_equal(got.killing, killing)
     assert same, "subalgebra_structure_from_matrices disagrees with the pairwise loop"
-    ref = bench(structure_by_pairs, field, repeats, mats)
-    fast = bench(subalgebra_structure_from_matrices, field, repeats, mats)
     print(f"{f'subalgebra structure, spin14 k={len(mats)} d=14':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
 
     spin11 = spinreps.spin_rep(QuadraticSpace(11), field)
-    same = invariant_quartic_dim(spin11) == quartic_by_dicts(spin11)
-    assert same, "invariant_quartic_dim disagrees with the dict loop"
-    ref, fast = bench(quartic_by_dicts, spin11, repeats), bench(invariant_quartic_dim, spin11, repeats)
+    (ref, want), (fast, got) = bench(quartic_by_dicts, spin11, repeats), bench(invariant_quartic_dim, spin11, repeats)
+    assert got == want, "invariant_quartic_dim disagrees with the dict loop"
     print(f"{'invariant_quartic_dim, spin(11)':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
 
     spin13 = spinreps.spin_rep(QuadraticSpace(13), field)
-    inv = invariant_bilinear_space(spin13)
-    sym, alt, sample, sample_rank = forms_by_dense_images(spin13)
+    ref, (sym, alt, sample, sample_rank) = bench(forms_by_dense_images, spin13, repeats)
+    fast, inv = bench(invariant_bilinear_space, spin13, repeats)
     same = (inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank) == (sym, alt, sample_rank)
     assert same and np.array_equal(inv.sample, sample), "invariant_bilinear_space disagrees with the dense images"
-    ref, fast = bench(forms_by_dense_images, spin13, repeats), bench(invariant_bilinear_space, spin13, repeats)
     print(f"{'invariant_bilinear_space, spin(13)':<42} {ref*1e3:>8.1f}ms {fast*1e3:>8.1f}ms")
 
 
@@ -332,11 +310,10 @@ def bench_hom(repeats):
         stab = stabilizer(point_rep, RandomSource(0).child(0).scalars(field, point_rep.dim)).kernel
         a = kernel_action_matrices(stab, w)
         b = a if source == "W" else kernel_action_matrices(stab, spinreps.vector_rep(space, field))
-        basis = hom_space(field, a, b)
+        fast, basis = bench(lambda _: hom_space(field, a, b), None, repeats)
         xs = basis.reshape(-1, 1, w.dim, b.shape[1])
         assert not np.count_nonzero(field.reduce(field.matmul(a, xs) - field.matmul(xs, b))), "a basis map fails"
         assert rank(field, basis[None]) == [len(basis)], "the basis maps are dependent"
-        fast = bench(lambda _: hom_space(field, a, b), None, repeats)
         module = "spin" if n % 2 else "odd"
         label = f"End({module}({n}))" if source == "W" else f"V_{n} -> {module}"
         print(f"{f'{label}, h={len(a)}':<42} {w.dim * b.shape[1]:>8} {len(basis):>4} {fast*1e3:>8.1f}ms")
@@ -359,8 +336,8 @@ def bench_det(repeats):
     print(f"{'det stack':<42} {'k x n x n':>10} {'det':>10}")
     for field, n in ((QQ, 5), (GF(P), 8)):
         _, _, a, _ = random_samples(field, n, RandomSource(0), 50)
-        assert det(field, a) == [det_by_cofactors(field, m) for m in a], f"det disagrees with cofactors over {field}"
-        fast = bench(lambda s: det(field, s), a, repeats)
+        fast, got = bench(lambda s: det(field, s), a, repeats)
+        assert got == [det_by_cofactors(field, m) for m in a], f"det disagrees with cofactors over {field}"
         print(f"{f'SL_{n} samples over {field}':<42} {f'50 x {n}x{n}':>10} {fast*1e3:>8.2f}ms")
 
 
@@ -374,18 +351,17 @@ def main():
     print(f"{'shape':<22} {'rows x cols':<12} {'numpy':>10} {'cython':>10}")
     for name, rows, cols in SHAPES:
         a = rng.integers(0, P, size=(rows, cols), dtype=np.int64)
-        want = _modp_fallback.rref(a, P)
+        numpy_s, want = bench(numpy_rref, a, args.repeats, P)
         check_rref(a, *want)
-        numpy_s = bench(_modp_fallback.rref, a, args.repeats, P)
         compiled = f"{'absent':>10}"
         if _modp_core:
-            got = _modp_core.rref(a, P)
+            compiled_s, got = bench(_modp_core.rref, a, args.repeats, P)
             assert got[1] == want[1] and np.array_equal(got[0], want[0]), "the compiled leaf disagrees with the NumPy leaf"
-            compiled = f"{bench(_modp_core.rref, a, args.repeats, P)*1e3:>8.1f}ms"
+            compiled = f"{compiled_s*1e3:>8.1f}ms"
         print(f"{name:<22} {f'{rows}x{cols}':<12} {numpy_s*1e3:>8.1f}ms {compiled}")
     if _modp_core is None:
         print("compiled kernel not built; install with `pip install -e . --no-build-isolation`")
-    bench_stacks(args.repeats)
+    bench_stack(args.repeats)
     bench_qq(rng, args.repeats)
     bench_batched(args.repeats)
     bench_hom(args.repeats)

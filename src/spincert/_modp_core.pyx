@@ -2,8 +2,9 @@
 """Compiled mod-p elimination kernel.
 
 Hot loop of the whole package: Gauss-Jordan reduction over F_p with
-first-nonzero pivoting.  Mirrors spincert._modp_fallback exactly; the two
-implementations are interchangeable and tested against each other.
+first-nonzero pivoting.  Gives exactly the RREF and pivots of the NumPy
+leaf in ``spincert.kernels``; the two leaves are interchangeable and
+tested against each other.
 """
 
 import numpy as np

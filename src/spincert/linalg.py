@@ -5,12 +5,12 @@ of one: ``rref``, ``rank``, ``kernel``, ``solve`` and ``det`` take a
 ``(k, rows, cols)`` stack and return one result per matrix.  ``solve``, the
 one solver of A X = B, takes (k, rows, t) right-hand sides and gives each
 (cols, t) solution, or None where a system has no solution or more than one.
-RREF differs by field (``_eliminate``): over F_p a stack of more than one
-matrix is one ``kernels.rref_stack`` call and one matrix goes through
-``kernels.rref_mod``; over Q each matrix runs fraction-free Gauss-Jordan on
-cleared integer rows (``_rref_qq``).  ``det`` runs one fraction-free
-(Bareiss) loop over the whole stack for both fields.  Pivoting is always
-first-nonzero in column order, so every result is deterministic.
+RREF differs by field (``_eliminate``): over F_p the stack is one
+``kernels.rref_stack`` call, which picks the elimination leaf; over Q each
+matrix runs fraction-free Gauss-Jordan on cleared integer rows
+(``_rref_qq``).  ``det`` runs one fraction-free (Bareiss) loop over the
+whole stack for both fields.  Pivoting is always first-nonzero in column
+order, so every result is deterministic.
 ``associative_closure`` and ``hom_space`` share one spinning routine,
 ``_spin``: the closure spins I, a Hom space the seeds of its source module.
 """
@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import QQ, PrimeField
-from .kernels import rref_mod, rref_stack
+from .kernels import rref_stack
 
 __all__ = [
     "rref",
@@ -134,14 +134,11 @@ def det(field, stack) -> list:
 def _eliminate(field, arr):
     """RREF of every matrix of a (k, rows, cols) field array: [(array, pivots)].
 
-    Over F_p a stack of more than one matrix is one ``kernels.rref_stack``
-    call and a single matrix goes through ``rref_mod``; over Q each matrix
-    goes through ``_rref_qq``.
+    Over F_p the stack is one ``kernels.rref_stack`` call; over Q each
+    matrix goes through ``_rref_qq``.
     """
     if not isinstance(field, PrimeField):
         return [_rref_qq(x) for x in arr]
-    if len(arr) == 1:
-        return [rref_mod(arr[0], field.p)]
     red, pivots = rref_stack(arr, field.p)
     return list(zip(red, pivots))
 

@@ -93,6 +93,20 @@ def kernel_action_matrices(kernel, rep: LieRepresentation) -> np.ndarray:
     return field.matmul(z, rep.tensor.reshape(rep.g, -1)).reshape(-1, rep.dim, rep.dim)
 
 
+def _first_trial_decides(values, at_bound, *trials) -> list:
+    """One value per trial, the first trial computed alone.
+
+    ``trials`` are sequences of equal length (the points, or stacks of
+    them), and ``values`` maps slices of them to one value per trial.  A
+    first value ``at_bound``, which no other trial can beat, decides; only
+    otherwise are the other trials computed, as one stack.
+    """
+    found = values(*(t[:1] for t in trials))
+    if len(trials[0]) > 1 and not at_bound(found[0]):
+        found += values(*(t[1:] for t in trials))
+    return found
+
+
 def min_trial_stabilizer(
     rep: LieRepresentation, trials: int, seed: int, witness=None
 ) -> tuple[StabilizerReport, np.ndarray]:
@@ -116,9 +130,8 @@ def min_trial_stabilizer(
     points = [v for v in points if witness is None or witness(v)]
     if not points:
         raise NotWitnessed(f"no point of {trials} trials on {rep.name} passes the genericity witness")
-    reports = _stabilizers(rep, points[:1])
-    if len(points) > 1 and reports[0].dimension != max(0, rep.g - rep.dim):
-        reports += _stabilizers(rep, points[1:])
+    floor = max(0, rep.g - rep.dim)
+    reports = _first_trial_decides(lambda pts: _stabilizers(rep, pts), lambda r: r.dimension == floor, points)
     best = min(range(len(reports)), key=lambda t: reports[t].dimension)  # min keeps the first
     return reports[best], points[best]
 

@@ -39,6 +39,7 @@ from .octonion import (
     subalgebra_generated,
 )
 from .orbits import (
+    _first_trial_decides,
     invariant_bilinear_space,
     invariant_quartic_dim,
     kernel_action_matrices,
@@ -623,16 +624,6 @@ _BRANCHING_CHECKS = (
 )
 
 
-def _first_at_bound(values, best, bound, f, x, y):
-    """best(values) over a stack of trial pairs.  The first trial is computed
-    alone; one at ``bound``, which no trial can beat, decides, and otherwise
-    the other trials follow as one stack."""
-    found = values(f, x[:1], y[:1])
-    if len(x) > 1 and found[0] != bound:
-        found += values(f, x[1:], y[1:])
-    return best(found)
-
-
 def _sln_quotient(cfg: RunConfig, f, n: int) -> dict:
     rng = RandomSource(cfg.seed)
     x, y, a, a_inv = random_samples(f, n, rng, 50)
@@ -662,9 +653,12 @@ def _sln_quotient(cfg: RunConfig, f, n: int) -> dict:
     jz[:, :, n - 1] = np.stack(columns)
     fiber_transporter(f, jy, jz)  # replays every move and checks det 1
 
-    # the stabilizer is at least 0 and the Jacobian rank at most its (n-1)^2 rows
-    stabilizer = _first_at_bound(stabilizer_lie_dims, min, 0, f, *random_pairs(f, n, rng, cfg.trials))
-    jacobian = _first_at_bound(jacobian_ranks_pi, max, (n - 1) ** 2, f, *random_pairs(f, n, rng, cfg.trials))
+    # a first trial at its bound decides alone: the stabilizer is at least 0
+    # and the Jacobian rank at most its (n-1)^2 rows
+    pairs = random_pairs(f, n, rng, cfg.trials)
+    stabilizer = min(_first_trial_decides(partial(stabilizer_lie_dims, f), lambda d: d == 0, *pairs))
+    pairs = random_pairs(f, n, rng, cfg.trials)
+    jacobian = max(_first_trial_decides(partial(jacobian_ranks_pi, f), lambda r: r == (n - 1) ** 2, *pairs))
     return {
         "pi-invariant": invariant,
         "tau-quotient": tau_ok,

@@ -1,5 +1,7 @@
 import ast
+import functools
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -245,12 +247,17 @@ def test_benchmark_trace_and_setup_still_resolve():
     assert [layer for layer, calls in doc["calls"].items() if calls == 0] == []
 
 
+def package_modules():
+    """The package and its public modules, imported, keyed by source file stem."""
+    modules = {"__init__": spincert}
+    for info in pkgutil.iter_modules(spincert.__path__):
+        if not info.name.startswith("_"):
+            modules[info.name] = importlib.import_module(f"spincert.{info.name}")
+    return modules
+
+
 def test_every_exported_name_resolves():
-    modules = [spincert] + [
-        importlib.import_module(f"spincert.{info.name}")
-        for info in pkgutil.iter_modules(spincert.__path__)
-        if not info.name.startswith("_")
-    ]
+    modules = package_modules().values()
     missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert len(modules) > 1 and missing == []
 
@@ -270,8 +277,16 @@ def test_every_exported_name_is_used():
             elif path.parent.name == "spincert" and isinstance(node, ast.Assign):
                 if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                     exported += [f"{path.stem}.{name}" for name in ast.literal_eval(node.value)]
-    assert len(exported) > 50
+    # every module with an __all__ adds to the scan, so it cannot pass by seeing nothing
+    with_all = {stem for stem, m in package_modules().items() if hasattr(m, "__all__")}
+    assert len(with_all) > 1 and with_all <= {name.split(".")[0] for name in exported}
     assert [name for name in exported if name.rsplit(".", 1)[1] not in used] == []
+
+
+def public_methods(cls):
+    """The public functions and properties a class defines itself."""
+    kinds = (property, functools.cached_property, staticmethod, classmethod)
+    return [n for n, v in vars(cls).items() if not n.startswith("_") and (inspect.isfunction(v) or isinstance(v, kinds))]
 
 
 def test_every_public_method_is_used():
@@ -291,7 +306,15 @@ def test_every_public_method_is_used():
                     for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                 ]
-    assert len(methods) > 40
+    # every module with a class that has a public method adds to the scan, so it
+    # cannot pass by seeing nothing; exceptions and plain dataclasses have none
+    with_methods = {
+        stem
+        for stem, m in package_modules().items()
+        for cls in vars(m).values()
+        if inspect.isclass(cls) and cls.__module__ == m.__name__ and public_methods(cls)
+    }
+    assert len(with_methods) > 1 and with_methods <= {name.split(".")[0] for name in methods}
     assert [name for name in methods if name.rsplit(".", 1)[1] not in used] == []
 
 

@@ -299,7 +299,7 @@ def test_random_pairs_match_sequential_draws(field):
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["GF", "QQ"])
 def test_stacked_trials_match_pair_by_pair(field):
-    # over F_p a stack goes through kernels.rref_stack and a stack of one through rref_mod
+    # over F_p kernels.rref_stack gives a stack to the NumPy kernel and a stack of one to rref_mod
     for n in (2, 3, 5):
         x, y = random_pairs(field, n, RandomSource(n), 5)
         # degenerate members make the stack uneven: a zero pair, a J block with zero Y, a rank-deficient X
