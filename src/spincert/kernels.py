@@ -33,8 +33,7 @@ and the pivot rows.  An update subtracts a product of two residues, at
 most (p-1)^2, so an entry reduced into [0, p) stays above -2^63 for
 floor((2^63-1)/(p-1)^2) - 1 updates, and the trailing block is reduced at
 that cadence: every 9,223,334 updates at p = 1000003 (so never), every 8
-at p = 10^9 + 7, and at every update near p = 2^31, where the reduction is
-folded into the update of the rows it touches.  Columns left of the
+at p = 10^9 + 7, and at every update near p = 2^31.  Columns left of the
 current one receive no further updates, and one final reduction makes the
 output exact.
 
@@ -42,7 +41,8 @@ Matrix multiplication mod p is shared by both backends: for the default
 primes the products fit a float64 mantissa exactly, so BLAS does the work
 and the result is still exact integer arithmetic.  Larger primes fall back
 to int64 products, summed over chunks of the inner dimension short enough
-not to overflow.
+not to overflow.  An empty inner dimension takes the float path for every
+p, whose product is the int64 zeros of the broadcast shape.
 """
 
 from bisect import bisect_left
@@ -138,17 +138,11 @@ def _rref_numpy(a, p):
             if len(upd):
                 lo, hi = upd[0], upd[-1] + 1
                 if hi - lo <= 2 * len(upd):
-                    blk = m[:, lo:hi, c:]
-                    blk -= col3[:, lo:hi, None] * prow[:, None, :]
-                    if cadence == 1:
-                        blk %= p
+                    m[:, lo:hi, c:] -= col3[:, lo:hi, None] * prow[:, None, :]
                 else:
-                    blk = m[:, upd, c:] - col3[:, upd, None] * prow[:, None, :]
-                    if cadence == 1:
-                        blk %= p
-                    m[:, upd, c:] = blk
+                    m[:, upd, c:] -= col3[:, upd, None] * prow[:, None, :]
                 updates += 1
-                if cadence > 1 and updates % cadence == 0:
+                if updates % cadence == 0:
                     m[:, :, c + 1 :] %= p
         if not left:
             break
@@ -163,9 +157,6 @@ _FLOAT_EXACT = 2**53
 def matmul_mod(a, b, p):
     """Exact ``a @ b`` mod p for int64 arrays of any layout (supports batched shapes)."""
     inner = a.shape[-1]
-    if inner == 0:
-        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-        return np.zeros(shape, dtype=np.int64)
     # C order whatever the caller passes: with more than one OpenBLAS thread (see
     # __init__) a transposed operand made it spin (2x CPU on spin14)
     if inner * (p - 1) * (p - 1) < _FLOAT_EXACT:

@@ -5,7 +5,7 @@ of one: ``rref``, ``rank``, ``kernel``, ``solve`` and ``det`` take a
 ``(k, rows, cols)`` stack and return one result per matrix.  ``solve``, the
 one solver of A X = B, takes (k, rows, t) right-hand sides and gives each
 (cols, t) solution, or None where a system has no solution or more than one.
-RREF differs by field (``_eliminate``): over F_p the stack is one
+RREF differs by field, in ``rref`` alone: over F_p the stack is one
 ``kernels.rref_stack`` call, which picks the elimination leaf; over Q each
 matrix runs fraction-free Gauss-Jordan on cleared integer rows
 (``_rref_qq``).  ``det`` runs one fraction-free (Bareiss) loop over the
@@ -45,7 +45,10 @@ def rref(field, stack) -> list[tuple[np.ndarray, tuple]]:
     array: one (array, pivot column tuple) per matrix."""
     if np.ndim(stack) != 3:
         raise ValueError(f"elimination needs a (k, rows, cols) stack, got shape {np.shape(stack)}")
-    return _eliminate(field, stack)
+    if not isinstance(field, PrimeField):
+        return [_rref_qq(x) for x in stack]
+    red, pivots = rref_stack(stack, field.p)
+    return list(zip(red, pivots))
 
 
 def rank(field, stack) -> list[int]:
@@ -131,18 +134,6 @@ def det(field, stack) -> list:
     return field.reduce(field.array(sign * piv) * field.inv(den**n)).tolist()
 
 
-def _eliminate(field, arr):
-    """RREF of every matrix of a (k, rows, cols) field array: [(array, pivots)].
-
-    Over F_p the stack is one ``kernels.rref_stack`` call; over Q each
-    matrix goes through ``_rref_qq``.
-    """
-    if not isinstance(field, PrimeField):
-        return [_rref_qq(x) for x in arr]
-    red, pivots = rref_stack(arr, field.p)
-    return list(zip(red, pivots))
-
-
 def _rref_qq(arr: np.ndarray):
     """RREF over Q by fraction-free Gauss-Jordan on integer rows.
 
@@ -197,17 +188,13 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> np.ndarray:
+    def add(self, vec) -> bool:
+        """Add a vector; True if it enlarged the span."""
         v = self.field.array(vec)
         for piv, row in zip(self.pivots, self.rows):
             c = v[piv]
             if c:
                 v = self.field.reduce(v - c * row)
-        return v
-
-    def add(self, vec) -> bool:
-        """Add a vector; True if it enlarged the span."""
-        v = self.reduce(vec)
         nz = np.flatnonzero(v)
         if len(nz) == 0:
             return False

@@ -35,7 +35,6 @@ __all__ = [
     "embed_subalgebra",
     "restrict",
     "center_acts_minus_one",
-    "fock_generator_matrices",
     "parity_indices",
     "verify_lie_homomorphism",
 ]
@@ -125,19 +124,6 @@ def _fock_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n % 2:
         rows, signs = np.vstack([rows, s]), np.vstack([signs, 1 - 2 * parity])
     return _freeze(rows), _freeze(signs)
-
-
-@cache
-def fock_generator_matrices(n: int) -> tuple[np.ndarray, ...]:
-    """Action of each generator e_g on the Fock basis, as read-only 0/+-1 int matrices.
-
-    The dense form of ``_fock_rows``, kept as the reference the tests and
-    ``benchmarks/bench_kernels.py`` compare the entries of ``_spin_x4`` against.
-    """
-    rows, signs = _fock_rows(n)
-    out = np.zeros((n, rows.shape[1], rows.shape[1]), dtype=np.int64)
-    out[np.arange(n)[:, None], rows, np.arange(rows.shape[1])] = signs
-    return tuple(_freeze(out))
 
 
 @cache

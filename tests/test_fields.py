@@ -222,7 +222,7 @@ def test_draws_are_field_arrays(field):
 # -- one array path ------------------------------------------------------------
 
 # (module, function) of the only code outside fields.py that may branch on the field
-FIELD_BRANCHES = {("linalg", "_eliminate"), ("linalg", "det"), ("orbits", "invariant_quartic_dim")}
+FIELD_BRANCHES = {("linalg", "rref"), ("linalg", "det"), ("orbits", "invariant_quartic_dim")}
 
 
 class _CallSites(ast.NodeVisitor):

@@ -302,11 +302,41 @@ def test_only_kernels_names_a_leaf():
     assert {stem: leaves for stem, leaves in named.items() if leaves and stem != "kernels"} == {}
 
 
+# the start of every row the timing script prints, its runs of spaces as one,
+# section by section: leaf shapes, the free-14 stack, the Q kernels, the
+# batched layers, the Hom spaces (unknowns and dimension) and the det stacks
+TIMING_ROWS = [
+    "stacked action map 106x91",
+    "square dense 300x300",
+    "tall kernel 1624x196",
+    "tall kernel 813x196",
+    "wide kernel 200x1200",
+    "free-14 action stack 8 x 106x91",
+    "QQ.matmul (50,5,5)@(50,5,4)",
+    "linalg._rref_qq 5x10",
+    "linalg._rref_qq 41x25",
+    "linalg._rref_qq 16x40",
+    "spinreps._spin_x4(14)",
+    "subalgebra structure, spin14 k=28 d=14",
+    "invariant_quartic_dim, spin(11)",
+    "invariant_bilinear_space, spin(13)",
+    "V_11 -> spin, h=24 352 4",
+    "End(spin(11)), h=24 1024 8",
+    "V_12 -> odd, h=35 384 2",
+    "V_13 -> spin, h=16 832 12",
+    "V_14 -> odd, h=28 896 2",
+    "SL_5 samples over QQ 50 x 5x5",
+    "SL_8 samples over GF(1000003) 50 x 8x8",
+]
+
+
 def test_kernel_timing_script_runs():
     # the script reaches the leaves and layers it times by name, so one renamed
-    # under it fails here; one repeat keeps every check and costs a few seconds
+    # under it fails here; one repeat keeps every check and costs about a second
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     argv = [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--repeats", "1"]
     proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "free-14 action stack" in proc.stdout and "SL_8 samples" in proc.stdout
+    lines = [" ".join(line.split()) for line in proc.stdout.splitlines()]
+    missing = [row for row in TIMING_ROWS if not any(x.startswith(row + " ") and "ms" in x[len(row) :] for x in lines)]
+    assert missing == [], proc.stdout

@@ -256,7 +256,9 @@ def test_det_over_q_reduces_to_det_over_f_p():
 
 def _qq_rref_cases():
     """About 200 seeded inputs: random, rank-deficient, with zero rows and
-    columns, with denominators, and empty shapes."""
+    columns, with denominators, and empty shapes; then two dense ones with
+    denominators 1-3 at the sln_quotient suite's Q shapes for n = 5, the full
+    tangent-stabilizer system (41 x 25) and the Jacobian of pi (16 x 40)."""
     rng = random.Random(6)
     cases = [np.zeros((0, 4), dtype=object), np.zeros((3, 0), dtype=object), np.zeros((0, 0), dtype=object)]
     cases.append(np.array([[Fraction(1, 2), Fraction(2, 3)], [Fraction(1, 5), 7]], dtype=object))
@@ -276,6 +278,9 @@ def _qq_rref_cases():
         if k % 5 == 0:
             m[:, rng.randint(0, cols - 1)] = Fraction(0)
         cases.append(m)
+    for rows, cols in ((41, 25), (16, 40)):
+        entries = [[Fraction(rng.randint(-99, 99), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+        cases.append(np.array(entries, dtype=object))
     return cases
 
 

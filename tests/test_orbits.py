@@ -300,18 +300,29 @@ def _spin10_stabilizer(field):
     return mats
 
 
-@pytest.mark.parametrize("field", [F, QQ], ids=repr)
+def _spin14_stabilizer(field):
+    # the generic stabilizer of half-spin(14) on V_14: k = 28, d = 14; over Q a
+    # random point's kernel has entries so large that the loop takes minutes
+    half = half_spin_reps(QuadraticSpace(14), field)[0]
+    return _stabilizer_mats(half, RandomSource(0).child(0).scalars(field, half.dim))
+
+
+STRUCTURE_BUILDS = {
+    "g2-derivations": lambda f: derivation_algebra(f).tensor,
+    "spin7-stabilizer": _spin7_stabilizer,
+    "spin10-stabilizer": _spin10_stabilizer,
+    "one-matrix": lambda f: f.array([[[0, 1], [-1, 0]]]),
+    "spin14-stabilizer": _spin14_stabilizer,
+}
+
+
 @pytest.mark.parametrize(
-    "build",
-    [
-        pytest.param(lambda f: derivation_algebra(f).tensor, id="g2-derivations"),
-        pytest.param(_spin7_stabilizer, id="spin7-stabilizer"),
-        pytest.param(_spin10_stabilizer, id="spin10-stabilizer"),
-        pytest.param(lambda f: f.array([[[0, 1], [-1, 0]]]), id="one-matrix"),
-    ],
+    "name,field",
+    [(name, field) for name in STRUCTURE_BUILDS for field in (F, QQ) if (name, field) != ("spin14-stabilizer", QQ)],
+    ids=lambda x: x if isinstance(x, str) else repr(x),
 )
-def test_subalgebra_structure_matches_pairwise_loop(build, field):
-    mats = build(field)
+def test_subalgebra_structure_matches_pairwise_loop(name, field):
+    mats = STRUCTURE_BUILDS[name](field)
     c, killing = _structure_by_pairs(field, mats)
     ss = subalgebra_structure_from_matrices(field, mats)
     assert ss.dimension == len(mats)
@@ -450,6 +461,45 @@ def test_invariant_bilinear_matches_dense_constraints(name, field):
     if sample is not None:
         assert np.array_equal(inv.sample, inv.sample.T) == sample_sym
         assert inv.sample.dtype == sample.dtype and np.array_equal(inv.sample, sample)
+
+
+def forms_by_dense_images(rep):
+    """Invariant forms from a dense (d^2, c) image of the c weight-zero units E_ab
+    per generator, diagonal ones included, its nonzero rows eliminated.
+    Returns (symmetric dim, alternating dim, sample, sample rank)."""
+    field, d = rep.field, rep.dim
+    keep = np.ones((d, d), dtype=bool)
+    for m in rep.tensor:
+        if np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)):
+            w = np.diagonal(m)
+            keep &= field.reduce(w[:, None] + w[None, :]) == 0
+    a, b = np.nonzero(keep)
+    K = field.eye(len(a))
+    x, j = np.arange(d)[:, None], np.arange(len(a))
+    for M in rep.tensor:
+        # (M^T E_ab + E_ab M)[x, y] = M[a, x] [y == b] + [x == a] M[b, y]
+        img = field.zeros((d * d, len(a)))
+        img[x * d + b, j] = M[a].T
+        img[a * d + x, j] += M[b].T
+        # reduce the rows some candidate reaches, then drop those that cancel mod p
+        img = field.reduce(img[np.count_nonzero(img, axis=1) > 0])
+        (null,) = kernel(field, field.matmul(img[np.count_nonzero(img, axis=1) > 0], K)[None])
+        K = field.matmul(K, null.T)
+    forms = field.zeros((K.shape[1], d, d))
+    forms[:, a, b] = K.T
+    sym, alt = (field.reduce(forms + sign * forms.transpose(0, 2, 1)).reshape(len(forms), -1) for sign in (1, -1))
+    parts = np.concatenate([sym, alt])
+    sample = parts[np.count_nonzero(parts, axis=1) > 0][0].reshape(d, d)
+    return rank(field, sym[None])[0], rank(field, alt[None])[0], sample, rank(field, sample[None])[0]
+
+
+@pytest.mark.parametrize("n", [5, 7, 13])
+def test_invariant_bilinear_matches_dense_images(n):
+    rep = spin_rep(QuadraticSpace(n), F)
+    sym, alt, sample, sample_rank = forms_by_dense_images(rep)
+    inv = invariant_bilinear_space(rep)
+    assert (inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank) == (sym, alt, sample_rank)
+    assert np.array_equal(inv.sample, sample)
 
 
 # the spinor modules still to be certified: a symmetric form on half-spin(8)

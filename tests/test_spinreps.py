@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from spincert.spinreps import (
     center_acts_minus_one,
     direct_sum,
     embed_subalgebra,
-    fock_generator_matrices,
     half_spin_reps,
     parity_indices,
     restrict,
@@ -26,6 +26,16 @@ from spincert.spinreps import (
 )
 
 F = GF(1_000_003)
+
+
+@cache
+def fock_generator_matrices(n):
+    """Action of each generator e_g on the Fock basis, as 0/+-1 int matrices:
+    the dense form of ``spinreps._fock_rows``."""
+    rows, signs = spinreps._fock_rows(n)
+    out = np.zeros((n, rows.shape[1], rows.shape[1]), dtype=np.int64)
+    out[np.arange(n)[:, None], rows, np.arange(rows.shape[1])] = signs
+    return tuple(out)
 
 
 def inverse(field, m):
