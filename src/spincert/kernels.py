@@ -14,12 +14,19 @@ every matrix whole: no system the program builds is tall, since the
 invariant-form and quartic images keep only their nonzero rows
 (``orbits._invariants``).
 
-All matrices advance one column per step, each pivoting on its first
-nonzero row at or below its pivot count.  While every matrix pivots at the
-same row, the pivot rows are one strided slice of the stack, so a step
-costs as many NumPy calls for k matrices as for one (the batched-BLAS idea:
-Dongarra et al., "The design and performance of batched BLAS on modern
-high-performance computing systems", Procedia Computer Science 108, 2017).
+The matrices of a stack move in lockstep: they share one pivot count r,
+and in each column every matrix pivots on its first nonzero row at or
+below row r, at the same offset in all of them.  The pivot rows are then
+one strided slice of the stack, so a step costs as many NumPy calls for k
+matrices as for one (the batched-BLAS idea: Dongarra et al., "The design
+and performance of batched BLAS on modern high-performance computing
+systems", Procedia Computer Science 108, 2017).  A column where no matrix
+has a candidate is skipped.  Where the matrices part ways (some have a
+candidate and others none, or the candidates sit at different offsets),
+the leaf drops its work and eliminates each input matrix alone, as a stack
+of one; the RREF is unique, so each result is still exactly what
+``rref_mod`` gives.  A parting stack thus costs one more elimination per
+matrix; no workload parts one, since generic trials pivot alike.
 The rank-1 update touches only the rows that are nonzero in the pivot
 column of some matrix, through a slice when they fill at least half of
 their span, and broadcasts each matrix's pivot row over its own rows.  A
@@ -76,6 +83,8 @@ def rref_stack(stack, p):
 
     Returns ``(r, pivots)``: an int64 array of the stack's shape and one
     pivot tuple per matrix, as ``rref_mod`` gives for each matrix alone.
+    A larger stack is eliminated in lockstep, all matrices as one; if its
+    matrices part ways, each is eliminated alone.
     """
     if len(stack) == 1:
         red, pivots = rref_mod(stack[0], p)  # the module global, so a wrapped rref_mod sees it
@@ -91,49 +100,38 @@ def _rref_numpy(a, p):
     if cadence < 1:
         raise OverflowError(f"p = {p} is too large for int64 elimination")
     flat = m.reshape(k * rows, cols)
-    start = [i * rows for i in range(k)]  # flat index of each matrix's next pivot row
-    stop = start[1:] + [k * rows]
-    pivots = [[] for _ in range(k)]
-    left = k * min(rows, cols)  # pivots still possible
-    level = True  # every matrix has found the same number of pivots
+    pivots = []
     updates = 0
     for c in flat.any(0).nonzero()[0].tolist():
+        r = len(pivots)  # the pivot count all matrices share
+        if r == rows:
+            break
         col = flat[:, c] % p
         nz = col.nonzero()[0].tolist()
-        act, pick, put = [], [], []
-        for i in range(k):
-            j = bisect_left(nz, start[i])
-            if j < len(nz) and nz[j] < stop[i]:
-                act.append(i)
-                pick.append(nz[j])
-                put.append(start[i])
-        if not act:
+        # each matrix's first nonzero at or below its row r, as an offset from that row
+        heads = set()
+        for top in range(r, k * rows, rows):
+            j = bisect_left(nz, top)
+            heads.add(nz[j] - top if j < len(nz) and nz[j] < top - r + rows else None)
+        if heads == {None}:
             continue
-        if len(act) == k and (k == 1 or level and len({g - t for g, t in zip(pick, put)}) == 1):
-            src, dst = slice(pick[0], None, rows), slice(put[0], None, rows)
-        else:
-            src, dst = np.array(pick), np.array(put)
+        if len(heads) > 1:  # the matrices part ways: each is eliminated alone
+            red, piv = zip(*(_rref_numpy(x[None], p) for x in np.asarray(a)))
+            return np.concatenate(red), [x for (x,) in piv]
+        (g,) = heads
+        src, dst = slice(r + g, None, rows), slice(r, None, rows)
         lead = col[src].tolist()
         prow = flat[src, c:] % p
-        if lead != [1] * len(lead):
+        if lead != [1] * k:
             inv = [pow(x, -1, p) for x in lead]
-            prow = prow * (inv[0] if len(inv) == 1 else np.array(inv)[:, None]) % p
-        if pick != put:
+            prow = prow * (inv[0] if k == 1 else np.array(inv)[:, None]) % p
+        if g:
             flat[src, c:] = flat[dst, c:]
         flat[dst, c:] = prow
-        for i in act:
-            pivots[i].append(c)
-            start[i] += 1
-        left -= len(act)
-        level &= len(act) == k
-        if len(nz) > len(act):
-            # the factors: column c without the pivots, and zero in matrices without a pivot
-            col[src] = 0
+        pivots.append(c)
+        if len(nz) > k:
+            col[src] = 0  # the factors: column c without the pivots
             col3 = col.reshape(k, rows)
-            if len(act) < k:
-                prow, idle = np.zeros((k, cols - c), dtype=np.int64), np.ones(k, dtype=bool)
-                prow[act], idle[act] = flat[dst, c:], False
-                col3[idle] = 0
             upd = (col if k == 1 else col3.any(0)).nonzero()[0]
             if len(upd):
                 lo, hi = upd[0], upd[-1] + 1
@@ -144,11 +142,9 @@ def _rref_numpy(a, p):
                 updates += 1
                 if updates % cadence == 0:
                     m[:, :, c + 1 :] %= p
-        if not left:
-            break
     if updates:
         m %= p
-    return m, [tuple(x) for x in pivots]
+    return m, [tuple(pivots)] * k
 
 
 _FLOAT_EXACT = 2**53

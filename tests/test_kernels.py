@@ -9,6 +9,7 @@ import pytest
 
 from spincert import kernels
 from spincert.kernels import _rref_numpy, backend, matmul_mod, rref_mod, rref_stack
+from spincert.suites import RunConfig, run_selected
 
 try:
     from spincert import _modp_core
@@ -92,6 +93,82 @@ def test_stack_kernel_matches_oracle(p, k, rows, cols):
             want, want_piv = oracle_rref(stack[i], p)
             assert pivots[i] == want_piv
             assert np.array_equal(red[i], want)
+
+
+def _leaf_calls(monkeypatch):
+    """Every call of the NumPy leaf, as the stack heights of the calls open at its
+    start, its own last: a parting stack's calls on its matrices read (k, 1)."""
+    calls, open_calls, real = [], [], kernels._rref_numpy
+
+    def spy(a, p):
+        open_calls.append(len(a))
+        calls.append(tuple(open_calls))
+        try:
+            return real(a, p)
+        finally:
+            open_calls.pop()
+
+    monkeypatch.setattr(kernels, "_rref_numpy", spy)
+    return calls
+
+
+def _agreeing_stack(rng, tails, c, p):
+    """One matrix L [[I_c, B], [0, X]] per tail X, L random unit lower triangular: all
+    of them pivot on rows 0..c-1 in columns 0..c-1, and L's trailing block times X is
+    left below, whose first column decides how each matrix pivots in column c."""
+    out = []
+    for x in tails:
+        rows, cols = c + len(x), c + x.shape[1]
+        low = np.tril(rng.integers(0, p, size=(rows, rows)), -1) + np.eye(rows, dtype=np.int64)
+        top = np.hstack([np.eye(c, dtype=np.int64), rng.integers(0, p, size=(c, cols - c))])
+        out.append(low @ np.vstack([top, np.hstack([np.zeros((len(x), c), dtype=np.int64), x])]) % p)
+    return np.stack(out)
+
+
+def _parting_stacks():
+    rng = np.random.default_rng(14)
+    tails = [rng.integers(1, 7, size=(5, 4)) for _ in range(4)]
+    no_candidate, other_row = [t.copy() for t in tails], [t.copy() for t in tails]
+    no_candidate[0][:, 0] = 0  # the first matrix has no pivot in column 3
+    other_row[2][0, 0] = 0  # the third pivots one row lower in column 3
+    return [
+        pytest.param(np.array([[[0, 1], [0, 0]], [[0, 1], [1, 0]]]), 7, id="no-candidate-2x2"),
+        pytest.param(_agreeing_stack(rng, no_candidate, 3, 7), 7, id="no-candidate-after-3-columns"),
+        pytest.param(_agreeing_stack(rng, other_row, 3, 7), 7, id="other-row-after-3-columns"),
+    ]
+
+
+@pytest.mark.parametrize("rows, cols", [(12, 20), (20, 12), (16, 16)])
+def test_generic_stack_stays_in_lockstep(monkeypatch, rows, cols):
+    # every matrix pivots on its row r in every column: one leaf call for all eight
+    calls = _leaf_calls(monkeypatch)
+    stack = np.random.default_rng(rows * cols).integers(0, P, size=(8, rows, cols))
+    red, pivots = rref_stack(stack, P)
+    assert calls == [(8,)]
+    for i in range(8):
+        want, want_piv = oracle_rref(stack[i], P)
+        assert pivots[i] == want_piv == tuple(range(min(rows, cols))) and np.array_equal(red[i], want)
+
+
+@pytest.mark.parametrize("stack, p", _parting_stacks())
+def test_parting_stack_is_eliminated_one_matrix_at_a_time(monkeypatch, stack, p):
+    calls = _leaf_calls(monkeypatch)
+    red, pivots = rref_stack(stack, p)
+    k = len(stack)
+    assert calls == [(k,)] + [(k, 1)] * k
+    assert red.shape == stack.shape and red.dtype == np.int64 and len(pivots) == k
+    for i in range(k):
+        want, want_piv = oracle_rref(stack[i], p)
+        assert pivots[i] == want_piv and np.array_equal(red[i], want)
+
+
+def test_default_run_never_parts_a_stack(monkeypatch):
+    # the leaf's lockstep path carries every stacked elimination of the default
+    # run, so a change that makes its trial stacks part ways fails here
+    calls = _leaf_calls(monkeypatch)
+    run_selected(RunConfig())
+    assert sum(heights[-1] > 1 for heights in calls) > 40
+    assert [heights for heights in calls if len(heights) > 1] == []
 
 
 def test_stack_kernel_entries_p_minus_1_at_largest_prime():
