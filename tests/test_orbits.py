@@ -474,6 +474,16 @@ def test_invariant_bilinear_matches_dense_constraints(name, field):
         assert inv.sample.dtype == sample.dtype and np.array_equal(inv.sample, sample)
 
 
+# spin(5) and spin(7) over GF(1000003) built afresh by n, outside the FORM_MODULES table
+@pytest.mark.parametrize("n", [5, 7])
+def test_invariant_bilinear_matches_dense_images(n):
+    rep = spin_rep(QuadraticSpace(n), F)
+    sym, alt, sample, sample_rank, _ = dense_bilinear_forms(rep)
+    inv = invariant_bilinear_space(rep)
+    assert (inv.symmetric_dim, inv.antisymmetric_dim, inv.sample_rank) == (sym, alt, sample_rank)
+    assert np.array_equal(inv.sample, sample)
+
+
 # the spinor modules still to be certified: a symmetric form on half-spin(8)
 # and spin(9), an alternating one on half-spin(12) and spin(13)
 SPINOR_ROW_FORMS = {
