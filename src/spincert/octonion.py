@@ -27,7 +27,7 @@ from functools import cache
 import numpy as np
 
 from .linalg import SpanBuilder, kernel
-from .spinreps import LieRepresentation, _freeze
+from .spinreps import LieRepresentation
 
 __all__ = [
     "multiplication_tensor",
@@ -98,7 +98,7 @@ def derivation_algebra(field) -> LieRepresentation:
     if np.count_nonzero(field.reduce(full[:, 0] + full[:, 7])):
         raise ConstructionFailure("derivation does not preserve trace zero")
     basis = tuple(("g2", k) for k in range(14))
-    return LieRepresentation(7, field, "g2 on trace-zero octonions", basis, _freeze(np.ascontiguousarray(full[:, :7])))
+    return LieRepresentation.from_tensor(7, field, "g2 on trace-zero octonions", basis, full[:, :7])
 
 
 def subalgebra_generated(field, rows) -> int:

@@ -59,12 +59,33 @@ class StabilizerReport:
     kernel: np.ndarray  # (dimension, g): one so(n) coordinate row per basis vector
 
 
+def _cell_sums(field, terms: np.ndarray, cell: np.ndarray, size: int) -> np.ndarray:
+    """(t, size) field array whose column j sums the columns e of ``terms`` with cell[e] == j.
+
+    The columns are sorted by cell and summed with one ``np.add.reduceat``.
+    Over F_p each term is a residue below 2**31 and a cell sums at most one
+    term per module entry, far fewer than 2**32, so the int64 sums stay exact.
+    """
+    out = field.zeros((len(terms), size))
+    if len(cell):
+        order = np.argsort(cell, kind="stable")
+        cell = cell[order]
+        starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+        out[:, cell[starts]] = field.reduce(np.add.reduceat(terms[:, order], starts, axis=1))
+    return out
+
+
 def action_matrix(rep: LieRepresentation, points) -> np.ndarray:
-    """(k, d, g) stack for k points of shape (k, d): column j of matrix t is rho(m_j) v_t."""
+    """(k, d, g) stack for k points of shape (k, d): column j of matrix t is rho(m_j) v_t.
+
+    Cell (r, j) of matrix t sums v * v_t[c] over the entries (j, r, c, v) of
+    the module: O(k nnz) work, and no dense tensor.
+    """
     field = rep.field
-    # one small product per (point, generator), never one threaded BLAS call
-    cols = field.matmul(rep.tensor, field.array(points)[:, None, :, None])
-    return cols[..., 0].transpose(0, 2, 1)
+    x = field.array(points)
+    k, r, c, v = rep.entries
+    cols = _cell_sums(field, field.reduce(x[:, c] * v), r * rep.g + k, rep.dim * rep.g)
+    return cols.reshape(len(x), rep.dim, rep.g)
 
 
 def stabilizer(rep: LieRepresentation, v) -> StabilizerReport:
@@ -87,10 +108,15 @@ def _stabilizers(rep: LieRepresentation, points: list) -> list[StabilizerReport]
 
 
 def kernel_action_matrices(kernel, rep: LieRepresentation) -> np.ndarray:
-    """(k, d, d) images of k kernel vectors (so(n) coordinates) under the representation."""
+    """(k, d, d) images of k kernel vectors (so(n) coordinates) under the representation.
+
+    Cell (r, c) of image t sums z_t[j] * v over the entries (j, r, c, v).
+    """
     field = rep.field
     z = field.array(kernel).reshape(-1, rep.g)
-    return field.matmul(z, rep.tensor.reshape(rep.g, -1)).reshape(-1, rep.dim, rep.dim)
+    k, r, c, v = rep.entries
+    mats = _cell_sums(field, field.reduce(z[:, k] * v), r * rep.dim + c, rep.dim * rep.dim)
+    return mats.reshape(-1, rep.dim, rep.dim)
 
 
 def _first_trial_decides(values, at_bound, *trials) -> list:
@@ -207,9 +233,9 @@ class BilinearInvariants:
 
 
 def _diagonal_members(rep: LieRepresentation) -> list[int]:
-    # diagonal exactly when every nonzero entry sits on the diagonal
-    on_diagonal = np.count_nonzero(np.diagonal(rep.tensor, axis1=1, axis2=2), axis=1)
-    return np.flatnonzero(np.count_nonzero(rep.tensor, axis=(1, 2)) == on_diagonal).tolist()
+    # diagonal exactly when no entry sits off the diagonal
+    k, r, c, _ = rep.entries
+    return np.flatnonzero(np.bincount(k[r != c], minlength=rep.g) == 0).tolist()
 
 
 _QUARTIC_MAX_CANDIDATES = 60_000
@@ -224,17 +250,21 @@ def _invariants(rep: LieRepresentation, tuples: np.ndarray, symmetric: bool):
     tensor.  The diagonal basis members (the split Cartan acts diagonally on
     all the representations built here) keep the candidates, the tuples of
     weight zero, and vanish on them.  The images of the other generators
-    come from their nonzeros M[a, b]: a candidate slot holding a becomes b
+    come from their entries M[a, b]: a candidate slot holding a becomes b
     with coefficient M[a, b], the result is sorted when ``symmetric``, keyed
     in base d and summed per (generator, candidate, key).  Each generator's
     image keeps its nonzero rows, numbered by first appearance in candidate,
     slot, column order, and cuts K in turn.  Budget overruns raise Aborted.
     """
     field, d = rep.field, rep.dim
+    k, ra, rb, values = rep.entries  # M[a, b] of generator k
+    k_start = np.searchsorted(k, np.arange(rep.g + 1))
     diags = _diagonal_members(rep)
     keep = np.ones(tuples.shape[1], dtype=bool)
     for kk in diags:
-        w = np.diagonal(rep.tensor[kk])
+        e = slice(k_start[kk], k_start[kk + 1])
+        w = field.zeros(d)
+        w[ra[e]] = values[e]
         keep &= field.reduce(sum(w[slot] for slot in tuples)) == 0
     candidates = tuples.T[keep].astype(np.int64)
     c, s = candidates.shape
@@ -248,7 +278,9 @@ def _invariants(rep: LieRepresentation, tuples: np.ndarray, symmetric: bool):
         return candidates.T, K
     gens = np.delete(np.arange(rep.g), diags)
     n = len(gens)
-    gen, ra, rb = np.nonzero(rep.tensor[gens])  # generator-major, then row-major: columns ascend within a row
+    # the entries of the other generators, in C order: columns ascend within a row
+    off = np.isin(k, gens)
+    gen, ra, rb, values = np.searchsorted(gens, k[off]), ra[off], rb[off], values[off]
     starts = np.searchsorted(gen * d + ra, np.arange(n * d + 1))
     # each generator meets each candidate slot: a slot holding a meets the entries of row a
     lo = (np.arange(n)[:, None] * d + candidates.reshape(-1)).reshape(-1)
@@ -262,7 +294,7 @@ def _invariants(rep: LieRepresentation, tuples: np.ndarray, symmetric: bool):
         code = code * d + col
     pair, first, inv = np.unique(code, return_index=True, return_inverse=True)
     coeff = field.zeros(len(pair))
-    np.add.at(coeff, inv, rep.tensor[gens[gen], ra, rb][entry])
+    np.add.at(coeff, inv, values[entry])
     coeff = field.reduce(coeff)
     kept = np.flatnonzero(coeff)
     (source, key), first, coeff = np.divmod(pair[kept], d**s), first[kept], coeff[kept]

@@ -11,15 +11,16 @@ on the generator basis itself for the vector representation.
 Every constructed matrix has entries in Z/4 (quarter-integers), so the
 integer quadruple of each family is built once per n, as the list of its
 nonzero entries (k, r, c, v) in C order, and only those entries are reduced
-into whatever field a caller asks for; no dense integer tensor is formed.
-A subalgebra embedding is an integer matrix, and restricting a
-module is one product with it.
+into whatever field a caller asks for.  A module keeps that list and no
+dense tensor: direct sums and the scaling generator append entries, and the
+Lie check reads them.  A subalgebra embedding is an integer matrix, and
+restricting a module is one product with its dense tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -42,12 +43,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LieRepresentation:
-    """An ordered list of d x d matrices aligned with a labeled Lie algebra basis.
+    """An ordered list of d x d matrices aligned with a labeled Lie algebra basis, held as their nonzero entries.
 
-    ``tensor`` has shape (g, d, d): int64 residues over a prime field,
-    Fraction objects over Q.  ``basis_labels`` are the generator-index pairs
-    (a, b) of the so(n) bivector basis, or name another algebra's basis (the
-    g2 of ``octonion.derivation_algebra``, n then being its defining module's
+    ``shape`` is (g, d, d), and ``entries`` = (k, r, c, v) lists every nonzero
+    entry v of matrix k at row r and column c, strictly in C order of
+    ``shape``: three int64 index arrays and the values, int64 residues over a
+    prime field, Fraction objects over Q.  The constructor refuses entry
+    arrays of unequal length, out of shape or out of C order (a repeated
+    position included), and zero values, since the joins and segment sums
+    that read the entries would silently miscount them.  ``tensor``, the
+    dense read-only (g, d, d) stack, is built on its first read only;
+    ``from_tensor`` holds a module that is born dense.
+    ``basis_labels`` are the generator-index pairs (a, b) of the so(n)
+    bivector basis, or name another algebra's basis (the g2 of
+    ``octonion.derivation_algebra``, n then being its defining module's
     dimension), which ``restrict``, ``center_acts_minus_one`` and
     ``verify_lie_homomorphism`` refuse.  A trailing ("scale",) label marks
     an appended scaling generator.
@@ -57,25 +66,62 @@ class LieRepresentation:
     field: object
     name: str
     basis_labels: tuple
-    tensor: np.ndarray
+    shape: tuple
+    entries: tuple
+
+    def __post_init__(self):
+        shape = tuple(map(int, self.shape))
+        if len(shape) != 3 or shape[1] != shape[2]:
+            raise ValueError(f"{self.name}: shape {shape} is not (g, d, d)")
+        if len(self.entries) != 4 or len({len(x) for x in self.entries}) != 1:
+            raise ValueError(f"{self.name}: entries are not four arrays of equal length")
+        k, r, c = (_freeze(np.asarray(x, dtype=np.int64)) for x in self.entries[:3])
+        v = _freeze(np.asarray(self.entries[3]))
+        if any(np.any((x < 0) | (x >= size)) for x, size in zip((k, r, c), shape)):
+            raise ValueError(f"{self.name}: entry index out of shape {shape}")
+        flat = (k * shape[1] + r) * shape[2] + c
+        if np.any(flat[1:] <= flat[:-1]):
+            raise ValueError(f"{self.name}: entries not strictly in C order")
+        if np.count_nonzero(v) != len(v):
+            raise ValueError(f"{self.name}: zero entry value")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "entries", (k, r, c, v))
+
+    @classmethod
+    def from_tensor(cls, n: int, field, name: str, basis_labels: tuple, tensor) -> "LieRepresentation":
+        """The module whose matrices are the (g, d, d) field array ``tensor``."""
+        tensor = np.asarray(tensor)
+        k, r, c = np.nonzero(tensor)
+        return cls(n, field, name, basis_labels, tensor.shape, (k, r, c, tensor[k, r, c]))
 
     @property
     def g(self) -> int:
-        return self.tensor.shape[0]
+        return self.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.tensor.shape[1]
+        return self.shape[1]
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """The dense (g, d, d) stack of the entries, read-only."""
+        k, r, c, v = self.entries
+        tensor = self.field.zeros(self.shape)
+        tensor[k, r, c] = v
+        return _freeze(tensor)
 
     def with_scaling(self) -> "LieRepresentation":
-        """Append the identity as one extra generator (scalar action)."""
-        tensor = np.concatenate([self.tensor, self.field.eye(self.dim)[None]], axis=0)
+        """Append the identity as one extra generator (scalar action): d diagonal entries after the others."""
+        g, d = self.g, self.dim
+        diagonal = np.arange(d)
+        scale = (np.full(d, g), diagonal, diagonal, self.field.array(np.ones(d, dtype=np.int64)))
         return LieRepresentation(
             self.n,
             self.field,
             f"{self.name}+scale",
             self.basis_labels + (("scale",),),
-            _freeze(tensor),
+            (g + 1, d, d),
+            tuple(map(np.concatenate, zip(self.entries, scale))),
         )
 
 
@@ -167,11 +213,14 @@ def parity_indices(n: int) -> tuple[list[int], list[int]]:
 
 
 def _from_x4(space: QuadraticSpace, field, name: str, dim: int, x4: tuple) -> LieRepresentation:
-    """The module of so(n) whose 4x-scaled integer entries are ``x4``; only their values are converted."""
+    """The module of so(n) whose 4x-scaled integer entries are ``x4``; only their values are converted.
+
+    Every value is a nonzero integer of absolute value at most 4, so it stays
+    nonzero over Q and over every F_p the fields admit (p >= 5).
+    """
     k, r, c, v = x4
-    tensor = field.zeros((so_dim(space), dim, dim))
-    tensor[k, r, c] = field.reduce(field.array(v) * field.inv(4))
-    return LieRepresentation(space.n, field, name, so_pairs(space), _freeze(tensor))
+    entries = (k, r, c, field.reduce(field.array(v) * field.inv(4)))
+    return LieRepresentation(space.n, field, name, so_pairs(space), (so_dim(space), dim, dim), entries)
 
 
 # Representations are cached per (space, field); both hash by value.
@@ -197,8 +246,8 @@ def half_spin_reps(space: QuadraticSpace, field):
     asserts it for the whole integer entry list at once, as every entry's
     row and column having the same parity.  A Fock index sits in its block
     at its rank among the indices of its parity, so each block's entries
-    are the spin entries of that parity, renumbered, and the full spin
-    tensor is never built over the field.
+    are the spin entries of that parity, renumbered; the ranks keep their
+    C order.
     """
     if space.odd:
         raise ValueError("half-spin representations need even n")
@@ -216,20 +265,23 @@ def half_spin_reps(space: QuadraticSpace, field):
 
 
 def direct_sum(reps: list[LieRepresentation]) -> LieRepresentation:
-    """Block-diagonal sum of representations of the same so(n)."""
+    """Block-diagonal sum of representations of the same so(n).
+
+    Each part's entries move to its diagonal block, and one stable sort
+    puts the concatenated entries back in C order.
+    """
     first = reps[0]
-    for r in reps:
-        if r.n != first.n or r.field != first.field or r.basis_labels != first.basis_labels:
+    for rep in reps:
+        if rep.n != first.n or rep.field != first.field or rep.basis_labels != first.basis_labels:
             raise ValueError("direct sum needs matching algebras and bases")
-    g = first.g
-    d = sum(r.dim for r in reps)
-    tensor = first.field.zeros((g, d, d))
-    off = 0
-    for r in reps:
-        tensor[:, off : off + r.dim, off : off + r.dim] = r.tensor
-        off += r.dim
-    name = " + ".join(r.name for r in reps)
-    return LieRepresentation(first.n, first.field, name, first.basis_labels, _freeze(tensor))
+    offsets = np.cumsum([0] + [rep.dim for rep in reps])
+    d = offsets[-1]
+    parts = [(k, r + off, c + off, v) for (k, r, c, v), off in zip((rep.entries for rep in reps), offsets)]
+    k, r, c, v = map(np.concatenate, zip(*parts))
+    order = np.argsort((k * d + r) * d + c, kind="stable")
+    entries = tuple(x[order] for x in (k, r, c, v))
+    name = " + ".join(rep.name for rep in reps)
+    return LieRepresentation(first.n, first.field, name, first.basis_labels, (first.g, d, d), entries)
 
 
 def _require_so_basis(rep: LieRepresentation, n: int):
@@ -248,13 +300,16 @@ def center_acts_minus_one(rep: LieRepresentation) -> bool:
     Spin_n -> SO_n.  When h_1 acts on the module diagonally with every entry
     +-1/2, exp(2 pi i h_1) acts as exp(+-pi i) = -1 on every basis vector, so
     it is the nontrivial element of that kernel and negates the module.  The
-    check reads the module's first matrix and nothing else.
+    check reads the entries of the module's first matrix and nothing else:
+    d of them, all on the diagonal.
     """
     _require_so_basis(rep, rep.n)
     field = rep.field
-    h1 = field.reduce(2 * rep.tensor[0])
+    k, r, c, v = rep.entries
+    first = slice(0, np.searchsorted(k, 1))
     halves = (field.inv(2), field.reduce(-field.inv(2)))
-    return bool(np.count_nonzero(h1) == rep.dim and all(x in halves for x in np.diagonal(h1)))
+    on_diagonal = len(v[first]) == rep.dim and np.array_equal(r[first], c[first])
+    return bool(on_diagonal and all(x in halves for x in field.reduce(2 * v[first])))
 
 
 # -- subalgebra embeddings -----------------------------------------------------
@@ -323,7 +378,7 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     matrices had no hand in producing.  Both sides are antisymmetric, so the
     pairs i < j suffice.
 
-    The check works on the nonzero entries (k, r, c, v) of the tensor, and
+    The check works on the nonzero entries (k, r, c, v) of the module, and
     on a block of left generators i at a time.  Joining the column of each
     entry of T_i with the row of the entries of every T_j (j > i) gives
     T_i T_j; joining on the row of T_i and the column of T_j gives T_j T_i.
@@ -333,11 +388,11 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     no key's sum is split across blocks.
 
     Blocks start at one generator and double, so a defect at a low
-    generator is found early.  No cap bounds a block, since the joins stay
-    far smaller than the dense tensor the check already reads: the three
-    joins of the whole spin(14) module hold 142k entries, its largest block
-    46k, against the 1.49M entries of its tensor (spin(16): 144k against
-    7.86M).
+    generator is found early.  No cap bounds a block, since the joins grow
+    with the entries and the dense tensor is never formed: the three joins
+    of the whole spin(14) module hold 142k entries, its largest block 46k,
+    from 3,584 entries, where its tensor would hold 1.49M cells (spin(16):
+    459k and 144k from 9,216 entries, against 7.86M cells).
     The sums are taken in integers: with T = A / den and coeff = C / cden
     (``field.cleared``), den**2 * cden times each key's sum is cden times the
     sum of the A products minus den times the C * A terms.  Over F_p, where
@@ -353,11 +408,10 @@ def verify_lie_homomorphism(rep: LieRepresentation, struct) -> bool:
     def times(x, y):
         return field.reduce(x * y)
 
-    ints, den = field.cleared(rep.tensor)
+    k, r, c, v = rep.entries  # C order: k ascending
+    v, den = field.cleared(v)
     coeff, cden = field.cleared(struct.coeff)
     g, d = rep.g, rep.dim
-    k, r, c = np.nonzero(ints)  # C order: k ascending
-    v = ints[k, r, c]
     k_start = np.searchsorted(k, np.arange(g + 1))
     t_start = np.searchsorted(struct.i, np.arange(g + 1))
     by_row = np.lexsort((k, r))
@@ -420,10 +474,10 @@ def restrict(rep: LieRepresentation, emb: SubalgebraEmbedding) -> LieRepresentat
     _require_so_basis(rep, rep.n)  # a scaling-augmented module included
     field = rep.field
     tensor = field.matmul(field.array(emb.pair_map), rep.tensor.reshape(rep.g, -1))
-    return LieRepresentation(
+    return LieRepresentation.from_tensor(
         emb.sub_n,
         field,
         f"{rep.name}|so({emb.sub_n})",
         so_pairs(QuadraticSpace(emb.sub_n)),
-        _freeze(tensor.reshape(-1, rep.dim, rep.dim)),
+        tensor.reshape(-1, rep.dim, rep.dim),
     )

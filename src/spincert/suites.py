@@ -584,7 +584,7 @@ def _sp4_left_multiplication(c: _Field):
         return f"sp4 dimension {len(sp4)}"
     # z x on row-major 4x4 matrices x is kron(z, I4)
     tensor = np.stack([np.kron(z, eye) for z in sp4.reshape(-1, 4, 4)])
-    rep = LieRepresentation(4, f, "sp4 on 4x4 matrices", tuple(("sp4", k) for k in range(10)), tensor)
+    rep = LieRepresentation.from_tensor(4, f, "sp4 on 4x4 matrices", tuple(("sp4", k) for k in range(10)), tensor)
     return c.generic_stabilizer_dim(rep)
 
 

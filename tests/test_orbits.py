@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from spincert.clifford import QuadraticSpace
+from spincert.clifford import QuadraticSpace, so_pairs
 from spincert.fields import GF, QQ, PrimeField, RandomSource
 from spincert.linalg import associative_closure, commutant_dimension, hom_space, kernel, rank, solve
 from spincert.octonion import derivation_algebra
@@ -11,6 +11,7 @@ from spincert.orbits import (
     Aborted,
     ClosureViolation,
     NotWitnessed,
+    action_matrix,
     invariant_bilinear_space,
     invariant_quartic_dim,
     kernel_action_matrices,
@@ -128,7 +129,7 @@ def _left_gl2(field):
     """gl2 acting on 2x2 matrices by left multiplication: the stabilizer of x has dim 2 (2 - rank x)."""
     units = np.eye(4, dtype=np.int64).reshape(4, 2, 2)
     tensor = field.array(np.stack([np.kron(z, np.eye(2, dtype=np.int64)) for z in units]))
-    return LieRepresentation(2, field, "gl2 on 2x2 matrices", tuple(("gl2", k) for k in range(4)), tensor)
+    return LieRepresentation.from_tensor(2, field, "gl2 on 2x2 matrices", tuple(("gl2", k) for k in range(4)), tensor)
 
 
 def test_min_trial_witness_skips_failing_trials_even_when_smaller():
@@ -236,6 +237,38 @@ def test_stabilizer_kernel_annihilates_exactly():
     for z in r.kernel:
         acting = np.tensordot(z, rep.tensor, axes=(0, 0)) % F.p
         assert not (acting @ np.asarray(v) % F.p).any()
+
+
+def _spin5_without_generator(field, k):
+    """spin(5) with matrix k replaced by zeros: a module whose entries skip a generator."""
+    tensor = spin_rep(QuadraticSpace(5), field).tensor.copy()
+    tensor[k] = field.zeros(tensor.shape[1:])
+    return LieRepresentation.from_tensor(5, field, f"spin(5) without m_{k}", so_pairs(QuadraticSpace(5)), tensor)
+
+
+# modules whose entries stress the per-cell sums: unequal blocks, an appended
+# diagonal generator, an empty matrix in the middle and one at the end, no entries at all
+ACTION_MODULES = {
+    "spin7": lambda f: spin_rep(QuadraticSpace(7), f),
+    "vector5+spin5+vector5": lambda f: direct_sum(
+        [vector_rep(QuadraticSpace(5), f), spin_rep(QuadraticSpace(5), f), vector_rep(QuadraticSpace(5), f)]
+    ),
+    "spin7+scale": lambda f: spin_rep(QuadraticSpace(7), f).with_scaling(),
+    "spin5-zero-middle": lambda f: _spin5_without_generator(f, 4),
+    "spin5-zero-last": lambda f: _spin5_without_generator(f, 9),
+    "no-entries": lambda f: LieRepresentation.from_tensor(2, f, "zero", (("z",),) * 3, f.zeros((3, 4, 4))),
+}
+
+
+@pytest.mark.parametrize("field", [F, GF(7), QQ], ids=["GF(1000003)", "GF(7)", "QQ"])
+@pytest.mark.parametrize("name", list(ACTION_MODULES))
+def test_entry_actions_match_the_dense_contraction(name, field):
+    rep = ACTION_MODULES[name](field)
+    points = np.stack([RandomSource(3).child(t).scalars(field, rep.dim) for t in range(3)])
+    # column j of matrix t is rho(m_j) v_t: the dense tensor contracted with each point
+    assert np.array_equal(action_matrix(rep, points), field.reduce(np.einsum("kdc,tc->tdk", rep.tensor, points)))
+    z = np.stack([RandomSource(4).child(t).scalars(field, rep.g) for t in range(2)])
+    assert np.array_equal(kernel_action_matrices(z, rep), field.reduce(np.einsum("tk,kdc->tdc", z, rep.tensor)))
 
 
 def test_subalgebra_structure_g2_fingerprint():
@@ -438,7 +471,7 @@ def _sheared_vector5(field):
     shear, unshear = np.eye(5, dtype=np.int64), np.eye(5, dtype=np.int64)
     shear[0, 1], unshear[0, 1] = 1, -1
     tensor = field.matmul(field.matmul(field.array(shear), rep.tensor), field.array(unshear))
-    return LieRepresentation(5, field, "sheared vector(5)", rep.basis_labels, tensor)
+    return LieRepresentation.from_tensor(5, field, "sheared vector(5)", rep.basis_labels, tensor)
 
 
 FORM_MODULES = {
@@ -562,7 +595,9 @@ def test_isotypic_fingerprint_spin11_natural_module():
     mats = kernel_action_matrices(r.kernel, vector_rep(QuadraticSpace(11), F))
     assert (associative_closure(F, mats), commutant_dimension(F, mats)) == (51, 3)
     assert len(fixed_space(F, mats)) == 1
-    on_v11 = LieRepresentation(11, F, "stabilizer on vector(11)", tuple((k,) for k in range(len(mats))), mats)
+    on_v11 = LieRepresentation.from_tensor(
+        11, F, "stabilizer on vector(11)", tuple((k,) for k in range(len(mats))), mats
+    )
     forms = invariant_bilinear_space(on_v11)
     assert (forms.symmetric_dim, forms.antisymmetric_dim) == (2, 1)
 
@@ -699,7 +734,7 @@ def test_invariant_row_budget_fires_inside_the_cut_loop(monkeypatch):
     import spincert.orbits as orbits_mod
 
     h, dense = F.array(np.diag([1, -1, 2, 5])), F.array(np.arange(1, 17).reshape(4, 4))
-    rep = LieRepresentation(4, F, "diagonal and dense", (("h",), ("dense",)), np.stack([h, dense]))
+    rep = LieRepresentation.from_tensor(4, F, "diagonal and dense", (("h",), ("dense",)), np.stack([h, dense]))
     assert invariant_bilinear_space(rep).symmetric_dim == 0
     rows = []
     monkeypatch.setattr(orbits_mod, "kernel", lambda field, stack: rows.append(stack.shape[1]) or kernel(field, stack))

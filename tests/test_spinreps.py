@@ -157,7 +157,8 @@ def test_lie_check_refuses_mismatched_inputs():
 
 
 def test_spin14_construction_allocates_only_its_field_tensors():
-    # building from entries: the peak is the three field tensors, not a dense integer copy beside them
+    # built from entries, with no dense tensor: the peak (1.8 MB) is the integer construction's sort
+    # of 2 g d keys, under 8 times the entries' 229 kB; one dense spin(14) tensor alone (11.9 MB) breaks it
     for cached in (spinreps._fock_rows, spinreps._spin_x4, spin_rep, half_spin_reps):
         cached.cache_clear()
     space = QuadraticSpace(14)
@@ -167,7 +168,91 @@ def test_spin14_construction_allocates_only_its_field_tensors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * sum(rep.tensor.nbytes for rep in reps)
+    assert all("tensor" not in rep.__dict__ for rep in reps)
+    assert peak <= 10 * sum(x.nbytes for rep in reps for x in rep.entries)
+
+
+def test_entry_paths_never_build_a_dense_tensor(monkeypatch):
+    from spincert import orbits, suites
+
+    def refuse(rep):
+        raise AssertionError(f"dense tensor of {rep.name} read")
+
+    shapes = []
+    zeros = PrimeField.zeros
+
+    def spy(field, shape):
+        shapes.append(tuple(np.ravel(shape)))
+        return zeros(field, shape)
+
+    monkeypatch.setattr(LieRepresentation, "tensor", property(refuse))  # a data descriptor: a cached tensor too
+    monkeypatch.setattr(PrimeField, "zeros", spy)
+    for cached in (spinreps._spin_x4, vector_rep, spin_rep, half_spin_reps):
+        cached.cache_clear()
+    space = QuadraticSpace(14)
+    spin, even = spin_rep(space, F), half_spin_reps(space, F)[0]
+    assert verify_lie_homomorphism(spin, so_structure_constants(space, F))
+    assert center_acts_minus_one(spin)
+    assert suites._free(14, 3, "even")(suites._Field(suites.RunConfig(), F)) == 0
+    free14, scaled = direct_sum([vector_rep(space, F)] * 3 + [even]), even.with_scaling()
+    points = np.stack([RandomSource(0).child(t).scalars(F, scaled.dim) for t in range(2)])
+    assert orbits.action_matrix(scaled, points).shape == (2, 64, 92)
+    assert orbits.kernel_action_matrices(F.eye(scaled.g)[:2], scaled).shape == (2, 64, 64)
+    spin7 = spin_rep(QuadraticSpace(7), F)
+    assert orbits.invariant_bilinear_space(spin7).symmetric_dim == 1  # through orbits._invariants
+    assert not {rep.shape for rep in (spin, even, free14, scaled, spin7)} & set(shapes)
+
+
+def _with_entry(x, at, value):
+    return np.where(np.arange(len(x)) == at, value, x)
+
+
+# kind -> (the fields replaced in spin(5)'s module, from its entries, and the refusal)
+MALFORMED_MODULES = {
+    "unequal-lengths": (lambda k, r, c, v: {"entries": (k, r, c, v[:-1])}, "four arrays of equal length"),
+    "unsorted": (lambda *e: {"entries": tuple(np.roll(x, 1) for x in e)}, "C order"),
+    "repeated": (lambda *e: {"entries": tuple(np.concatenate([x[:1], x]) for x in e)}, "C order"),
+    "row-out-of-shape": (lambda k, r, c, v: {"entries": (k, np.where(r == 3, 4, r), c, v)}, "out of shape"),
+    "negative-column": (lambda k, r, c, v: {"entries": (k, r, _with_entry(c, 0, -1), v)}, "out of shape"),
+    "zero-value": (lambda k, r, c, v: {"entries": (k, r, c, _with_entry(v, 5, 0))}, "zero entry value"),
+    "non-square-shape": (lambda *e: {"shape": (10, 4, 5)}, "is not"),
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED_MODULES))
+def test_malformed_entries_are_refused(kind):
+    spin5 = spin_rep(QuadraticSpace(5), F)
+    replaced, refusal = MALFORMED_MODULES[kind]
+    with pytest.raises(ValueError, match=refusal):
+        dataclasses.replace(spin5, **replaced(*(x.copy() for x in spin5.entries)))
+
+
+def _standard_modules(n):
+    space = QuadraticSpace(n)
+    return (vector_rep(space, F), spin_rep(space, F), *(half_spin_reps(space, F) if n % 2 == 0 else ()))
+
+
+def _g2(field):
+    from spincert.octonion import derivation_algebra
+
+    return derivation_algebra(field)
+
+
+ENTRY_MODULES = {
+    **{f"standard-{n}": lambda n=n: _standard_modules(n) for n in range(3, 15)},
+    "(vector7+spin7)x2": lambda: [direct_sum([vector_rep(QuadraticSpace(7), F), spin_rep(QuadraticSpace(7), F)] * 2)],
+    "spin7+scale": lambda: [spin_rep(QuadraticSpace(7), F).with_scaling()],
+    "g2": lambda: [_g2(F)],
+    "spin11|so10": lambda: [restrict(spin_rep(QuadraticSpace(11), F), embed_subalgebra(QuadraticSpace(11), 10))],
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_MODULES))
+def test_entries_are_the_nonzeros_of_the_tensor(name):
+    for rep in ENTRY_MODULES[name]():
+        dense = LieRepresentation.from_tensor(rep.n, rep.field, rep.name, rep.basis_labels, rep.tensor)
+        assert dense.shape == rep.shape
+        assert all(np.array_equal(a, b) for a, b in zip(dense.entries, rep.entries)), rep.name
 
 
 def test_half_spin_blocks():
@@ -282,12 +367,12 @@ def test_center_acts_minus_one_reads_the_module():
     space7 = QuadraticSpace(7)
     spin7 = spin_rep(space7, F)
     assert center_acts_minus_one(direct_sum([spin7, spin7])) is True
-    copy = LieRepresentation(7, F, spin7.name, spin7.basis_labels, spin7.tensor)
+    copy = LieRepresentation.from_tensor(7, F, spin7.name, spin7.basis_labels, spin7.tensor)
     assert center_acts_minus_one(copy) is True
     # h1 with entries +-1 makes exp(2 pi i h1) the identity
     doubled = spin7.tensor.copy()
     doubled[0] = F.reduce(2 * doubled[0])
-    assert center_acts_minus_one(LieRepresentation(7, F, "doubled", spin7.basis_labels, doubled)) is False
+    assert center_acts_minus_one(LieRepresentation.from_tensor(7, F, "doubled", spin7.basis_labels, doubled)) is False
 
 
 def _g2_on_octonions():
@@ -385,7 +470,7 @@ def conjugated(rep, seed=7):
         if rank(rep.field, P[None]) == [rep.dim]:
             break
     mats = rep.field.matmul(rep.field.matmul(P, rep.tensor), inverse(rep.field, P))
-    return LieRepresentation(rep.n, rep.field, f"conj({rep.name})", rep.basis_labels, mats)
+    return LieRepresentation.from_tensor(rep.n, rep.field, f"conj({rep.name})", rep.basis_labels, mats)
 
 
 def _standard(n, kind):
@@ -444,7 +529,7 @@ def _set_entry(rep, struct, where, change):
     T[idx] = change(T[idx])
     if isinstance(rep.field, PrimeField):
         T %= rep.field.p
-    return LieRepresentation(rep.n, rep.field, rep.name, rep.basis_labels, T), struct
+    return LieRepresentation.from_tensor(rep.n, rep.field, rep.name, rep.basis_labels, T), struct
 
 
 def _nonzero_of(k):
@@ -467,7 +552,7 @@ def _perturb_structure(rep, struct, last=False):
 def _swap_basis(rep, struct):
     T = rep.tensor.copy()
     T[[0, 1]] = T[[1, 0]]
-    return LieRepresentation(rep.n, rep.field, rep.name, rep.basis_labels, T), struct
+    return LieRepresentation.from_tensor(rep.n, rep.field, rep.name, rep.basis_labels, T), struct
 
 
 MUTANTS = {
