@@ -17,16 +17,19 @@ array methods, so every other module has one code path for both:
   float);
 - ``reduce(arr)`` maps the result of ``+``, ``-`` or ``*`` by a scalar back
   into the field (``% p`` over F_p, nothing over Q);
-- ``matmul(a, b)`` is the exact product, batched shapes included
-  (``kernels.matmul_mod`` over F_p; over Q each operand is scaled by the lcm
-  of its denominators, the Python-int object arrays are multiplied with
-  ``np.matmul`` and every output entry is divided once into a ``Fraction``);
+- ``matmul(a, b)`` is the exact product, batched and broadcast shapes
+  included, and a new array of the answer's shape (``kernels.matmul_mod``
+  over F_p, which takes operands in (-p, p) and returns residues; over Q
+  each operand is scaled by the lcm of its denominators, the Python-int
+  object arrays are multiplied with ``np.matmul`` and every output entry is
+  divided once into a ``Fraction``);
 - ``cleared(arr)`` gives (integer array, d) with arr = integers / d: the
   residues themselves and 1 over F_p, Python ints over the lcm d of the
   denominators over Q, so integer code can run on either.
 
 Everything is exact; the only floating point is inside ``matmul_mod``,
-where the float64 products are provably exact.
+where the float64 sums of products are provably exact integers, cast to
+int64 and reduced there.
 """
 
 from __future__ import annotations

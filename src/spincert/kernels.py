@@ -44,12 +44,15 @@ at p = 10^9 + 7, and at every update near p = 2^31.  Columns left of the
 current one receive no further updates, and one final reduction makes the
 output exact.
 
-Matrix multiplication mod p is shared by both backends: for the default
-primes the products fit a float64 mantissa exactly, so BLAS does the work
-and the result is still exact integer arithmetic.  Larger primes fall back
-to int64 products, summed over chunks of the inner dimension short enough
-not to overflow.  An empty inner dimension takes the float path for every
-p, whose product is the int64 zeros of the broadcast shape.
+Matrix multiplication mod p is shared by both backends.  For the default
+primes the sums of products fit a float64 mantissa exactly (the window of
+FFLAS-FFPACK), so BLAS does the work and the result is still exact integer
+arithmetic; the reduction is delayed to the end and done once, in
+integers: the float product is cast to int64 and reduced in place, so no
+array beyond the answer is made.  Larger primes fall back to int64
+products, summed over chunks of the inner dimension short enough not to
+overflow.  An empty inner dimension takes the float path for every p,
+whose product is the int64 zeros of the broadcast shape.
 """
 
 from bisect import bisect_left
@@ -151,13 +154,22 @@ _FLOAT_EXACT = 2**53
 
 
 def matmul_mod(a, b, p):
-    """Exact ``a @ b`` mod p for int64 arrays of any layout (supports batched shapes)."""
+    """Exact ``a @ b`` mod p for int64 arrays of any layout (supports batched shapes).
+
+    The operands may be unreduced, with entries in (-p, p).  The answer is a
+    new C-ordered int64 array of residues in [0, p).  Within the float
+    window every entry of the float64 product is an integer of magnitude
+    below 2**53, so the cast to int64 is exact and NumPy's integer ``%``
+    gives the non-negative residue.
+    """
     inner = a.shape[-1]
     # C order whatever the caller passes: with more than one OpenBLAS thread (see
     # __init__) a transposed operand made it spin (2x CPU on spin14)
     if inner * (p - 1) * (p - 1) < _FLOAT_EXACT:
         c = np.matmul(a.astype(np.float64, order="C"), b.astype(np.float64, order="C"))
-        return np.mod(c, float(p)).astype(np.int64)
+        c = c.astype(np.int64)  # exact: every entry's magnitude is below 2**53
+        c %= p
+        return c
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     # each chunk's int64 sum of products stays below 2**63; p < 2**31 keeps step >= 2
     step = (2**63 - 1) // ((p - 1) * (p - 1))

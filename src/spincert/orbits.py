@@ -185,22 +185,23 @@ def subalgebra_structure_from_matrices(field, stack) -> SubalgebraStructure:
     """Structure constants and Killing form of the span of a (k, d, d) stack.
 
     The brackets [x_i, x_j] of the pairs i < j, in ``np.triu_indices`` order,
-    come from one batched product over the (k, d, d) stack and are solved in
-    the span of the basis by ``solve``, whose unique solution also proves
-    the basis independent, even for k = 1.  Without one, a dependent basis
-    raises ValueError and a bracket outside the span ClosureViolation.  ad_i
-    maps e_j to c[i, j, :], so its matrix is c[i].T and trace(ad_i ad_j) =
-    sum_{a,b} c[i,b,a] c[j,a,b]: the whole Killing form is one
-    (k, k^2) @ (k^2, k) product.
+    come from one batched product over the (k, d, d) stack, every x_i x_j
+    from one broadcast of the stack against itself with no operand copied,
+    and are solved in the span of the basis by ``solve``, whose unique
+    solution also proves the basis independent, even for k = 1.  Without
+    one, a dependent basis raises ValueError and a bracket outside the span
+    ClosureViolation.  ad_i maps e_j to c[i, j, :], so its matrix is c[i].T
+    and trace(ad_i ad_j) = sum_{a,b} c[i,b,a] c[j,a,b]: the whole Killing
+    form is one (k, k^2) @ (k^2, k) product.
     """
     k = len(stack)
     if k == 0:
         raise ValueError("empty subalgebra")
     flats = np.ascontiguousarray(stack.reshape(k, -1).T)
     i, j = np.triu_indices(k, 1)
-    # x_i x_j and x_j x_i for every pair, as one batch
-    prods = field.matmul(stack[np.concatenate([i, j])], stack[np.concatenate([j, i])])
-    brackets = field.reduce(prods[: len(i)] - prods[len(i) :]).reshape(len(i), len(flats))
+    prods = field.matmul(stack[:, None], stack[None])  # (k, k, d, d): x_i x_j at [i, j]
+    brackets = field.reduce(prods[i, j] - prods[j, i]).reshape(len(i), len(flats))
+    del prods
     (coords,) = solve(field, flats[None], np.ascontiguousarray(brackets.T)[None])
     if coords is None:
         if rank(field, stack.reshape(k, -1)[None]) != [k]:
@@ -254,7 +255,9 @@ def _invariants(rep: LieRepresentation, tuples: np.ndarray, symmetric: bool):
     with coefficient M[a, b], the result is sorted when ``symmetric``, keyed
     in base d and summed per (generator, candidate, key).  Each generator's
     image keeps its nonzero rows, numbered by first appearance in candidate,
-    slot, column order, and cuts K in turn.  Budget overruns raise Aborted.
+    slot, column order.  The first image's kernel gives K, and each later
+    image cuts K in turn through its product with K; with no generator to
+    cut, K is the identity.  Budget overruns raise Aborted.
     """
     field, d = rep.field, rep.dim
     k, ra, rb, values = rep.entries  # M[a, b] of generator k
@@ -270,14 +273,13 @@ def _invariants(rep: LieRepresentation, tuples: np.ndarray, symmetric: bool):
     c, s = candidates.shape
     if c > _QUARTIC_MAX_CANDIDATES:
         raise Aborted(f"invariant candidate budget exceeded ({_QUARTIC_MAX_CANDIDATES})")
-    if c * c > _QUARTIC_MAX_ROWS * 8:  # K starts as c x c: the cut loop's bound on t x c, checked before allocating
+    if c * c > _QUARTIC_MAX_ROWS * 8:  # the cut loop's bound on t x c, checked before expanding or allocating I_c
         raise Aborted("invariant row budget exceeded")
 
-    K = field.eye(c)  # its columns span the invariants among the candidates so far
-    if not c:
-        return candidates.T, K
     gens = np.delete(np.arange(rep.g), diags)
     n = len(gens)
+    if not c or not n:  # nothing to cut: every candidate is invariant
+        return candidates.T, field.eye(c)
     # the entries of the other generators, in C order: columns ascend within a row
     off = np.isin(k, gens)
     gen, ra, rb, values = np.searchsorted(gens, k[off]), ra[off], rb[off], values[off]
@@ -306,17 +308,19 @@ def _invariants(rep: LieRepresentation, tuples: np.ndarray, symmetric: bool):
     row = np.argsort(np.argsort(appear))[row]
     ends = np.searchsorted(source // c, np.arange(n + 1))
     offsets = np.searchsorted(rows // d**s, np.arange(n + 1))
+    del new, lo, code, inv, entry, owner, pair, rows
+    K = None  # its columns span the invariants among the candidates so far; None before the first cut
     for i in range(n):
         e = slice(ends[i], ends[i + 1])
         t = offsets[i + 1] - offsets[i]
-        if t * K.shape[1] > _QUARTIC_MAX_ROWS * 8:
+        if t * (c if K is None else K.shape[1]) > _QUARTIC_MAX_ROWS * 8:
             raise Aborted("invariant row budget exceeded")
         img = field.zeros((t, c))
         img[row[e] - offsets[i], source[e] % c] = coeff[e]
-        (null,) = kernel(field, field.matmul(img, K)[None])
+        (null,) = kernel(field, (img if K is None else field.matmul(img, K))[None])
         if not len(null):
-            return candidates.T, K[:, :0]
-        K = field.matmul(K, null.T)
+            return candidates.T, field.zeros((c, 0))
+        K = null.T if K is None else field.matmul(K, null.T)
     return candidates.T, K
 
 

@@ -141,14 +141,17 @@ def _degree_parity(m: int) -> np.ndarray:
 def _entries(shape, k, r, c, v) -> tuple:
     """Integer entries (k, r, c, v) of a ``shape`` tensor in C order, repeated positions summed and zeros dropped.
 
-    The four arguments broadcast against each other.
+    The four arguments broadcast against each other.  One stable sort of the
+    flat positions orders them, and ``np.add.reduceat`` sums each run.
     """
     k, r, c, v = np.broadcast_arrays(k, r, c, v)
-    keys, at = np.unique(np.ravel_multi_index((k, r, c), shape).ravel(), return_inverse=True)
-    sums = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(sums, at, v.ravel())
+    keys = np.ravel_multi_index((k, r, c), shape).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(v.ravel()[order], starts)
     keep = sums != 0
-    return tuple(map(_freeze, (*np.unravel_index(keys[keep], shape), sums[keep])))
+    return tuple(map(_freeze, (*np.unravel_index(keys[starts[keep]], shape), sums[keep])))
 
 
 @cache
@@ -178,17 +181,20 @@ def _spin_x4(n: int) -> tuple:
 
     With every generator a signed partial permutation (``_fock_rows``),
     e_a e_b sends column s to row rows_a[rows_b[s]] with sign
-    signs_a[rows_b[s]] * signs_b[s]; each column gets that entry, doubled,
-    and its diagonal entry -2B(a,b), written for all pairs at once.
+    signs_a[rows_b[s]] * signs_b[s]; each column gets that entry, doubled.
+    The diagonal entries -2B(a,b) are written only for the pairs with
+    B(a,b) != 0, the hyperbolic pairs, one row of d per pair.
     """
     space = QuadraticSpace(n)
     rows, signs = _fock_rows(n)
     g, d = so_dim(space), rows.shape[1]
     a, b = np.array(so_pairs(space)).T
     via = rows[b]
-    r = np.stack(np.broadcast_arrays(rows[a[:, None], via], np.arange(d)))
-    v = np.stack(np.broadcast_arrays(2 * signs[a[:, None], via] * signs[b], -space.two_b_matrix()[a, b][:, None]))
-    return _entries((g, d, d), np.arange(g)[:, None], r, np.arange(d), v)
+    two_b = space.two_b_matrix()[a, b]
+    (h,) = np.nonzero(two_b)
+    r = np.vstack([rows[a[:, None], via], np.broadcast_to(np.arange(d), (len(h), d))])
+    v = np.vstack([2 * signs[a[:, None], via] * signs[b], np.broadcast_to(-two_b[h, None], (len(h), d))])
+    return _entries((g, d, d), np.concatenate([np.arange(g), h])[:, None], r, np.arange(d), v)
 
 
 @cache

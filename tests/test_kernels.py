@@ -311,6 +311,48 @@ def test_matmul_mod_near_float_boundary():
     assert (out == expect).all()
 
 
+def _python_int_product(a, b, p):
+    """``a @ b`` mod p with Python-int entries: the oracle for ``matmul_mod``, batched shapes included."""
+    return np.matmul(a.astype(object), b.astype(object)) % p
+
+
+@pytest.mark.parametrize("p", [P, 999_983, 7])
+@pytest.mark.parametrize("unreduced", [False, True], ids=["residues", "unreduced"])
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((5, 7), (7, 4)), ((3, 5, 7), (3, 7, 4)), ((3, 1, 5, 7), (1, 3, 7, 4))],
+    ids=["2-D", "batched", "broadcast"],
+)
+def test_matmul_mod_integer_remainder_vs_python_ints(p, unreduced, a_shape, b_shape):
+    # the float product is cast to int64 and reduced with NumPy's integer %, whose residue of a
+    # negative entry is non-negative like Python's; unreduced operands lie in (-p, p)
+    rng = np.random.default_rng(p + unreduced)
+    low = -(p - 1) if unreduced else 0
+    a, b = rng.integers(low, p, size=a_shape), rng.integers(low, p, size=b_shape)
+    a.flat[0], b.flat[0] = -(p - 1) if unreduced else p - 1, p - 1  # an extreme entry on each side
+    got = matmul_mod(a, b, p)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert ((0 <= got) & (got < p)).all()
+    assert np.array_equal(got, _python_int_product(a, b, p))
+
+
+@pytest.mark.parametrize("inner", [9_000, 9_010])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_matmul_mod_either_side_of_the_float_window(inner, sign):
+    # inner (p-1)**2 crosses 2**53 between 9,000 and 9,010 at p = 1000003: 9,000 takes the
+    # float path at its largest exact sums, 9,010 the int64 path
+    assert (9_000 * (P - 1) ** 2 < kernels._FLOAT_EXACT) and (9_010 * (P - 1) ** 2 >= kernels._FLOAT_EXACT)
+    rng = np.random.default_rng(inner)
+    a = np.full((2, inner), sign * (P - 1), dtype=np.int64)
+    a[1] = rng.integers(-(P - 1), P, size=inner)
+    b = np.full((inner, 3), P - 1, dtype=np.int64)
+    b[:, 2] = rng.integers(0, P, size=inner)
+    got = matmul_mod(a, b, P)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert ((0 <= got) & (got < P)).all()
+    assert np.array_equal(got, _python_int_product(a, b, P))
+
+
 @pytest.mark.parametrize("inner", [1, 2, 3, 8, 91])
 def test_matmul_mod_largest_prime(inner):
     # (p-1)**2 is just under 2**62: the int64 path sums at most two products per chunk

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -682,6 +683,8 @@ def _quartic_by_dicts(rep):
     ],
 )
 def test_quartic_matches_dict_loop(build, p, monkeypatch):
+    import spincert.orbits as orbits_mod
+
     rep = build(GF(p))
     # the left operands of every product: each image before it meets K, then K
     seen = []
@@ -690,10 +693,15 @@ def test_quartic_matches_dict_loop(build, p, monkeypatch):
     want = _quartic_by_dicts(rep)
     want_operands = seen[:]
     seen.clear()
+    # the dict loop starts from K = I: its first two operands are the first image and I;
+    # the batched cut takes the first image's kernel directly, with no product
+    cut = []
+    monkeypatch.setattr(orbits_mod, "kernel", lambda field, stack: cut.append(stack[0].copy()) or kernel(field, stack))
     assert invariant_quartic_dim(rep) == want
     # the images are the dict loop's, entries and row order included
-    assert len(seen) == len(want_operands)
-    assert all(np.array_equal(x, y) for x, y in zip(seen, want_operands))
+    assert np.array_equal(cut[0], want_operands[0])
+    assert len(seen) == len(want_operands) - 2
+    assert all(np.array_equal(x, y) for x, y in zip(seen, want_operands[2:]))
 
 
 def test_quartic_budget_and_field_guards(monkeypatch):
@@ -739,14 +747,49 @@ def test_invariant_row_budget_fires_inside_the_cut_loop(monkeypatch):
     rows = []
     monkeypatch.setattr(orbits_mod, "kernel", lambda field, stack: rows.append(stack.shape[1]) or kernel(field, stack))
     invariant_bilinear_space(rep)
-    sizes, real_eye = [], PrimeField.eye
-    monkeypatch.setattr(PrimeField, "eye", lambda self, n: sizes.append(n) or real_eye(self, n))
+    expanded, real_expand = [], orbits_mod._expand_ranges
+    monkeypatch.setattr(orbits_mod, "_expand_ranges", lambda lo, hi: expanded.append(len(lo)) or real_expand(lo, hi))
     monkeypatch.setattr(orbits_mod, "_QUARTIC_MAX_ROWS", 1)
     c, budget = 2, 1 * 8
     assert c * c <= budget < rows[0] * c
     with pytest.raises(Aborted, match="row budget"):
         invariant_bilinear_space(rep)
-    assert sizes[0] == 2  # K = I_2 was allocated: the up-front check passed
+    assert expanded  # the candidates were expanded, which follows the up-front check: it passed
+
+
+def _traced_peak(f, *args):
+    """(traced peak bytes, result) of one call, counting only what the call allocates."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_killing_structure_of_the_spin14_stabilizer_stays_near_its_products():
+    # spin(14)'s generic stabilizer on V14, k = 28 matrices of 14 x 14: every product x_i x_j is one
+    # (k, k, d, d) broadcast of 1.2 MB, held once as float64 and once as its int64 residues; the
+    # traced peak is 2.5 MB, bounded at 3 MB (a 20% margin); gathering the 2 C(k, 2) operand
+    # copies before multiplying peaked at 6.0 MB
+    space = QuadraticSpace(14)
+    even = half_spin_reps(space, F)[0]
+    point = RandomSource(0).child(0).scalars(F, even.dim)
+    mats = kernel_action_matrices(stabilizer(even, point).kernel, vector_rep(space, F))
+    assert mats.shape == (28, 14, 14)
+    peak, ss = _traced_peak(subalgebra_structure_from_matrices, F, mats)
+    assert (ss.killing_rank, ss.killing_nullity) == (28, 0)
+    assert peak <= 3_000_000
+
+
+def test_spin11_quartic_invariants_stay_near_their_expansion():
+    # the cut takes the first image's kernel directly and frees the expansion before it: the traced
+    # peak is 4.1 MB, bounded at 5 MB (a 20% margin); starting from K = I_c (c = 336) with the
+    # expansion still held peaked at 7.1 MB
+    rep = spin_rep(QuadraticSpace(11), F)
+    peak, dim = _traced_peak(invariant_quartic_dim, rep)
+    assert dim == 1
+    assert peak <= 5_000_000
 
 
 def test_subalgebra_structure_rejects_dependent_basis():
